@@ -61,16 +61,16 @@ FLOAT_FMT = "%.17g"
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return FLOAT_FMT % float(value)
 
 
-def _write_csv(path, header, rows) -> None:
+def _write_csv(path, header, columns) -> None:
+    """Write equal-length columns: integer columns as ``%d``, the rest as ``FLOAT_FMT``."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in columns) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 class InputError(Exception):
@@ -90,7 +90,7 @@ class RunConfig:
     zero_mode_tol: float
     degeneracy_tol: float
     out: str
-    offsets: list[tuple[int, ...]] | None
+    offsets: str | None  # raw --offsets text, parsed once the model fixes d
     lengths: list[int] | None
     times: list[float] | None
     count: int
@@ -203,6 +203,15 @@ def _offset_columns(d: int) -> list[str]:
     return [f"n_{i + 1}" for i in range(d)]
 
 
+def _reduced_offsets(text: str | None, shape: LatticeShape) -> np.ndarray:
+    """The ``--offsets`` reduced onto the lattice, in request order, as an ``(n, d)``
+    int array; without ``--offsets`` every offset in row-major order."""
+    if text is None:
+        return shape.momenta()
+    offsets = np.array(_parse_offsets(text, shape.d), dtype=np.int64)
+    return offsets.reshape(-1, shape.d) % shape.dims
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -217,12 +226,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         + [f"lam_{a + 1}" for a in range(2 * shape.spin)]
         + [f"branch_{j + 1}" for j in range(shape.spin)]
     )
-    grid = shape.momenta()
-    rows = [
-        list(grid[i]) + list(sol.energies[i]) + list(sol.branch[i])
-        for i in range(shape.n_sites)
-    ]
-    _write_csv(os.path.join(cfg.out, "spectrum.csv"), header, rows)
+    columns = [*shape.momenta().T, *sol.energies.T, *sol.branch.T]
+    _write_csv(os.path.join(cfg.out, "spectrum.csv"), header, columns)
     lines = [
         f"model dims={shape.dims} spin={shape.spin}",
         f"spectral gap: {_fmt(sol.gap)}",
@@ -241,18 +246,19 @@ def cmd_invariants(cfg: RunConfig) -> int:
     )
     shape = cs.shape
     os.makedirs(cfg.out, exist_ok=True)
-    wanted = cfg.offsets if cfg.offsets is not None else sorted(report.invariant)
-    rows = [list(shape.reduce(n)) + [report.invariant[shape.reduce(n)]] for n in wanted]
+    wanted = _reduced_offsets(cfg.offsets, shape)
     _write_csv(
         os.path.join(cfg.out, "invariants.csv"),
         _offset_columns(shape.d) + ["invariant"],
-        rows,
+        [*wanted.T, report.invariant[tuple(wanted.T)]],
     )
-    asym_rows = [list(k) + [j, m, p] for k, j, m, p in report.asymmetry]
+    asym = report.asymmetry
+    momenta = np.array([k for k, *_ in asym], dtype=np.int64).reshape(len(asym), shape.d)
+    band, m, p = (np.array([entry[c] for entry in asym]) for c in (1, 2, 3))
     _write_csv(
         os.path.join(cfg.out, "asymmetry.csv"),
         [f"k_{i + 1}" for i in range(shape.d)] + ["band", "M", "P"],
-        asym_rows,
+        [*momenta.T, band, m, p],
     )
     lines = [
         f"model dims={shape.dims} spin={shape.spin}",
@@ -318,7 +324,7 @@ def cmd_entropy(cfg: RunConfig) -> int:
     _write_csv(
         os.path.join(cfg.out, "entropy.csv"),
         ["L", "S"],
-        zip(scan.lengths, scan.entropies),
+        [scan.lengths, scan.entropies],
     )
     lines = [
         f"model dims={cs.shape.dims} spin={cs.shape.spin}",
@@ -344,11 +350,12 @@ def cmd_oracle(cfg: RunConfig) -> int:
     if exact.degenerate:
         raise InputError("exact ground state is degenerate; oracle comparison undefined")
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
-    result = compare_with_quasifree(exact, rc, energy=ground_energy(cs))
+    energy = ground_energy(cs)
+    result = compare_with_quasifree(exact, rc, energy=energy)
     lines = [
         f"model dims={cs.shape.dims} spin={cs.shape.spin} ({cs.shape.n_modes} modes)",
         f"max correlator deviation: {_fmt(result.max_correlator_dev)}",
-        f"ground energy (momentum route): {_fmt(ground_energy(cs))}",
+        f"ground energy (momentum route): {_fmt(energy)}",
         f"ground energy (Fock route): {_fmt(exact.energy)}",
         f"energy relative deviation: {_fmt(result.energy_rel_dev)}",
         f"threshold: {ORACLE_DEV_TOL:g}",
@@ -366,26 +373,18 @@ def cmd_quench(cfg: RunConfig) -> int:
     times = cfg.times if cfg.times is not None else [float(t) for t in range(11)]
     quench = random_model(shape, reach=cfg.reach, pairing=True, seed=cfg.seed)
     cov0 = ground_covariance(diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol))
-    offsets = cfg.offsets if cfg.offsets is not None else [
-        tuple(int(v) for v in n) for n in np.ndindex(*shape.dims)
-    ]
-    offsets = [shape.reduce(n) for n in offsets]
-
-    rows = []
-    series: dict[tuple[int, ...], list[float]] = {n: [] for n in offsets}
-    for t in times:
-        cov_t = evolve_quench(cov0, quench, t)
-        inv = invariant_map(cov_t)
-        for n in offsets:
-            rows.append([t] + list(n) + [inv[n]])
-            series[n].append(inv[n])
+    offsets = _reduced_offsets(cfg.offsets, shape)
+    # series[t, o]: invariant at time t and offset o
+    series = np.array([
+        invariant_map(evolve_quench(cov0, quench, t))[tuple(offsets.T)] for t in times
+    ])
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv(
         os.path.join(cfg.out, "quench.csv"),
         ["t"] + _offset_columns(shape.d) + ["invariant"],
-        rows,
+        [np.repeat(times, len(offsets)), *np.tile(offsets, (len(times), 1)).T, series.ravel()],
     )
-    spread = max((max(v) - min(v)) for v in series.values()) if series else 0.0
+    spread = float((series.max(axis=0) - series.min(axis=0)).max()) if series.size else 0.0
     lines = [
         f"model dims={shape.dims} spin={shape.spin}",
         f"quench: seeded random model (seed={cfg.seed}, reach={cfg.reach}, pairing on)",
@@ -446,13 +445,11 @@ def main(argv=None) -> int:
         for name in ("gap_tol", "inv_tol", "zero_mode_tol", "degeneracy_tol"):
             if getattr(args, name) <= 0:
                 raise InputError(f"--{name.replace('_', '-')} must be positive")
-        dims = _parse_dims(args.dims)
-        d = len(dims) if dims is not None else 1
         cfg = RunConfig(
             command=args.command,
             model=args.model,
             params=_parse_params(args.param),
-            dims=dims,
+            dims=_parse_dims(args.dims),
             spin=args.spin,
             seed=args.seed,
             gap_tol=args.gap_tol,
@@ -460,16 +457,12 @@ def main(argv=None) -> int:
             zero_mode_tol=args.zero_mode_tol,
             degeneracy_tol=args.degeneracy_tol,
             out=args.out,
-            offsets=None,  # parsed after the model fixes d
+            offsets=args.offsets,
             lengths=_parse_lengths(args.lengths),
             times=_parse_times(args.times),
             count=args.count,
             reach=args.reach,
         )
-        if args.offsets is not None:
-            if cfg.model is not None and os.path.exists(cfg.model):
-                d = load_model(cfg.model).couplings.shape.d
-            cfg.offsets = _parse_offsets(args.offsets, d)
         handler = {
             "spectrum": cmd_spectrum,
             "invariants": cmd_invariants,

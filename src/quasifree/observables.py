@@ -55,15 +55,11 @@ def summed_imaginary_invariant(rc: RealSpaceCorrelators) -> dict[tuple[int, ...]
     return {n: float(np.trace(mat).imag) for n, mat in rc.bdag_b.items()}
 
 
-def invariant_map(cov: CovarianceKernel) -> dict[tuple[int, ...], float]:
-    """The invariant at every lattice offset, via an inverse FFT of the traced kernel."""
+def invariant_map(cov: CovarianceKernel) -> np.ndarray:
+    """The invariant at every lattice offset, a ``dims``-shaped array indexed by the
+    reduced offset, via an inverse FFT of the traced kernel."""
     shape = cov.shape
-    grid = cov.trace_kernel().reshape(shape.dims)
-    full = np.fft.ifftn(grid).imag
-    return {
-        tuple(int(c) for c in np.unravel_index(i, shape.dims)): float(full.flat[i])
-        for i in range(shape.n_sites)
-    }
+    return np.fft.ifftn(cov.trace_kernel().reshape(shape.dims)).imag
 
 
 def spectral_gap(sol: BogoliubovSolution) -> float:
@@ -79,25 +75,21 @@ def asymmetry_diagnostics(
     Returns ``(entries, indeterminate)`` where entries are
     ``(momentum, band, M, P)`` with ``M = (sgn L_k - sgn L_{-k})/2`` exceeding the
     threshold in magnitude, and indeterminate lists (momentum, band) whose
-    branch energy is too close to zero for a sign.
+    branch energy is too close to zero for a sign.  Both lists run over
+    momenta in flat order, bands ascending within a momentum.
     """
-    shape = sol.shape
-    neg = shape.negation_table
-    grid = shape.momenta()
-    tol = sol.zero_mode_tol
-    entries = []
-    indeterminate = []
-    for i in range(shape.n_sites):
-        for j in range(shape.spin):
-            lk, lnk = sol.branch[i, j], sol.branch[neg[i], j]
-            k = tuple(int(c) for c in grid[i])
-            if min(abs(lk), abs(lnk)) <= tol or not (sol.coef_ok[i] and sol.coef_ok[neg[i]]):
-                indeterminate.append((k, j))
-                continue
-            m = (np.sign(lk) - np.sign(lnk)) / 2.0
-            p = (np.sign(lk) + np.sign(lnk)) / 2.0
-            if abs(m) > threshold:
-                entries.append((k, j, float(m), float(p)))
+    neg = sol.shape.negation_table
+    grid = sol.shape.momenta()
+    lk, lnk = sol.branch, sol.branch[neg]
+    indet = (np.minimum(np.abs(lk), np.abs(lnk)) <= sol.zero_mode_tol) | ~(
+        sol.coef_ok & sol.coef_ok[neg])[:, None]
+    m = (np.sign(lk) - np.sign(lnk)) / 2.0
+    p = (np.sign(lk) + np.sign(lnk)) / 2.0
+    i, j = np.nonzero(~indet & (np.abs(m) > threshold))
+    entries = [(tuple(k), *rest) for k, *rest in zip(
+        grid[i].tolist(), j.tolist(), m[i, j].tolist(), p[i, j].tolist())]
+    i, j = np.nonzero(indet)
+    indeterminate = [(tuple(k), b) for k, b in zip(grid[i].tolist(), j.tolist())]
     return entries, indeterminate
 
 
@@ -107,7 +99,7 @@ class InvariantReport:
 
     dims: tuple[int, ...]
     spin: int
-    invariant: dict[tuple[int, ...], float]
+    invariant: np.ndarray  # dims-shaped, indexed by reduced offset
     max_abs_invariant: float
     gap: float
     doubled_gap: float | None
@@ -136,7 +128,7 @@ def verify_criticality(
     sol = diagonalize(c, zero_mode_tol=zero_mode_tol)
     cov = ground_covariance(sol)
     inv = invariant_map(cov)
-    max_inv = max(abs(v) for v in inv.values())
+    max_inv = float(np.abs(inv).max())
     gap = sol.gap
     doubled_gap = None
     if size_doubling:
@@ -218,8 +210,7 @@ def gapped_model_survey(
         if diagonalize(cs.resized(doubled), zero_mode_tol=zero_mode_tol).gap <= gap_tol / 2:
             continue
         gapped += 1
-        inv = invariant_map(ground_covariance(sol))
-        max_inv = max(abs(v) for v in inv.values())
+        max_inv = float(np.abs(invariant_map(ground_covariance(sol))).max())
         worst = max(worst, max_inv)
         if max_inv >= inv_tol:
             falsified += 1

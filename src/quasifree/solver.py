@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 ZERO_MODE_TOL = 1e-9
+CLUSTER_RTOL = 1e-12  # relative eigenvalue spacing below which columns form a degenerate cluster
 
 
 def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
@@ -85,7 +86,7 @@ def _ph_image(w: np.ndarray) -> np.ndarray:
     return np.concatenate([w[s:].conj(), w[:s].conj()], axis=0)
 
 
-def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int, rtol: float = 1e-12) -> np.ndarray:
+def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int, rtol: float = CLUSTER_RTOL) -> np.ndarray:
     """Within each degenerate eigenvalue cluster, rotate to particle-weight extremal vectors."""
     scale = max(1.0, float(np.abs(lam).max()))
     start = 0
@@ -105,10 +106,9 @@ class BogoliubovSolution:
 
     ``energies``/``vectors`` are the raw ascending eigendecompositions;
     ``u``/``u_energies`` the particle-hole consistent column layout described in
-    the module docstring; ``branch`` = ``u_energies[:, :s]`` are the designated
-    one-particle energies; ``alpha``/``beta`` the coefficient matrices
-    ``alpha[k][j, l] = alpha^{jl}_k``; ``coef_ok`` flags momenta where the
-    designation is canonical (no zero modes in the block).
+    the module docstring; ``coef_ok`` flags momenta where the designation is
+    canonical (no zero modes in the block).  ``branch``, ``alpha`` and ``beta``
+    are derived from ``u``/``u_energies``.
     """
 
     shape: LatticeShape
@@ -117,11 +117,25 @@ class BogoliubovSolution:
     vectors: np.ndarray     # (M, 2s, 2s) ascending order
     u: np.ndarray           # (M, 2s, 2s)
     u_energies: np.ndarray  # (M, 2s)
-    branch: np.ndarray      # (M, s)
-    alpha: np.ndarray       # (M, s, s)
-    beta: np.ndarray        # (M, s, s)
     coef_ok: np.ndarray     # (M,) bool
     zero_mode_tol: float
+
+    @property
+    def branch(self) -> np.ndarray:
+        """Designated one-particle energies ``u_energies[:, :s]``, shape (M, s)."""
+        return self.u_energies[:, :self.shape.spin]
+
+    @property
+    def alpha(self) -> np.ndarray:
+        """Coefficient matrices ``alpha[k][j, l] = alpha^{jl}_k``, shape (M, s, s)."""
+        s = self.shape.spin
+        return np.conj(np.transpose(self.u[:, :s, :s], (0, 2, 1)))
+
+    @property
+    def beta(self) -> np.ndarray:
+        """Coefficient matrices ``beta[k][j, l] = beta^{jl}_k``, shape (M, s, s)."""
+        s = self.shape.spin
+        return np.conj(np.transpose(self.u[:, s:, :s], (0, 2, 1)))
 
     @property
     def gap(self) -> float:
@@ -134,8 +148,22 @@ class BogoliubovSolution:
         return [(tuple(int(c) for c in grid[i]), int(a)) for i, a in hits]
 
 
+def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
+    """Per row: the s heaviest particle-weight columns, energy ascending, then the rest descending."""
+    def by(key, cols):  # each row of ``cols`` stably sorted by ``key`` at those columns
+        order = np.argsort(np.take_along_axis(key, cols, axis=1), axis=1, kind="stable")
+        return np.take_along_axis(cols, order, axis=1)
+
+    top = np.argsort(-pw, axis=1, kind="stable")
+    return np.concatenate([by(lam, top[:, :s]), by(-lam, np.sort(top[:, s:], axis=1))], axis=1)
+
+
 def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> BogoliubovSolution:
-    """Hermitian eigendecomposition of every BdG block plus branch designation."""
+    """Hermitian eigendecomposition of every BdG block plus branch designation.
+
+    Each pair ``(k, -k)`` is designated at its lower flat index and the partner gets the
+    particle-hole image; the self-conjugate momenta (at most ``2^d``) go one by one.
+    """
     shape = c.shape
     s = shape.spin
     blocks = bdg_blocks(c)
@@ -151,66 +179,52 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
                 raise np.linalg.LinAlgError(f"eigensolver failed at momentum {k}") from exc
         raise
 
-    m = shape.n_sites
     neg = shape.negation_table
-    u = np.empty_like(vectors)
-    u_energies = np.empty_like(energies)
-    coef_ok = np.ones(m, dtype=bool)
+    coef_ok = ~(np.abs(energies) < zero_mode_tol).any(axis=1)
+    lead = np.nonzero(np.arange(shape.n_sites) < neg)[0]
+    coef_ok[neg[lead]] = coef_ok[lead]
 
-    done = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if done[i]:
+    # rows _resolve_clusters would rotate; only those blocks are copied
+    lam = energies[lead]
+    pw = np.sum(np.abs(vectors[lead, :s]) ** 2, axis=1)
+    scale = np.maximum(1.0, np.abs(lam).max(axis=1))
+    rotated = {}
+    for r in np.nonzero((~(np.diff(lam, axis=1) > CLUSTER_RTOL * scale[:, None])).any(axis=1))[0]:
+        rotated[r] = _resolve_clusters(lam[r], vectors[lead[r]].copy(), s)
+        pw[r] = np.sum(np.abs(rotated[r][:s]) ** 2, axis=0)
+
+    cols = np.tile(np.arange(2 * s), (shape.n_sites, 1))
+    cols[lead] = _designate(lam, pw, s)
+    u = np.take_along_axis(vectors, cols[:, None, :], axis=2)
+    u_energies = np.take_along_axis(energies, cols, axis=1)
+    for r, vecs in rotated.items():
+        u[lead[r]] = vecs[:, cols[lead[r]]]
+
+    # partner layout: particle-hole images of the lead columns, halves swapped
+    u[neg[lead]] = np.roll(u[lead], s, axis=(1, 2)).conj()
+    u_energies[neg[lead]] = -np.roll(u_energies[lead], s, axis=1)
+
+    for i in np.nonzero(shape.self_conjugate_mask)[0]:
+        # self-conjugate momentum: partner columns live in the same block
+        vecs = _resolve_clusters(energies[i], vectors[i].copy(), s)
+        if not coef_ok[i]:
+            zero_cols = np.r_[s:2 * s, s - 1:-1:-1]
+            u[i], u_energies[i] = vecs[:, zero_cols], energies[i, zero_cols]
             continue
-        j = int(neg[i])
-        lam = energies[i].copy()
-        vecs = _resolve_clusters(lam, vectors[i].copy(), s)
-        has_zero = bool((np.abs(lam) < zero_mode_tol).any())
-        pw = np.sum(np.abs(vecs[:s]) ** 2, axis=0)
-
-        if i != j:
-            order = np.argsort(-pw, kind="stable")
-            des = sorted(order[:s], key=lambda a: lam[a])
-            rest = sorted(set(range(2 * s)) - set(des), key=lambda a: -lam[a])
-            cols = list(des) + rest
-            u[i] = vecs[:, cols]
-            u_energies[i] = lam[cols]
-            u[j] = np.concatenate([_ph_image(u[i][:, s:]), _ph_image(u[i][:, :s])], axis=1)
-            u_energies[j] = np.concatenate([-u_energies[i][s:], -u_energies[i][:s]])
-            coef_ok[i] = coef_ok[j] = not has_zero
-            done[i] = done[j] = True
-        else:
-            # self-conjugate momentum: partner columns live in the same block
-            if has_zero:
-                des = list(range(s, 2 * s))
-                rest = list(range(s - 1, -1, -1))
-                u[i] = vecs[:, des + rest]
-                u_energies[i] = lam[des + rest]
-                coef_ok[i] = False
-            else:
-                pos = [a for a in range(2 * s) if lam[a] > 0]
-                if len(pos) != s:
-                    raise np.linalg.LinAlgError(
-                        f"self-conjugate block lost its +- eigenvalue pairing at flat index {i}"
-                    )
-                chosen = []
-                for a in pos:
-                    if pw[a] >= 0.5:
-                        chosen.append((lam[a], vecs[:, a]))
-                    else:
-                        chosen.append((-lam[a], _ph_image(vecs[:, a:a + 1])[:, 0]))
-                chosen.sort(key=lambda t: t[0])
-                d = np.stack([v for _, v in chosen], axis=1)
-                u[i] = np.concatenate([d, _ph_image(d)], axis=1)
-                u_energies[i] = np.array([e for e, _ in chosen] + [-e for e, _ in chosen])
-            done[i] = True
-
-    branch = u_energies[:, :s].copy()
-    alpha = np.conj(np.transpose(u[:, :s, :s], (0, 2, 1)))
-    beta = np.conj(np.transpose(u[:, s:, :s], (0, 2, 1)))
+        pos = np.nonzero(energies[i] > 0)[0]
+        if len(pos) != s:
+            raise np.linalg.LinAlgError(
+                f"self-conjugate block lost its +- eigenvalue pairing at flat index {i}"
+            )
+        flip = np.sum(np.abs(vecs[:s, pos]) ** 2, axis=0) < 0.5
+        e = np.where(flip, -energies[i, pos], energies[i, pos])
+        order = np.argsort(e, kind="stable")
+        d = np.where(flip, _ph_image(vecs[:, pos]), vecs[:, pos])[:, order]
+        u[i] = np.concatenate([d, _ph_image(d)], axis=1)
+        u_energies[i] = np.concatenate([e[order], -e[order]])
     return BogoliubovSolution(
         shape=shape, blocks=blocks, energies=energies, vectors=vectors,
-        u=u, u_energies=u_energies, branch=branch, alpha=alpha, beta=beta,
-        coef_ok=coef_ok, zero_mode_tol=zero_mode_tol,
+        u=u, u_energies=u_energies, coef_ok=coef_ok, zero_mode_tol=zero_mode_tol,
     )
 
 

@@ -4,7 +4,15 @@ import os
 import numpy as np
 import pytest
 
-from quasifree import LatticeShape, save_model
+from quasifree import (
+    LatticeShape,
+    diagonalize,
+    ground_covariance,
+    invariant_map,
+    load_model,
+    random_model,
+    save_model,
+)
 from quasifree.cli import main
 
 from conftest import make_twisted
@@ -110,6 +118,27 @@ def test_invariants_twisted_chain(tmp_path, capsys):
     assert out[-1] == "verdict: gapless-by-spectrum"
     _, asym = read_csv(tmp_path / "asymmetry.csv")
     assert len(asym) == 62  # every non-self-conjugate momentum carries |M| = 1
+
+
+def test_invariants_offsets_on_two_dimensional_lattice(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(random_model(LatticeShape((4, 3), 1), reach=1, pairing=False, seed=3), path)
+    inv = invariant_map(ground_covariance(diagonalize(load_model(path).couplings)))
+    assert np.abs(inv).max() > 1e-3
+    # --gap-tol above the bandwidth: the verdict is gapless-by-spectrum, exit 0
+    args = ["invariants", "--model", str(path), "--gap-tol", "100"]
+
+    assert run([*args, "--offsets", "1,0;-1,2;7,-3;0,0;-5,5", "--out", str(tmp_path / "sel")]) == 0
+    header, rows = read_csv(tmp_path / "sel" / "invariants.csv")
+    assert header == ["n_1", "n_2", "invariant"]
+    wanted = [(1, 0), (3, 2), (3, 0), (0, 0), (3, 2)]
+    assert [(int(r[0]), int(r[1])) for r in rows] == wanted
+    assert [float(r[2]) for r in rows] == [inv[n] for n in wanted]
+
+    assert run([*args, "--out", str(tmp_path / "all")]) == 0
+    _, rows = read_csv(tmp_path / "all" / "invariants.csv")
+    assert [(int(r[0]), int(r[1])) for r in rows] == list(np.ndindex(4, 3))
+    assert [float(r[2]) for r in rows] == inv.ravel().tolist()
 
 
 def test_verify_clean_run_and_determinism(tmp_path):

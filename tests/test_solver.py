@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasifree import (
     CouplingSet,
@@ -16,7 +18,9 @@ from quasifree import (
     real_space,
     spinless_closed_form,
 )
-from quasifree.solver import constraint_residuals, parallel_map, validate_ph_map
+from quasifree.lattice import inverse_fourier
+from quasifree.model import bdg_blocks, symmetrize
+from quasifree.solver import CLUSTER_RTOL, constraint_residuals, parallel_map, validate_ph_map
 
 from conftest import make_twisted
 
@@ -45,15 +49,89 @@ def test_p_model_designated_branch(p_model_64):
     assert sol.gap == pytest.approx(1.0, abs=1e-12)
 
 
+def check_layout(sol):
+    """The column layout every ``diagonalize`` result must have."""
+    s = sol.shape.spin
+    neg = sol.shape.negation_table
+    scale = np.linalg.norm(sol.blocks, axis=(1, 2))
+    resid = np.abs(sol.blocks @ sol.u - sol.u * sol.u_energies[:, None, :]).max(axis=(1, 2))
+    assert (resid < 1e-11 * np.maximum(scale, 1.0)).all()
+    eye = np.eye(2 * s)
+    assert np.abs(sol.u @ np.conj(np.transpose(sol.u, (0, 2, 1))) - eye).max() < 1e-12
+    # U_{-k} is the particle-hole image of U_k: halves swapped and conjugated.  Only
+    # a self-conjugate momentum with a zero mode is exempt (its layout is by slot).
+    ph = sol.coef_ok | ~sol.shape.self_conjugate_mask
+    swap = np.r_[s:2 * s, 0:s]
+    image = sol.u[neg][:, swap][:, :, swap].conj()
+    assert np.array_equal(sol.u[ph], image[ph])
+    assert np.array_equal(sol.u_energies[ph], -sol.u_energies[neg][:, swap][ph])
+    # the designated columns carry the s largest particle weights
+    weight = np.sum(np.abs(sol.u[:, :s, :]) ** 2, axis=1)
+    assert (weight[ph, :s].min(axis=1) >= weight[ph, s:].max(axis=1) - 1e-12).all()
+    assert (np.diff(sol.branch, axis=1) >= 0).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 9)),
+        st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+    ),
+    spin=st.integers(1, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+def test_diagonalize_layout_properties(dims, spin, pairing, seed):
+    reach = 1 if min(dims) > 2 else 0
+    check_layout(diagonalize(random_model(LatticeShape(dims, spin), reach, pairing, seed)))
+
+
 def test_eigen_residuals_and_unitarity():
     for cs in ensemble():
-        sol = diagonalize(cs)
-        scale = np.linalg.norm(sol.blocks, axis=(1, 2))
-        resid = np.abs(sol.blocks @ sol.u - sol.u * sol.u_energies[:, None, :]).max(axis=(1, 2))
-        assert (resid < 1e-11 * np.maximum(scale, 1.0)).all()
-        eye = np.eye(sol.u.shape[1])
-        uni = np.abs(sol.u @ np.conj(np.transpose(sol.u, (0, 2, 1))) - eye).max()
-        assert uni < 1e-12
+        check_layout(diagonalize(cs))
+
+
+def degenerate_pairing_model(dims, spin, seed):
+    """Spin-degenerate hopping chain conjugated by a random Bogoliubov map: every
+    eigenvalue stays s-fold degenerate, but each block is irreducible, so the
+    eigensolver returns an arbitrary basis of every degenerate cluster."""
+    shape = LatticeShape(dims, spin)
+    step = (1,) + (0,) * (len(dims) - 1)
+    hop = {(0,) * len(dims): 0.3 * np.eye(spin), step: 0.5 * np.eye(spin)}
+    hop[shape.negate(step)] = 0.5 * np.eye(spin)
+    w = random_ph_map(shape, seed=seed, strength=0.7)
+    h = w @ bdg_blocks(CouplingSet(shape, hop, {})) @ np.conj(np.transpose(w, (0, 2, 1)))
+    s = spin
+    return symmetrize(shape, inverse_fourier(h[:, :s, :s], shape), inverse_fourier(h[:, :s, s:], shape))
+
+
+@pytest.mark.parametrize("dims,spin,seed", [((6,), 2, 4), ((5,), 3, 1), ((4, 3), 2, 2)])
+def test_diagonalize_layout_degenerate_clusters(dims, spin, seed):
+    sol = diagonalize(degenerate_pairing_model(dims, spin, seed))
+    check_layout(sol)
+    # inside a degenerate cluster the columns are rotated until their particle
+    # parts are orthogonal (particle-weight extremal)
+    lam = sol.u_energies
+    scale = np.maximum(1.0, np.abs(lam).max(axis=1))[:, None, None]
+    same = np.abs(lam[:, :, None] - lam[:, None, :]) <= CLUSTER_RTOL * scale
+    same &= ~np.eye(2 * spin, dtype=bool)
+    assert same.any(axis=(1, 2)).all()
+    upper = sol.u[:, :spin, :]
+    gram = np.conj(np.transpose(upper, (0, 2, 1))) @ upper
+    assert np.abs(gram[same]).max() < 1e-12
+
+
+def test_diagonalize_layout_zero_modes(twisted_critical_64):
+    # band sin(k): particle and hole eigenvalues coincide at every momentum, and
+    # the self-conjugate momenta 0 and N/2 carry zero modes
+    sol = diagonalize(twisted_critical_64)
+    assert not sol.coef_ok[twisted_critical_64.shape.self_conjugate_mask].any()
+    assert (np.diff(sol.energies, axis=1) < 1e-12).all()
+    check_layout(sol)
+    # number conserving: the designated columns are the particle states
+    ph = sol.coef_ok | ~sol.shape.self_conjugate_mask
+    assert np.abs(np.abs(sol.u[ph, 0, 0]) - 1).max() < 1e-12
 
 
 def test_particle_hole_energy_pairing():
