@@ -34,11 +34,9 @@ from .observables import (
 )
 from .oracle import (
     ExactGroundState,
-    FockOperatorSet,
     build_fock_hamiltonian,
     compare_with_quasifree,
     exact_ground_correlators,
-    fock_operators,
 )
 from .solver import (
     BogoliubovSolution,

@@ -11,11 +11,15 @@ Jordan-Wigner sign strings run over modes of lower index, so
 built by applying this rule vectorized over the whole basis (one scatter per
 quadratic term), which is algebraically identical to multiplying the dense
 kron-string operator matrices but fast enough for fifty desk-scale models.
-Everything stays dense; the hard cap is 14 modes.
+The Hamiltonian is assembled as one dense matrix.  A quadratic Hamiltonian,
+pairing included, conserves fermion parity, so it is diagonalized as two
+dense blocks, the even- and odd-parity sectors, after checking that nothing
+couples them.  Builds are capped at 14 modes and at physical memory.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,10 +31,8 @@ from .solver import RealSpaceCorrelators
 
 __all__ = [
     "MODE_CAP",
-    "FockOperatorSet",
     "ExactGroundState",
     "ComparisonResult",
-    "fock_operators",
     "build_fock_hamiltonian",
     "exact_ground_correlators",
     "translation_operator",
@@ -46,6 +48,13 @@ MODE_CAP = 14
 def _check_cap(n_modes: int) -> None:
     if n_modes > MODE_CAP:
         raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
+    # the build holds h, h.conj() and h - h.conj().T at once (Hermiticity check)
+    need = 3 * 16 * 4**n_modes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{n_modes}-mode dense Fock build needs {need} bytes, more than the {have} bytes of physical memory"
+        )
 
 
 def _bit_tables(n_modes: int):
@@ -58,33 +67,6 @@ def _bit_tables(n_modes: int):
     bits = (states[:, None] >> np.arange(n_modes)[None, :]) & 1
     below = np.cumsum(bits, axis=1) - bits
     return bits.astype(np.int8), (1 - 2 * (below & 1)).astype(np.int8)
-
-
-@dataclass(frozen=True)
-class FockOperatorSet:
-    """Dense annihilation matrices for every mode, kron-built with sign strings."""
-
-    n_modes: int
-    annihilators: tuple[np.ndarray, ...]
-
-    def creator(self, i: int) -> np.ndarray:
-        return self.annihilators[i].conj().T
-
-
-def fock_operators(n_modes: int) -> FockOperatorSet:
-    """Dense Jordan-Wigner operator matrices (memory grows as Ns 4^Ns; keep Ns small)."""
-    _check_cap(n_modes)
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
-    sz = np.diag([1.0, -1.0])
-    eye = np.eye(2)
-    ops = []
-    for i in range(n_modes):
-        mat = np.array([[1.0]])
-        # kron factors ordered most-significant mode first so bit i <-> mode i
-        for j in range(n_modes - 1, -1, -1):
-            mat = np.kron(mat, lower if j == i else (sz if j < i else eye))
-        ops.append(mat)
-    return FockOperatorSet(n_modes=n_modes, annihilators=tuple(ops))
 
 
 def _mode_index(shape: LatticeShape, site: tuple[int, ...], spin: int) -> int:
@@ -112,13 +94,16 @@ def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
         sign = par[sel, j] * par[sel, i] * (-1 if j < i else 1)
         h[x ^ (1 << j) ^ (1 << i), x] += coef * sign
 
-    def scatter_bdag_bdag(t, i, j, coef):
+    def scatter_bdag_bdag(i, j, coef):
+        # the term and its Hermitian conjugate, straight into h
         if i == j:
             return
         sel = (bits[:, j] == 0) & (bits[:, i] == 0)
         x = states[sel]
-        sign = par[sel, j] * par[sel, i] * (-1 if j < i else 1)
-        t[x | (1 << j) | (1 << i), x] += coef * sign
+        y = x | (1 << j) | (1 << i)
+        val = coef * par[sel, j] * par[sel, i] * (-1 if j < i else 1)
+        h[y, x] += val
+        h[x, y] += val.conj()
 
     sites = [tuple(int(v) for v in t) for t in np.ndindex(*shape.dims)]
     for offset, mat in c.hop.items():
@@ -129,17 +114,13 @@ def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
                     if mat[sj, sl] != 0:
                         scatter_bdag_b(_mode_index(shape, m, sj), _mode_index(shape, n, sl), mat[sj, sl])
 
-    if c.pair:
-        t = np.zeros((dim, dim), dtype=complex)
-        for offset, mat in c.pair.items():
-            for m in sites:
-                n = shape.reduce(tuple(mc - oc for mc, oc in zip(m, offset)))
-                for sj in range(s):
-                    for sl in range(s):
-                        if mat[sj, sl] != 0:
-                            scatter_bdag_bdag(t, _mode_index(shape, m, sj),
-                                              _mode_index(shape, n, sl), 0.5 * mat[sj, sl])
-        h += t + t.conj().T
+    for offset, mat in c.pair.items():
+        for m in sites:
+            n = shape.reduce(tuple(mc - oc for mc, oc in zip(m, offset)))
+            for sj in range(s):
+                for sl in range(s):
+                    if mat[sj, sl] != 0:
+                        scatter_bdag_bdag(_mode_index(shape, m, sj), _mode_index(shape, n, sl), 0.5 * mat[sj, sl])
 
     herm = np.abs(h - h.conj().T).max()
     if herm > 1e-12:
@@ -193,23 +174,34 @@ class ExactGroundState:
 def exact_ground_correlators(
     h: np.ndarray, degeneracy_tol: float = 1e-8, average_degenerate: bool = False
 ) -> ExactGroundState:
-    """Full dense eigendecomposition and ground-state correlators.
+    """Exact eigendecomposition, sector by sector, and ground-state correlators.
 
-    Degeneracy is judged relative to the spectral width.  For a degenerate
-    ground space the correlators of a single arbitrary vector are not
-    canonical; with ``average_degenerate`` they are averaged over an
-    orthonormal basis of the ground space (the maximally mixed ground state).
+    The two parity sectors' spectra are merged into one, so degeneracy is
+    judged relative to the full spectral width and a ground space may span
+    both sectors.  For a degenerate ground space the correlators of a single
+    arbitrary vector are not canonical; with ``average_degenerate`` they are
+    averaged over an orthonormal basis of the ground space (the maximally
+    mixed ground state).
     """
-    evals, evecs = np.linalg.eigh(h)
-    n_modes = int(round(np.log2(h.shape[0])))
+    dim = h.shape[0]
+    n_modes = int(round(np.log2(dim)))
+    sectors = _parity_eigh(h)
+    merged = np.concatenate([e for _, e, _ in sectors])
+    order = np.argsort(merged, kind="stable")
+    evals = merged[order]
     width = max(1.0, float(evals[-1] - evals[0]))
     cluster = np.nonzero(evals - evals[0] <= degeneracy_tol * width)[0]
     deg_dim = int(cluster[-1]) + 1
     degenerate = deg_dim > 1
     gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
 
+    # both sectors hold dim / 2 states; zeros fill the other sector
+    vectors = np.zeros((dim, deg_dim), dtype=complex)
+    for a, level in enumerate(order[:deg_dim]):
+        states, _, evecs = sectors[level // (dim // 2)]
+        vectors[states, a] = evecs[:, level % (dim // 2)]
     take = deg_dim if (average_degenerate and degenerate) else 1
-    pieces = [correlators_from_vector(np.ascontiguousarray(evecs[:, a]), n_modes) for a in range(take)]
+    pieces = [correlators_from_vector(np.ascontiguousarray(vectors[:, a]), n_modes) for a in range(take)]
     bdag_b = sum(p[0] for p in pieces) / take
     bb = sum(p[1] for p in pieces) / take
     return ExactGroundState(
@@ -217,10 +209,25 @@ def exact_ground_correlators(
         gap_above=gap_above,
         degenerate=degenerate,
         degeneracy_dim=deg_dim,
-        vectors=evecs[:, :deg_dim].copy(),
+        vectors=vectors,
         bdag_b=bdag_b,
         bb=bb,
     )
+
+
+def _parity_eigh(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(states, evals, evecs)`` of ``h`` in its even, then odd, parity sector.
+
+    Raises if any entry of ``h`` couples the two sectors.
+    """
+    bits, _ = _bit_tables(int(round(np.log2(h.shape[0]))))
+    odd = (bits.sum(axis=1) & 1).astype(bool)
+    even_states, odd_states = np.nonzero(~odd)[0], np.nonzero(odd)[0]
+    mixing = max(np.abs(h[np.ix_(even_states, odd_states)]).max(),
+                 np.abs(h[np.ix_(odd_states, even_states)]).max())
+    if mixing >= 1e-12:
+        raise ValueError(f"Hamiltonian couples the fermion-parity sectors (entry {mixing:.2e})")
+    return [(states, *np.linalg.eigh(h[np.ix_(states, states)])) for states in (even_states, odd_states)]
 
 
 def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
@@ -233,37 +240,22 @@ def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
     for site in sites:
         for sp in range(shape.spin):
             mode_map[_mode_index(shape, site, sp)] = _mode_index(shape, shape.add(site, step), sp)
+    bits = _bit_tables(ns)[0].astype(np.int64)
+    # the sign is the parity of the inversions the map makes among occupied modes
+    inversions = np.triu(mode_map[:, None] > mode_map[None, :], k=1).astype(np.int64)
+    sign = 1 - 2 * (np.einsum("xi,ij,xj->x", bits, inversions, bits) & 1)
     dim = 1 << ns
     out = np.zeros((dim, dim))
-    for x in range(dim):
-        occupied = [i for i in range(ns) if (x >> i) & 1]
-        mapped = [int(mode_map[i]) for i in occupied]
-        y = 0
-        for i in mapped:
-            y |= 1 << i
-        # parity of the permutation sorting the mapped mode list
-        perm = np.argsort(mapped, kind="stable")
-        sign = 1
-        seen = [False] * len(perm)
-        for start in range(len(perm)):
-            if seen[start]:
-                continue
-            length = 0
-            a = start
-            while not seen[a]:
-                seen[a] = True
-                a = perm[a]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        out[y, x] = sign
+    out[bits @ (1 << mode_map), np.arange(dim)] = sign
     return out
 
 
 def evolve_state(h: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:
-    """``exp(-i t h) vec`` through the eigendecomposition of ``h``."""
-    evals, evecs = np.linalg.eigh(h)
-    return evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec))
+    """``exp(-i t h) vec`` through the eigendecomposition of ``h``, sector by sector."""
+    out = np.zeros(len(vec), dtype=complex)
+    for states, evals, evecs in _parity_eigh(h):
+        out[states] = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec[states]))
+    return out
 
 
 def invariant_from_correlators(bdag_b: np.ndarray, shape: LatticeShape) -> dict[tuple[int, ...], float]:

@@ -220,6 +220,10 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
         e = np.where(flip, -energies[i, pos], energies[i, pos])
         order = np.argsort(e, kind="stable")
         d = np.where(flip, _ph_image(vecs[:, pos]), vecs[:, pos])[:, order]
+        # d is orthogonal to its image only to about eps ||H_k|| / gap; the polar
+        # factor of [d, image] is unitary and keeps the image structure
+        x, _, yh = np.linalg.svd(np.concatenate([d, _ph_image(d)], axis=1))
+        d = (x @ yh)[:, :s]
         u[i] = np.concatenate([d, _ph_image(d)], axis=1)
         u_energies[i] = np.concatenate([e[order], -e[order]])
     return BogoliubovSolution(

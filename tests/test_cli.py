@@ -211,6 +211,13 @@ def test_oracle_command_rejects_large_lattice(tmp_path):
     assert code == 2
 
 
+def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("quasifree.oracle.os.sysconf", lambda name: 1024)
+    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):
     code = run([
         "oracle", "--model", "twisted-chain", "--param", "alpha=1.5707963267948966",

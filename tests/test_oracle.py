@@ -1,6 +1,11 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasifree import oracle
 from quasifree import (
     CouplingSet,
     LatticeShape,
@@ -8,13 +13,12 @@ from quasifree import (
     compare_with_quasifree,
     diagonalize,
     exact_ground_correlators,
-    fock_operators,
     ground_covariance,
     random_model,
     real_space,
+    symmetrize,
 )
 from quasifree.oracle import (
-    MODE_CAP,
     correlators_from_vector,
     evolve_state,
     invariant_from_correlators,
@@ -27,6 +31,32 @@ from conftest import make_p_model, make_twisted
 
 def all_offsets(shape):
     return [tuple(int(v) for v in n) for n in np.ndindex(*shape.dims)]
+
+
+@dataclass(frozen=True)
+class FockOperatorSet:
+    """Dense annihilation matrices for every mode, kron-built with sign strings."""
+
+    n_modes: int
+    annihilators: tuple[np.ndarray, ...]
+
+    def creator(self, i: int) -> np.ndarray:
+        return self.annihilators[i].conj().T
+
+
+def fock_operators(n_modes: int) -> FockOperatorSet:
+    """Dense Jordan-Wigner operator matrices (memory grows as Ns 4^Ns; keep Ns small)."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    eye = np.eye(2)
+    ops = []
+    for i in range(n_modes):
+        mat = np.array([[1.0]])
+        # kron factors ordered most-significant mode first so bit i <-> mode i
+        for j in range(n_modes - 1, -1, -1):
+            mat = np.kron(mat, lower if j == i else (sz if j < i else eye))
+        ops.append(mat)
+    return FockOperatorSet(n_modes=n_modes, annihilators=tuple(ops))
 
 
 def reference_hamiltonian(cs):
@@ -69,11 +99,16 @@ def test_canonical_anticommutation_relations():
 
 
 def test_mode_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
-        fock_operators(MODE_CAP + 1)
     big = random_model(LatticeShape((16,), 1), reach=1, pairing=False, seed=0)
     with pytest.raises(ValueError, match="cap"):
         build_fock_hamiltonian(big)
+
+
+def test_build_rejected_when_it_cannot_fit_in_memory(monkeypatch):
+    cs = random_model(LatticeShape((10,), 1), reach=1, pairing=True, seed=0)
+    monkeypatch.setattr(oracle.os, "sysconf", lambda name: 1024)
+    with pytest.raises(ValueError, match="physical memory"):
+        build_fock_hamiltonian(cs)
 
 
 def test_builder_matches_operator_matrix_reference():
@@ -136,9 +171,14 @@ def test_filled_band_correlators_are_kronecker():
 def test_degenerate_ground_state_is_flagged():
     # two exact zero modes -> fourfold degenerate ground space
     cs = make_twisted(4, np.pi / 2)
-    ex = exact_ground_correlators(build_fock_hamiltonian(cs))
+    h = build_fock_hamiltonian(cs)
+    ex = exact_ground_correlators(h)
     assert ex.degenerate
     assert ex.degeneracy_dim == 4
+    # the ground space spans both parity sectors, two vectors in each
+    v = ex.vectors
+    assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
+    assert np.abs(h @ v - ex.energy * v).max() < 1e-12
     cov = ground_covariance(diagonalize(cs))
     rc = real_space(cov, all_offsets(cs.shape))
     with pytest.raises(ValueError, match="degenerate"):
@@ -254,3 +294,58 @@ def test_fock_quench_conserves_invariant():
         inv_t = invariant_from_correlators(bdag_b, shape)
         for n, v in inv_t.items():
             assert abs(v - inv0[n]) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), spin=st.integers(1, 2), pairing=st.booleans(), seed=st.integers(0, 10_000))
+def test_parity_sectors_match_full_diagonalization(data, spin, pairing, seed):
+    # at most 8 modes; couplings at every lattice offset, so 2-site axes get bonds too
+    dims = data.draw(st.one_of(st.tuples(st.integers(2, 8 // spin)),
+                               st.tuples(st.integers(2, 4 // spin), st.just(2))))
+    shape = LatticeShape(dims, spin)
+    rng = np.random.default_rng(seed)
+    draw = lambda: {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
+                    for n in all_offsets(shape)}
+    h = build_fock_hamiltonian(symmetrize(shape, draw(), draw() if pairing else {}))
+    ex = exact_ground_correlators(h)
+    # reference: one full-matrix eigh, with the oracle's degeneracy rule
+    evals, evecs = np.linalg.eigh(h)
+    width = float(evals[-1] - evals[0])
+    deg_dim = int(np.nonzero(evals - evals[0] <= 1e-8 * max(1.0, width))[0][-1]) + 1
+    gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
+    tol = 1e-12 * max(1.0, width)
+    assert abs(ex.energy - evals[0]) <= tol
+    assert abs(ex.gap_above - gap_above) <= tol
+    assert ex.degeneracy_dim == deg_dim
+    # full-length, orthonormal eigenvectors, whichever sectors they come from
+    v = ex.vectors
+    hv = h @ v
+    assert np.abs(v.conj().T @ v - np.eye(deg_dim)).max() <= 1e-12
+    assert np.abs(hv - v * np.einsum("xa,xa->a", v.conj(), hv).real).max() <= tol
+    if deg_dim == 1:
+        bdag_b, bb = correlators_from_vector(np.ascontiguousarray(evecs[:, 0]), shape.n_modes)
+        assert np.abs(ex.bdag_b - bdag_b).max() <= 1e-12
+        assert np.abs(ex.bb - bb).max() <= 1e-12
+
+
+def test_parity_mixing_hamiltonian_is_rejected():
+    # state 0 is even, state 1 (one mode occupied) odd; either block is checked
+    for entry in ((0, 1), (1, 0)):
+        h = build_fock_hamiltonian(random_model(LatticeShape((4,), 1), reach=1, pairing=True, seed=3))
+        h[entry] = 1e-12
+        with pytest.raises(ValueError, match="parity"):
+            exact_ground_correlators(h)
+        with pytest.raises(ValueError, match="parity"):
+            evolve_state(h, 1.0, np.eye(h.shape[0])[0])
+
+
+def test_evolve_state_matches_full_matrix_evolution():
+    shape = LatticeShape((4,), 1)
+    h = build_fock_hamiltonian(random_model(shape, reach=1, pairing=True, seed=5))
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=h.shape[0]) + 1j * rng.normal(size=h.shape[0])
+    psi /= np.linalg.norm(psi)
+    evals, evecs = np.linalg.eigh(h)
+    for t in (0.3, 4.0):
+        full = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ psi))
+        assert np.abs(evolve_state(h, t, psi) - full).max() < 1e-12

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasifree import (
@@ -82,6 +82,9 @@ def check_layout(sol):
     pairing=st.booleans(),
     seed=st.integers(0, 10_000),
 )
+# a self-conjugate momentum with energies +-6.7e-5: its block breaks particle-hole
+# symmetry by 1e-16, so its eigenvector and image overlap by 1.6e-12
+@example(dims=(3, 4), spin=1, pairing=True, seed=2)
 def test_diagonalize_layout_properties(dims, spin, pairing, seed):
     reach = 1 if min(dims) > 2 else 0
     check_layout(diagonalize(random_model(LatticeShape(dims, spin), reach, pairing, seed)))
