@@ -28,8 +28,6 @@ from .observables import (
     block_entropy,
     entropy_scan,
     invariant_map,
-    spectral_gap,
-    summed_imaginary_invariant,
     verify_criticality,
 )
 from .oracle import (

@@ -40,7 +40,6 @@ from .observables import (
     verify_criticality,
 )
 from .oracle import (
-    MODE_CAP,
     build_fock_hamiltonian,
     compare_with_quasifree,
     exact_ground_correlators,
@@ -340,8 +339,6 @@ def cmd_entropy(cfg: RunConfig) -> int:
 
 def cmd_oracle(cfg: RunConfig) -> int:
     cs = _checked(_resolve_model(cfg))
-    if cs.shape.n_modes > MODE_CAP:
-        raise InputError(f"{cs.shape.n_modes} modes exceeds the oracle cap of {MODE_CAP}")
     sol = diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol)
     cov = ground_covariance(sol)
     if cov.zero_modes:

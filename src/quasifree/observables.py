@@ -25,7 +25,6 @@ from .model import CouplingSet, random_model, scaled, slope_bound
 from .solver import (
     BogoliubovSolution,
     CovarianceKernel,
-    RealSpaceCorrelators,
     diagonalize,
     ground_covariance,
     parallel_map,
@@ -36,9 +35,7 @@ __all__ = [
     "InvariantReport",
     "EntropyScan",
     "SurveyResult",
-    "summed_imaginary_invariant",
     "invariant_map",
-    "spectral_gap",
     "asymmetry_diagnostics",
     "verify_criticality",
     "gapped_model_survey",
@@ -50,21 +47,11 @@ GAP_TOL = 1e-6
 INV_TOL = 1e-8
 
 
-def summed_imaginary_invariant(rc: RealSpaceCorrelators) -> dict[tuple[int, ...], float]:
-    """Imaginary part of the spin-traced hopping correlator per offset."""
-    return {n: float(np.trace(mat).imag) for n, mat in rc.bdag_b.items()}
-
-
 def invariant_map(cov: CovarianceKernel) -> np.ndarray:
     """The invariant at every lattice offset, a ``dims``-shaped array indexed by the
     reduced offset, via an inverse FFT of the traced kernel."""
     shape = cov.shape
     return np.fft.ifftn(cov.trace_kernel().reshape(shape.dims)).imag
-
-
-def spectral_gap(sol: BogoliubovSolution) -> float:
-    """Distance of the one-particle spectrum from zero (min over momenta and bands)."""
-    return sol.gap
 
 
 def asymmetry_diagnostics(
@@ -225,32 +212,37 @@ def gapped_model_survey(
 # block entanglement entropy
 # ---------------------------------------------------------------------------
 
-def _block_correlators(cov: CovarianceKernel, max_len: int) -> RealSpaceCorrelators:
-    return real_space(cov, [(n,) for n in range(max_len)])
+def _offset_stacks(cov: CovarianceKernel, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``<b+_x b_{x+n}>`` and ``<b_x b_{x+n}>`` of a chain for n = -(top-1)..top-1,
+    stacked as ``(2 top - 1, s, s)`` arrays indexed by ``n + top - 1``.
+
+    Negative offsets are ``c[n]^dag`` and ``-d[n]^T``.  Offset 0 holds the
+    mirrored ``c[0]^dag`` and ``-d[0]^T``: these equal ``c[0]`` and ``d[0]``
+    only to rounding, and the entropy outputs are pinned to the mirrored ones.
+    """
+    rc = real_space(cov, [(n,) for n in range(top)])
+    keys = [cov.shape.reduce((n,)) for n in range(top)]
+    c = np.stack([rc.bdag_b[n] for n in keys])
+    d = np.stack([rc.bb[n] for n in keys])
+    return (np.concatenate([c[::-1].conj().swapaxes(1, 2), c[1:]]),
+            np.concatenate([-d[::-1].swapaxes(1, 2), d[1:]]))
 
 
-def _restricted_nambu(rc: RealSpaceCorrelators, cov: CovarianceKernel, length: int) -> np.ndarray:
-    """2Ls x 2Ls correlation matrix of the first ``length`` sites of a chain."""
-    shape = cov.shape
-    s = shape.spin
-    c_of = {}
-    d_of = {}
-    for n in range(length):
-        c_of[n] = rc.bdag_b[shape.reduce((n,))]
-        d_of[n] = rc.bb[shape.reduce((n,))]
-        c_of[-n] = c_of[n].conj().T
-        d_of[-n] = -d_of[n].T
+def _restricted_nambu(c: np.ndarray, d: np.ndarray, length: int) -> np.ndarray:
+    """2Ls x 2Ls correlation matrix of the first ``length`` sites of a chain,
+    from the offset stacks of ``_offset_stacks``."""
+    top = (len(c) + 1) // 2
+    s = c.shape[1]
     ls = length * s
+    x = np.arange(length)
+    diff = x[:, None] - x[None, :] + top - 1   # stack index of offset x - y
     out = np.empty((2 * ls, 2 * ls), dtype=complex)
-    eye = np.eye(s)
-    for x in range(length):
-        for y in range(length):
-            r, q = slice(x * s, (x + 1) * s), slice(y * s, (y + 1) * s)
-            delta = eye if x == y else 0.0
-            out[r, q] = delta - c_of[x - y].T        # <b_x b_y^dag>
-            out[r.start:r.stop, ls + q.start:ls + q.stop] = d_of[y - x]          # <b_x b_y>
-            out[ls + r.start:ls + r.stop, q] = d_of[x - y].conj().T              # <b_x^dag b_y^dag>
-            out[ls + r.start:ls + r.stop, ls + q.start:ls + q.stop] = c_of[y - x]  # <b_x^dag b_y>
+    q = out.reshape(2, length, s, 2, length, s)
+    np.subtract(np.eye(ls).reshape(length, s, length, s), c[diff].transpose(0, 3, 1, 2),
+                out=q[0, :, :, 0])                         # <b_x b_y^dag>
+    q[0, :, :, 1] = d[diff.T].transpose(0, 2, 1, 3)         # <b_x b_y>
+    q[1, :, :, 0] = d[diff].conj().transpose(0, 3, 1, 2)    # <b_x^dag b_y^dag>
+    q[1, :, :, 1] = c[diff.T].transpose(0, 2, 1, 3)         # <b_x^dag b_y>
     return out
 
 
@@ -273,8 +265,7 @@ def block_entropy(cov: CovarianceKernel, length: int) -> float:
         raise ValueError("block entropy scans are implemented for chains only")
     if not 1 <= length <= cov.shape.dims[0]:
         raise ValueError(f"block length {length} outside 1..{cov.shape.dims[0]}")
-    rc = _block_correlators(cov, length)
-    nu = np.linalg.eigvalsh(_restricted_nambu(rc, cov, length))
+    nu = np.linalg.eigvalsh(_restricted_nambu(*_offset_stacks(cov, length), length))
     return _gaussian_entropy(nu)
 
 
@@ -303,9 +294,9 @@ def entropy_scan(
     lengths = tuple(int(x) for x in lengths)
     if cov.shape.d != 1:
         raise ValueError("entropy scans are implemented for chains only")
-    rc = _block_correlators(cov, max(lengths))
+    c, d = _offset_stacks(cov, max(lengths))
     ent = parallel_map(
-        lambda L: _gaussian_entropy(np.linalg.eigvalsh(_restricted_nambu(rc, cov, L))),
+        lambda L: _gaussian_entropy(np.linalg.eigvalsh(_restricted_nambu(c, d, L))),
         lengths, workers=workers,
     )
     cut = (min(lengths) + max(lengths)) / 2.0

@@ -48,8 +48,11 @@ MODE_CAP = 14
 def _check_cap(n_modes: int) -> None:
     if n_modes > MODE_CAP:
         raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
-    # the build holds h, h.conj() and h - h.conj().T at once (Hermiticity check)
-    need = 3 * 16 * 4**n_modes
+    # the peak comes in _parity_eigh, while the odd sector is diagonalized: h
+    # (16 * 4^Ns bytes), the even sector's eigenvectors, and eigh's input block,
+    # LAPACK copy, work, rwork and output (4 * 4^Ns each), plus up to 64 MiB
+    # of index tables and BLAS buffers; the build alone peaks near h itself
+    need = 40 * 4**n_modes + (64 << 20)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
@@ -122,7 +125,9 @@ def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
                     if mat[sj, sl] != 0:
                         scatter_bdag_bdag(_mode_index(shape, m, sj), _mode_index(shape, n, sl), 0.5 * mat[sj, sl])
 
-    herm = np.abs(h - h.conj().T).max()
+    # row blocks of about 2^16 entries keep the check's temporaries near 1 MB
+    step = max(1, (1 << 16) // dim)
+    herm = max(np.abs(h[r:r + step] - h[:, r:r + step].conj().T).max() for r in range(0, dim, step))
     if herm > 1e-12:
         raise ValueError(f"assembled Fock Hamiltonian is not Hermitian (residual {herm:.2e})")
     return h

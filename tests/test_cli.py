@@ -211,6 +211,13 @@ def test_oracle_command_rejects_large_lattice(tmp_path):
     assert code == 2
 
 
+def test_oracle_command_reports_library_mode_cap(tmp_path, capsys):
+    code = run(["oracle", "--model", "twisted-chain", "--param", "alpha=0", "--dims", "15",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert "dense Fock-space cap" in capsys.readouterr().err
+
+
 def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("quasifree.oracle.os.sysconf", lambda name: 1024)
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])

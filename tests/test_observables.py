@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifree import (
     CouplingSet,
@@ -16,14 +20,12 @@ from quasifree import (
     random_model,
     random_ph_map,
     real_space,
-    spectral_gap,
-    summed_imaginary_invariant,
     verify_criticality,
 )
-from quasifree.observables import asymmetry_diagnostics
+from quasifree.observables import _offset_stacks, _restricted_nambu, asymmetry_diagnostics
 from quasifree.solver import CovarianceKernel
 
-from conftest import make_twisted
+from conftest import make_p_model, make_twisted
 
 
 def test_invariant_vanishes_for_p_model(p_model_64):
@@ -61,9 +63,9 @@ def test_invariant_matches_summed_imaginary_route():
     cs = random_model(LatticeShape((10,), 2), reach=2, pairing=True, seed=5)
     cov = ground_covariance(diagonalize(cs))
     via_fft = invariant_map(cov)
-    via_rc = summed_imaginary_invariant(real_space(cov, [(n,) for n in range(10)]))
-    for n, v in via_rc.items():
-        assert abs(v - via_fft[n]) < 1e-12
+    rc = real_space(cov, [(n,) for n in range(10)])
+    for n, mat in rc.bdag_b.items():
+        assert abs(np.trace(mat).imag - via_fft[n]) < 1e-12
 
 
 def test_twisted_chain_invariant_is_large(twisted_critical_64):
@@ -73,9 +75,9 @@ def test_twisted_chain_invariant_is_large(twisted_critical_64):
 
 def test_spectral_gap_examples(p_model_64, twisted_critical_64):
     onsite = CouplingSet(LatticeShape((6,), 1), {(0,): [[0.3]]}, {})
-    assert spectral_gap(diagonalize(onsite)) == pytest.approx(0.3, abs=1e-13)
-    assert spectral_gap(diagonalize(p_model_64)) == pytest.approx(1.0, abs=1e-12)
-    assert spectral_gap(diagonalize(twisted_critical_64)) < 1e-12
+    assert diagonalize(onsite).gap == pytest.approx(0.3, abs=1e-13)
+    assert diagonalize(p_model_64).gap == pytest.approx(1.0, abs=1e-12)
+    assert diagonalize(twisted_critical_64).gap < 1e-12
 
 
 def test_asymmetry_empty_for_symmetric_gapped_model(p_model_64):
@@ -242,3 +244,78 @@ def test_entropy_scan_parallel_matches_serial(twisted_critical_64):
     a = entropy_scan(cov, range(4, 13))
     b = entropy_scan(cov, range(4, 13), workers=4)
     assert a.entropies == b.entropies
+
+
+def loop_restricted_nambu(rc, cov, length):
+    """Site-pair double-loop assembly of the block's 2Ls x 2Ls correlation matrix:
+    the reference for ``_restricted_nambu``."""
+    shape = cov.shape
+    s = shape.spin
+    c_of = {}
+    d_of = {}
+    for n in range(length):
+        c_of[n] = rc.bdag_b[shape.reduce((n,))]
+        d_of[n] = rc.bb[shape.reduce((n,))]
+        c_of[-n] = c_of[n].conj().T
+        d_of[-n] = -d_of[n].T
+    ls = length * s
+    out = np.empty((2 * ls, 2 * ls), dtype=complex)
+    eye = np.eye(s)
+    for x in range(length):
+        for y in range(length):
+            r, q = slice(x * s, (x + 1) * s), slice(y * s, (y + 1) * s)
+            delta = eye if x == y else 0.0
+            out[r, q] = delta - c_of[x - y].T        # <b_x b_y^dag>
+            out[r.start:r.stop, ls + q.start:ls + q.stop] = d_of[y - x]          # <b_x b_y>
+            out[ls + r.start:ls + r.stop, q] = d_of[x - y].conj().T              # <b_x^dag b_y^dag>
+            out[ls + r.start:ls + r.stop, ls + q.start:ls + q.stop] = c_of[y - x]  # <b_x^dag b_y>
+    return out
+
+
+# every s = 2 pairing chain fails here unless offset 0 holds the mirrored c[0]^dag, -d[0]^T
+@example(n_sites=6, spin=2, reach=2, pairing=True, seed=0)
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sites=st.integers(5, 40),
+    spin=st.integers(1, 3),
+    reach=st.integers(0, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_restricted_nambu_matches_loop(n_sites, spin, reach, pairing, seed):
+    reach = min(reach, (n_sites - 1) // 2)
+    cs = random_model(LatticeShape((n_sites,), spin), reach=reach, pairing=pairing, seed=seed)
+    cov = ground_covariance(diagonalize(cs))
+    rc = real_space(cov, [(n,) for n in range(n_sites)])
+    c, d = _offset_stacks(cov, n_sites)
+    for length in range(1, n_sites + 1):
+        got = _restricted_nambu(c, d, length)
+        want = loop_restricted_nambu(rc, cov, length)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def peschel_entropy(cov, length):
+    """-sum[c ln c + (1-c) ln(1-c)] over the eigenvalues c of the block's
+    C_xy = <b+_x b_y> (Peschel 2003); number-conserving chains only."""
+    shape = cov.shape
+    rc = real_space(cov, [(n,) for n in range(-(length - 1), length)])
+    assert max(np.abs(m).max() for m in rc.bb.values()) < 1e-12
+    cmat = np.block([[rc.bdag_b[shape.reduce((y - x,))] for y in range(length)]
+                     for x in range(length)])
+    c = np.clip(np.linalg.eigvalsh(cmat), 0.0, 1.0)
+    return -math.fsum([v * math.log(v) for v in c if v > 0.0]
+                      + [(1 - v) * math.log(1 - v) for v in c if v < 1.0])
+
+
+@pytest.mark.parametrize("cs", [make_twisted(128, np.pi / 2), make_p_model(64, 2.0)],
+                         ids=["twisted-quarter-128", "p-model-64"])
+def test_entropies_match_peschel_hopping_formula(cs):
+    cov = ground_covariance(diagonalize(cs))
+    n_sites = cs.shape.dims[0]
+    lengths = range(4, 41)
+    scan = entropy_scan(cov, lengths)
+    for length, entropy in zip(lengths, scan.entropies):
+        assert abs(entropy - peschel_entropy(cov, length)) < 1e-9
+    for length in (1, 2, n_sites // 2, n_sites - 1, n_sites):
+        assert abs(block_entropy(cov, length) - peschel_entropy(cov, length)) < 1e-9
