@@ -6,12 +6,11 @@ and evaluate the inversion-breaking invariants whose nonvanishing forces the
 model gapless.  A dense Fock-space oracle cross-checks everything at desk scale.
 """
 
-from .lattice import LatticeShape, fourier_circulant, inverse_fourier, phase
+from .lattice import LatticeShape, fourier_circulant, inverse_fourier
 from .model import (
     CATALOG_NAMES,
     CouplingSet,
     ModelParams,
-    bdg_block,
     bdg_blocks,
     catalog,
     inversion_transform,

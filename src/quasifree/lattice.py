@@ -3,11 +3,13 @@
 Offsets and momenta are plain tuples of ints; :class:`LatticeShape` is the single
 authority for reducing, negating and enumerating them.  Momentum-resolved kernels
 are stored as arrays of shape ``(n_sites, s, s)`` whose first axis runs over
-``LatticeShape.momenta()`` in row-major order.
+``LatticeShape.momenta()`` in row-major order; offset grids as arrays of shape
+``dims + (s, s)`` indexed by the reduced offset tuple.
 
-Phase convention: ``phase(n, k) = exp(+2pi i sum_i n_i k_i / N_i)``.  The
-forward circulant transform carries the conjugate phase, the inverse carries
-``phase/N``, so the two are exact inverses in any dimension.
+Sign convention: numpy's.  The forward transform
+``X_k = sum_n exp(-2pi i sum_i n_i k_i / N_i) X_n`` is ``np.fft.fftn`` over the
+site axes and the inverse ``X_n = (1/N) sum_k exp(+2pi i sum_i n_i k_i / N_i) X_k``
+is ``np.fft.ifftn``, so the two are exact inverses in any dimension.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 __all__ = [
     "LatticeShape",
-    "phase",
     "fourier_circulant",
     "inverse_fourier",
 ]
@@ -92,9 +93,6 @@ class LatticeShape:
         """All momentum index tuples as an ``(n_sites, d)`` int array, row-major order."""
         return self._momenta
 
-    def momentum_index(self, k: Iterable[int]) -> int:
-        return int(np.ravel_multi_index(self.reduce(k), self.dims))
-
     @cached_property
     def negation_table(self) -> np.ndarray:
         """``negation_table[i]`` is the flat index of ``-k`` for flat momentum ``i``."""
@@ -105,36 +103,18 @@ class LatticeShape:
     def self_conjugate_mask(self) -> np.ndarray:
         return self.negation_table == np.arange(self.n_sites)
 
-    def phases(self, offset: Iterable[int]) -> np.ndarray:
-        """``exp(+2pi i n.k)`` for one offset against every momentum on the grid.
-
-        The per-axis products are reduced mod N_i in integer arithmetic before
-        the angle is formed, so the phase stays accurate on large lattices.
-        """
-        dims = np.asarray(self.dims)
-        n = np.asarray(self._check(offset), dtype=np.int64)
-        frac = ((self._momenta * n) % dims) / dims
-        return np.exp(2j * np.pi * frac.sum(axis=1))
-
-
-def phase(n: Iterable[int], k: Iterable[int], shape: LatticeShape) -> complex:
-    """Unit-modulus plane-wave factor ``exp(+2pi i sum_i n_i k_i / N_i)``."""
-    nv = shape._check(n)
-    kv = shape._check(k)
-    frac = sum((a * b) % d / d for a, b, d in zip(nv, kv, shape.dims))
-    return complex(np.exp(2j * np.pi * frac))
-
 
 def fourier_circulant(
     couplings: Mapping[tuple[int, ...], np.ndarray], shape: LatticeShape
 ) -> np.ndarray:
-    """Momentum kernel of a finite-support circulant: ``X_k = sum_n conj(phase(n,k)) X_n``.
+    """Momentum kernel ``X_k = sum_n exp(-2pi i n.k/N) X_n`` of a finite-support circulant.
 
-    Offsets colliding after modular reduction make the circulant ambiguous and
-    raise ``ValueError``.  The sum runs over the support only, never the lattice.
+    The support is scattered into a zero offset grid, which ``np.fft.fftn``
+    transforms over the site axes.  Offsets colliding after modular reduction
+    make the circulant ambiguous and raise ``ValueError``.
     """
     s = shape.spin
-    out = np.zeros((shape.n_sites, s, s), dtype=complex)
+    grid = np.zeros(shape.dims + (s, s), dtype=complex)
     seen: set[tuple[int, ...]] = set()
     for offset, mat in couplings.items():
         red = shape.reduce(offset)
@@ -144,20 +124,18 @@ def fourier_circulant(
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (s, s):
             raise ValueError(f"coupling at {offset} has shape {mat.shape}, expected {(s, s)}")
-        out += shape.phases(red).conj()[:, None, None] * mat
-    return out
+        grid[red] = mat
+    return np.fft.fftn(grid, axes=tuple(range(shape.d))).reshape(shape.n_sites, s, s)
 
 
-def inverse_fourier(kernel: np.ndarray, shape: LatticeShape) -> dict[tuple[int, ...], np.ndarray]:
-    """Offset map of a full-grid momentum kernel: ``X_n = (1/N) sum_k phase(n,k) X_k``."""
+def inverse_fourier(kernel: np.ndarray, shape: LatticeShape) -> np.ndarray:
+    """Offset grid ``X_n = (1/N) sum_k exp(+2pi i n.k/N) X_k`` of a full-grid momentum
+    kernel, shape ``dims + (s, s)``, via ``np.fft.ifftn`` over the site axes."""
     kernel = np.asarray(kernel, dtype=complex)
     if kernel.shape != (shape.n_sites, shape.spin, shape.spin):
         raise ValueError(
             f"kernel must cover the full momentum grid with shape "
             f"{(shape.n_sites, shape.spin, shape.spin)}, got {kernel.shape}"
         )
-    out: dict[tuple[int, ...], np.ndarray] = {}
-    for flat in range(shape.n_sites):
-        n = tuple(int(c) for c in np.unravel_index(flat, shape.dims))
-        out[n] = np.tensordot(shape.phases(n), kernel, axes=(0, 0)) / shape.n_sites
-    return out
+    grid = kernel.reshape(shape.dims + (shape.spin, shape.spin))
+    return np.fft.ifftn(grid, axes=tuple(range(shape.d)))

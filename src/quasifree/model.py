@@ -36,7 +36,6 @@ __all__ = [
     "LoadedModel",
     "validate",
     "symmetrize",
-    "bdg_block",
     "bdg_blocks",
     "inversion_transform",
     "catalog",
@@ -187,18 +186,9 @@ def bdg_blocks(c: CouplingSet) -> np.ndarray:
     return out
 
 
-def bdg_block(c: CouplingSet, k: Iterable[int]) -> np.ndarray:
-    """Single 2s x 2s BdG block at momentum ``k``."""
-    return bdg_blocks(c)[c.shape.momentum_index(k)]
-
-
 def particle_hole_residual(blocks: np.ndarray, shape: LatticeShape) -> float:
     """Max norm of ``sx H_k sx + conj(H_{-k})`` over the grid (identically ~0)."""
-    s = shape.spin
-    sx = np.zeros((2 * s, 2 * s))
-    sx[:s, s:] = np.eye(s)
-    sx[s:, :s] = np.eye(s)
-    swapped = sx @ blocks @ sx
+    swapped = np.roll(blocks, shape.spin, axis=(1, 2))
     return float(np.abs(swapped + np.conj(blocks[shape.negation_table])).max())
 
 

@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .lattice import inverse_fourier
 from .model import CouplingSet, random_model, scaled, slope_bound
 from .solver import (
     BogoliubovSolution,
@@ -28,7 +29,6 @@ from .solver import (
     diagonalize,
     ground_covariance,
     parallel_map,
-    real_space,
 )
 
 __all__ = [
@@ -216,14 +216,14 @@ def _offset_stacks(cov: CovarianceKernel, top: int) -> tuple[np.ndarray, np.ndar
     """``<b+_x b_{x+n}>`` and ``<b_x b_{x+n}>`` of a chain for n = -(top-1)..top-1,
     stacked as ``(2 top - 1, s, s)`` arrays indexed by ``n + top - 1``.
 
-    Negative offsets are ``c[n]^dag`` and ``-d[n]^T``.  Offset 0 holds the
-    mirrored ``c[0]^dag`` and ``-d[0]^T``: these equal ``c[0]`` and ``d[0]``
-    only to rounding, and the entropy outputs are pinned to the mirrored ones.
+    Offsets 0..top-1 come from the kernels' inverse transforms; ``<b_x b_{x+n}>``
+    sits at ``-n`` of the pairing one.  Negative offsets are ``c[n]^dag`` and
+    ``-d[n]^T``.  Offset 0 holds the mirrored ``c[0]^dag`` and ``-d[0]^T``: these
+    equal ``c[0]`` and ``d[0]`` only to rounding, and the entropy outputs are
+    pinned to the mirrored ones.
     """
-    rc = real_space(cov, [(n,) for n in range(top)])
-    keys = [cov.shape.reduce((n,)) for n in range(top)]
-    c = np.stack([rc.bdag_b[n] for n in keys])
-    d = np.stack([rc.bb[n] for n in keys])
+    c = inverse_fourier(cov.g, cov.shape)[:top]
+    d = inverse_fourier(cov.f, cov.shape)[-np.arange(top)]
     return (np.concatenate([c[::-1].conj().swapaxes(1, 2), c[1:]]),
             np.concatenate([-d[::-1].swapaxes(1, 2), d[1:]]))
 
@@ -259,12 +259,19 @@ def _gaussian_entropy(nu: np.ndarray, bound_tol: float = 1e-8) -> float:
     return float(-terms.sum())
 
 
-def block_entropy(cov: CovarianceKernel, length: int) -> float:
-    """Von Neumann entropy (nats) of a contiguous block of ``length`` sites (chains only)."""
+def _check_lengths(cov: CovarianceKernel, lengths: Sequence[int]) -> None:
     if cov.shape.d != 1:
         raise ValueError("block entropy scans are implemented for chains only")
-    if not 1 <= length <= cov.shape.dims[0]:
-        raise ValueError(f"block length {length} outside 1..{cov.shape.dims[0]}")
+    if not lengths:
+        raise ValueError("no block lengths given")
+    for length in lengths:
+        if not 1 <= length <= cov.shape.dims[0]:
+            raise ValueError(f"block length {length} outside 1..{cov.shape.dims[0]}")
+
+
+def block_entropy(cov: CovarianceKernel, length: int) -> float:
+    """Von Neumann entropy (nats) of a contiguous block of ``length`` sites (chains only)."""
+    _check_lengths(cov, [length])
     nu = np.linalg.eigvalsh(_restricted_nambu(*_offset_stacks(cov, length), length))
     return _gaussian_entropy(nu)
 
@@ -292,8 +299,7 @@ def entropy_scan(
     as log-violation, ``a < 0.05`` as area-law, in between as inconclusive.
     """
     lengths = tuple(int(x) for x in lengths)
-    if cov.shape.d != 1:
-        raise ValueError("entropy scans are implemented for chains only")
+    _check_lengths(cov, lengths)
     c, d = _offset_stacks(cov, max(lengths))
     ent = parallel_map(
         lambda L: _gaussian_entropy(np.linalg.eigvalsh(_restricted_nambu(c, d, L))),

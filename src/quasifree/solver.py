@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .lattice import LatticeShape
+from .lattice import LatticeShape, fourier_circulant, inverse_fourier
 from .model import CouplingSet, bdg_blocks, random_model
 
 __all__ = [
@@ -70,14 +70,6 @@ def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> l
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def _ph_swap(shape: LatticeShape) -> np.ndarray:
-    s = shape.spin
-    sx = np.zeros((2 * s, 2 * s))
-    sx[:s, s:] = np.eye(s)
-    sx[s:, :s] = np.eye(s)
-    return sx
 
 
 def _ph_image(w: np.ndarray) -> np.ndarray:
@@ -112,7 +104,6 @@ class BogoliubovSolution:
     """
 
     shape: LatticeShape
-    blocks: np.ndarray      # (M, 2s, 2s)
     energies: np.ndarray    # (M, 2s) ascending
     vectors: np.ndarray     # (M, 2s, 2s) ascending order
     u: np.ndarray           # (M, 2s, 2s)
@@ -227,7 +218,7 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
         u[i] = np.concatenate([d, _ph_image(d)], axis=1)
         u_energies[i] = np.concatenate([e[order], -e[order]])
     return BogoliubovSolution(
-        shape=shape, blocks=blocks, energies=energies, vectors=vectors,
+        shape=shape, energies=energies, vectors=vectors,
         u=u, u_energies=u_energies, coef_ok=coef_ok, zero_mode_tol=zero_mode_tol,
     )
 
@@ -265,8 +256,6 @@ def spinless_closed_form(c: CouplingSet) -> np.ndarray:
     """
     if c.shape.spin != 1:
         raise ValueError("closed form applies to spinless models only")
-    from .lattice import fourier_circulant
-
     a = fourier_circulant(c.hop, c.shape)[:, 0, 0].real
     b = fourier_circulant(c.pair, c.shape)[:, 0, 0]
     an = a[c.shape.negation_table]
@@ -371,16 +360,14 @@ class RealSpaceCorrelators:
 
 
 def real_space(cov: CovarianceKernel, offsets: Iterable[Iterable[int]]) -> RealSpaceCorrelators:
-    """Inverse transforms of the kernels at the requested offsets (direct sums)."""
+    """Inverse transforms of the kernels at the requested offsets; ``<b_m b_{m+n}>``
+    is the pairing kernel's inverse transform at ``-n``."""
     shape = cov.shape
-    bdag_b = {}
-    bb = {}
-    for raw in offsets:
-        n = shape.reduce(raw)
-        ph = shape.phases(n)
-        bdag_b[n] = np.tensordot(ph, cov.g, axes=(0, 0)) / shape.n_sites
-        bb[n] = np.tensordot(ph.conj(), cov.f, axes=(0, 0)) / shape.n_sites
-    return RealSpaceCorrelators(shape=shape, bdag_b=bdag_b, bb=bb)
+    g = inverse_fourier(cov.g, shape)
+    f = inverse_fourier(cov.f, shape)
+    keys = [shape.reduce(n) for n in offsets]
+    return RealSpaceCorrelators(shape=shape, bdag_b={n: g[n] for n in keys},
+                                bb={n: f[shape.negate(n)] for n in keys})
 
 
 def validate_ph_map(w: np.ndarray, shape: LatticeShape, tol: float = 1e-10) -> None:
@@ -392,8 +379,7 @@ def validate_ph_map(w: np.ndarray, shape: LatticeShape, tol: float = 1e-10) -> N
     uerr = np.abs(w @ np.conj(np.transpose(w, (0, 2, 1))) - eye).max()
     if uerr > tol:
         raise ValueError(f"map is not unitary (residual {uerr:.2e})")
-    sx = _ph_swap(shape)
-    pherr = np.abs(sx @ np.conj(w[shape.negation_table]) @ sx - w).max()
+    pherr = np.abs(np.roll(np.conj(w[shape.negation_table]), s, axis=(1, 2)) - w).max()
     if pherr > tol:
         raise ValueError(f"map breaks particle-hole structure (residual {pherr:.2e})")
 
@@ -405,22 +391,24 @@ def apply_bogoliubov_map(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKern
     return _kernels_from_gamma(gamma, cov.shape, cov.zero_modes)
 
 
+def _propagator(h: CouplingSet, t: float) -> np.ndarray:
+    """``exp(-i t H_k)`` for every BdG block of ``h``, shape ``(M, 2s, 2s)``."""
+    lam, vecs = np.linalg.eigh(bdg_blocks(h))
+    phases = np.exp(-1j * t * lam)
+    return (vecs * phases[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
+
+
 def random_ph_map(shape: LatticeShape, seed: int, strength: float = 1.0) -> np.ndarray:
     """Random valid Bogoliubov map ``exp(-i * strength * H_k)`` of a seeded Hamiltonian."""
     reach = min(2, (min(shape.dims) - 1) // 2)
-    h = random_model(shape, reach=reach, pairing=True, seed=seed)
-    lam, vecs = np.linalg.eigh(bdg_blocks(h))
-    phases = np.exp(-1j * strength * lam)
-    return (vecs * phases[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
+    return _propagator(random_model(shape, reach=reach, pairing=True, seed=seed), strength)
 
 
 def evolve_quench(cov: CovarianceKernel, h: CouplingSet, t: float) -> CovarianceKernel:
     """Sudden-quench evolution: conjugate each Nambu block by ``exp(-i t H'_k)``."""
     if h.shape != cov.shape:
         raise ValueError(f"quench shape {h.shape} does not match state shape {cov.shape}")
-    lam, vecs = np.linalg.eigh(bdg_blocks(h))
-    phases = np.exp(-1j * t * lam)
-    prop = (vecs * phases[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
+    prop = _propagator(h, t)
     gamma = prop @ cov.gamma() @ np.conj(np.transpose(prop, (0, 2, 1)))
     return _kernels_from_gamma(gamma, cov.shape, cov.zero_modes)
 
@@ -433,8 +421,6 @@ def ground_energy(c: CouplingSet) -> float:
     normal-ordered one; the constant is restored here so the value is directly
     comparable with brute-force Fock diagonalization.
     """
-    from .lattice import fourier_circulant
-
     lam = np.linalg.eigvalsh(bdg_blocks(c))
     trace_a = np.trace(fourier_circulant(c.hop, c.shape), axis1=1, axis2=2).real.sum()
     return float(lam[lam < 0].sum() / 2.0 + trace_a / 2.0)

@@ -187,6 +187,16 @@ def test_entropy_rejects_two_point_fit(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("lengths", ["10:40", "0:8"])
+def test_entropy_rejects_lengths_outside_chain(tmp_path, capsys, lengths):
+    code = run([
+        "entropy", "--model", "p-model", "--dims", "16",
+        "--lengths", lengths, "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "outside 1..16" in capsys.readouterr().err
+
+
 def test_entropy_rejects_two_dimensional_model(tmp_path):
     shape = LatticeShape((4, 4), 1)
     from quasifree import random_model

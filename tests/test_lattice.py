@@ -3,7 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifree import LatticeShape, fourier_circulant, inverse_fourier, phase
+from quasifree import LatticeShape, fourier_circulant, inverse_fourier
+
+
+def direct_phases(shape, offset):
+    """``exp(+2pi i n.k/N)`` for one offset against every momentum, with the per-axis
+    products reduced mod N_i before the angle is formed."""
+    dims = np.asarray(shape.dims)
+    frac = ((shape.momenta() * np.asarray(offset)) % dims) / dims
+    return np.exp(2j * np.pi * frac.sum(axis=1))
+
+
+def direct_fourier(support, shape):
+    """Plane-wave sum ``X_k = sum_n conj(phase(n, k)) X_n``: the reference for
+    ``fourier_circulant``."""
+    out = np.zeros((shape.n_sites, shape.spin, shape.spin), dtype=complex)
+    for n, mat in support.items():
+        out += direct_phases(shape, shape.reduce(n)).conj()[:, None, None] * mat
+    return out
+
+
+def direct_inverse(kernel, shape):
+    """Plane-wave sum ``X_n = (1/N) sum_k phase(n, k) X_k`` at every offset: the
+    reference for ``inverse_fourier``."""
+    out = np.empty(shape.dims + kernel.shape[1:], dtype=complex)
+    for n in np.ndindex(*shape.dims):
+        out[n] = np.tensordot(direct_phases(shape, n), kernel, axes=(0, 0)) / shape.n_sites
+    return out
+
+
+def plane_wave(shape, n):
+    """``exp(-2pi i n.k/N)`` over the momentum grid, from a single-offset support."""
+    return fourier_circulant({n: np.eye(1)}, shape)[:, 0, 0]
 
 
 def test_shape_counts():
@@ -40,20 +71,21 @@ def test_self_conjugate_momenta():
 
 def test_phase_zero_offset_is_one():
     shape = LatticeShape((8,))
-    for k in range(8):
-        assert phase((0,), (k,), shape) == pytest.approx(1.0)
+    for value in plane_wave(shape, (0,)):
+        assert value == pytest.approx(1.0)
 
 
 def test_phase_quarter_rotation():
     shape = LatticeShape((4,))
-    assert phase((1,), (1,), shape) == pytest.approx(1j)
+    assert plane_wave(shape, (1,))[1] == pytest.approx(-1j)
 
 
 def test_phase_multi_axis_direct_evaluation():
     # independent evaluation of the phase sum: 1*2/4 + 3*2/6 = 3/2
     shape = LatticeShape((4, 6))
-    expected = np.exp(2j * np.pi * 1.5)
-    assert phase((1, 3), (2, 2), shape) == pytest.approx(expected)
+    expected = np.exp(-2j * np.pi * 1.5)
+    k = np.ravel_multi_index((2, 2), shape.dims)
+    assert plane_wave(shape, (1, 3))[k] == pytest.approx(expected)
     assert expected == pytest.approx(-1.0)
 
 
@@ -62,14 +94,13 @@ def test_phase_unit_modulus():
     rng = np.random.default_rng(0)
     for _ in range(50):
         n = tuple(rng.integers(0, d) for d in shape.dims)
-        k = tuple(rng.integers(0, d) for d in shape.dims)
-        assert abs(abs(phase(n, k, shape)) - 1.0) < 1e-15
+        assert np.abs(np.abs(plane_wave(shape, n)) - 1.0).max() < 1e-15
 
 
 def test_phase_dimension_mismatch():
     shape = LatticeShape((4, 4))
     with pytest.raises(ValueError):
-        phase((1,), (1, 1), shape)
+        plane_wave(shape, (1,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -81,9 +112,9 @@ def test_phase_multiplicative_in_offset(dims, data):
     shape = LatticeShape(dims)
     n = tuple(data.draw(st.integers(0, d - 1)) for d in dims)
     m = tuple(data.draw(st.integers(0, d - 1)) for d in dims)
-    k = tuple(data.draw(st.integers(0, d - 1)) for d in dims)
-    lhs = phase(shape.add(n, m), k, shape)
-    rhs = phase(n, k, shape) * phase(m, k, shape)
+    k = data.draw(st.integers(0, shape.n_sites - 1))
+    lhs = plane_wave(shape, shape.add(n, m))[k]
+    rhs = plane_wave(shape, n)[k] * plane_wave(shape, m)[k]
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -137,9 +168,9 @@ def test_round_trip(dims, spin):
     back = inverse_fourier(kern, shape)
     for n, mat in support.items():
         assert np.abs(back[n] - mat).max() < 1e-14
-    for n, mat in back.items():
+    for n in np.ndindex(*shape.dims):
         if n not in support:
-            assert np.abs(mat).max() < 1e-14
+            assert np.abs(back[n]).max() < 1e-14
 
 
 def test_round_trip_large_chain():
@@ -156,8 +187,8 @@ def test_hermitian_closed_kernel_gives_adjoint_closed_offsets():
     kern = rng.normal(size=(8, 2, 2)) + 1j * rng.normal(size=(8, 2, 2))
     kern = (kern + np.conj(np.transpose(kern, (0, 2, 1)))) / 2
     offsets = inverse_fourier(kern, shape)
-    for n, mat in offsets.items():
-        assert np.abs(offsets[shape.negate(n)] - mat.conj().T).max() < 1e-13
+    for n in np.ndindex(*shape.dims):
+        assert np.abs(offsets[shape.negate(n)] - offsets[n].conj().T).max() < 1e-13
 
 
 def test_parseval():
@@ -179,3 +210,26 @@ def test_inverse_requires_full_grid():
     shape = LatticeShape((8,))
     with pytest.raises(ValueError, match="full momentum grid"):
         inverse_fourier(np.zeros((4, 1, 1)), shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 12)),
+        st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)),
+    ),
+    spin=st.integers(1, 3),
+    data=st.data(),
+)
+def test_transforms_match_direct_sums(dims, spin, data):
+    shape = LatticeShape(dims, spin)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    offsets = data.draw(st.sets(st.tuples(*(st.integers(0, n - 1) for n in dims)), max_size=12))
+    support = {n: rng.normal(size=(spin, spin)) + 1j * rng.normal(size=(spin, spin))
+               for n in offsets}
+    want = direct_fourier(support, shape)
+    assert np.abs(fourier_circulant(support, shape) - want).max() < 1e-13 * max(1.0, np.abs(want).max())
+    kern = rng.normal(size=(shape.n_sites, spin, spin)) + 1j * rng.normal(size=(shape.n_sites, spin, spin))
+    want = direct_inverse(kern, shape)
+    assert np.abs(inverse_fourier(kern, shape) - want).max() < 1e-13 * max(1.0, np.abs(want).max())

@@ -7,7 +7,6 @@ from quasifree import (
     CouplingSet,
     LatticeShape,
     ModelParams,
-    bdg_block,
     bdg_blocks,
     catalog,
     inversion_transform,
@@ -79,6 +78,7 @@ def test_bdg_onsite_block_is_momentum_independent():
 def test_bdg_p_model_matches_momentum_display(p_model_64):
     # hand-coded momentum-space matrix of the catalog model
     p, n = 2.0, 64
+    blocks = bdg_blocks(p_model_64)
     rng = np.random.default_rng(1)
     for k in rng.integers(0, n, size=10):
         kt = 2 * np.pi * k / n
@@ -86,7 +86,7 @@ def test_bdg_p_model_matches_momentum_display(p_model_64):
             [(p - 1) / 2 + (p + 1) / 2 * np.sin(kt), -(p + 1) / 2 * np.cos(kt)],
             [-(p + 1) / 2 * np.cos(kt), (p - 1) / 2 - (p + 1) / 2 * np.sin(kt)],
         ])
-        blk = bdg_block(p_model_64, (int(k),))
+        blk = blocks[k]
         assert np.abs(blk[:2, :2] - a_k).max() < 1e-14
         assert np.abs(blk[:2, 2:]).max() < 1e-14
 

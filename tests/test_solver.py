@@ -49,12 +49,12 @@ def test_p_model_designated_branch(p_model_64):
     assert sol.gap == pytest.approx(1.0, abs=1e-12)
 
 
-def check_layout(sol):
-    """The column layout every ``diagonalize`` result must have."""
+def check_layout(sol, blocks):
+    """The column layout every ``diagonalize`` result of ``blocks`` must have."""
     s = sol.shape.spin
     neg = sol.shape.negation_table
-    scale = np.linalg.norm(sol.blocks, axis=(1, 2))
-    resid = np.abs(sol.blocks @ sol.u - sol.u * sol.u_energies[:, None, :]).max(axis=(1, 2))
+    scale = np.linalg.norm(blocks, axis=(1, 2))
+    resid = np.abs(blocks @ sol.u - sol.u * sol.u_energies[:, None, :]).max(axis=(1, 2))
     assert (resid < 1e-11 * np.maximum(scale, 1.0)).all()
     eye = np.eye(2 * s)
     assert np.abs(sol.u @ np.conj(np.transpose(sol.u, (0, 2, 1))) - eye).max() < 1e-12
@@ -87,12 +87,13 @@ def check_layout(sol):
 @example(dims=(3, 4), spin=1, pairing=True, seed=2)
 def test_diagonalize_layout_properties(dims, spin, pairing, seed):
     reach = 1 if min(dims) > 2 else 0
-    check_layout(diagonalize(random_model(LatticeShape(dims, spin), reach, pairing, seed)))
+    cs = random_model(LatticeShape(dims, spin), reach, pairing, seed)
+    check_layout(diagonalize(cs), bdg_blocks(cs))
 
 
 def test_eigen_residuals_and_unitarity():
     for cs in ensemble():
-        check_layout(diagonalize(cs))
+        check_layout(diagonalize(cs), bdg_blocks(cs))
 
 
 def degenerate_pairing_model(dims, spin, seed):
@@ -106,13 +107,17 @@ def degenerate_pairing_model(dims, spin, seed):
     w = random_ph_map(shape, seed=seed, strength=0.7)
     h = w @ bdg_blocks(CouplingSet(shape, hop, {})) @ np.conj(np.transpose(w, (0, 2, 1)))
     s = spin
-    return symmetrize(shape, inverse_fourier(h[:, :s, :s], shape), inverse_fourier(h[:, :s, s:], shape))
+    hop_grid = inverse_fourier(h[:, :s, :s], shape)
+    pair_grid = inverse_fourier(h[:, :s, s:], shape)
+    return symmetrize(shape, {n: hop_grid[n] for n in np.ndindex(*dims)},
+                      {n: pair_grid[n] for n in np.ndindex(*dims)})
 
 
 @pytest.mark.parametrize("dims,spin,seed", [((6,), 2, 4), ((5,), 3, 1), ((4, 3), 2, 2)])
 def test_diagonalize_layout_degenerate_clusters(dims, spin, seed):
-    sol = diagonalize(degenerate_pairing_model(dims, spin, seed))
-    check_layout(sol)
+    cs = degenerate_pairing_model(dims, spin, seed)
+    sol = diagonalize(cs)
+    check_layout(sol, bdg_blocks(cs))
     # inside a degenerate cluster the columns are rotated until their particle
     # parts are orthogonal (particle-weight extremal)
     lam = sol.u_energies
@@ -131,7 +136,7 @@ def test_diagonalize_layout_zero_modes(twisted_critical_64):
     sol = diagonalize(twisted_critical_64)
     assert not sol.coef_ok[twisted_critical_64.shape.self_conjugate_mask].any()
     assert (np.diff(sol.energies, axis=1) < 1e-12).all()
-    check_layout(sol)
+    check_layout(sol, bdg_blocks(twisted_critical_64))
     # number conserving: the designated columns are the particle states
     ph = sol.coef_ok | ~sol.shape.self_conjugate_mask
     assert np.abs(np.abs(sol.u[ph, 0, 0]) - 1).max() < 1e-12
