@@ -173,7 +173,11 @@ def bdg_blocks(c: CouplingSet) -> np.ndarray:
     """All momentum-space BdG blocks, shape ``(n_sites, 2s, 2s)``."""
     problems = validate(c)
     if problems:
-        raise ValueError(f"invalid coupling set: {problems[:3]}{'...' if len(problems) > 3 else ''}")
+        lines = "\n".join(
+            f"  {v.kind} offset {v.offset} entry ({v.row},{v.col}) magnitude {v.magnitude:.3e}"
+            for v in problems[:10]
+        )
+        raise ValueError(f"model violates coupling closure (invalid coupling set):\n{lines}")
     s = c.shape.spin
     a = fourier_circulant(c.hop, c.shape)
     b = fourier_circulant(c.pair, c.shape)

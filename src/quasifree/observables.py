@@ -21,14 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import inverse_fourier
+from .lattice import LatticeShape, inverse_fourier
 from .model import CouplingSet, random_model, scaled, slope_bound
 from .solver import (
     BogoliubovSolution,
     CovarianceKernel,
     diagonalize,
     ground_covariance,
-    parallel_map,
 )
 
 __all__ = [
@@ -177,8 +176,6 @@ def gapped_model_survey(
     genuinely gapped and must carry a vanishing invariant; any with invariant
     at or above ``inv_tol`` is a falsification event.
     """
-    from .lattice import LatticeShape
-
     spins = tuple(spins)
     doubled = tuple(2 * n for n in dims)
     gapped = falsified = 0
@@ -248,7 +245,7 @@ def _restricted_nambu(c: np.ndarray, d: np.ndarray, length: int) -> np.ndarray:
 
 def _gaussian_entropy(nu: np.ndarray, bound_tol: float = 1e-8) -> float:
     if nu.min() < -bound_tol or nu.max() > 1.0 + bound_tol:
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             f"restricted correlation matrix has eigenvalues in "
             f"[{nu.min():.3e}, {nu.max():.3e}]; covariance data is corrupted"
         )
@@ -289,9 +286,7 @@ class EntropyScan:
     classification: str   # area-law | log-violation | inconclusive
 
 
-def entropy_scan(
-    cov: CovarianceKernel, lengths: Sequence[int], workers: int | None = None
-) -> EntropyScan:
+def entropy_scan(cov: CovarianceKernel, lengths: Sequence[int]) -> EntropyScan:
     """Block entropies at each length plus an ``S ~ a ln L + b`` fit and classification.
 
     The fit window is the upper half of the length range (wrap-around effects on
@@ -301,10 +296,7 @@ def entropy_scan(
     lengths = tuple(int(x) for x in lengths)
     _check_lengths(cov, lengths)
     c, d = _offset_stacks(cov, max(lengths))
-    ent = parallel_map(
-        lambda L: _gaussian_entropy(np.linalg.eigvalsh(_restricted_nambu(c, d, L))),
-        lengths, workers=workers,
-    )
+    ent = [_gaussian_entropy(np.linalg.eigvalsh(_restricted_nambu(c, d, L))) for L in lengths]
     cut = (min(lengths) + max(lengths)) / 2.0
     window = [(L, S) for L, S in zip(lengths, ent) if L >= cut]
     if len(window) < 4:

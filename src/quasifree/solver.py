@@ -26,16 +26,23 @@ so real-space correlators are plain inverse transforms:
 ``<b+_m b_{m+n}> = (1/N) sum_k e^{+i k.n} g_k`` and
 ``<b_m b_{m+n}> = (1/N) sum_k e^{-i k.n} f_k``.
 
-A second, independent route assembles the same kernels from the Bogoliubov
-coefficients and branch signs (``covariance_from_coefficients``); the two must
-agree and the cross-check is part of the test suite.
+Particle-hole symmetry ``sx H_k sx = -conj(H_{-k})`` makes the eigendata at
+``-k`` the image of that at ``k``, so only the lead momenta (flat index below
+that of ``-k``) and the self-conjugate ones are diagonalized; ``U_{-k}`` is
+filled in as the image of ``U_k``.  That one eigenbasis is all a solution
+stores.
+
+A second route assembles the same kernels from the Bogoliubov coefficients and
+branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
+but uses different algebra; the two must agree, and the test suite checks both
+against references that share no code with them (the dense Fock oracle and a
+full-zone ``eigh`` projector).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -57,19 +64,15 @@ __all__ = [
     "evolve_quench",
     "ground_energy",
     "constraint_residuals",
-    "parallel_map",
 ]
 
 ZERO_MODE_TOL = 1e-9
 CLUSTER_RTOL = 1e-12  # relative eigenvalue spacing below which columns form a degenerate cluster
 
 
-def parallel_map(fn: Callable, items: Sequence, workers: int | None = None) -> list:
-    """Map ``fn`` over ``items`` with results in input order regardless of scheduling."""
-    if not workers or workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+def _is_zero(energies: np.ndarray, tol: float) -> np.ndarray:
+    """The zero-mode rule: an energy is a zero mode when ``|energy| < tol``."""
+    return np.abs(energies) < tol
 
 
 def _ph_image(w: np.ndarray) -> np.ndarray:
@@ -79,7 +82,8 @@ def _ph_image(w: np.ndarray) -> np.ndarray:
 
 
 def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int, rtol: float = CLUSTER_RTOL) -> np.ndarray:
-    """Within each degenerate eigenvalue cluster, rotate to particle-weight extremal vectors."""
+    """Within each degenerate eigenvalue cluster, rotate ``vecs`` in place to
+    particle-weight extremal vectors."""
     scale = max(1.0, float(np.abs(lam).max()))
     start = 0
     for stop in range(1, len(lam) + 1):
@@ -94,22 +98,28 @@ def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int, rtol: float = C
 
 @dataclass(frozen=True)
 class BogoliubovSolution:
-    """Full-grid eigendata of one Hamiltonian.
+    """Full-grid eigendata of one Hamiltonian: ``u``/``u_energies`` in the
+    particle-hole consistent column layout of the module docstring.
 
-    ``energies``/``vectors`` are the raw ascending eigendecompositions;
-    ``u``/``u_energies`` the particle-hole consistent column layout described in
-    the module docstring; ``coef_ok`` flags momenta where the designation is
-    canonical (no zero modes in the block).  ``branch``, ``alpha`` and ``beta``
-    are derived from ``u``/``u_energies``.
+    Everything else is derived from them: ``energies`` (ascending per momentum),
+    ``coef_ok`` (momenta free of zero modes, where the designation is canonical),
+    ``gap``, ``zero_modes()``, ``branch``, ``alpha`` and ``beta``.
     """
 
     shape: LatticeShape
-    energies: np.ndarray    # (M, 2s) ascending
-    vectors: np.ndarray     # (M, 2s, 2s) ascending order
     u: np.ndarray           # (M, 2s, 2s)
     u_energies: np.ndarray  # (M, 2s)
-    coef_ok: np.ndarray     # (M,) bool
     zero_mode_tol: float
+
+    @property
+    def energies(self) -> np.ndarray:
+        """One-particle energies per momentum in ascending order, shape (M, 2s)."""
+        return np.sort(self.u_energies, axis=1)
+
+    @property
+    def coef_ok(self) -> np.ndarray:
+        """(M,) bool: the block at this momentum has no zero mode."""
+        return ~_is_zero(self.u_energies, self.zero_mode_tol).any(axis=1)
 
     @property
     def branch(self) -> np.ndarray:
@@ -130,11 +140,11 @@ class BogoliubovSolution:
 
     @property
     def gap(self) -> float:
-        return float(np.abs(self.energies).min())
+        return float(np.abs(self.u_energies).min())
 
     def zero_modes(self) -> list[tuple[tuple[int, ...], int]]:
-        """(momentum tuple, eigenvalue slot) for every |energy| below tolerance."""
-        hits = np.argwhere(np.abs(self.energies) < self.zero_mode_tol)
+        """(momentum tuple, slot in ``energies``) for every zero mode."""
+        hits = np.argwhere(_is_zero(self.energies, self.zero_mode_tol))
         grid = self.shape.momenta()
         return [(tuple(int(c) for c in grid[i]), int(a)) for i, a in hits]
 
@@ -150,19 +160,22 @@ def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
 
 
 def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> BogoliubovSolution:
-    """Hermitian eigendecomposition of every BdG block plus branch designation.
+    """Hermitian eigendecomposition of the lead-momentum BdG blocks plus branch designation.
 
-    Each pair ``(k, -k)`` is designated at its lower flat index and the partner gets the
-    particle-hole image; the self-conjugate momenta (at most ``2^d``) go one by one.
+    Each pair ``(k, -k)`` is diagonalized and designated at its lower flat index and
+    the partner gets the particle-hole image; the self-conjugate momenta (at most
+    ``2^d``) go one by one.
     """
     shape = c.shape
     s = shape.spin
-    blocks = bdg_blocks(c)
+    neg = shape.negation_table
+    rows = np.nonzero(np.arange(shape.n_sites) <= neg)[0]  # lead and self-conjugate momenta
+    blocks = bdg_blocks(c)[rows]
     try:
         energies, vectors = np.linalg.eigh(blocks)
     except np.linalg.LinAlgError:
         # locate the offending momentum for the error message
-        for i, blk in enumerate(blocks):
+        for i, blk in zip(rows, blocks):
             try:
                 np.linalg.eigh(blk)
             except np.linalg.LinAlgError as exc:
@@ -170,45 +183,37 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
                 raise np.linalg.LinAlgError(f"eigensolver failed at momentum {k}") from exc
         raise
 
-    neg = shape.negation_table
-    coef_ok = ~(np.abs(energies) < zero_mode_tol).any(axis=1)
-    lead = np.nonzero(np.arange(shape.n_sites) < neg)[0]
-    coef_ok[neg[lead]] = coef_ok[lead]
-
-    # rows _resolve_clusters would rotate; only those blocks are copied
-    lam = energies[lead]
-    pw = np.sum(np.abs(vectors[lead, :s]) ** 2, axis=1)
+    u = np.empty((shape.n_sites, 2 * s, 2 * s), dtype=complex)
+    u_energies = np.empty((shape.n_sites, 2 * s))
+    is_lead = rows < neg[rows]
+    lead = rows[is_lead]
+    lam, vecs = energies[is_lead], vectors[is_lead]
     scale = np.maximum(1.0, np.abs(lam).max(axis=1))
-    rotated = {}
     for r in np.nonzero((~(np.diff(lam, axis=1) > CLUSTER_RTOL * scale[:, None])).any(axis=1))[0]:
-        rotated[r] = _resolve_clusters(lam[r], vectors[lead[r]].copy(), s)
-        pw[r] = np.sum(np.abs(rotated[r][:s]) ** 2, axis=0)
-
-    cols = np.tile(np.arange(2 * s), (shape.n_sites, 1))
-    cols[lead] = _designate(lam, pw, s)
-    u = np.take_along_axis(vectors, cols[:, None, :], axis=2)
-    u_energies = np.take_along_axis(energies, cols, axis=1)
-    for r, vecs in rotated.items():
-        u[lead[r]] = vecs[:, cols[lead[r]]]
+        _resolve_clusters(lam[r], vecs[r], s)
+    cols = _designate(lam, np.sum(np.abs(vecs[:, :s]) ** 2, axis=1), s)
+    u[lead] = np.take_along_axis(vecs, cols[:, None, :], axis=2)
+    u_energies[lead] = np.take_along_axis(lam, cols, axis=1)
 
     # partner layout: particle-hole images of the lead columns, halves swapped
     u[neg[lead]] = np.roll(u[lead], s, axis=(1, 2)).conj()
     u_energies[neg[lead]] = -np.roll(u_energies[lead], s, axis=1)
 
-    for i in np.nonzero(shape.self_conjugate_mask)[0]:
+    for r in np.nonzero(~is_lead)[0]:
         # self-conjugate momentum: partner columns live in the same block
-        vecs = _resolve_clusters(energies[i], vectors[i].copy(), s)
-        if not coef_ok[i]:
+        i, lam = rows[r], energies[r]
+        vecs = _resolve_clusters(lam, vectors[r], s)
+        if _is_zero(lam, zero_mode_tol).any():
             zero_cols = np.r_[s:2 * s, s - 1:-1:-1]
-            u[i], u_energies[i] = vecs[:, zero_cols], energies[i, zero_cols]
+            u[i], u_energies[i] = vecs[:, zero_cols], lam[zero_cols]
             continue
-        pos = np.nonzero(energies[i] > 0)[0]
+        pos = np.nonzero(lam > 0)[0]
         if len(pos) != s:
             raise np.linalg.LinAlgError(
                 f"self-conjugate block lost its +- eigenvalue pairing at flat index {i}"
             )
         flip = np.sum(np.abs(vecs[:s, pos]) ** 2, axis=0) < 0.5
-        e = np.where(flip, -energies[i, pos], energies[i, pos])
+        e = np.where(flip, -lam[pos], lam[pos])
         order = np.argsort(e, kind="stable")
         d = np.where(flip, _ph_image(vecs[:, pos]), vecs[:, pos])[:, order]
         # d is orthogonal to its image only to about eps ||H_k|| / gap; the polar
@@ -217,10 +222,7 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
         d = (x @ yh)[:, :s]
         u[i] = np.concatenate([d, _ph_image(d)], axis=1)
         u_energies[i] = np.concatenate([e[order], -e[order]])
-    return BogoliubovSolution(
-        shape=shape, energies=energies, vectors=vectors,
-        u=u, u_energies=u_energies, coef_ok=coef_ok, zero_mode_tol=zero_mode_tol,
-    )
+    return BogoliubovSolution(shape=shape, u=u, u_energies=u_energies, zero_mode_tol=zero_mode_tol)
 
 
 def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:
@@ -300,31 +302,27 @@ def _kernels_from_gamma(gamma: np.ndarray, shape: LatticeShape, zero_modes=()) -
     return CovarianceKernel(shape=shape, g=g, f=f, zero_modes=tuple(zero_modes))
 
 
-def ground_covariance(sol: BogoliubovSolution, zero_mode_tol: float | None = None) -> CovarianceKernel:
+def ground_covariance(sol: BogoliubovSolution) -> CovarianceKernel:
     """Exact ground-state kernels from the positive-energy spectral projector.
 
-    Modes with |energy| below tolerance are occupied with weight 1/2 and listed
-    in ``zero_modes``; everything else is filled by energy sign.
+    Zero modes are occupied with weight 1/2 and listed in ``zero_modes``;
+    everything else is filled by energy sign.
     """
-    tol = sol.zero_mode_tol if zero_mode_tol is None else zero_mode_tol
-    lam, vecs = sol.energies, sol.vectors
-    weight = np.where(lam > tol, 1.0, 0.0) + 0.5 * (np.abs(lam) <= tol)
-    gamma = (vecs * weight[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
-    hits = np.argwhere(np.abs(lam) <= tol)
-    grid = sol.shape.momenta()
-    zeros = [(tuple(int(c) for c in grid[i]), int(a)) for i, a in hits]
-    return _kernels_from_gamma(gamma, sol.shape, zeros)
+    lam, u = sol.u_energies, sol.u
+    weight = np.where(_is_zero(lam, sol.zero_mode_tol), 0.5, lam > 0)
+    gamma = (u * weight[:, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
+    return _kernels_from_gamma(gamma, sol.shape, sol.zero_modes())
 
 
 def covariance_from_coefficients(sol: BogoliubovSolution) -> CovarianceKernel:
-    """Independent kernel assembly from Bogoliubov coefficients and branch signs.
+    """Kernel assembly from Bogoliubov coefficients and branch signs, with algebra
+    separate from the spectral projector's.
 
     Uses the sign functions ``M_k^l = (sgn L_k^l - sgn L_{-k}^l)/2`` and
     ``P_k^l = (sgn L_k^l + sgn L_{-k}^l)/2`` together with the coefficient
-    bilinears S/Z; requires every designated energy to be resolvably nonzero.
+    bilinears S/Z; requires a solution free of zero modes.
     """
-    tol = sol.zero_mode_tol
-    if (np.abs(sol.branch) <= tol).any() or not sol.coef_ok.all():
+    if not sol.coef_ok.all():
         raise ValueError("coefficient route needs a zero-mode-free solution")
     neg = sol.shape.negation_table
     sgn = np.sign(sol.branch)                  # (M, s)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quasifree import (
+    CouplingSet,
     LatticeShape,
     diagonalize,
     ground_covariance,
@@ -296,3 +297,33 @@ def test_csv_outputs_are_byte_identical_across_reruns(tmp_path):
     assert code_a == code_b
     assert (a / "invariants.csv").read_bytes() == (b / "invariants.csv").read_bytes()
     assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
+
+
+def test_closure_broken_by_resize_exits_2(tmp_path, capsys):
+    # offset 2 is its own negation on 4 sites but not on 8, where hop(-2) is missing
+    path = tmp_path / "m.json"
+    save_model(CouplingSet(LatticeShape((4,), 1), {(2,): [[0.5]]}, {}), path)
+    code = run(["spectrum", "--model", str(path), "--dims", "8", "--out", str(tmp_path)])
+    assert code == 2
+    assert "coupling closure" in capsys.readouterr().err
+
+
+def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = run(["spectrum", "--model", "p-model", "--dims", "8", "--out", str(tmp_path)])
+    assert code == 3
+    assert "eigensolver failed at momentum (0,)" in capsys.readouterr().err
+
+
+def test_corrupted_entropy_covariance_exits_3(tmp_path, monkeypatch, capsys):
+    import quasifree.observables as obs
+
+    restricted = obs._restricted_nambu
+    monkeypatch.setattr(obs, "_restricted_nambu", lambda c, d, length: 3 * restricted(c, d, length))
+    code = run(["entropy", "--model", "p-model", "--dims", "16", "--lengths", "4:8",
+                "--out", str(tmp_path)])
+    assert code == 3
+    assert "corrupted" in capsys.readouterr().err

@@ -239,13 +239,6 @@ def test_entropy_scan_needs_enough_points(twisted_critical_64):
         entropy_scan(cov, [4, 8])
 
 
-def test_entropy_scan_parallel_matches_serial(twisted_critical_64):
-    cov = ground_covariance(diagonalize(twisted_critical_64))
-    a = entropy_scan(cov, range(4, 13))
-    b = entropy_scan(cov, range(4, 13), workers=4)
-    assert a.entropies == b.entropies
-
-
 def loop_restricted_nambu(rc, cov, length):
     """Site-pair double-loop assembly of the block's 2Ls x 2Ls correlation matrix:
     the reference for ``_restricted_nambu``."""

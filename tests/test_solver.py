@@ -18,9 +18,9 @@ from quasifree import (
     real_space,
     spinless_closed_form,
 )
-from quasifree.lattice import inverse_fourier
+from quasifree.lattice import fourier_circulant, inverse_fourier
 from quasifree.model import bdg_blocks, symmetrize
-from quasifree.solver import CLUSTER_RTOL, constraint_residuals, parallel_map, validate_ph_map
+from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, constraint_residuals, validate_ph_map
 
 from conftest import make_twisted
 
@@ -56,6 +56,9 @@ def check_layout(sol, blocks):
     scale = np.linalg.norm(blocks, axis=(1, 2))
     resid = np.abs(blocks @ sol.u - sol.u * sol.u_energies[:, None, :]).max(axis=(1, 2))
     assert (resid < 1e-11 * np.maximum(scale, 1.0)).all()
+    # partner rows are never diagonalized: their spectrum must still be the block's own
+    spread = np.abs(sol.energies - np.linalg.eigvalsh(blocks)).max(axis=1)
+    assert (spread < 1e-12 * np.maximum(scale, 1.0)).all()
     eye = np.eye(2 * s)
     assert np.abs(sol.u @ np.conj(np.transpose(sol.u, (0, 2, 1))) - eye).max() < 1e-12
     # U_{-k} is the particle-hole image of U_k: halves swapped and conjugated.  Only
@@ -96,6 +99,18 @@ def test_eigen_residuals_and_unitarity():
         check_layout(diagonalize(cs), bdg_blocks(cs))
 
 
+def conjugated_model(cs, seed):
+    """``cs`` conjugated by a random Bogoliubov map: the spectrum is kept, and
+    particles and holes are mixed at every momentum."""
+    shape, s = cs.shape, cs.shape.spin
+    w = random_ph_map(shape, seed=seed, strength=0.7)
+    h = w @ bdg_blocks(cs) @ np.conj(np.transpose(w, (0, 2, 1)))
+    hop_grid = inverse_fourier(h[:, :s, :s], shape)
+    pair_grid = inverse_fourier(h[:, :s, s:], shape)
+    return symmetrize(shape, {n: hop_grid[n] for n in np.ndindex(*shape.dims)},
+                      {n: pair_grid[n] for n in np.ndindex(*shape.dims)})
+
+
 def degenerate_pairing_model(dims, spin, seed):
     """Spin-degenerate hopping chain conjugated by a random Bogoliubov map: every
     eigenvalue stays s-fold degenerate, but each block is irreducible, so the
@@ -104,13 +119,7 @@ def degenerate_pairing_model(dims, spin, seed):
     step = (1,) + (0,) * (len(dims) - 1)
     hop = {(0,) * len(dims): 0.3 * np.eye(spin), step: 0.5 * np.eye(spin)}
     hop[shape.negate(step)] = 0.5 * np.eye(spin)
-    w = random_ph_map(shape, seed=seed, strength=0.7)
-    h = w @ bdg_blocks(CouplingSet(shape, hop, {})) @ np.conj(np.transpose(w, (0, 2, 1)))
-    s = spin
-    hop_grid = inverse_fourier(h[:, :s, :s], shape)
-    pair_grid = inverse_fourier(h[:, :s, s:], shape)
-    return symmetrize(shape, {n: hop_grid[n] for n in np.ndindex(*dims)},
-                      {n: pair_grid[n] for n in np.ndindex(*dims)})
+    return conjugated_model(CouplingSet(shape, hop, {}), seed)
 
 
 @pytest.mark.parametrize("dims,spin,seed", [((6,), 2, 4), ((5,), 3, 1), ((4, 3), 2, 2)])
@@ -144,10 +153,9 @@ def test_diagonalize_layout_zero_modes(twisted_critical_64):
 
 def test_particle_hole_energy_pairing():
     for cs in ensemble(seeds=range(6)):
-        sol = diagonalize(cs)
-        neg = cs.shape.negation_table
-        mirrored = np.sort(-sol.energies[neg], axis=1)
-        assert np.abs(np.sort(sol.energies, axis=1) - mirrored).max() < 1e-11
+        lam = np.linalg.eigvalsh(bdg_blocks(cs))
+        mirrored = np.sort(-lam[cs.shape.negation_table], axis=1)
+        assert np.abs(lam - mirrored).max() < 1e-11
 
 
 def test_anticommutation_and_completeness_constraints():
@@ -248,6 +256,56 @@ def test_zero_modes_get_half_occupation(twisted_critical_64):
     cov = ground_covariance(diagonalize(twisted_critical_64))
     assert cov.g[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
     assert len(cov.zero_modes) == 4
+
+
+def full_zone_projector(cs, tol=ZERO_MODE_TOL):
+    """Nambu blocks of the ground state from an ``eigh`` of every BdG block, zero
+    modes at weight 1/2: the reference for ``ground_covariance``."""
+    lam, vecs = np.linalg.eigh(bdg_blocks(cs))
+    weight = np.where(lam > tol, 1.0, 0.0) + 0.5 * (np.abs(lam) <= tol)
+    return (vecs * weight[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
+
+
+def zero_mode_model(dims, spin, seed, pairing, flat):
+    """A random hopping model shifted so one band crosses zero at flat momentum
+    ``flat``; with ``pairing`` it is then conjugated by a random Bogoliubov map."""
+    shape = LatticeShape(dims, spin)
+    reach = 1 if min(dims) > 2 else 0
+    cs = random_model(shape, reach, False, seed)
+    mu = np.linalg.eigvalsh(fourier_circulant(cs.hop, shape)[flat % shape.n_sites])[seed % spin]
+    hop = dict(cs.hop)
+    origin = (0,) * len(dims)
+    hop[origin] = hop.get(origin, 0) - mu * np.eye(spin)
+    cs = CouplingSet(shape, hop, {})
+    return conjugated_model(cs, seed) if pairing else cs
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 9)),
+        st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+    ),
+    spin=st.integers(1, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 10_000),
+    zero_at=st.one_of(st.none(), st.integers(0, 10_000)),
+)
+@example(dims=(3, 4), spin=1, pairing=True, seed=2, zero_at=None)
+@example(dims=(8,), spin=2, pairing=True, seed=5, zero_at=0)
+@example(dims=(6,), spin=3, pairing=False, seed=1, zero_at=2)
+def test_ground_covariance_matches_full_zone_projector(dims, spin, pairing, seed, zero_at):
+    if zero_at is None:
+        reach = 1 if min(dims) > 2 else 0
+        cs = random_model(LatticeShape(dims, spin), reach, pairing, seed)
+    else:
+        cs = zero_mode_model(dims, spin, seed, pairing, zero_at)
+    sol = diagonalize(cs)
+    if zero_at is not None:
+        assert sol.zero_modes()
+    gamma = ground_covariance(sol).gamma()
+    assert np.abs(gamma - full_zone_projector(cs)).max() < 1e-12
 
 
 def test_coefficient_route_matches_projector_route():
@@ -377,13 +435,6 @@ def test_quench_shape_mismatch():
     other = random_model(LatticeShape((10,), 1), reach=1, pairing=False, seed=0)
     with pytest.raises(ValueError, match="shape"):
         evolve_quench(cov, other, 1.0)
-
-
-def test_parallel_map_is_ordered_and_deterministic():
-    items = list(range(40))
-    serial = parallel_map(lambda x: x * x, items)
-    threaded = parallel_map(lambda x: x * x, items, workers=4)
-    assert serial == threaded == [x * x for x in items]
 
 
 def test_beta_weight_symmetric_in_momentum():
