@@ -93,7 +93,7 @@ class RunConfig:
     lengths: list[int] | None
     times: list[float] | None
     count: int
-    reach: int
+    reach: int | None  # None: _reach picks the default for the lattice
 
 
 def _parse_dims(text: str | None) -> tuple[int, ...] | None:
@@ -179,6 +179,14 @@ def _resolve_model(cfg: RunConfig) -> CouplingSet:
         return catalog(ModelParams(name=cfg.model, params=cfg.params, shape=shape))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+
+
+def _reach(cfg: RunConfig, dims: tuple[int, ...]) -> int:
+    """``--range``, or without it 2 capped at the largest reach that
+    ``random_model`` accepts on ``dims``."""
+    if cfg.reach is not None:
+        return cfg.reach
+    return min(2, (min(dims) - 1) // 2)
 
 
 def _report(cfg: RunConfig, lines: list[str]) -> None:
@@ -273,14 +281,15 @@ def cmd_verify(cfg: RunConfig) -> int:
         _report(cfg, ["verify: 0 models requested", "falsifications: 0"])
         return 0
 
+    reach = _reach(cfg, cfg.dims)
     survey = gapped_model_survey(
-        cfg.dims, cfg.count, cfg.seed, reach=cfg.reach, spins=spins,
+        cfg.dims, cfg.count, cfg.seed, reach=reach, spins=spins,
         gap_tol=cfg.gap_tol, inv_tol=cfg.inv_tol, zero_mode_tol=cfg.zero_mode_tol,
     )
     for seed, gap, inv in survey.events:
         print(f"FALSIFICATION at seed {seed}: gap {gap:.4f}, invariant {inv:.3e}")
     lines = [
-        f"verify: dims={cfg.dims} reach={cfg.reach} spins={list(spins)} seed={cfg.seed}",
+        f"verify: dims={cfg.dims} reach={reach} spins={list(spins)} seed={cfg.seed}",
         "ensemble: uniform couplings rescaled to band-slope bound 1",
         f"models drawn: {survey.drawn}",
         f"stably gapped (gap > {cfg.gap_tol:g} at N, > {cfg.gap_tol / 2:g} at 2N): {survey.gapped}",
@@ -301,9 +310,20 @@ def cmd_entropy(cfg: RunConfig) -> int:
     cs = _resolve_model(cfg)
     if cs.shape.d != 1:
         raise InputError("entropy scans support chains (d=1) only")
-    lengths = cfg.lengths or list(range(4, max(5, cs.shape.dims[0] // 4) + 1))
+    n_sites = cs.shape.dims[0]
+    top = max(5, n_sites // 4)
+    lengths = cfg.lengths or list(range(4, top + 1))
     sol = diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol)
-    scan = entropy_scan(ground_covariance(sol), lengths)
+    try:
+        scan = entropy_scan(ground_covariance(sol), lengths)
+    except np.linalg.LinAlgError:  # a ValueError, but corrupted data: exit 3 below
+        raise
+    except ValueError as exc:
+        if cfg.lengths:
+            raise
+        raise InputError(
+            f"{exc} (default --lengths 4:{top}, i.e. 4:N/4 for N={n_sites}); pass --lengths"
+        ) from exc
     os.makedirs(cfg.out, exist_ok=True)
     _write_csv(
         os.path.join(cfg.out, "entropy.csv"),
@@ -353,7 +373,8 @@ def cmd_quench(cfg: RunConfig) -> int:
     cs = _resolve_model(cfg)
     shape = cs.shape
     times = cfg.times if cfg.times is not None else [float(t) for t in range(11)]
-    quench = random_model(shape, reach=cfg.reach, pairing=True, seed=cfg.seed)
+    reach = _reach(cfg, shape.dims)
+    quench = random_model(shape, reach=reach, pairing=True, seed=cfg.seed)
     cov0 = ground_covariance(diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol))
     offsets = _reduced_offsets(cfg.offsets, shape)
     # series[t, o]: invariant at time t and offset o
@@ -369,7 +390,7 @@ def cmd_quench(cfg: RunConfig) -> int:
     spread = float((series.max(axis=0) - series.min(axis=0)).max()) if series.size else 0.0
     lines = [
         f"model dims={shape.dims} spin={shape.spin}",
-        f"quench: seeded random model (seed={cfg.seed}, reach={cfg.reach}, pairing on)",
+        f"quench: seeded random model (seed={cfg.seed}, reach={reach}, pairing on)",
         f"times: {len(times)} points in [{min(times):g}, {max(times):g}]",
         f"max per-offset invariant spread over time: {_fmt(spread)}",
         f"conservation threshold: {QUENCH_SPREAD_TOL:g}",
@@ -416,8 +437,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lengths", help="block lengths, comma list or lo:hi range")
         p.add_argument("--times", help="comma-separated quench times")
         p.add_argument("--count", type=int, default=200, help="verify: number of random models")
-        p.add_argument("--range", dest="reach", type=int, default=2,
-                       help="random-model coupling range (per-axis offset bound)")
+        p.add_argument("--range", dest="reach", type=int, default=None,
+                       help="random-model coupling range (per-axis offset bound); "
+                       "default 2, or less where the lattice is too small")
     return parser
 
 

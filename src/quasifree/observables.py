@@ -12,12 +12,17 @@ negation, which forces a band through zero in the large-lattice limit.  A
 truly gapped model therefore carries an identically vanishing invariant even
 at finite size; a nonzero invariant together with a stable finite-size gap
 would falsify that picture and is reported as such.
+
+Block entropies of a chain come from the correlation spectrum of the block.
+When the pairing kernel is exactly zero that is the spectrum of the Ls x Ls
+hopping matrix ``C_xy = <b+_x b_y>`` (Peschel 2003); otherwise it is the
+spectrum of the 2Ls x 2Ls Nambu correlation matrix of the block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -216,8 +221,8 @@ def _offset_stacks(cov: CovarianceKernel, top: int) -> tuple[np.ndarray, np.ndar
     Offsets 0..top-1 come from the kernels' inverse transforms; ``<b_x b_{x+n}>``
     sits at ``-n`` of the pairing one.  Negative offsets are ``c[n]^dag`` and
     ``-d[n]^T``.  Offset 0 holds the mirrored ``c[0]^dag`` and ``-d[0]^T``: these
-    equal ``c[0]`` and ``d[0]`` only to rounding, and the entropy outputs are
-    pinned to the mirrored ones.
+    equal ``c[0]`` and ``d[0]`` only to rounding.  The mirroring serves only
+    the pairing path, whose entropies stay pinned to the mirrored values.
     """
     c = inverse_fourier(cov.g, cov.shape)[:top]
     d = inverse_fourier(cov.f, cov.shape)[-np.arange(top)]
@@ -241,6 +246,29 @@ def _restricted_nambu(c: np.ndarray, d: np.ndarray, length: int) -> np.ndarray:
     q[1, :, :, 0] = d[diff].conj().transpose(0, 3, 1, 2)    # <b_x^dag b_y^dag>
     q[1, :, :, 1] = c[diff.T].transpose(0, 2, 1, 3)         # <b_x^dag b_y>
     return out
+
+
+def _block_spectra(cov: CovarianceKernel, lengths: Sequence[int]) -> Iterator[np.ndarray]:
+    """Correlation spectrum of the first ``L`` sites of a chain, for each ``L`` in turn.
+
+    With ``cov.f`` exactly zero the Nambu matrix of the block is block-diagonal,
+    ``1 - C^T`` and ``C``, so its spectrum is ``(nu, 1 - nu)`` over the eigenvalues
+    ``nu`` of the Ls x Ls hopping matrix ``C_xy = <b+_x b_y>`` (Peschel 2003).
+    Otherwise it is the spectrum of the 2Ls x 2Ls Nambu matrix itself.
+    """
+    if cov.f.any():
+        c, d = _offset_stacks(cov, max(lengths))
+        for length in lengths:
+            yield np.linalg.eigvalsh(_restricted_nambu(c, d, length))
+        return
+    g = inverse_fourier(cov.g, cov.shape)
+    top, s = max(lengths), cov.shape.spin
+    x = np.arange(top)
+    # cmat[x, y] = g[y - x] = <b+_x b_y>; each block is a leading corner of it
+    cmat = g[(x[None, :] - x[:, None]) % len(g)].transpose(0, 2, 1, 3).reshape(top * s, top * s)
+    for length in lengths:
+        nu = np.linalg.eigvalsh(cmat[:length * s, :length * s])
+        yield np.concatenate([nu, 1.0 - nu])
 
 
 def _gaussian_entropy(nu: np.ndarray, bound_tol: float = 1e-8) -> float:
@@ -267,9 +295,13 @@ def _check_lengths(cov: CovarianceKernel, lengths: Sequence[int]) -> None:
 
 
 def block_entropy(cov: CovarianceKernel, length: int) -> float:
-    """Von Neumann entropy (nats) of a contiguous block of ``length`` sites (chains only)."""
+    """Von Neumann entropy (nats) of a contiguous block of ``length`` sites (chains only).
+
+    Diagonalizes the Ls x Ls hopping matrix when the pairing kernel is exactly
+    zero, and the 2Ls x 2Ls Nambu correlation matrix otherwise.
+    """
     _check_lengths(cov, [length])
-    nu = np.linalg.eigvalsh(_restricted_nambu(*_offset_stacks(cov, length), length))
+    nu, = _block_spectra(cov, [length])
     return _gaussian_entropy(nu)
 
 
@@ -289,14 +321,16 @@ class EntropyScan:
 def entropy_scan(cov: CovarianceKernel, lengths: Sequence[int]) -> EntropyScan:
     """Block entropies at each length plus an ``S ~ a ln L + b`` fit and classification.
 
-    The fit window is the upper half of the length range (wrap-around effects on
-    the ring stay mild for L well below the system size); ``a > 0.1`` classifies
-    as log-violation, ``a < 0.05`` as area-law, in between as inconclusive.
+    Each block's entropy comes from the Ls x Ls hopping matrix when the pairing
+    kernel is exactly zero, and from the 2Ls x 2Ls Nambu correlation matrix
+    otherwise.  The fit window is the upper half of the length range
+    (wrap-around effects on the ring stay mild for L well below the system
+    size); ``a > 0.1`` classifies as log-violation, ``a < 0.05`` as area-law, in
+    between as inconclusive.
     """
     lengths = tuple(int(x) for x in lengths)
     _check_lengths(cov, lengths)
-    c, d = _offset_stacks(cov, max(lengths))
-    ent = [_gaussian_entropy(np.linalg.eigvalsh(_restricted_nambu(c, d, L))) for L in lengths]
+    ent = [_gaussian_entropy(nu) for nu in _block_spectra(cov, lengths)]
     cut = (min(lengths) + max(lengths)) / 2.0
     window = [(L, S) for L, S in zip(lengths, ent) if L >= cut]
     if len(window) < 4:

@@ -198,6 +198,13 @@ def test_entropy_rejects_lengths_outside_chain(tmp_path, capsys, lengths):
     assert "outside 1..16" in capsys.readouterr().err
 
 
+def test_entropy_short_default_lengths_names_the_flag(tmp_path, capsys):
+    code = run(["entropy", "--model", "p-model", "--dims", "32", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--lengths 4:8" in err and "4:N/4" in err
+
+
 def test_entropy_rejects_two_dimensional_model(tmp_path):
     shape = LatticeShape((4, 4), 1)
     from quasifree import random_model
@@ -205,6 +212,17 @@ def test_entropy_rejects_two_dimensional_model(tmp_path):
     path = tmp_path / "twod.json"
     save_model(random_model(shape, reach=1, pairing=False, seed=0), path)
     assert run(["entropy", "--model", str(path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["quench", "--model", "p-model", "--dims", "4"],
+    ["verify", "--dims", "4,4", "--count", "2"],
+], ids=["quench", "verify"])
+def test_default_range_fits_small_lattices(tmp_path, capsys, args):
+    assert run([*args, "--out", str(tmp_path)]) == 0
+    assert "reach=1" in (tmp_path / "report.txt").read_text()
+    assert run([*args, "--range", "2", "--out", str(tmp_path / "explicit")]) == 2
+    assert "reach 2 too large" in capsys.readouterr().err
 
 
 def test_oracle_command_p_model(tmp_path, capsys):
@@ -318,12 +336,16 @@ def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert "eigensolver failed at momentum (0,)" in capsys.readouterr().err
 
 
-def test_corrupted_entropy_covariance_exits_3(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("model", [
+    ["p-model"],
+    ["spinless-general", "--param", "a1=1", "--param", "b1=0.5", "--param", "a0=0.3"],
+], ids=["p-model", "spinless-general-pairing"])
+def test_corrupted_entropy_covariance_exits_3(tmp_path, monkeypatch, capsys, model):
     import quasifree.observables as obs
 
-    restricted = obs._restricted_nambu
-    monkeypatch.setattr(obs, "_restricted_nambu", lambda c, d, length: 3 * restricted(c, d, length))
-    code = run(["entropy", "--model", "p-model", "--dims", "16", "--lengths", "4:8",
+    transform = obs.inverse_fourier
+    monkeypatch.setattr(obs, "inverse_fourier", lambda kernel, shape: 3 * transform(kernel, shape))
+    code = run(["entropy", "--model", *model, "--dims", "16", "--lengths", "4:8",
                 "--out", str(tmp_path)])
     assert code == 3
     assert "corrupted" in capsys.readouterr().err

@@ -22,10 +22,16 @@ from quasifree import (
     real_space,
     verify_criticality,
 )
-from quasifree.observables import _offset_stacks, _restricted_nambu, asymmetry_diagnostics
+from quasifree.observables import (
+    _gaussian_entropy,
+    _offset_stacks,
+    _restricted_nambu,
+    asymmetry_diagnostics,
+)
 from quasifree.solver import CovarianceKernel
 
 from conftest import make_p_model, make_twisted
+from test_solver import zero_mode_model
 
 
 def test_invariant_vanishes_for_p_model(p_model_64):
@@ -286,6 +292,45 @@ def test_restricted_nambu_matches_loop(n_sites, spin, reach, pairing, seed):
         want = loop_restricted_nambu(rc, cov, length)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+@example(n_sites=9, spin=2, reach=1, pairing=False, seed=3, zero_at=4)
+@example(n_sites=8, spin=2, reach=2, pairing=True, seed=5, zero_at=0)
+@settings(max_examples=40, deadline=None)
+@given(
+    n_sites=st.integers(5, 40),
+    spin=st.integers(1, 3),
+    reach=st.integers(0, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 2**16),
+    zero_at=st.one_of(st.none(), st.integers(0, 10_000)),
+)
+def test_block_entropies_match_nambu_route(n_sites, spin, reach, pairing, seed, zero_at):
+    if zero_at is None:
+        reach = min(reach, (n_sites - 1) // 2)
+        cs = random_model(LatticeShape((n_sites,), spin), reach=reach, pairing=pairing, seed=seed)
+    else:
+        cs = zero_mode_model((n_sites,), spin, seed, pairing, zero_at)
+    cov = ground_covariance(diagonalize(cs))
+    # pairing-free models must yield an exactly zero pairing kernel, or the
+    # Ls x Ls hopping-matrix path is never taken
+    assert pairing or not cov.f.any()
+    lengths = range(1, n_sites + 1)
+    got = {"block_entropy": [block_entropy(cov, length) for length in lengths]}
+    if n_sites >= 7:  # the fit window needs 4 lengths in the upper half
+        got["entropy_scan"] = list(entropy_scan(cov, lengths).entropies)
+    if cov.f.any():
+        c, d = _offset_stacks(cov, n_sites)
+        want = [_gaussian_entropy(np.linalg.eigvalsh(_restricted_nambu(c, d, length)))
+                for length in lengths]
+        for entropies in got.values():
+            assert entropies == want
+    else:
+        rc = real_space(cov, [(n,) for n in range(n_sites)])
+        want = [_gaussian_entropy(np.linalg.eigvalsh(loop_restricted_nambu(rc, cov, length)))
+                for length in lengths]
+        for entropies in got.values():
+            assert np.abs(np.subtract(entropies, want)).max() < 1e-11
 
 
 def peschel_entropy(cov, length):
