@@ -1,18 +1,27 @@
 """Command-line driver: load a model, run the analysis pipeline, emit CSV + report.
 
-Commands
+Commands, and the flags each reads besides ``--out <dir>``.  "model" stands
+for ``--model --param --dims --spin``.
 
-    spectrum    one-particle spectrum per momentum  -> spectrum.csv
+    spectrum    one-particle spectrum per momentum -> spectrum.csv
+                model, --zero-mode-tol
     invariants  invariant map, gap, asymmetry, verdict -> invariants.csv, asymmetry.csv
+                model, --gap-tol --inv-tol --zero-mode-tol --offsets
     verify      randomized gapped-model sweep of the invariant criterion
+                --dims --spin --seed --gap-tol --inv-tol --zero-mode-tol --count --range
     entropy     block-entropy scan with log fit -> entropy.csv
+                model, --zero-mode-tol --lengths
     oracle      brute-force Fock comparison (small lattices)
+                model, --zero-mode-tol --degeneracy-tol
     quench      invariant trajectory under a seeded random quench -> quench.csv
+                model, --seed --zero-mode-tol --offsets --times --range
 
-Exit codes: 0 success, 1 failed assertion / falsification / threshold breach,
-2 invalid input, 3 internal numerical failure (an eigensolver error or corrupted
-covariance data).  All commands are deterministic for a fixed seed; floats are
-written with 17 significant digits so downstream plots reproduce exactly.
+A flag the command does not read, or a value its type rejects, is an argparse
+error.  Tolerance defaults are the library's.  Exit codes: 0 success, 1 failed
+assertion / falsification / threshold breach, 2 invalid input, 3 internal
+numerical failure (an eigensolver error or corrupted covariance data).  All
+commands are deterministic for a fixed seed; floats are written with 17
+significant digits so downstream plots reproduce exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,17 +42,22 @@ from .model import (
     random_model,
 )
 from .observables import (
+    GAP_TOL,
+    INV_TOL,
+    SURVEY_GAP_TOL,
     entropy_scan,
     gapped_model_survey,
     invariant_map,
     verify_criticality,
 )
 from .oracle import (
+    DEGENERACY_TOL,
     build_fock_hamiltonian,
     compare_with_quasifree,
     exact_ground_correlators,
 )
 from .solver import (
+    ZERO_MODE_TOL,
     diagonalize,
     evolve_quench,
     ground_covariance,
@@ -76,122 +89,78 @@ class InputError(Exception):
     """User input problems; mapped to exit code 2."""
 
 
-@dataclass
-class RunConfig:
-    command: str
-    model: str | None
-    params: dict[str, float]
-    dims: tuple[int, ...] | None
-    spin: int | None
-    seed: int
-    gap_tol: float
-    inv_tol: float
-    zero_mode_tol: float
-    degeneracy_tol: float
-    out: str
-    offsets: str | None  # raw --offsets text, parsed once the model fixes d
-    lengths: list[int] | None
-    times: list[float] | None
-    count: int
-    reach: int | None  # None: _reach picks the default for the lattice
+# argparse types: a value they reject is an argparse error, exit code 2
 
-
-def _parse_dims(text: str | None) -> tuple[int, ...] | None:
-    if text is None:
-        return None
+def _dims(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError as exc:
-        raise InputError(f"cannot parse --dims {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
 
 
-def _parse_params(pairs: list[str]) -> dict[str, float]:
-    out = {}
-    for item in pairs:
-        if "=" not in item:
-            raise InputError(f"--param expects key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        try:
-            out[key.strip()] = float(val)
-        except ValueError as exc:
-            raise InputError(f"--param {key}: {val!r} is not a number") from exc
-    return out
-
-
-def _parse_offsets(text: str | None, d: int) -> list[tuple[int, ...]] | None:
-    if text is None:
-        return None
+def _param(item: str) -> tuple[str, float]:
+    if "=" not in item:
+        raise argparse.ArgumentTypeError(f"expects key=value, got {item!r}")
+    key, _, val = item.partition("=")
     try:
-        if ";" in text or d > 1:
-            groups = [g for g in text.split(";") if g.strip()]
-            out = [tuple(int(v) for v in g.split(",")) for g in groups]
-        else:
-            out = [(int(v),) for v in text.split(",")]
+        return key.strip(), float(val)
     except ValueError as exc:
-        raise InputError(f"cannot parse --offsets {text!r}") from exc
-    for n in out:
-        if len(n) != d:
-            raise InputError(f"offset {n} has {len(n)} components, lattice has {d}")
-    return out
+        raise argparse.ArgumentTypeError(f"{key}: {val!r} is not a number") from exc
 
 
-def _parse_lengths(text: str | None) -> list[int] | None:
-    if text is None:
-        return None
+def _lengths(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = text.split(":")
             return list(range(int(lo), int(hi) + 1))
         return [int(v) for v in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"cannot parse --lengths {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
 
 
-def _parse_times(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
+def _times(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"cannot parse --times {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
 
 
-def _resolve_model(cfg: RunConfig) -> CouplingSet:
-    if cfg.model is None:
+def _resolve_model(args: argparse.Namespace) -> CouplingSet:
+    if args.model is None:
         raise InputError("--model is required for this command")
-    if os.path.exists(cfg.model):
-        loaded = load_model(cfg.model)
+    if os.path.exists(args.model):
+        loaded = load_model(args.model)
         cs = loaded.couplings
         if loaded.projection_distance > 0:
             print(f"model file closure projection distance: {loaded.projection_distance:.3e}")
-        if cfg.dims is not None and cfg.dims != cs.shape.dims:
-            cs = cs.resized(cfg.dims)
+        if args.dims is not None and args.dims != cs.shape.dims:
+            cs = cs.resized(args.dims)
         return cs
-    if cfg.model not in CATALOG_NAMES:
+    if args.model not in CATALOG_NAMES:
         raise InputError(
-            f"model {cfg.model!r} is neither a file nor a catalog name {CATALOG_NAMES}"
+            f"model {args.model!r} is neither a file nor a catalog name {CATALOG_NAMES}"
         )
-    if cfg.dims is None:
+    if args.dims is None:
         raise InputError("catalog models need --dims")
-    spin = cfg.spin if cfg.spin is not None else (2 if cfg.model == "p-model" else 1)
-    shape = LatticeShape(cfg.dims, spin)
+    spin = args.spin if args.spin is not None else (2 if args.model == "p-model" else 1)
+    shape = LatticeShape(args.dims, spin)
     try:
-        return catalog(ModelParams(name=cfg.model, params=cfg.params, shape=shape))
+        return catalog(ModelParams(name=args.model, params=dict(args.param), shape=shape))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _reach(cfg: RunConfig, dims: tuple[int, ...]) -> int:
+def _reach(args: argparse.Namespace, dims: tuple[int, ...]) -> int:
     """``--range``, or without it 2 capped at the largest reach that
     ``random_model`` accepts on ``dims``."""
-    if cfg.reach is not None:
-        return cfg.reach
+    if args.reach is not None:
+        return args.reach
     return min(2, (min(dims) - 1) // 2)
 
 
-def _report(cfg: RunConfig, lines: list[str]) -> None:
-    os.makedirs(cfg.out, exist_ok=True)
-    with open(os.path.join(cfg.out, "report.txt"), "w") as fh:
+def _report(args: argparse.Namespace, lines: list[str]) -> None:
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -204,55 +173,62 @@ def _reduced_offsets(text: str | None, shape: LatticeShape) -> np.ndarray:
     int array; without ``--offsets`` every offset in row-major order."""
     if text is None:
         return shape.momenta()
-    offsets = np.array(_parse_offsets(text, shape.d), dtype=np.int64)
-    return offsets.reshape(-1, shape.d) % shape.dims
+    try:
+        if ";" in text or shape.d > 1:
+            out = [[int(v) for v in g.split(",")] for g in text.split(";") if g.strip()]
+        else:
+            out = [[int(v)] for v in text.split(",")]
+    except ValueError as exc:
+        raise InputError(f"cannot parse --offsets {text!r}") from exc
+    for n in out:
+        if len(n) != shape.d:
+            raise InputError(f"offset {tuple(n)} has {len(n)} components, lattice has {shape.d}")
+    return np.array(out, dtype=np.int64).reshape(-1, shape.d) % shape.dims
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    cs = _resolve_model(cfg)
-    sol = diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    cs = _resolve_model(args)
+    sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
     shape = cs.shape
-    os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     header = (
         [f"k_{i + 1}" for i in range(shape.d)]
         + [f"lam_{a + 1}" for a in range(2 * shape.spin)]
         + [f"branch_{j + 1}" for j in range(shape.spin)]
     )
     columns = [*shape.momenta().T, *sol.energies.T, *sol.branch.T]
-    _write_csv(os.path.join(cfg.out, "spectrum.csv"), header, columns)
+    _write_csv(os.path.join(args.out, "spectrum.csv"), header, columns)
     lines = [
         f"model dims={shape.dims} spin={shape.spin}",
         f"spectral gap: {_fmt(sol.gap)}",
-        f"zero modes (|energy| < {cfg.zero_mode_tol:g}): {len(sol.zero_modes())}",
+        f"zero modes (|energy| < {args.zero_mode_tol:g}): {len(sol.zero_modes())}",
     ]
-    _report(cfg, lines)
+    _report(args, lines)
     print("\n".join(lines))
-    print(f"wrote {shape.n_sites} rows to {os.path.join(cfg.out, 'spectrum.csv')}")
+    print(f"wrote {shape.n_sites} rows to {os.path.join(args.out, 'spectrum.csv')}")
     return 0
 
 
-def cmd_invariants(cfg: RunConfig) -> int:
-    cs = _resolve_model(cfg)
+def cmd_invariants(args: argparse.Namespace) -> int:
+    cs = _resolve_model(args)
     report = verify_criticality(
-        cs, gap_tol=cfg.gap_tol, inv_tol=cfg.inv_tol, zero_mode_tol=cfg.zero_mode_tol
+        cs, gap_tol=args.gap_tol, inv_tol=args.inv_tol, zero_mode_tol=args.zero_mode_tol
     )
     shape = cs.shape
-    os.makedirs(cfg.out, exist_ok=True)
-    wanted = _reduced_offsets(cfg.offsets, shape)
+    os.makedirs(args.out, exist_ok=True)
+    wanted = _reduced_offsets(args.offsets, shape)
     _write_csv(
-        os.path.join(cfg.out, "invariants.csv"),
+        os.path.join(args.out, "invariants.csv"),
         _offset_columns(shape.d) + ["invariant"],
         [*wanted.T, report.invariant[tuple(wanted.T)]],
     )
-    asym = report.asymmetry
-    momenta = np.array([k for k, *_ in asym], dtype=np.int64).reshape(len(asym), shape.d)
-    band, m, p = (np.array([entry[c] for entry in asym]) for c in (1, 2, 3))
+    momenta, band, m, p = report.asymmetry
     _write_csv(
-        os.path.join(cfg.out, "asymmetry.csv"),
+        os.path.join(args.out, "asymmetry.csv"),
         [f"k_{i + 1}" for i in range(shape.d)] + ["band", "M", "P"],
         [*momenta.T, band, m, p],
     )
@@ -260,73 +236,73 @@ def cmd_invariants(cfg: RunConfig) -> int:
         f"model dims={shape.dims} spin={shape.spin}",
         f"spectral gap: {_fmt(report.gap)}",
         f"max |invariant|: {_fmt(report.max_abs_invariant)}",
-        f"asymmetric (momentum, band) entries: {len(report.asymmetry)}",
-        f"indeterminate entries: {len(report.indeterminate)}",
+        f"asymmetric (momentum, band) entries: {len(band)}",
+        f"indeterminate entries: {len(report.indeterminate[1])}",
         f"zero modes: {len(report.zero_modes)}",
     ]
     if report.falsification:
         lines.append("FALSIFICATION: stable gap with nonzero invariant")
-    _report(cfg, lines + [f"verdict: {report.verdict}"])
+    _report(args, lines + [f"verdict: {report.verdict}"])
     print("\n".join(lines))
     print(f"verdict: {report.verdict}")
     return 1 if report.falsification else 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.dims is None:
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.dims is None:
         raise InputError("verify needs --dims for the base lattice")
-    spins = (cfg.spin,) if cfg.spin is not None else (1, 2)
-    if cfg.count == 0:
+    spins = (args.spin,) if args.spin is not None else (1, 2)
+    if args.count == 0:
         print("warning: --count 0 requested; nothing to verify")
-        _report(cfg, ["verify: 0 models requested", "falsifications: 0"])
+        _report(args, ["verify: 0 models requested", "falsifications: 0"])
         return 0
 
-    reach = _reach(cfg, cfg.dims)
+    reach = _reach(args, args.dims)
     survey = gapped_model_survey(
-        cfg.dims, cfg.count, cfg.seed, reach=reach, spins=spins,
-        gap_tol=cfg.gap_tol, inv_tol=cfg.inv_tol, zero_mode_tol=cfg.zero_mode_tol,
+        args.dims, args.count, args.seed, reach=reach, spins=spins,
+        gap_tol=args.gap_tol, inv_tol=args.inv_tol, zero_mode_tol=args.zero_mode_tol,
     )
     for seed, gap, inv in survey.events:
         print(f"FALSIFICATION at seed {seed}: gap {gap:.4f}, invariant {inv:.3e}")
     lines = [
-        f"verify: dims={cfg.dims} reach={reach} spins={list(spins)} seed={cfg.seed}",
+        f"verify: dims={args.dims} reach={reach} spins={list(spins)} seed={args.seed}",
         "ensemble: uniform couplings rescaled to band-slope bound 1",
         f"models drawn: {survey.drawn}",
-        f"stably gapped (gap > {cfg.gap_tol:g} at N, > {cfg.gap_tol / 2:g} at 2N): {survey.gapped}",
+        f"stably gapped (gap > {args.gap_tol:g} at N, > {args.gap_tol / 2:g} at 2N): {survey.gapped}",
         f"worst-case invariant among gapped: {_fmt(survey.worst_invariant)}",
-        f"falsifications (invariant >= {cfg.inv_tol:g}): {survey.falsifications}",
+        f"falsifications (invariant >= {args.inv_tol:g}): {survey.falsifications}",
     ]
-    if cfg.gap_tol <= np.pi / min(cfg.dims):
+    if args.gap_tol <= np.pi / min(args.dims):
         lines.append(
-            f"warning: gap threshold {cfg.gap_tol:g} is below pi/N = {np.pi / min(cfg.dims):.4f}; "
+            f"warning: gap threshold {args.gap_tol:g} is below pi/N = {np.pi / min(args.dims):.4f}; "
             "the filter is not leak-proof at this lattice size"
         )
-    _report(cfg, lines)
+    _report(args, lines)
     print("\n".join(lines))
     return 1 if survey.falsifications else 0
 
 
-def cmd_entropy(cfg: RunConfig) -> int:
-    cs = _resolve_model(cfg)
+def cmd_entropy(args: argparse.Namespace) -> int:
+    cs = _resolve_model(args)
     if cs.shape.d != 1:
         raise InputError("entropy scans support chains (d=1) only")
     n_sites = cs.shape.dims[0]
     top = max(5, n_sites // 4)
-    lengths = cfg.lengths or list(range(4, top + 1))
-    sol = diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol)
+    lengths = args.lengths if args.lengths is not None else list(range(4, top + 1))
+    sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
     try:
         scan = entropy_scan(ground_covariance(sol), lengths)
     except np.linalg.LinAlgError:  # a ValueError, but corrupted data: exit 3 below
         raise
     except ValueError as exc:
-        if cfg.lengths:
+        if args.lengths is not None:
             raise
         raise InputError(
             f"{exc} (default --lengths 4:{top}, i.e. 4:N/4 for N={n_sites}); pass --lengths"
         ) from exc
-    os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     _write_csv(
-        os.path.join(cfg.out, "entropy.csv"),
+        os.path.join(args.out, "entropy.csv"),
         ["L", "S"],
         [scan.lengths, scan.entropies],
     )
@@ -337,18 +313,18 @@ def cmd_entropy(cfg: RunConfig) -> int:
         f"saturation estimate: {_fmt(scan.saturation)}",
         f"classification: {scan.classification}",
     ]
-    _report(cfg, lines)
+    _report(args, lines)
     print("\n".join(lines))
     return 0
 
 
-def cmd_oracle(cfg: RunConfig) -> int:
-    cs = _resolve_model(cfg)
-    sol = diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    cs = _resolve_model(args)
+    sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
     cov = ground_covariance(sol)
     if cov.zero_modes:
         raise InputError("model has one-particle zero modes; oracle comparison undefined")
-    exact = exact_ground_correlators(build_fock_hamiltonian(cs), degeneracy_tol=cfg.degeneracy_tol)
+    exact = exact_ground_correlators(build_fock_hamiltonian(cs), degeneracy_tol=args.degeneracy_tol)
     if exact.degenerate:
         raise InputError("exact ground state is degenerate; oracle comparison undefined")
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
@@ -364,40 +340,40 @@ def cmd_oracle(cfg: RunConfig) -> int:
     ]
     ok = result.max_correlator_dev < ORACLE_DEV_TOL and result.energy_rel_dev < ORACLE_DEV_TOL
     lines.append("agreement: PASS" if ok else "agreement: FAIL")
-    _report(cfg, lines)
+    _report(args, lines)
     print("\n".join(lines))
     return 0 if ok else 1
 
 
-def cmd_quench(cfg: RunConfig) -> int:
-    cs = _resolve_model(cfg)
+def cmd_quench(args: argparse.Namespace) -> int:
+    cs = _resolve_model(args)
     shape = cs.shape
-    times = cfg.times if cfg.times is not None else [float(t) for t in range(11)]
-    reach = _reach(cfg, shape.dims)
-    quench = random_model(shape, reach=reach, pairing=True, seed=cfg.seed)
-    cov0 = ground_covariance(diagonalize(cs, zero_mode_tol=cfg.zero_mode_tol))
-    offsets = _reduced_offsets(cfg.offsets, shape)
+    times = args.times if args.times is not None else [float(t) for t in range(11)]
+    reach = _reach(args, shape.dims)
+    quench = random_model(shape, reach=reach, pairing=True, seed=args.seed)
+    cov0 = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
+    offsets = _reduced_offsets(args.offsets, shape)
     # series[t, o]: invariant at time t and offset o
     series = np.array([
         invariant_map(evolve_quench(cov0, quench, t))[tuple(offsets.T)] for t in times
     ])
-    os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     _write_csv(
-        os.path.join(cfg.out, "quench.csv"),
+        os.path.join(args.out, "quench.csv"),
         ["t"] + _offset_columns(shape.d) + ["invariant"],
         [np.repeat(times, len(offsets)), *np.tile(offsets, (len(times), 1)).T, series.ravel()],
     )
     spread = float((series.max(axis=0) - series.min(axis=0)).max()) if series.size else 0.0
     lines = [
         f"model dims={shape.dims} spin={shape.spin}",
-        f"quench: seeded random model (seed={cfg.seed}, reach={reach}, pairing on)",
+        f"quench: seeded random model (seed={args.seed}, reach={reach}, pairing on)",
         f"times: {len(times)} points in [{min(times):g}, {max(times):g}]",
         f"max per-offset invariant spread over time: {_fmt(spread)}",
         f"conservation threshold: {QUENCH_SPREAD_TOL:g}",
     ]
     ok = spread < QUENCH_SPREAD_TOL
     lines.append("conservation: PASS" if ok else "conservation: FAIL")
-    _report(cfg, lines)
+    _report(args, lines)
     print("\n".join(lines))
     return 0 if ok else 1
 
@@ -406,6 +382,46 @@ def cmd_quench(cfg: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+_FLAGS = {
+    "--model": dict(help=f"model file path or catalog name {CATALOG_NAMES}"),
+    "--param": dict(type=_param, action="append", default=[], metavar="KEY=VALUE",
+                    help="catalog model parameter (repeatable)"),
+    "--dims": dict(type=_dims, help="comma-separated axis sizes, e.g. 64 or 8,8"),
+    "--spin": dict(type=int, help="spin components per site"),
+    "--seed": dict(type=int, default=DEFAULT_SEED),
+    "--gap-tol": dict(type=float, default=GAP_TOL),
+    "--inv-tol": dict(type=float, default=INV_TOL),
+    "--zero-mode-tol": dict(type=float, default=ZERO_MODE_TOL),
+    "--degeneracy-tol": dict(type=float, default=DEGENERACY_TOL),
+    "--out": dict(default=".", help="output directory"),
+    "--offsets": dict(help="d=1: comma list (1,2,3); d>1: semicolon tuples (1,0;0,1)"),
+    "--lengths": dict(type=_lengths, help="block lengths, comma list or lo:hi range"),
+    "--times": dict(type=_times, help="comma-separated quench times"),
+    "--count": dict(type=int, default=200, help="number of random models"),
+    "--range": dict(dest="reach", type=int, help="random-model coupling range (per-axis offset "
+                    "bound); default 2, or less where the lattice is too small"),
+}
+
+_MODEL_FLAGS = ("--model", "--param", "--dims", "--spin")
+
+# each command takes exactly the flags it reads: these and --out
+_COMMANDS = {
+    "spectrum": (cmd_spectrum, "one-particle spectrum per momentum",
+                 _MODEL_FLAGS + ("--zero-mode-tol",)),
+    "invariants": (cmd_invariants, "invariant map, gap, asymmetry, verdict",
+                   _MODEL_FLAGS + ("--gap-tol", "--inv-tol", "--zero-mode-tol", "--offsets")),
+    "verify": (cmd_verify, "randomized sweep of the gap/invariant criterion",
+               ("--dims", "--spin", "--seed", "--gap-tol", "--inv-tol", "--zero-mode-tol", "--count",
+                "--range")),
+    "entropy": (cmd_entropy, "block entanglement entropy scan",
+                _MODEL_FLAGS + ("--zero-mode-tol", "--lengths")),
+    "oracle": (cmd_oracle, "brute-force Fock-space comparison",
+               _MODEL_FLAGS + ("--zero-mode-tol", "--degeneracy-tol")),
+    "quench": (cmd_quench, "invariant trajectory under a random quench",
+               _MODEL_FLAGS + ("--seed", "--zero-mode-tol", "--offsets", "--times", "--range")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasifree",
@@ -413,69 +429,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "spectra, invariants, entropy, quenches, brute-force checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("spectrum", "one-particle spectrum per momentum"),
-        ("invariants", "invariant map, gap, asymmetry, verdict"),
-        ("verify", "randomized sweep of the gap/invariant criterion"),
-        ("entropy", "block entanglement entropy scan"),
-        ("oracle", "brute-force Fock-space comparison"),
-        ("quench", "invariant trajectory under a random quench"),
-    ):
+    for name, (handler, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--model", help=f"model file path or catalog name {CATALOG_NAMES}")
-        p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
-                       help="catalog model parameter (repeatable)")
-        p.add_argument("--dims", help="comma-separated axis sizes, e.g. 64 or 8,8")
-        p.add_argument("--spin", type=int, default=None, help="spin components per site")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--gap-tol", type=float, default=0.1 if name == "verify" else 1e-6)
-        p.add_argument("--inv-tol", type=float, default=1e-8)
-        p.add_argument("--zero-mode-tol", type=float, default=1e-9)
-        p.add_argument("--degeneracy-tol", type=float, default=1e-8)
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--offsets", help="d=1: comma list (1,2,3); d>1: semicolon tuples (1,0;0,1)")
-        p.add_argument("--lengths", help="block lengths, comma list or lo:hi range")
-        p.add_argument("--times", help="comma-separated quench times")
-        p.add_argument("--count", type=int, default=200, help="verify: number of random models")
-        p.add_argument("--range", dest="reach", type=int, default=None,
-                       help="random-model coupling range (per-axis offset bound); "
-                       "default 2, or less where the lattice is too small")
+        p.set_defaults(handler=handler)
+        for flag in flags + ("--out",):
+            p.add_argument(flag, **_FLAGS[flag])
+        if name == "verify":
+            p.set_defaults(gap_tol=SURVEY_GAP_TOL)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        for name in ("gap_tol", "inv_tol", "zero_mode_tol", "degeneracy_tol"):
-            if getattr(args, name) <= 0:
+        for name, value in vars(args).items():
+            if name.endswith("_tol") and value <= 0:
                 raise InputError(f"--{name.replace('_', '-')} must be positive")
-        cfg = RunConfig(
-            command=args.command,
-            model=args.model,
-            params=_parse_params(args.param),
-            dims=_parse_dims(args.dims),
-            spin=args.spin,
-            seed=args.seed,
-            gap_tol=args.gap_tol,
-            inv_tol=args.inv_tol,
-            zero_mode_tol=args.zero_mode_tol,
-            degeneracy_tol=args.degeneracy_tol,
-            out=args.out,
-            offsets=args.offsets,
-            lengths=_parse_lengths(args.lengths),
-            times=_parse_times(args.times),
-            count=args.count,
-            reach=args.reach,
-        )
-        handler = {
-            "spectrum": cmd_spectrum,
-            "invariants": cmd_invariants,
-            "verify": cmd_verify,
-            "entropy": cmd_entropy,
-            "oracle": cmd_oracle,
-            "quench": cmd_quench,
-        }[cfg.command]
-        return handler(cfg)
+        return args.handler(args)
     except np.linalg.LinAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

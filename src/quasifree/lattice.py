@@ -70,18 +70,12 @@ class LatticeShape:
     def negate(self, offset: Iterable[int]) -> tuple[int, ...]:
         return tuple((n - c) % n for c, n in zip(self._check(offset), self.dims))
 
-    def add(self, a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
-        return tuple((x + y) % n for x, y, n in zip(self._check(a), self._check(b), self.dims))
-
     def signed(self, offset: Iterable[int]) -> tuple[int, ...]:
         """Minimal-magnitude signed representative (ties resolve to the positive one)."""
         out = []
         for c, n in zip(self.reduce(offset), self.dims):
             out.append(c if c <= n // 2 else c - n)
         return tuple(out)
-
-    def is_self_conjugate(self, k: Iterable[int]) -> bool:
-        return self.reduce(k) == self.negate(k)
 
     # -- momentum grid ------------------------------------------------------
 

@@ -85,13 +85,6 @@ class CouplingSet:
         return CouplingSet(new, {new.reduce(n): m for n, m in hop.items()},
                            {new.reduce(n): m for n, m in pair.items()})
 
-    def reach(self) -> int:
-        """Largest per-axis signed offset magnitude in the support."""
-        best = 0
-        for n in list(self.hop) + list(self.pair):
-            best = max(best, max(abs(c) for c in self.shape.signed(n)))
-        return best
-
 
 class Violation(NamedTuple):
     kind: str  # "hop" or "pair"

@@ -29,6 +29,7 @@ import numpy as np
 from .lattice import LatticeShape, inverse_fourier
 from .model import CouplingSet, random_model, scaled, slope_bound
 from .solver import (
+    ZERO_MODE_TOL,
     BogoliubovSolution,
     CovarianceKernel,
     diagonalize,
@@ -49,6 +50,7 @@ __all__ = [
 
 GAP_TOL = 1e-6
 INV_TOL = 1e-8
+SURVEY_GAP_TOL = 0.1  # above pi/N for N >= 32 at unit band slope
 
 
 def invariant_map(cov: CovarianceKernel) -> np.ndarray:
@@ -60,14 +62,15 @@ def invariant_map(cov: CovarianceKernel) -> np.ndarray:
 
 def asymmetry_diagnostics(
     sol: BogoliubovSolution, threshold: float = 0.5
-) -> tuple[list[tuple[tuple[int, ...], int, float, float]], list[tuple[tuple[int, ...], int]]]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Sign-asymmetry markers of the designated branch.
 
-    Returns ``(entries, indeterminate)`` where entries are
-    ``(momentum, band, M, P)`` with ``M = (sgn L_k - sgn L_{-k})/2`` exceeding the
-    threshold in magnitude, and indeterminate lists (momentum, band) whose
-    branch energy is too close to zero for a sign.  Both lists run over
-    momenta in flat order, bands ascending within a momentum.
+    Returns ``((momenta, band, M, P), (momenta, band))``.  The first group lists
+    the (momentum, band) entries with ``M = (sgn L_k - sgn L_{-k})/2`` exceeding
+    the threshold in magnitude; the second those whose branch energy is too
+    close to zero for a sign.  Momenta are ``(n, d)`` rows and the other arrays
+    have length ``n``; both groups run over momenta in flat order, bands
+    ascending within a momentum.
     """
     neg = sol.shape.negation_table
     grid = sol.shape.momenta()
@@ -77,11 +80,8 @@ def asymmetry_diagnostics(
     m = (np.sign(lk) - np.sign(lnk)) / 2.0
     p = (np.sign(lk) + np.sign(lnk)) / 2.0
     i, j = np.nonzero(~indet & (np.abs(m) > threshold))
-    entries = [(tuple(k), *rest) for k, *rest in zip(
-        grid[i].tolist(), j.tolist(), m[i, j].tolist(), p[i, j].tolist())]
-    i, j = np.nonzero(indet)
-    indeterminate = [(tuple(k), b) for k, b in zip(grid[i].tolist(), j.tolist())]
-    return entries, indeterminate
+    k, b = np.nonzero(indet)
+    return (grid[i], j, m[i, j], p[i, j]), (grid[k], b)
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ class InvariantReport:
     max_abs_invariant: float
     gap: float
     doubled_gap: float | None
-    asymmetry: list[tuple[tuple[int, ...], int, float, float]]
-    indeterminate: list[tuple[tuple[int, ...], int]]
+    asymmetry: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # momenta (n, d), band, M, P
+    indeterminate: tuple[np.ndarray, np.ndarray]  # momenta (n, d), band
     zero_modes: tuple
     verdict: str  # consistent-gapped | gapless-by-invariant | gapless-by-spectrum
     falsification: bool
@@ -107,7 +107,7 @@ def verify_criticality(
     c: CouplingSet,
     gap_tol: float = GAP_TOL,
     inv_tol: float = INV_TOL,
-    zero_mode_tol: float = 1e-9,
+    zero_mode_tol: float = ZERO_MODE_TOL,
     size_doubling: bool = False,
 ) -> InvariantReport:
     """Evaluate the invariant map and the spectral gap, and classify the model.
@@ -166,9 +166,9 @@ def gapped_model_survey(
     seed: int,
     reach: int = 2,
     spins: Sequence[int] = (1, 2),
-    gap_tol: float = 0.1,
+    gap_tol: float = SURVEY_GAP_TOL,
     inv_tol: float = INV_TOL,
-    zero_mode_tol: float = 1e-9,
+    zero_mode_tol: float = ZERO_MODE_TOL,
     slope_limit: float = 1.0,
 ) -> SurveyResult:
     """Draw ``count`` random models, keep the stably gapped ones, check invariants.

@@ -8,9 +8,12 @@ bit ``i`` of a basis-state integer is the occupation of mode ``i``.
 
 Jordan-Wigner sign strings run over modes of lower index, so
 ``b_i |x> = (-1)^{#occupied modes < i} |x without i>``.  The Hamiltonian is
-built by applying this rule vectorized over the whole basis (one scatter per
-quadratic term), which is algebraically identical to multiplying the dense
-kron-string operator matrices but fast enough for fifty desk-scale models.
+built by applying this rule vectorized over the whole basis and over every
+quadratic term (one scatter per kind of term), which is algebraically
+identical to multiplying the dense kron-string operator matrices but fast
+enough for fifty desk-scale models.  Modes are indexed through one grid,
+``np.arange(n_modes).reshape(dims + (s,))``, which ``np.roll`` shifts by a
+lattice offset.
 The Hamiltonian is assembled as one dense matrix.  A quadratic Hamiltonian,
 pairing included, conserves fermion parity, so it is diagonalized as two
 dense blocks, the even- and odd-parity sectors, after checking that nothing
@@ -43,6 +46,7 @@ __all__ = [
 ]
 
 MODE_CAP = 14
+DEGENERACY_TOL = 1e-8
 
 
 def _check_cap(n_modes: int) -> None:
@@ -72,58 +76,50 @@ def _bit_tables(n_modes: int):
     return bits.astype(np.int8), (1 - 2 * (below & 1)).astype(np.int8)
 
 
-def _mode_index(shape: LatticeShape, site: tuple[int, ...], spin: int) -> int:
-    return int(np.ravel_multi_index(site, shape.dims)) * shape.spin + spin
+def _modes(shape: LatticeShape) -> np.ndarray:
+    """The site-major mode grid: ``modes[site + (spin,)]`` is that mode's index."""
+    return np.arange(shape.n_modes).reshape(shape.dims + (shape.spin,))
+
+
+def _terms(table, shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modes ``i``, ``j`` and coefficient of every term ``mat[a, b]`` at site ``m``
+    that pairs mode ``(m, a)`` with mode ``(m - offset, b)``, in offset, site,
+    ``(a, b)`` order."""
+    modes = _modes(shape)
+    i, j, coef = [], [], []
+    for offset, mat in table.items():
+        a, b = np.nonzero(mat)
+        i.append(modes[..., a].ravel())
+        j.append(np.roll(modes, offset, axis=tuple(range(shape.d)))[..., b].ravel())
+        coef.append(np.broadcast_to(mat[a, b], modes[..., a].shape).ravel())
+    if not i:
+        return np.empty(0, int), np.empty(0, int), np.empty(0, complex)
+    return np.concatenate(i), np.concatenate(j), np.concatenate(coef)
 
 
 def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     """Dense Fock-space matrix of the quadratic Hamiltonian defined by ``c``."""
-    shape = c.shape
-    ns = shape.n_modes
+    ns = c.shape.n_modes
     _check_cap(ns)
-    s = shape.spin
     dim = 1 << ns
     bits, par = _bit_tables(ns)
-    states = np.arange(dim)
     h = np.zeros((dim, dim), dtype=complex)
+    flat = h.reshape(-1)
 
-    def scatter_bdag_b(i, j, coef):
-        if i == j:
-            sel = bits[:, i] == 1
-            h[states[sel], states[sel]] += coef
-            return
-        sel = (bits[:, j] == 1) & (bits[:, i] == 0)
-        x = states[sel]
-        sign = par[sel, j] * par[sel, i] * (-1 if j < i else 1)
-        h[x ^ (1 << j) ^ (1 << i), x] += coef * sign
+    # b+_i b_j acts on states with j occupied and i empty (or i == j), and
+    # b+_i b+_j on states with both empty; each term's targets are distinct, and
+    # np.add.at sums the terms that share an entry in term order
+    i, j, coef = _terms(c.hop, c.shape)
+    t, x = np.nonzero((bits[:, j] == 1).T & ((bits[:, i] == 0).T | (i == j)[:, None]))
+    y = x ^ (1 << i[t]) ^ (1 << j[t])
+    np.add.at(flat, y * dim + x, coef[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
 
-    def scatter_bdag_bdag(i, j, coef):
-        # the term and its Hermitian conjugate, straight into h
-        if i == j:
-            return
-        sel = (bits[:, j] == 0) & (bits[:, i] == 0)
-        x = states[sel]
-        y = x | (1 << j) | (1 << i)
-        val = coef * par[sel, j] * par[sel, i] * (-1 if j < i else 1)
-        h[y, x] += val
-        h[x, y] += val.conj()
-
-    sites = [tuple(int(v) for v in t) for t in np.ndindex(*shape.dims)]
-    for offset, mat in c.hop.items():
-        for m in sites:
-            n = shape.reduce(tuple(mc - oc for mc, oc in zip(m, offset)))
-            for sj in range(s):
-                for sl in range(s):
-                    if mat[sj, sl] != 0:
-                        scatter_bdag_b(_mode_index(shape, m, sj), _mode_index(shape, n, sl), mat[sj, sl])
-
-    for offset, mat in c.pair.items():
-        for m in sites:
-            n = shape.reduce(tuple(mc - oc for mc, oc in zip(m, offset)))
-            for sj in range(s):
-                for sl in range(s):
-                    if mat[sj, sl] != 0:
-                        scatter_bdag_bdag(_mode_index(shape, m, sj), _mode_index(shape, n, sl), 0.5 * mat[sj, sl])
+    i, j, coef = _terms(c.pair, c.shape)
+    t, x = np.nonzero((bits[:, j] == 0).T & (bits[:, i] == 0).T & (i != j)[:, None])
+    y = x | (1 << i[t]) | (1 << j[t])
+    val = 0.5 * coef[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t])
+    np.add.at(flat, y * dim + x, val)
+    np.add.at(flat, x * dim + y, val.conj())
 
     # row blocks of about 2^16 entries keep the check's temporaries near 1 MB
     step = max(1, (1 << 16) // dim)
@@ -177,7 +173,7 @@ class ExactGroundState:
 
 
 def exact_ground_correlators(
-    h: np.ndarray, degeneracy_tol: float = 1e-8, average_degenerate: bool = False
+    h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL, average_degenerate: bool = False
 ) -> ExactGroundState:
     """Exact eigendecomposition, sector by sector, and ground-state correlators.
 
@@ -239,12 +235,7 @@ def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
     """Fock-space one-site translation along ``axis`` (a signed permutation matrix)."""
     ns = shape.n_modes
     _check_cap(ns)
-    step = tuple(1 if a == axis else 0 for a in range(shape.d))
-    sites = [tuple(int(v) for v in t) for t in np.ndindex(*shape.dims)]
-    mode_map = np.empty(ns, dtype=int)
-    for site in sites:
-        for sp in range(shape.spin):
-            mode_map[_mode_index(shape, site, sp)] = _mode_index(shape, shape.add(site, step), sp)
+    mode_map = np.roll(_modes(shape), -1, axis=axis).ravel()  # mode at site + e_axis
     bits = _bit_tables(ns)[0].astype(np.int64)
     # the sign is the parity of the inversions the map makes among occupied modes
     inversions = np.triu(mode_map[:, None] > mode_map[None, :], k=1).astype(np.int64)
@@ -263,19 +254,14 @@ def evolve_state(h: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def invariant_from_correlators(bdag_b: np.ndarray, shape: LatticeShape) -> dict[tuple[int, ...], float]:
-    """Site-averaged ``Im sum_j <b+_m b_{m+n}>`` per offset, from Fock correlators."""
-    sites = [tuple(int(v) for v in t) for t in np.ndindex(*shape.dims)]
-    out = {}
-    for raw in np.ndindex(*shape.dims):
-        n = tuple(int(v) for v in raw)
-        acc = 0.0
-        for m in sites:
-            tgt = shape.add(m, n)
-            for sp in range(shape.spin):
-                acc += bdag_b[_mode_index(shape, m, sp), _mode_index(shape, tgt, sp)].imag
-        out[n] = acc / shape.n_sites
-    return out
+def invariant_from_correlators(bdag_b: np.ndarray, shape: LatticeShape) -> np.ndarray:
+    """Site-averaged ``Im sum_j <b+_m b_{m+n}>`` from Fock correlators, a ``dims``-shaped
+    array indexed by the reduced offset ``n``."""
+    modes = _modes(shape)
+    axes = tuple(range(shape.d))
+    inv = [bdag_b[modes, np.roll(modes, [-c for c in n], axis=axes)].imag.sum()
+           for n in np.ndindex(*shape.dims)]
+    return np.reshape(inv, shape.dims) / shape.n_sites
 
 
 class ComparisonResult(NamedTuple):
@@ -298,23 +284,14 @@ def compare_with_quasifree(
     if exact.degenerate and not allow_degenerate:
         raise ValueError("degenerate exact ground state; correlators are not comparable")
     shape = rc.shape
-    ns = shape.n_modes
-    sites = [tuple(int(v) for v in t) for t in np.ndindex(*shape.dims)]
-    qf_bdag_b = np.empty((ns, ns), dtype=complex)
-    qf_bb = np.empty((ns, ns), dtype=complex)
-    for x in sites:
-        for y in sites:
-            n = shape.reduce(tuple(yc - xc for yc, xc in zip(y, x)))
-            cb = rc.bdag_b[n]
-            db = rc.bb[n]
-            for sj in range(shape.spin):
-                for sl in range(shape.spin):
-                    qf_bdag_b[_mode_index(shape, x, sj), _mode_index(shape, y, sl)] = cb[sj, sl]
-                    qf_bb[_mode_index(shape, x, sj), _mode_index(shape, y, sl)] = db[sj, sl]
-    dev = max(
-        float(np.abs(qf_bdag_b - exact.bdag_b).max()),
-        float(np.abs(qf_bb - exact.bb).max()),
-    )
+    blocks = np.array([[rc.bdag_b[n], rc.bb[n]] for n in np.ndindex(*shape.dims)])  # (N, 2, s, s)
+    sites = shape.momenta()  # the row-major index grid, here of sites
+    # diff[x, y] is the flat index of the offset y - x
+    diff = np.ravel_multi_index(tuple(np.moveaxis((sites[None] - sites[:, None]) % shape.dims, -1, 0)),
+                                shape.dims)
+    # qf[c][(x, a), (y, b)] = blocks[diff[x, y], c, a, b], modes site-major
+    qf = blocks[diff].transpose(2, 0, 3, 1, 4).reshape(2, shape.n_modes, shape.n_modes)
+    dev = float(np.abs(qf - np.stack([exact.bdag_b, exact.bb])).max())
     e_dev = None
     if energy is not None:
         e_dev = abs(energy - exact.energy) / max(1.0, abs(exact.energy))

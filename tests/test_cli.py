@@ -14,7 +14,7 @@ from quasifree import (
     random_model,
     save_model,
 )
-from quasifree.cli import main
+from quasifree.cli import _build_parser, main
 
 from conftest import make_twisted
 
@@ -205,6 +205,15 @@ def test_entropy_short_default_lengths_names_the_flag(tmp_path, capsys):
     assert "--lengths 4:8" in err and "4:N/4" in err
 
 
+def test_entropy_empty_lengths_range_exits_2(tmp_path, capsys):
+    code = run(["entropy", "--model", "p-model", "--dims", "64", "--lengths", "5:4",
+                "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "no block lengths given" in err and "--lengths" not in err
+    assert not (tmp_path / "entropy.csv").exists()
+
+
 def test_entropy_rejects_two_dimensional_model(tmp_path):
     shape = LatticeShape((4, 4), 1)
     from quasifree import random_model
@@ -349,3 +358,46 @@ def test_corrupted_entropy_covariance_exits_3(tmp_path, monkeypatch, capsys, mod
                 "--out", str(tmp_path)])
     assert code == 3
     assert "corrupted" in capsys.readouterr().err
+
+
+# the flags each command reads; it must reject every other one
+READS = {
+    "spectrum": {"--model", "--param", "--dims", "--spin", "--zero-mode-tol", "--out"},
+    "invariants": {"--model", "--param", "--dims", "--spin", "--gap-tol", "--inv-tol",
+                   "--zero-mode-tol", "--out", "--offsets"},
+    "verify": {"--dims", "--spin", "--seed", "--gap-tol", "--inv-tol", "--zero-mode-tol", "--out",
+               "--count", "--range"},
+    "entropy": {"--model", "--param", "--dims", "--spin", "--zero-mode-tol", "--out", "--lengths"},
+    "oracle": {"--model", "--param", "--dims", "--spin", "--zero-mode-tol", "--degeneracy-tol",
+               "--out"},
+    "quench": {"--model", "--param", "--dims", "--spin", "--seed", "--zero-mode-tol", "--out",
+               "--offsets", "--times", "--range"},
+}
+
+
+VALUE = {"--model": "p-model", "--param": "p=2", "--dims": "8", "--spin": "1", "--seed": "1",
+         "--gap-tol": "1", "--inv-tol": "1", "--zero-mode-tol": "1", "--degeneracy-tol": "1",
+         "--out": ".", "--offsets": "1", "--lengths": "4:8", "--times": "0,1", "--count": "1",
+         "--range": "1"}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_command_rejects_flags_it_does_not_read(command, capsys):
+    parser = _build_parser()
+    for flag in READS[command]:
+        parser.parse_args([command, flag, VALUE[flag]])
+    for flag in sorted(VALUE.keys() - READS[command]):
+        with pytest.raises(SystemExit) as exc:
+            run([command, flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("invariants", "--gap-tol"), ("verify", "--inv-tol"), ("oracle", "--degeneracy-tol"),
+    ("spectrum", "--zero-mode-tol"),
+])
+def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command, flag):
+    args = ["--dims", "8"] if command == "verify" else ["--model", "p-model", "--dims", "4"]
+    assert run([command, *args, flag, "0", "--out", str(tmp_path)]) == 2
+    assert f"{flag} must be positive" in capsys.readouterr().err

@@ -87,33 +87,29 @@ def test_spectral_gap_examples(p_model_64, twisted_critical_64):
 
 
 def test_asymmetry_empty_for_symmetric_gapped_model(p_model_64):
-    entries, indeterminate = asymmetry_diagnostics(diagonalize(p_model_64))
-    assert entries == []
-    assert indeterminate == []
+    (momenta, band, m, p), (indet, indet_band) = asymmetry_diagnostics(diagonalize(p_model_64))
+    assert momenta.shape == (0, 1) and indet.shape == (0, 1)
+    assert band.size == m.size == p.size == indet_band.size == 0
 
 
 def test_asymmetry_sign_pattern_of_quarter_twist():
     n = 16
     sol = diagonalize(make_twisted(n, np.pi / 2))
-    entries, indeterminate = asymmetry_diagnostics(sol)
-    table = {k[0]: m for k, _, m, _ in entries}
-    for k in range(1, n):
-        if k in (0, n // 2):
-            continue
-        expected = 1.0 if k < n // 2 else -1.0  # sign of sin(2 pi k / n)
-        assert table[k] == expected
+    (momenta, band, m, _), (indet, _) = asymmetry_diagnostics(sol)
+    k = np.array([k for k in range(1, n) if k != n // 2])
+    assert np.array_equal(momenta[:, 0], k) and not band.any()
+    assert np.array_equal(m, np.where(k < n // 2, 1.0, -1.0))  # sign of sin(2 pi k / n)
     # band zeros sit at the self-conjugate momenta and are flagged indeterminate
-    assert {(0,), (n // 2,)} == {k for k, _ in indeterminate}
+    assert np.array_equal(np.unique(indet[:, 0]), [0, n // 2])
 
 
 def test_asymmetry_zero_at_self_conjugate_momenta():
     for seed in range(6):
         cs = random_model(LatticeShape((12,), 2), reach=2, pairing=True, seed=seed)
         sol = diagonalize(cs)
-        entries, _ = asymmetry_diagnostics(sol, threshold=1e-6)
-        mask = cs.shape.self_conjugate_mask
-        selfconj = {tuple(k) for k in cs.shape.momenta()[mask]}
-        assert all(k not in selfconj for k, *_ in entries)
+        (momenta, *_), _ = asymmetry_diagnostics(sol, threshold=1e-6)
+        flat = np.ravel_multi_index(tuple(momenta.T), cs.shape.dims)
+        assert not cs.shape.self_conjugate_mask[flat].any()
 
 
 def test_verify_consistent_gapped(p_model_64):

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from quasifree import oracle
 from quasifree import (
     CouplingSet,
+    ExactGroundState,
     LatticeShape,
+    RealSpaceCorrelators,
     build_fock_hamiltonian,
     compare_with_quasifree,
     diagonalize,
@@ -83,6 +85,61 @@ def reference_hamiltonian(cs):
                     term = 0.5 * mat[sj, sl] * bd[mode(m, sj)] @ bd[mode(n, sl)]
                     h += term + term.conj().T
     return h
+
+
+def loop_invariant_from_correlators(bdag_b, shape):
+    """Reference: the site-loop invariant per offset, as a dict keyed by offset."""
+    mode = lambda site, sp: int(np.ravel_multi_index(site, shape.dims)) * shape.spin + sp
+    sites = all_offsets(shape)
+    out = {}
+    for n in sites:
+        acc = 0.0
+        for m in sites:
+            tgt = shape.reduce(tuple(mc + nc for mc, nc in zip(m, n)))
+            for sp in range(shape.spin):
+                acc += bdag_b[mode(m, sp), mode(tgt, sp)].imag
+        out[n] = acc / shape.n_sites
+    return out
+
+
+def loop_quasifree_matrices(rc):
+    """Reference: the site-loop fill of the (Ns, Ns) ``<b+_x b_y>`` and ``<b_x b_y>``
+    matrices from per-offset blocks."""
+    shape = rc.shape
+    ns = shape.n_modes
+    mode = lambda site, sp: int(np.ravel_multi_index(site, shape.dims)) * shape.spin + sp
+    sites = all_offsets(shape)
+    qf_bdag_b = np.empty((ns, ns), dtype=complex)
+    qf_bb = np.empty((ns, ns), dtype=complex)
+    for x in sites:
+        for y in sites:
+            n = shape.reduce(tuple(yc - xc for yc, xc in zip(y, x)))
+            cb = rc.bdag_b[n]
+            db = rc.bb[n]
+            for sj in range(shape.spin):
+                for sl in range(shape.spin):
+                    qf_bdag_b[mode(x, sj), mode(y, sl)] = cb[sj, sl]
+                    qf_bb[mode(x, sj), mode(y, sl)] = db[sj, sl]
+    return qf_bdag_b, qf_bb
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=3).map(tuple),
+       spin=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_mode_grid_gathers_match_site_loops(dims, spin, seed):
+    shape = LatticeShape(dims, spin)
+    rng = np.random.default_rng(seed)
+    draw = lambda *size: rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+    bdag_b = draw(shape.n_modes, shape.n_modes)
+    inv = invariant_from_correlators(bdag_b, shape)
+    assert inv.shape == dims
+    assert max(abs(inv[n] - v) for n, v in loop_invariant_from_correlators(bdag_b, shape).items()) <= 1e-14
+    rc = RealSpaceCorrelators(shape, {n: draw(spin, spin) for n in all_offsets(shape)},
+                              {n: draw(spin, spin) for n in all_offsets(shape)})
+    qf_bdag_b, qf_bb = loop_quasifree_matrices(rc)
+    exact = ExactGroundState(energy=0.0, gap_above=1.0, degenerate=False, degeneracy_dim=1,
+                             vectors=np.zeros((1, 1)), bdag_b=qf_bdag_b, bb=qf_bb)
+    assert compare_with_quasifree(exact, rc).max_correlator_dev <= 1e-14
 
 
 def test_canonical_anticommutation_relations():
@@ -241,8 +298,7 @@ def test_zero_mode_invariant_matches_oracle_ground_space():
     ex = exact_ground_correlators(build_fock_hamiltonian(cs), average_degenerate=True)
     assert ex.degenerate and ex.degeneracy_dim == 2
     inv_fock = invariant_from_correlators(ex.bdag_b, cs.shape)
-    for n, v in inv_fock.items():
-        assert abs(v - inv_qf[n]) < 1e-9
+    assert np.abs(inv_fock - inv_qf).max() < 1e-9
     # averaged ground space equals the half-filled zero-mode Gaussian state exactly
     rc = real_space(cov, all_offsets(cs.shape))
     res = compare_with_quasifree(ex, rc, allow_degenerate=True)
@@ -250,8 +306,7 @@ def test_zero_mode_invariant_matches_oracle_ground_space():
     # single arbitrary ground vectors shift only the real part
     single = exact_ground_correlators(build_fock_hamiltonian(cs))
     inv_single = invariant_from_correlators(single.bdag_b, cs.shape)
-    for n, v in inv_single.items():
-        assert abs(v - inv_qf[n]) < 1e-9
+    assert np.abs(inv_single - inv_qf).max() < 1e-9
 
 
 def test_oracle_agreement_two_dimensional():
@@ -275,7 +330,7 @@ def test_oracle_agreement_two_dimensional():
 
         inv_qf = invariant_map(ground_covariance(sol))
         inv_fock = invariant_from_correlators(ex.bdag_b, cs.shape)
-        assert max(abs(inv_fock[n] - inv_qf[n]) for n in inv_fock) < 1e-10
+        assert np.abs(inv_fock - inv_qf).max() < 1e-10
         done += 1
 
 
@@ -292,8 +347,7 @@ def test_fock_quench_conserves_invariant():
         psi_t = evolve_state(hq, t, psi0)
         bdag_b, _ = correlators_from_vector(psi_t, shape.n_modes)
         inv_t = invariant_from_correlators(bdag_b, shape)
-        for n, v in inv_t.items():
-            assert abs(v - inv0[n]) < 1e-9
+        assert np.abs(inv_t - inv0).max() < 1e-9
 
 
 @settings(max_examples=60, deadline=None)
