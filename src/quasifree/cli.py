@@ -110,12 +110,14 @@ def _param(item: str) -> tuple[str, float]:
 
 def _lengths(text: str) -> list[int]:
     try:
-        if ":" in text:
-            lo, hi = text.split(":")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(v) for v in text.split(",")]
+        if ":" not in text:
+            return [int(v) for v in text.split(",")]
+        lo, hi = (int(v) for v in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: {lo} > {hi}")
+    return list(range(lo, hi + 1))
 
 
 def _times(text: str) -> list[float]:

@@ -8,7 +8,10 @@ A quadratic lattice Hamiltonian
 with circulant coefficients is stored through its offset slices
 ``hop(n) = A_{n,0}`` and ``pair(n) = B_{n,0}`` (s x s complex matrices keyed by
 reduced offset tuples).  Hermiticity requires ``hop(-n) = hop(n)^dag`` and the
-fermionic antisymmetry of the pairing requires ``pair(-n) = -pair(n)^T``.
+fermionic antisymmetry of the pairing requires ``pair(-n) = -pair(n)^T``.  Every
+``CouplingSet`` satisfies both: its constructor raises on a violation, so code
+that receives one never checks again.  ``symmetrize`` and ``load_model`` project
+raw data onto the constraints.
 
 Momentum blocks are the 2s x 2s Bogoliubov-de Gennes matrices
 
@@ -65,9 +68,22 @@ def _freeze(couplings: Mapping[tuple[int, ...], np.ndarray], shape: LatticeShape
     return out
 
 
+def _closure_image(table: Mapping[tuple[int, ...], np.ndarray], shape: LatticeShape, kind: str):
+    """The table closure requires ``table`` to equal: ``{-n: partner(table[n])}``, with
+    partner ``m^dag`` for ``kind == "hop"`` and ``-m^T`` for ``kind == "pair"``."""
+    if kind == "hop":
+        return {shape.negate(n): m.conj().T for n, m in table.items()}
+    return {shape.negate(n): -m.T for n, m in table.items()}
+
+
 @dataclass(frozen=True)
 class CouplingSet:
-    """Immutable hopping/pairing support of one translation-invariant Hamiltonian."""
+    """Immutable hopping/pairing support of one translation-invariant Hamiltonian.
+
+    Invariant: ``hop(-n) = hop(n)^dag`` and ``pair(-n) = -pair(n)^T`` entrywise
+    within ``CLOSURE_TOL``, a missing offset counting as zero.  Construction
+    raises ``ValueError`` listing the violations otherwise.
+    """
 
     shape: LatticeShape
     hop: Mapping[tuple[int, ...], np.ndarray]
@@ -76,14 +92,16 @@ class CouplingSet:
     def __post_init__(self):
         object.__setattr__(self, "hop", _freeze(self.hop, self.shape))
         object.__setattr__(self, "pair", _freeze(self.pair, self.shape))
+        if problems := validate(self):
+            lines = "\n".join(f"  {v.kind} offset {v.offset} entry ({v.row},{v.col}) "
+                              f"magnitude {v.magnitude:.3e}" for v in problems[:10])
+            raise ValueError(f"model violates coupling closure (invalid coupling set):\n{lines}")
 
     def resized(self, dims: Iterable[int]) -> "CouplingSet":
         """Same couplings on a different lattice (offsets carried over as signed representatives)."""
-        new = LatticeShape(tuple(dims), self.shape.spin)
-        hop = {self.shape.signed(n): m for n, m in self.hop.items()}
-        pair = {self.shape.signed(n): m for n, m in self.pair.items()}
-        return CouplingSet(new, {new.reduce(n): m for n, m in hop.items()},
-                           {new.reduce(n): m for n, m in pair.items()})
+        return CouplingSet(LatticeShape(tuple(dims), self.shape.spin),
+                           {self.shape.signed(n): m for n, m in self.hop.items()},
+                           {self.shape.signed(n): m for n, m in self.pair.items()})
 
 
 class Violation(NamedTuple):
@@ -95,26 +113,16 @@ class Violation(NamedTuple):
 
 
 def validate(c: CouplingSet, tol: float = CLOSURE_TOL) -> list[Violation]:
-    """Entrywise closure diagnostics; empty list means the set is a valid Hamiltonian.
-
-    Checks ``hop(-n) = hop(n)^dag`` and ``pair(-n) = -pair(n)^T`` over the
-    union of each support and its negation (missing partners count as zero).
-    """
+    """Entries where a table and its closure image differ by more than ``tol`` (a
+    missing offset counts as zero); every constructed set has none at the default."""
     out: list[Violation] = []
-    s = c.shape.spin
-    zero = np.zeros((s, s), dtype=complex)
-
-    def closure(table, partner_of, label):
-        offsets = set(table) | {c.shape.negate(n) for n in table}
-        for n in sorted(offsets):
-            a = table.get(n, zero)
-            b = table.get(c.shape.negate(n), zero)
-            dev = np.abs(a - partner_of(b))
+    zero = np.zeros((c.shape.spin, c.shape.spin), dtype=complex)
+    for kind, table in (("hop", c.hop), ("pair", c.pair)):
+        image = _closure_image(table, c.shape, kind)
+        for n in sorted(set(table) | set(image)):
+            dev = np.abs(table.get(n, zero) - image.get(n, zero))
             for row, col in zip(*np.nonzero(dev > tol)):
-                out.append(Violation(label, n, int(row), int(col), float(dev[row, col])))
-
-    closure(c.hop, lambda b: b.conj().T, "hop")
-    closure(c.pair, lambda b: -b.T, "pair")
+                out.append(Violation(kind, n, int(row), int(col), float(dev[row, col])))
     return out
 
 
@@ -128,49 +136,22 @@ def symmetrize(
     ``hop(n) <- (hop(n) + hop(-n)^dag)/2`` and ``pair(n) <- (pair(n) - pair(-n)^T)/2``,
     filled in on both ``n`` and ``-n``.  Idempotent; the output always validates.
     """
-    pair = pair or {}
-    s = shape.spin
-    zero = np.zeros((s, s), dtype=complex)
+    zero = np.zeros((shape.spin, shape.spin), dtype=complex)
 
-    def project(table, partner_of):
+    def project(table, kind):
         raw = {shape.reduce(n): np.asarray(m, dtype=complex) for n, m in table.items()}
-        offsets = set(raw) | {shape.negate(n) for n in raw}
-        proj = {}
-        for n in offsets:
-            a = raw.get(n, zero)
-            b = raw.get(shape.negate(n), zero)
-            proj[n] = (a + partner_of(b)) / 2
+        image = _closure_image(raw, shape, kind)
+        # a set's iteration order depends on how it was built; adding the image
+        # keys one at a time keeps the key order that slope_bound's sum follows
+        offsets = set(raw) | {n for n in image}
+        proj = {n: (raw.get(n, zero) + image.get(n, zero)) / 2 for n in offsets}
         return {n: m for n, m in proj.items() if np.abs(m).max() > 0.0}
 
-    return CouplingSet(
-        shape,
-        project(hop, lambda b: b.conj().T),
-        project(pair, lambda b: -b.T),
-    )
-
-
-def projection_distance(c: CouplingSet, hop, pair=None) -> float:
-    """Max entrywise distance between raw data and its symmetrized image."""
-    pair = pair or {}
-    dist = 0.0
-    for raw, table in ((hop, c.hop), (pair, c.pair)):
-        offsets = {c.shape.reduce(n) for n in raw} | set(table)
-        zero = np.zeros((c.shape.spin, c.shape.spin), dtype=complex)
-        raw_red = {c.shape.reduce(n): np.asarray(m, dtype=complex) for n, m in raw.items()}
-        for n in offsets:
-            dist = max(dist, float(np.abs(raw_red.get(n, zero) - table.get(n, zero)).max()))
-    return dist
+    return CouplingSet(shape, project(hop, "hop"), project(pair or {}, "pair"))
 
 
 def bdg_blocks(c: CouplingSet) -> np.ndarray:
     """All momentum-space BdG blocks, shape ``(n_sites, 2s, 2s)``."""
-    problems = validate(c)
-    if problems:
-        lines = "\n".join(
-            f"  {v.kind} offset {v.offset} entry ({v.row},{v.col}) magnitude {v.magnitude:.3e}"
-            for v in problems[:10]
-        )
-        raise ValueError(f"model violates coupling closure (invalid coupling set):\n{lines}")
     s = c.shape.spin
     a = fourier_circulant(c.hop, c.shape)
     b = fourier_circulant(c.pair, c.shape)
@@ -242,7 +223,8 @@ def _twisted_chain(shape: LatticeShape, alpha: float) -> CouplingSet:
 def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> CouplingSet:
     # free-form spinless chain; keys  a<r>_re / a<r>_im / b<r>_re / b<r>_im
     # (plain a0 allowed) set hop(r) and pair(r) for r >= 0; the partners at -r
-    # are completed from the closure, not averaged in
+    # are completed from the closure, not averaged in, so a parameter on a
+    # self-paired offset or one that conflicts with another fails the closure check
     if shape.d != 1 or shape.spin != 1:
         raise ValueError("spinless-general is spinless and one-dimensional")
     hop: dict[int, complex] = {}
@@ -255,28 +237,11 @@ def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> Coupl
         table = hop if kind == "a" else pair
         table[r] = table.get(r, 0.0) + (value if part == "re" else 1j * value)
 
-    def complete(table, partner_of, kind):
-        out: dict[tuple[int, ...], np.ndarray] = {}
-        for r, v in table.items():
-            fwd, bwd = shape.reduce((r,)), shape.reduce((-r,))
-            if fwd == bwd:
-                partner = partner_of(v)
-                if abs(v - partner) > 1e-14:
-                    raise ValueError(
-                        f"{kind}{r} sits on a self-paired offset of this lattice and "
-                        f"must satisfy its own closure"
-                    )
-                out[fwd] = np.array([[v]], dtype=complex)
-            else:
-                out[fwd] = np.array([[v]], dtype=complex)
-                out[bwd] = np.array([[partner_of(v)]], dtype=complex)
-        return out
+    def complete(table, kind):
+        raw = {shape.reduce((r,)): np.array([[v]], dtype=complex) for r, v in table.items()}
+        return {**_closure_image(raw, shape, kind), **raw}
 
-    return CouplingSet(
-        shape,
-        complete(hop, np.conj, "a"),
-        complete(pair, lambda v: -v, "b"),
-    )
+    return CouplingSet(shape, complete(hop, "hop"), complete(pair, "pair"))
 
 
 def catalog(mp: ModelParams) -> CouplingSet:
@@ -405,4 +370,10 @@ def load_model(path) -> LoadedModel:
             raise ValueError(f"duplicate {kind} record at reduced offset {n}")
         table[n] = _matrix_from_json(rec["matrix"], shape.spin)
     cs = symmetrize(shape, hop, pair)
-    return LoadedModel(cs, projection_distance(cs, hop, pair))
+    zero = np.zeros((shape.spin, shape.spin), dtype=complex)
+    distance = max(
+        (float(np.abs(raw.get(n, zero) - table.get(n, zero)).max())
+         for raw, table in ((hop, cs.hop), (pair, cs.pair)) for n in set(raw) | set(table)),
+        default=0.0,
+    )
+    return LoadedModel(cs, distance)

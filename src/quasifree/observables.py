@@ -181,6 +181,8 @@ def gapped_model_survey(
     genuinely gapped and must carry a vanishing invariant; any with invariant
     at or above ``inv_tol`` is a falsification event.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     spins = tuple(spins)
     doubled = tuple(2 * n for n in dims)
     gapped = falsified = 0

@@ -75,12 +75,6 @@ def _is_zero(energies: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(energies) < tol
 
 
-def _ph_image(w: np.ndarray) -> np.ndarray:
-    """Particle-hole partner of eigenvector columns: swap halves and conjugate."""
-    s = w.shape[0] // 2
-    return np.concatenate([w[s:].conj(), w[:s].conj()], axis=0)
-
-
 def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int, rtol: float = CLUSTER_RTOL) -> np.ndarray:
     """Within each degenerate eigenvalue cluster, rotate ``vecs`` in place to
     particle-weight extremal vectors."""
@@ -215,12 +209,12 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
         flip = np.sum(np.abs(vecs[:s, pos]) ** 2, axis=0) < 0.5
         e = np.where(flip, -lam[pos], lam[pos])
         order = np.argsort(e, kind="stable")
-        d = np.where(flip, _ph_image(vecs[:, pos]), vecs[:, pos])[:, order]
+        d = np.where(flip, np.roll(vecs[:, pos], s, axis=0).conj(), vecs[:, pos])[:, order]
         # d is orthogonal to its image only to about eps ||H_k|| / gap; the polar
         # factor of [d, image] is unitary and keeps the image structure
-        x, _, yh = np.linalg.svd(np.concatenate([d, _ph_image(d)], axis=1))
+        x, _, yh = np.linalg.svd(np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1))
         d = (x @ yh)[:, :s]
-        u[i] = np.concatenate([d, _ph_image(d)], axis=1)
+        u[i] = np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1)
         u_energies[i] = np.concatenate([e[order], -e[order]])
     return BogoliubovSolution(shape=shape, u=u, u_energies=u_energies, zero_mode_tol=zero_mode_tol)
 

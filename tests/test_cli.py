@@ -60,6 +60,17 @@ def test_spectrum_twisted_gap_at_band_zero(tmp_path):
     assert len(by_abs) == 64
 
 
+@pytest.mark.parametrize("params", [["a1=1", "a7=0.3"], ["a0_im=0.5"], ["b4=0.5"]],
+                         ids=["conflicting-partner", "complex-onsite", "self-paired-pairing"])
+def test_spinless_general_closure_violation_exits_2(tmp_path, capsys, params):
+    args = ["spectrum", "--model", "spinless-general", "--dims", "8", "--out", str(tmp_path)]
+    for p in params:
+        args += ["--param", p]
+    assert run(args) == 2
+    assert "coupling closure" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_spectrum_spinless_general_catalog(tmp_path):
     code = run([
         "spectrum", "--model", "spinless-general",
@@ -159,6 +170,12 @@ def test_verify_count_zero_warns(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
+def test_verify_negative_count_exits_2(tmp_path, capsys):
+    assert run(["verify", "--dims", "8", "--count", "-3", "--out", str(tmp_path)]) == 2
+    assert "count must be nonnegative, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_entropy_gapped_classification(tmp_path, capsys):
     code = run([
         "entropy", "--model", "p-model", "--param", "p=2", "--dims", "64",
@@ -206,11 +223,11 @@ def test_entropy_short_default_lengths_names_the_flag(tmp_path, capsys):
 
 
 def test_entropy_empty_lengths_range_exits_2(tmp_path, capsys):
-    code = run(["entropy", "--model", "p-model", "--dims", "64", "--lengths", "5:4",
-                "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "no block lengths given" in err and "--lengths" not in err
+    with pytest.raises(SystemExit) as exc:
+        run(["entropy", "--model", "p-model", "--dims", "64", "--lengths", "5:4",
+             "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --lengths: empty range '5:4'" in capsys.readouterr().err
     assert not (tmp_path / "entropy.csv").exists()
 
 

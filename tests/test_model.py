@@ -17,7 +17,7 @@ from quasifree import (
     validate,
 )
 from quasifree.lattice import fourier_circulant
-from quasifree.model import particle_hole_residual
+from quasifree.model import CLOSURE_TOL, particle_hole_residual
 
 from conftest import make_p_model, make_twisted
 
@@ -32,15 +32,101 @@ def test_validate_accepts_antihermitian_hop_pair():
 
 
 def test_validate_flags_missing_partner():
-    cs = CouplingSet(chain(8), {(1,): [[1.0]]}, {})
-    bad = validate(cs)
-    assert any(v.offset == (7,) and v.kind == "hop" for v in bad)
+    with pytest.raises(ValueError, match=r"coupling closure[\s\S]*hop offset \(7,\)"):
+        CouplingSet(chain(8), {(1,): [[1.0]]}, {})
 
 
 def test_validate_flags_onsite_diagonal_pairing():
-    cs = CouplingSet(chain(8), {}, {(0,): [[1.0]]})
-    bad = validate(cs)
-    assert any(v.kind == "pair" and v.offset == (0,) for v in bad)
+    with pytest.raises(ValueError, match=r"coupling closure[\s\S]*pair offset \(0,\)"):
+        CouplingSet(chain(8), {}, {(0,): [[1.0]]})
+
+
+@st.composite
+def raw_tables(draw):
+    """A lattice and raw hop/pair tables: random entries, some offsets given
+    their closure partner, some partners perturbed."""
+    shape = LatticeShape((draw(st.integers(2, 7)),), draw(st.integers(1, 2)))
+    s = shape.spin
+    entry = st.builds(complex, st.sampled_from([0.0, 1.0, -0.5, 0.25]),
+                      st.sampled_from([0.0, 1.0, -2.0]))
+
+    def table(partner):
+        out = {}
+        for n in draw(st.lists(st.integers(-8, 8), max_size=4)):
+            out[(n,)] = np.array(draw(st.lists(entry, min_size=s * s, max_size=s * s))).reshape(s, s)
+            if draw(st.booleans()):
+                nudge = draw(st.sampled_from([0.0, 1e-13, 1e-6]))
+                out[(-n,)] = partner(out[(n,)]) + nudge
+        return out
+
+    return shape, table(lambda m: m.conj().T), table(lambda m: -m.T)
+
+
+def closure_deviation(shape, table, partner):
+    """Independent reference: max entrywise |table(n) - partner(table(-n))|."""
+    zero = np.zeros((shape.spin, shape.spin), dtype=complex)
+    red = {shape.reduce(n): np.asarray(m, dtype=complex) for n, m in table.items()}
+    return max((np.abs(red.get(n, zero) - partner(red.get(shape.negate(n), zero))).max()
+                for n in red), default=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_tables())
+def test_coupling_set_is_valid_by_construction(data):
+    shape, hop, pair = data
+    unique = all(len({shape.reduce(n) for n in t}) == len(t) for t in (hop, pair))
+    closed = (closure_deviation(shape, hop, lambda m: m.conj().T) <= CLOSURE_TOL
+              and closure_deviation(shape, pair, lambda m: -m.T) <= CLOSURE_TOL)
+    try:
+        cs = CouplingSet(shape, hop, pair)
+    except ValueError as exc:
+        assert not (unique and closed)
+        assert ("duplicate" if not unique else "coupling closure") in str(exc)
+    else:
+        assert unique and closed
+        assert validate(cs) == []
+    assert validate(symmetrize(shape, hop, pair)) == []
+
+
+def old_symmetrize(shape, hop, pair=None):
+    """The closure projection as written before ``CouplingSet`` checked closure
+    itself; ``test_symmetrize_matches_previous_implementation`` pins to it."""
+    pair = pair or {}
+    s = shape.spin
+    zero = np.zeros((s, s), dtype=complex)
+
+    def project(table, partner_of):
+        raw = {shape.reduce(n): np.asarray(m, dtype=complex) for n, m in table.items()}
+        offsets = set(raw) | {shape.negate(n) for n in raw}
+        proj = {}
+        for n in offsets:
+            a = raw.get(n, zero)
+            b = raw.get(shape.negate(n), zero)
+            proj[n] = (a + partner_of(b)) / 2
+        return {n: m for n, m in proj.items() if np.abs(m).max() > 0.0}
+
+    return project(hop, lambda b: b.conj().T), project(pair, lambda b: -b.T)
+
+
+@pytest.mark.parametrize("dims", [(6,), (9,), (6, 6), (5, 5, 5), (12, 12, 12)])
+def test_symmetrize_matches_previous_implementation(dims):
+    # large partial supports, as on the 12^3 grid, are where a set of the same
+    # offsets built another way iterates in another order
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        shape = LatticeShape(dims, 1 + seed % 2)
+        s = shape.spin
+
+        def draw():
+            keep = rng.random() < 0.5
+            return {n: rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+                    for n in np.ndindex(*dims) if keep or rng.random() < 0.7}
+
+        hop, pair = draw(), draw()
+        new = symmetrize(shape, hop, pair)
+        for table, ref in zip((new.hop, new.pair), old_symmetrize(shape, hop, pair)):
+            assert list(table) == list(ref)
+            assert all(table[n].tobytes() == ref[n].tobytes() for n in ref)
 
 
 def test_symmetrize_is_identity_on_valid_sets(p_model_64):
@@ -102,9 +188,9 @@ def test_bdg_blocks_are_hermitian_and_ph_symmetric():
 
 
 def test_bdg_rejects_invalid_set():
-    cs = CouplingSet(chain(8), {(1,): [[1.0]]}, {})
-    with pytest.raises(ValueError, match="invalid"):
-        bdg_blocks(cs)
+    # bdg_blocks cannot receive one: construction refuses it
+    with pytest.raises(ValueError, match=r"invalid coupling set[\s\S]*hop offset \(7,\)"):
+        CouplingSet(chain(8), {(1,): [[1.0]]}, {})
 
 
 def test_inversion_fixed_point_iff_hop_hermitian():
@@ -165,6 +251,22 @@ def test_catalog_spinless_general_builds_kitaev_couplings():
     kt = 2 * np.pi * np.arange(8) / 8
     assert np.abs(a_k - (np.cos(kt) - mu)).max() < 1e-14
     assert np.abs(b_k - 1j * np.sin(kt)).max() < 1e-14
+
+
+@pytest.mark.parametrize("params", [
+    {"a1": 1.0, "a7": 0.3},  # a7 is a1's partner on 8 sites and disagrees with it
+    {"a0_im": 0.5},  # imaginary onsite energy
+    {"b4": 0.5},  # offset 4 is self-paired on 8 sites, where pairing must vanish
+])
+def test_catalog_spinless_general_rejects_closure_violations(params):
+    with pytest.raises(ValueError, match="coupling closure"):
+        catalog(ModelParams("spinless-general", params, chain(8)))
+
+
+def test_catalog_spinless_general_accepts_consistent_partner():
+    cs = catalog(ModelParams("spinless-general", {"a1": 1.0, "a7": 1.0}, chain(8)))
+    assert set(cs.hop) == {(1,), (7,)}
+    assert cs.hop[(1,)][0, 0] == cs.hop[(7,)][0, 0] == 1.0
 
 
 def test_catalog_spinless_general_rejects_unknown_keys():

@@ -27,6 +27,7 @@ from quasifree.observables import (
     _offset_stacks,
     _restricted_nambu,
     asymmetry_diagnostics,
+    gapped_model_survey,
 )
 from quasifree.solver import CovarianceKernel
 
@@ -353,3 +354,9 @@ def test_entropies_match_peschel_hopping_formula(cs):
         assert abs(entropy - peschel_entropy(cov, length)) < 1e-9
     for length in (1, 2, n_sites // 2, n_sites - 1, n_sites):
         assert abs(block_entropy(cov, length) - peschel_entropy(cov, length)) < 1e-9
+
+
+def test_survey_rejects_negative_count():
+    with pytest.raises(ValueError, match="nonnegative"):
+        gapped_model_survey((8,), -3, seed=0)
+    assert gapped_model_survey((8,), 0, seed=0).drawn == 0
