@@ -24,7 +24,6 @@ from .observables import (
     EntropyScan,
     InvariantReport,
     asymmetry_diagnostics,
-    block_entropy,
     entropy_scan,
     invariant_map,
     verify_criticality,

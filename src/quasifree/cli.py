@@ -19,9 +19,15 @@ for ``--model --param --dims --spin``.
 A flag the command does not read, or a value its type rejects, is an argparse
 error.  Tolerance defaults are the library's.  Exit codes: 0 success, 1 failed
 assertion / falsification / threshold breach, 2 invalid input, 3 internal
-numerical failure (an eigensolver error or corrupted covariance data).  All
-commands are deterministic for a fixed seed; floats are written with 17
-significant digits so downstream plots reproduce exactly.
+numerical failure (an eigensolver error, corrupted covariance data or a
+non-Hermitian Fock assembly).  All commands are deterministic for a fixed seed;
+floats are written with 17 significant digits so downstream plots reproduce
+exactly.
+
+Commands return their report lines; ``main`` writes ``<out>/report.txt`` and
+repeats it on stdout (after a model file's closure projection note, if any).  A
+failing command writes no report.  ``verify --count 0`` reports "models drawn:
+0" and a warning line.
 """
 
 from __future__ import annotations
@@ -76,17 +82,15 @@ def _fmt(value) -> str:
     return FLOAT_FMT % float(value)
 
 
-def _write_csv(path, header, columns) -> None:
-    """Write equal-length columns: integer columns as ``%d``, the rest as ``FLOAT_FMT``."""
+def _write_csv(out, name, header, columns) -> None:
+    """Write equal-length columns to ``out/name``: integer columns as ``%d``, the
+    rest as ``FLOAT_FMT``."""
     columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in columns) + "\n"
-    with open(path, "w") as fh:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
-
-
-class InputError(Exception):
-    """User input problems; mapped to exit code 2."""
 
 
 # argparse types: a value they reject is an argparse error, exit code 2
@@ -129,7 +133,7 @@ def _times(text: str) -> list[float]:
 
 def _resolve_model(args: argparse.Namespace) -> CouplingSet:
     if args.model is None:
-        raise InputError("--model is required for this command")
+        raise ValueError("--model is required for this command")
     if os.path.exists(args.model):
         loaded = load_model(args.model)
         cs = loaded.couplings
@@ -139,17 +143,12 @@ def _resolve_model(args: argparse.Namespace) -> CouplingSet:
             cs = cs.resized(args.dims)
         return cs
     if args.model not in CATALOG_NAMES:
-        raise InputError(
-            f"model {args.model!r} is neither a file nor a catalog name {CATALOG_NAMES}"
-        )
+        raise ValueError(f"model {args.model!r} is neither a file nor a catalog name {CATALOG_NAMES}")
     if args.dims is None:
-        raise InputError("catalog models need --dims")
+        raise ValueError("catalog models need --dims")
     spin = args.spin if args.spin is not None else (2 if args.model == "p-model" else 1)
     shape = LatticeShape(args.dims, spin)
-    try:
-        return catalog(ModelParams(name=args.model, params=dict(args.param), shape=shape))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return catalog(ModelParams(name=args.model, params=dict(args.param), shape=shape))
 
 
 def _reach(args: argparse.Namespace, dims: tuple[int, ...]) -> int:
@@ -158,12 +157,6 @@ def _reach(args: argparse.Namespace, dims: tuple[int, ...]) -> int:
     if args.reach is not None:
         return args.reach
     return min(2, (min(dims) - 1) // 2)
-
-
-def _report(args: argparse.Namespace, lines: list[str]) -> None:
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _offset_columns(d: int) -> list[str]:
@@ -181,59 +174,47 @@ def _reduced_offsets(text: str | None, shape: LatticeShape) -> np.ndarray:
         else:
             out = [[int(v)] for v in text.split(",")]
     except ValueError as exc:
-        raise InputError(f"cannot parse --offsets {text!r}") from exc
+        raise ValueError(f"cannot parse --offsets {text!r}") from exc
     for n in out:
         if len(n) != shape.d:
-            raise InputError(f"offset {tuple(n)} has {len(n)} components, lattice has {shape.d}")
+            raise ValueError(f"offset {tuple(n)} has {len(n)} components, lattice has {shape.d}")
     return np.array(out, dtype=np.int64).reshape(-1, shape.d) % shape.dims
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its report lines and exit code
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
     sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
     shape = cs.shape
-    os.makedirs(args.out, exist_ok=True)
     header = (
         [f"k_{i + 1}" for i in range(shape.d)]
         + [f"lam_{a + 1}" for a in range(2 * shape.spin)]
         + [f"branch_{j + 1}" for j in range(shape.spin)]
     )
     columns = [*shape.momenta().T, *sol.energies.T, *sol.branch.T]
-    _write_csv(os.path.join(args.out, "spectrum.csv"), header, columns)
-    lines = [
+    _write_csv(args.out, "spectrum.csv", header, columns)
+    return [
         f"model dims={shape.dims} spin={shape.spin}",
         f"spectral gap: {_fmt(sol.gap)}",
         f"zero modes (|energy| < {args.zero_mode_tol:g}): {len(sol.zero_modes())}",
-    ]
-    _report(args, lines)
-    print("\n".join(lines))
-    print(f"wrote {shape.n_sites} rows to {os.path.join(args.out, 'spectrum.csv')}")
-    return 0
+    ], 0
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
+def cmd_invariants(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
     report = verify_criticality(
         cs, gap_tol=args.gap_tol, inv_tol=args.inv_tol, zero_mode_tol=args.zero_mode_tol
     )
     shape = cs.shape
-    os.makedirs(args.out, exist_ok=True)
     wanted = _reduced_offsets(args.offsets, shape)
-    _write_csv(
-        os.path.join(args.out, "invariants.csv"),
-        _offset_columns(shape.d) + ["invariant"],
-        [*wanted.T, report.invariant[tuple(wanted.T)]],
-    )
+    _write_csv(args.out, "invariants.csv", _offset_columns(shape.d) + ["invariant"],
+               [*wanted.T, report.invariant[tuple(wanted.T)]])
     momenta, band, m, p = report.asymmetry
-    _write_csv(
-        os.path.join(args.out, "asymmetry.csv"),
-        [f"k_{i + 1}" for i in range(shape.d)] + ["band", "M", "P"],
-        [*momenta.T, band, m, p],
-    )
+    _write_csv(args.out, "asymmetry.csv", [f"k_{i + 1}" for i in range(shape.d)] + ["band", "M", "P"],
+               [*momenta.T, band, m, p])
     lines = [
         f"model dims={shape.dims} spin={shape.spin}",
         f"spectral gap: {_fmt(report.gap)}",
@@ -244,29 +225,22 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     ]
     if report.falsification:
         lines.append("FALSIFICATION: stable gap with nonzero invariant")
-    _report(args, lines + [f"verdict: {report.verdict}"])
-    print("\n".join(lines))
-    print(f"verdict: {report.verdict}")
-    return 1 if report.falsification else 0
+    lines.append(f"verdict: {report.verdict}")
+    return lines, 1 if report.falsification else 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     if args.dims is None:
-        raise InputError("verify needs --dims for the base lattice")
+        raise ValueError("verify needs --dims for the base lattice")
     spins = (args.spin,) if args.spin is not None else (1, 2)
-    if args.count == 0:
-        print("warning: --count 0 requested; nothing to verify")
-        _report(args, ["verify: 0 models requested", "falsifications: 0"])
-        return 0
-
     reach = _reach(args, args.dims)
     survey = gapped_model_survey(
         args.dims, args.count, args.seed, reach=reach, spins=spins,
         gap_tol=args.gap_tol, inv_tol=args.inv_tol, zero_mode_tol=args.zero_mode_tol,
     )
-    for seed, gap, inv in survey.events:
-        print(f"FALSIFICATION at seed {seed}: gap {gap:.4f}, invariant {inv:.3e}")
-    lines = [
+    lines = [f"FALSIFICATION at seed {seed}: gap {gap:.4f}, invariant {inv:.3e}"
+             for seed, gap, inv in survey.events]
+    lines += [
         f"verify: dims={args.dims} reach={reach} spins={list(spins)} seed={args.seed}",
         "ensemble: uniform couplings rescaled to band-slope bound 1",
         f"models drawn: {survey.drawn}",
@@ -279,75 +253,62 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"warning: gap threshold {args.gap_tol:g} is below pi/N = {np.pi / min(args.dims):.4f}; "
             "the filter is not leak-proof at this lattice size"
         )
-    _report(args, lines)
-    print("\n".join(lines))
-    return 1 if survey.falsifications else 0
+    if args.count == 0:
+        lines.append("warning: --count 0 requested; nothing to verify")
+    return lines, 1 if survey.falsifications else 0
 
 
-def cmd_entropy(args: argparse.Namespace) -> int:
+def cmd_entropy(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
     if cs.shape.d != 1:
-        raise InputError("entropy scans support chains (d=1) only")
+        raise ValueError("entropy scans support chains (d=1) only")
     n_sites = cs.shape.dims[0]
     top = max(5, n_sites // 4)
     lengths = args.lengths if args.lengths is not None else list(range(4, top + 1))
     sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
     try:
         scan = entropy_scan(ground_covariance(sol), lengths)
-    except np.linalg.LinAlgError:  # a ValueError, but corrupted data: exit 3 below
-        raise
     except ValueError as exc:
-        if args.lengths is not None:
+        # a LinAlgError is a ValueError too, but it means corrupted data: exit 3
+        if args.lengths is not None or isinstance(exc, np.linalg.LinAlgError):
             raise
-        raise InputError(
+        raise ValueError(
             f"{exc} (default --lengths 4:{top}, i.e. 4:N/4 for N={n_sites}); pass --lengths"
         ) from exc
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "entropy.csv"),
-        ["L", "S"],
-        [scan.lengths, scan.entropies],
-    )
-    lines = [
+    _write_csv(args.out, "entropy.csv", ["L", "S"], [scan.lengths, scan.entropies])
+    return [
         f"model dims={cs.shape.dims} spin={cs.shape.spin}",
         f"fit S ~ a ln L + b on upper-half window: a={_fmt(scan.slope)} b={_fmt(scan.intercept)}",
         f"fit rms residual: {_fmt(scan.residual)}",
         f"saturation estimate: {_fmt(scan.saturation)}",
         f"classification: {scan.classification}",
-    ]
-    _report(args, lines)
-    print("\n".join(lines))
-    return 0
+    ], 0
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
-    sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
-    cov = ground_covariance(sol)
+    cov = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
     if cov.zero_modes:
-        raise InputError("model has one-particle zero modes; oracle comparison undefined")
+        raise ValueError("model has one-particle zero modes; oracle comparison undefined")
     exact = exact_ground_correlators(build_fock_hamiltonian(cs), degeneracy_tol=args.degeneracy_tol)
     if exact.degenerate:
-        raise InputError("exact ground state is degenerate; oracle comparison undefined")
+        raise ValueError("exact ground state is degenerate; oracle comparison undefined")
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
     energy = ground_energy(cs)
     result = compare_with_quasifree(exact, rc, energy=energy)
-    lines = [
+    ok = result.max_correlator_dev < ORACLE_DEV_TOL and result.energy_rel_dev < ORACLE_DEV_TOL
+    return [
         f"model dims={cs.shape.dims} spin={cs.shape.spin} ({cs.shape.n_modes} modes)",
         f"max correlator deviation: {_fmt(result.max_correlator_dev)}",
         f"ground energy (momentum route): {_fmt(energy)}",
         f"ground energy (Fock route): {_fmt(exact.energy)}",
         f"energy relative deviation: {_fmt(result.energy_rel_dev)}",
         f"threshold: {ORACLE_DEV_TOL:g}",
-    ]
-    ok = result.max_correlator_dev < ORACLE_DEV_TOL and result.energy_rel_dev < ORACLE_DEV_TOL
-    lines.append("agreement: PASS" if ok else "agreement: FAIL")
-    _report(args, lines)
-    print("\n".join(lines))
-    return 0 if ok else 1
+        "agreement: PASS" if ok else "agreement: FAIL",
+    ], 0 if ok else 1
 
 
-def cmd_quench(args: argparse.Namespace) -> int:
+def cmd_quench(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
     shape = cs.shape
     times = args.times if args.times is not None else [float(t) for t in range(11)]
@@ -359,25 +320,18 @@ def cmd_quench(args: argparse.Namespace) -> int:
     series = np.array([
         invariant_map(evolve_quench(cov0, quench, t))[tuple(offsets.T)] for t in times
     ])
-    os.makedirs(args.out, exist_ok=True)
-    _write_csv(
-        os.path.join(args.out, "quench.csv"),
-        ["t"] + _offset_columns(shape.d) + ["invariant"],
-        [np.repeat(times, len(offsets)), *np.tile(offsets, (len(times), 1)).T, series.ravel()],
-    )
+    _write_csv(args.out, "quench.csv", ["t"] + _offset_columns(shape.d) + ["invariant"],
+               [np.repeat(times, len(offsets)), *np.tile(offsets, (len(times), 1)).T, series.ravel()])
     spread = float((series.max(axis=0) - series.min(axis=0)).max()) if series.size else 0.0
-    lines = [
+    ok = spread < QUENCH_SPREAD_TOL
+    return [
         f"model dims={shape.dims} spin={shape.spin}",
         f"quench: seeded random model (seed={args.seed}, reach={reach}, pairing on)",
         f"times: {len(times)} points in [{min(times):g}, {max(times):g}]",
         f"max per-offset invariant spread over time: {_fmt(spread)}",
         f"conservation threshold: {QUENCH_SPREAD_TOL:g}",
-    ]
-    ok = spread < QUENCH_SPREAD_TOL
-    lines.append("conservation: PASS" if ok else "conservation: FAIL")
-    _report(args, lines)
-    print("\n".join(lines))
-    return 0 if ok else 1
+        "conservation: PASS" if ok else "conservation: FAIL",
+    ], 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,14 +400,19 @@ def main(argv=None) -> int:
     try:
         for name, value in vars(args).items():
             if name.endswith("_tol") and value <= 0:
-                raise InputError(f"--{name.replace('_', '-')} must be positive")
-        return args.handler(args)
+                raise ValueError(f"--{name.replace('_', '-')} must be positive")
+        lines, code = args.handler(args)
+        os.makedirs(args.out, exist_ok=True)
+        with open(os.path.join(args.out, "report.txt"), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
     except np.linalg.LinAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

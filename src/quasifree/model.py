@@ -224,21 +224,28 @@ def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> Coupl
     # free-form spinless chain; keys  a<r>_re / a<r>_im / b<r>_re / b<r>_im
     # (plain a0 allowed) set hop(r) and pair(r) for r >= 0; the partners at -r
     # are completed from the closure, not averaged in, so a parameter on a
-    # self-paired offset or one that conflicts with another fails the closure check
+    # self-paired offset or one that conflicts with another fails the closure check;
+    # two values of r that reduce to one offset are refused
     if shape.d != 1 or shape.spin != 1:
         raise ValueError("spinless-general is spinless and one-dimensional")
-    hop: dict[int, complex] = {}
-    pair: dict[int, complex] = {}
+    hop: dict[tuple[int], complex] = {}
+    pair: dict[tuple[int], complex] = {}
+    first: dict[tuple, tuple[int, str]] = {}  # (kind, offset) -> its first (r, key)
     for key, value in params.items():
         m = _SPINLESS_KEY.match(key)
         if not m:
             raise ValueError(f"unrecognized spinless-general parameter {key!r}")
         kind, r, part = m.group(1), int(m.group(2)), m.group(3) or "re"
+        n = shape.reduce((r,))
+        r0, key0 = first.setdefault((kind, n), (r, key))
+        if r0 != r:
+            raise ValueError(f"spinless-general parameters {key0!r} and {key!r} both set "
+                             f"offset {n} on dims {shape.dims}")
         table = hop if kind == "a" else pair
-        table[r] = table.get(r, 0.0) + (value if part == "re" else 1j * value)
+        table[n] = table.get(n, 0.0) + (value if part == "re" else 1j * value)
 
     def complete(table, kind):
-        raw = {shape.reduce((r,)): np.array([[v]], dtype=complex) for r, v in table.items()}
+        raw = {n: np.array([[v]], dtype=complex) for n, v in table.items()}
         return {**_closure_image(raw, shape, kind), **raw}
 
     return CouplingSet(shape, complete(hop, "hop"), complete(pair, "pair"))

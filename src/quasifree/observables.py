@@ -32,6 +32,7 @@ from .solver import (
     ZERO_MODE_TOL,
     BogoliubovSolution,
     CovarianceKernel,
+    _is_zero,
     diagonalize,
     ground_covariance,
 )
@@ -44,7 +45,6 @@ __all__ = [
     "asymmetry_diagnostics",
     "verify_criticality",
     "gapped_model_survey",
-    "block_entropy",
     "entropy_scan",
 ]
 
@@ -75,8 +75,8 @@ def asymmetry_diagnostics(
     neg = sol.shape.negation_table
     grid = sol.shape.momenta()
     lk, lnk = sol.branch, sol.branch[neg]
-    indet = (np.minimum(np.abs(lk), np.abs(lnk)) <= sol.zero_mode_tol) | ~(
-        sol.coef_ok & sol.coef_ok[neg])[:, None]
+    indet = (_is_zero(lk, sol.zero_mode_tol) | _is_zero(lnk, sol.zero_mode_tol)
+             | ~(sol.coef_ok & sol.coef_ok[neg])[:, None])
     m = (np.sign(lk) - np.sign(lnk)) / 2.0
     p = (np.sign(lk) + np.sign(lnk)) / 2.0
     i, j = np.nonzero(~indet & (np.abs(m) > threshold))
@@ -286,27 +286,6 @@ def _gaussian_entropy(nu: np.ndarray, bound_tol: float = 1e-8) -> float:
     return float(-terms.sum())
 
 
-def _check_lengths(cov: CovarianceKernel, lengths: Sequence[int]) -> None:
-    if cov.shape.d != 1:
-        raise ValueError("block entropy scans are implemented for chains only")
-    if not lengths:
-        raise ValueError("no block lengths given")
-    for length in lengths:
-        if not 1 <= length <= cov.shape.dims[0]:
-            raise ValueError(f"block length {length} outside 1..{cov.shape.dims[0]}")
-
-
-def block_entropy(cov: CovarianceKernel, length: int) -> float:
-    """Von Neumann entropy (nats) of a contiguous block of ``length`` sites (chains only).
-
-    Diagonalizes the Ls x Ls hopping matrix when the pairing kernel is exactly
-    zero, and the 2Ls x 2Ls Nambu correlation matrix otherwise.
-    """
-    _check_lengths(cov, [length])
-    nu, = _block_spectra(cov, [length])
-    return _gaussian_entropy(nu)
-
-
 @dataclass(frozen=True)
 class EntropyScan:
     """Entropy-vs-block-length data with a log fit over the upper half of the lengths."""
@@ -331,7 +310,13 @@ def entropy_scan(cov: CovarianceKernel, lengths: Sequence[int]) -> EntropyScan:
     between as inconclusive.
     """
     lengths = tuple(int(x) for x in lengths)
-    _check_lengths(cov, lengths)
+    if cov.shape.d != 1:
+        raise ValueError("block entropy scans are implemented for chains only")
+    if not lengths:
+        raise ValueError("no block lengths given")
+    for length in lengths:
+        if not 1 <= length <= cov.shape.dims[0]:
+            raise ValueError(f"block length {length} outside 1..{cov.shape.dims[0]}")
     ent = [_gaussian_entropy(nu) for nu in _block_spectra(cov, lengths)]
     cut = (min(lengths) + max(lengths)) / 2.0
     window = [(L, S) for L, S in zip(lengths, ent) if L >= cut]

@@ -124,8 +124,9 @@ def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     # row blocks of about 2^16 entries keep the check's temporaries near 1 MB
     step = max(1, (1 << 16) // dim)
     herm = max(np.abs(h[r:r + step] - h[:, r:r + step].conj().T).max() for r in range(0, dim, step))
-    if herm > 1e-12:
-        raise ValueError(f"assembled Fock Hamiltonian is not Hermitian (residual {herm:.2e})")
+    if herm > 1e-12:  # a valid CouplingSet assembles Hermitian: this is an internal failure
+        raise np.linalg.LinAlgError(
+            f"assembled Fock Hamiltonian is not Hermitian (residual {herm:.2e})")
     return h
 
 

@@ -71,6 +71,15 @@ def test_spinless_general_closure_violation_exits_2(tmp_path, capsys, params):
     assert not (tmp_path / "spectrum.csv").exists()
 
 
+def test_spinless_general_offset_collision_exits_2(tmp_path, capsys):
+    # a9 reduces to offset 1 on 8 sites, where a1 already sets it
+    args = ["spectrum", "--model", "spinless-general", "--param", "a1=1", "--param", "a9=0.3",
+            "--dims", "8", "--out", str(tmp_path)]
+    assert run(args) == 2
+    assert "'a1' and 'a9' both set offset (1,)" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists() and not (tmp_path / "report.txt").exists()
+
+
 def test_spectrum_spinless_general_catalog(tmp_path):
     code = run([
         "spectrum", "--model", "spinless-general",
@@ -168,6 +177,7 @@ def test_verify_clean_run_and_determinism(tmp_path):
 def test_verify_count_zero_warns(tmp_path, capsys):
     assert run(["verify", "--dims", "8", "--count", "0", "--out", str(tmp_path)]) == 0
     assert "warning" in capsys.readouterr().out
+    assert "models drawn: 0" in (tmp_path / "report.txt").read_text().splitlines()
 
 
 def test_verify_negative_count_exits_2(tmp_path, capsys):
@@ -360,6 +370,46 @@ def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
     code = run(["spectrum", "--model", "p-model", "--dims", "8", "--out", str(tmp_path)])
     assert code == 3
     assert "eigensolver failed at momentum (0,)" in capsys.readouterr().err
+
+
+def drop_last_fock_term(monkeypatch):
+    import quasifree.oracle as oracle
+
+    terms = oracle._terms
+    monkeypatch.setattr(oracle, "_terms", lambda table, shape: tuple(a[:-1] for a in terms(table, shape)))
+
+
+def test_non_hermitian_fock_assembly_exits_3(tmp_path, monkeypatch, capsys):
+    drop_last_fock_term(monkeypatch)
+    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
+    assert code == 3
+    assert "not Hermitian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, code", [
+    (["spectrum", "--model", "p-model", "--dims", "8"], 0),
+    (["invariants", "--model", "twisted-chain", "--param", "alpha=0.9", "--dims", "16"], 1),
+    (["verify", "--dims", "8", "--count", "2"], 0),
+    (["verify", "--dims", "8", "--count", "3", "--gap-tol", "0.01"], 1),
+    (["entropy", "--model", "p-model", "--dims", "16", "--lengths", "4:12"], 0),
+    (["oracle", "--model", "p-model", "--dims", "4"], 0),
+    (["quench", "--model", "p-model", "--dims", "8", "--times", "0,1"], 0),
+    (["entropy", "--model", "p-model", "--dims", "8"], 2),
+    (["oracle", "--model", "p-model", "--dims", "4"], 3),
+], ids=["spectrum", "invariants", "verify", "verify-falsified", "entropy", "oracle", "quench",
+        "input-error", "internal-error"])
+def test_stdout_is_the_report(tmp_path, monkeypatch, capsys, args, code):
+    if code == 3:
+        drop_last_fock_term(monkeypatch)
+    assert run([*args, "--out", str(tmp_path)]) == code
+    out = capsys.readouterr().out
+    report = tmp_path / "report.txt"
+    if code >= 2:
+        assert out == "" and not report.exists()
+    else:
+        assert out == report.read_text()
+    if "--gap-tol" in args:
+        assert out.startswith("FALSIFICATION at seed 20242: gap ")
 
 
 @pytest.mark.parametrize("model", [

@@ -269,6 +269,21 @@ def test_catalog_spinless_general_accepts_consistent_partner():
     assert cs.hop[(1,)][0, 0] == cs.hop[(7,)][0, 0] == 1.0
 
 
+@pytest.mark.parametrize("params, keys", [
+    ({"a1": 1.0, "a9": 0.3}, "'a1' and 'a9'"),  # 9 reduces to 1 on 8 sites
+    ({"b2_re": 0.5, "b10_im": 0.2}, "'b2_re' and 'b10_im'"),
+], ids=["a1-a9", "b2-b10"])
+def test_catalog_spinless_general_rejects_offset_collisions(params, keys):
+    with pytest.raises(ValueError, match=f"{keys} both set offset"):
+        catalog(ModelParams("spinless-general", params, chain(8)))
+
+
+def test_catalog_spinless_general_combines_parts_of_one_offset():
+    cs = catalog(ModelParams("spinless-general", {"a1_re": 0.5, "a1_im": 0.25}, chain(8)))
+    assert cs.hop[(1,)][0, 0] == 0.5 + 0.25j
+    assert cs.hop[(7,)][0, 0] == 0.5 - 0.25j
+
+
 def test_catalog_spinless_general_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unrecognized"):
         catalog(ModelParams("spinless-general", {"j2": 1.0}, chain(8)))

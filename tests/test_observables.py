@@ -10,7 +10,6 @@ from quasifree import (
     LatticeShape,
     ModelParams,
     apply_bogoliubov_map,
-    block_entropy,
     catalog,
     diagonalize,
     entropy_scan,
@@ -23,6 +22,7 @@ from quasifree import (
     verify_criticality,
 )
 from quasifree.observables import (
+    _block_spectra,
     _gaussian_entropy,
     _offset_stacks,
     _restricted_nambu,
@@ -113,6 +113,17 @@ def test_asymmetry_zero_at_self_conjugate_momenta():
         assert not cs.shape.self_conjugate_mask[flat].any()
 
 
+@pytest.mark.parametrize("onsite", [1e-9, 0.5e-9])
+def test_asymmetry_indeterminate_follows_zero_mode_rule(onsite):
+    # |E| equal to the default zero-mode tolerance is not a zero mode, so its sign counts
+    sol = diagonalize(CouplingSet(LatticeShape((8,)), {(0,): [[onsite]]}, {}))
+    _, (indet, _) = asymmetry_diagnostics(sol)
+    zero = onsite < sol.zero_mode_tol
+    assert len(sol.zero_modes()) == (16 if zero else 0)
+    assert sol.coef_ok.all() != zero
+    assert len(indet) == (8 if zero else 0)
+
+
 def test_verify_consistent_gapped(p_model_64):
     rep = verify_criticality(p_model_64, size_doubling=True)
     assert rep.verdict == "consistent-gapped"
@@ -189,28 +200,34 @@ def test_invariant_preserved_by_maps_and_quenches():
         assert np.abs(inv0 - inv_q).max() < 1e-9
 
 
+def block_entropies(cov, lengths):
+    """Entropy of each block from its own ``_block_spectra`` call: the route
+    ``entropy_scan`` takes, for length sets too small for its fit window."""
+    return [_gaussian_entropy(nu) for length in lengths for nu in _block_spectra(cov, [length])]
+
+
 def test_block_entropy_of_product_state_is_zero():
     cs = CouplingSet(LatticeShape((16,), 1), {(0,): [[0.7]]}, {})
     cov = ground_covariance(diagonalize(cs))
-    for length in (1, 4, 9):
-        assert block_entropy(cov, length) == pytest.approx(0.0, abs=1e-10)
+    for entropy in block_entropies(cov, (1, 4, 9)):
+        assert entropy == pytest.approx(0.0, abs=1e-10)
 
 
 def test_block_entropy_bounds_and_errors(p_model_64):
     cov = ground_covariance(diagonalize(p_model_64))
-    s = block_entropy(cov, 6)
+    s, = block_entropies(cov, [6])
     assert 0.0 <= s <= 6 * 2 * np.log(2) + 1e-12
     with pytest.raises(ValueError, match="outside"):
-        block_entropy(cov, 0)
+        entropy_scan(cov, [0])
     with pytest.raises(ValueError, match="outside"):
-        block_entropy(cov, 65)
+        entropy_scan(cov, [65])
 
 
 def test_block_entropy_rejects_higher_dimensions():
     cs = random_model(LatticeShape((4, 4), 1), reach=1, pairing=False, seed=0)
     cov = ground_covariance(diagonalize(cs))
     with pytest.raises(ValueError, match="chains"):
-        block_entropy(cov, 2)
+        entropy_scan(cov, [2])
 
 
 def test_block_entropy_flags_corrupted_covariance(p_model_64):
@@ -219,7 +236,7 @@ def test_block_entropy_flags_corrupted_covariance(p_model_64):
     bad_g[3] = 1.5 * np.eye(2)
     bad = CovarianceKernel(shape=cov.shape, g=bad_g, f=cov.f)
     with pytest.raises(ValueError, match="corrupted"):
-        block_entropy(bad, 8)
+        entropy_scan(bad, [8])
 
 
 def test_entropy_scan_classifications():
@@ -313,7 +330,7 @@ def test_block_entropies_match_nambu_route(n_sites, spin, reach, pairing, seed, 
     # Ls x Ls hopping-matrix path is never taken
     assert pairing or not cov.f.any()
     lengths = range(1, n_sites + 1)
-    got = {"block_entropy": [block_entropy(cov, length) for length in lengths]}
+    got = {"block_spectra": block_entropies(cov, lengths)}
     if n_sites >= 7:  # the fit window needs 4 lengths in the upper half
         got["entropy_scan"] = list(entropy_scan(cov, lengths).entropies)
     if cov.f.any():
@@ -353,7 +370,7 @@ def test_entropies_match_peschel_hopping_formula(cs):
     for length, entropy in zip(lengths, scan.entropies):
         assert abs(entropy - peschel_entropy(cov, length)) < 1e-9
     for length in (1, 2, n_sites // 2, n_sites - 1, n_sites):
-        assert abs(block_entropy(cov, length) - peschel_entropy(cov, length)) < 1e-9
+        assert abs(block_entropies(cov, [length])[0] - peschel_entropy(cov, length)) < 1e-9
 
 
 def test_survey_rejects_negative_count():
