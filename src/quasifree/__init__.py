@@ -6,7 +6,7 @@ and evaluate the inversion-breaking invariants whose nonvanishing forces the
 model gapless.  A dense Fock-space oracle cross-checks everything at desk scale.
 """
 
-from .lattice import LatticeShape, fourier_circulant, inverse_fourier
+from .lattice import LatticeShape, fourier_circulant, inverse_fourier, site_matrix
 from .model import (
     CATALOG_NAMES,
     CouplingSet,

@@ -147,8 +147,12 @@ def _resolve_model(args: argparse.Namespace) -> CouplingSet:
     if args.dims is None:
         raise ValueError("catalog models need --dims")
     spin = args.spin if args.spin is not None else (2 if args.model == "p-model" else 1)
-    shape = LatticeShape(args.dims, spin)
-    return catalog(ModelParams(name=args.model, params=dict(args.param), shape=shape))
+    params: dict[str, float] = {}
+    for key, value in args.param:  # dict(args.param) would keep only the last of a repeated key
+        if key in params:
+            raise ValueError(f"--param {key}={params[key]:g} and {key}={value:g} both set {key!r}")
+        params[key] = value
+    return catalog(ModelParams(name=args.model, params=params, shape=LatticeShape(args.dims, spin)))
 
 
 def _reach(args: argparse.Namespace, dims: tuple[int, ...]) -> int:
@@ -248,9 +252,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
         f"worst-case invariant among gapped: {_fmt(survey.worst_invariant)}",
         f"falsifications (invariant >= {args.inv_tol:g}): {survey.falsifications}",
     ]
-    if args.gap_tol <= np.pi / min(args.dims):
+    leak = sum(np.pi / n for n in args.dims)  # the grid energy a unit-slope crossing can reach
+    if args.gap_tol <= leak:
         lines.append(
-            f"warning: gap threshold {args.gap_tol:g} is below pi/N = {np.pi / min(args.dims):.4f}; "
+            f"warning: gap threshold {args.gap_tol:g} is not above sum_i pi/N_i = {leak:.4f}; "
             "the filter is not leak-proof at this lattice size"
         )
     if args.count == 0:
@@ -341,7 +346,7 @@ def cmd_quench(args: argparse.Namespace) -> tuple[list[str], int]:
 _FLAGS = {
     "--model": dict(help=f"model file path or catalog name {CATALOG_NAMES}"),
     "--param": dict(type=_param, action="append", default=[], metavar="KEY=VALUE",
-                    help="catalog model parameter (repeatable)"),
+                    help="catalog model parameter (repeatable, each key once)"),
     "--dims": dict(type=_dims, help="comma-separated axis sizes, e.g. 64 or 8,8"),
     "--spin": dict(type=int, help="spin components per site"),
     "--seed": dict(type=int, default=DEFAULT_SEED),

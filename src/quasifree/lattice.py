@@ -4,7 +4,8 @@ Offsets and momenta are plain tuples of ints; :class:`LatticeShape` is the singl
 authority for reducing, negating and enumerating them.  Momentum-resolved kernels
 are stored as arrays of shape ``(n_sites, s, s)`` whose first axis runs over
 ``LatticeShape.momenta()`` in row-major order; offset grids as arrays of shape
-``dims + (s, s)`` indexed by the reduced offset tuple.
+``dims + (s, s)`` indexed by the reduced offset tuple, and ``site_matrix`` turns
+such a grid into the site-by-site matrix of a translation-invariant operator.
 
 Sign convention: numpy's.  The forward transform
 ``X_k = sum_n exp(-2pi i sum_i n_i k_i / N_i) X_n`` is ``np.fft.fftn`` over the
@@ -24,6 +25,7 @@ __all__ = [
     "LatticeShape",
     "fourier_circulant",
     "inverse_fourier",
+    "site_matrix",
 ]
 
 
@@ -133,3 +135,11 @@ def inverse_fourier(kernel: np.ndarray, shape: LatticeShape) -> np.ndarray:
         )
     grid = kernel.reshape(shape.dims + (shape.spin, shape.spin))
     return np.fft.ifftn(grid, axes=tuple(range(shape.d)))
+
+
+def site_matrix(grid: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """``M[(x, a), (y, b)] = grid[(y - x) mod dims][a, b]`` over the rows ``x``, ``y`` of an
+    ``(n, d)`` site array: an ``(n s, n s)`` matrix, sites major, of a ``dims + (s, s)`` grid."""
+    n, d = sites.shape
+    diff = (sites[None, :] - sites[:, None]) % grid.shape[:d]  # diff[x, y] = y - x
+    return grid[tuple(np.moveaxis(diff, -1, 0))].transpose(0, 2, 1, 3).reshape(n * grid.shape[-1], -1)

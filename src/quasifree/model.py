@@ -225,12 +225,13 @@ def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> Coupl
     # (plain a0 allowed) set hop(r) and pair(r) for r >= 0; the partners at -r
     # are completed from the closure, not averaged in, so a parameter on a
     # self-paired offset or one that conflicts with another fails the closure check;
-    # two values of r that reduce to one offset are refused
+    # two r that reduce to one offset, or two spellings of one part (a1, a1_re), raise
     if shape.d != 1 or shape.spin != 1:
         raise ValueError("spinless-general is spinless and one-dimensional")
     hop: dict[tuple[int], complex] = {}
     pair: dict[tuple[int], complex] = {}
     first: dict[tuple, tuple[int, str]] = {}  # (kind, offset) -> its first (r, key)
+    spelled: dict[tuple, str] = {}  # (kind, offset, part) -> its key
     for key, value in params.items():
         m = _SPINLESS_KEY.match(key)
         if not m:
@@ -241,6 +242,10 @@ def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> Coupl
         if r0 != r:
             raise ValueError(f"spinless-general parameters {key0!r} and {key!r} both set "
                              f"offset {n} on dims {shape.dims}")
+        key0 = spelled.setdefault((kind, n, part), key)
+        if key0 != key:
+            raise ValueError(f"spinless-general parameters {key0!r} and {key!r} both set "
+                             f"the {'real' if part == 're' else 'imaginary'} part of offset {n}")
         table = hop if kind == "a" else pair
         table[n] = table.get(n, 0.0) + (value if part == "re" else 1j * value)
 
@@ -298,10 +303,11 @@ def slope_bound(c: CouplingSet) -> float:
     """Lipschitz bound on every one-particle band derivative d(lambda)/d(axis angle).
 
     By Weyl's inequality the bands move no faster than ``||dH_k/d(angle)||``,
-    itself bounded by ``sum_n |n_i| (||hop(n)|| + ||pair(n)||)`` per axis.  A
-    continuum band crossing therefore shows up on an N-point grid as a
-    spectral value below ``bound * pi / N``, which is what makes gap
-    thresholds just above that number a rigorous gaplessness filter.
+    itself bounded by ``slope_i = sum_n |n_i| (||hop(n)|| + ||pair(n)||)`` along
+    axis ``i``; the bound is the largest ``slope_i``.  The grid point nearest a
+    continuum band crossing is within ``pi/N_i`` of it on each axis, so the
+    crossing shows as a grid energy of at most ``sum_i slope_i pi/N_i``, which
+    is what makes gap thresholds above that sum a rigorous gaplessness filter.
     """
     worst = 0.0
     for axis in range(c.shape.d):

@@ -14,9 +14,10 @@ at finite size; a nonzero invariant together with a stable finite-size gap
 would falsify that picture and is reported as such.
 
 Block entropies of a chain come from the correlation spectrum of the block.
-When the pairing kernel is exactly zero that is the spectrum of the Ls x Ls
-hopping matrix ``C_xy = <b+_x b_y>`` (Peschel 2003); otherwise it is the
-spectrum of the 2Ls x 2Ls Nambu correlation matrix of the block.
+``lattice.site_matrix`` gathers ``C_xy = <b+_x b_y>`` and ``F_xy = <b_x b_y>``
+once, for the longest block.  When the pairing kernel is exactly zero the
+spectrum is that of the Ls x Ls hopping matrix ``C`` (Peschel 2003); otherwise
+it is that of the 2Ls x 2Ls Nambu matrix ``[[1 - C^T, F], [F^dag, C]]``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lattice import LatticeShape, inverse_fourier
+from .lattice import LatticeShape, inverse_fourier, site_matrix
 from .model import CouplingSet, random_model, scaled, slope_bound
 from .solver import (
     ZERO_MODE_TOL,
@@ -50,7 +51,7 @@ __all__ = [
 
 GAP_TOL = 1e-6
 INV_TOL = 1e-8
-SURVEY_GAP_TOL = 0.1  # above pi/N for N >= 32 at unit band slope
+SURVEY_GAP_TOL = 0.1  # above sum_i pi/N_i for N >= 32 in 1-D at unit band slope
 
 
 def invariant_map(cov: CovarianceKernel) -> np.ndarray:
@@ -61,16 +62,16 @@ def invariant_map(cov: CovarianceKernel) -> np.ndarray:
 
 
 def asymmetry_diagnostics(
-    sol: BogoliubovSolution, threshold: float = 0.5
+    sol: BogoliubovSolution,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Sign-asymmetry markers of the designated branch.
 
     Returns ``((momenta, band, M, P), (momenta, band))``.  The first group lists
-    the (momentum, band) entries with ``M = (sgn L_k - sgn L_{-k})/2`` exceeding
-    the threshold in magnitude; the second those whose branch energy is too
-    close to zero for a sign.  Momenta are ``(n, d)`` rows and the other arrays
-    have length ``n``; both groups run over momenta in flat order, bands
-    ascending within a momentum.
+    the (momentum, band) entries with ``|M| = 1``, ``M = (sgn L_k - sgn L_{-k})/2``
+    (``M`` takes only the values 0, +-1/2 and +-1); the second those whose
+    branch energy is too close to zero for a sign.  Momenta are ``(n, d)`` rows
+    and the other arrays have length ``n``; both groups run over momenta in
+    flat order, bands ascending within a momentum.
     """
     neg = sol.shape.negation_table
     grid = sol.shape.momenta()
@@ -79,7 +80,7 @@ def asymmetry_diagnostics(
              | ~(sol.coef_ok & sol.coef_ok[neg])[:, None])
     m = (np.sign(lk) - np.sign(lnk)) / 2.0
     p = (np.sign(lk) + np.sign(lnk)) / 2.0
-    i, j = np.nonzero(~indet & (np.abs(m) > threshold))
+    i, j = np.nonzero(~indet & (np.abs(m) == 1))
     k, b = np.nonzero(indet)
     return (grid[i], j, m[i, j], p[i, j]), (grid[k], b)
 
@@ -169,17 +170,18 @@ def gapped_model_survey(
     gap_tol: float = SURVEY_GAP_TOL,
     inv_tol: float = INV_TOL,
     zero_mode_tol: float = ZERO_MODE_TOL,
-    slope_limit: float = 1.0,
 ) -> SurveyResult:
     """Draw ``count`` random models, keep the stably gapped ones, check invariants.
 
     Each draw alternates spin and pairing and is rescaled so its band-slope
-    bound does not exceed ``slope_limit``; with unit slopes, a continuum band
-    crossing forces a grid energy below ``pi/N``, so requiring the gap above
-    ``gap_tol > pi/N`` at the base size and above ``gap_tol/2 > pi/(2N)`` on
-    the doubled lattice provably excludes gapless bands.  Surviving models are
-    genuinely gapped and must carry a vanishing invariant; any with invariant
-    at or above ``inv_tol`` is a falsification event.
+    bound is at most 1.  With unit slopes, a continuum band crossing forces a
+    grid energy of at most ``sum_i pi/N_i`` (see ``slope_bound``), so a gap above
+    ``gap_tol`` at the base size and above ``gap_tol/2`` on the doubled lattice
+    provably excludes gapless bands only when ``gap_tol > sum_i pi/N_i``: for
+    the default 0.1, from N = 32 in 1-D, 63 in 2-D and 95 in 3-D.  Below that
+    the filter is a heuristic.  Surviving models are then genuinely gapped and
+    must carry a vanishing invariant; any with invariant at or above
+    ``inv_tol`` is a falsification event.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -193,8 +195,8 @@ def gapped_model_survey(
         pairing = (idx // len(spins)) % 2 == 0
         cs = random_model(LatticeShape(dims, spin), reach=reach, pairing=pairing, seed=seed + idx)
         steep = slope_bound(cs)
-        if steep > slope_limit:
-            cs = scaled(cs, slope_limit / steep)
+        if steep > 1.0:
+            cs = scaled(cs, 1.0 / steep)
         sol = diagonalize(cs, zero_mode_tol=zero_mode_tol)
         if sol.gap <= gap_tol:
             continue
@@ -216,65 +218,38 @@ def gapped_model_survey(
 # block entanglement entropy
 # ---------------------------------------------------------------------------
 
-def _offset_stacks(cov: CovarianceKernel, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """``<b+_x b_{x+n}>`` and ``<b_x b_{x+n}>`` of a chain for n = -(top-1)..top-1,
-    stacked as ``(2 top - 1, s, s)`` arrays indexed by ``n + top - 1``.
-
-    Offsets 0..top-1 come from the kernels' inverse transforms; ``<b_x b_{x+n}>``
-    sits at ``-n`` of the pairing one.  Negative offsets are ``c[n]^dag`` and
-    ``-d[n]^T``.  Offset 0 holds the mirrored ``c[0]^dag`` and ``-d[0]^T``: these
-    equal ``c[0]`` and ``d[0]`` only to rounding.  The mirroring serves only
-    the pairing path, whose entropies stay pinned to the mirrored values.
-    """
-    c = inverse_fourier(cov.g, cov.shape)[:top]
-    d = inverse_fourier(cov.f, cov.shape)[-np.arange(top)]
-    return (np.concatenate([c[::-1].conj().swapaxes(1, 2), c[1:]]),
-            np.concatenate([-d[::-1].swapaxes(1, 2), d[1:]]))
+def _site_correlations(cov: CovarianceKernel, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """``C_xy = <b+_x b_y>`` and ``F_xy = <b_x b_y>`` over the first ``top`` sites of a
+    chain, ``(top s, top s)`` each; ``F_xy`` is the pairing grid at ``-(y - x)``."""
+    x = np.arange(top)[:, None]
+    return (site_matrix(inverse_fourier(cov.g, cov.shape), x),
+            site_matrix(inverse_fourier(cov.f, cov.shape), -x))
 
 
-def _restricted_nambu(c: np.ndarray, d: np.ndarray, length: int) -> np.ndarray:
-    """2Ls x 2Ls correlation matrix of the first ``length`` sites of a chain,
-    from the offset stacks of ``_offset_stacks``."""
-    top = (len(c) + 1) // 2
-    s = c.shape[1]
-    ls = length * s
-    x = np.arange(length)
-    diff = x[:, None] - x[None, :] + top - 1   # stack index of offset x - y
-    out = np.empty((2 * ls, 2 * ls), dtype=complex)
-    q = out.reshape(2, length, s, 2, length, s)
-    np.subtract(np.eye(ls).reshape(length, s, length, s), c[diff].transpose(0, 3, 1, 2),
-                out=q[0, :, :, 0])                         # <b_x b_y^dag>
-    q[0, :, :, 1] = d[diff.T].transpose(0, 2, 1, 3)         # <b_x b_y>
-    q[1, :, :, 0] = d[diff].conj().transpose(0, 3, 1, 2)    # <b_x^dag b_y^dag>
-    q[1, :, :, 1] = c[diff.T].transpose(0, 2, 1, 3)         # <b_x^dag b_y>
-    return out
+def _nambu_block(c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The block's 2Ls x 2Ls correlation matrix ``[[1 - C^T, F], [F^dag, C]]``."""
+    return np.block([[np.eye(len(c)) - c.T, f], [f.conj().T, c]])
 
 
 def _block_spectra(cov: CovarianceKernel, lengths: Sequence[int]) -> Iterator[np.ndarray]:
-    """Correlation spectrum of the first ``L`` sites of a chain, for each ``L`` in turn.
-
-    With ``cov.f`` exactly zero the Nambu matrix of the block is block-diagonal,
-    ``1 - C^T`` and ``C``, so its spectrum is ``(nu, 1 - nu)`` over the eigenvalues
-    ``nu`` of the Ls x Ls hopping matrix ``C_xy = <b+_x b_y>`` (Peschel 2003).
-    Otherwise it is the spectrum of the 2Ls x 2Ls Nambu matrix itself.
+    """Correlation spectrum of the first ``L`` sites of a chain, for each ``L`` in turn:
+    that of the Nambu matrix over the leading ``Ls x Ls`` corners of ``C`` and ``F``,
+    gathered once.  With ``cov.f`` exactly zero that matrix is block-diagonal, so its
+    spectrum is ``(nu, 1 - nu)`` over the eigenvalues ``nu`` of ``C`` (Peschel 2003).
     """
-    if cov.f.any():
-        c, d = _offset_stacks(cov, max(lengths))
-        for length in lengths:
-            yield np.linalg.eigvalsh(_restricted_nambu(c, d, length))
-        return
-    g = inverse_fourier(cov.g, cov.shape)
-    top, s = max(lengths), cov.shape.spin
-    x = np.arange(top)
-    # cmat[x, y] = g[y - x] = <b+_x b_y>; each block is a leading corner of it
-    cmat = g[(x[None, :] - x[:, None]) % len(g)].transpose(0, 2, 1, 3).reshape(top * s, top * s)
-    for length in lengths:
-        nu = np.linalg.eigvalsh(cmat[:length * s, :length * s])
-        yield np.concatenate([nu, 1.0 - nu])
+    s = cov.shape.spin
+    c, f = _site_correlations(cov, max(lengths))
+    pairing = cov.f.any()
+    for ls in (length * s for length in lengths):
+        if pairing:
+            yield np.linalg.eigvalsh(_nambu_block(c[:ls, :ls], f[:ls, :ls]))
+        else:
+            nu = np.linalg.eigvalsh(c[:ls, :ls])
+            yield np.concatenate([nu, 1.0 - nu])
 
 
-def _gaussian_entropy(nu: np.ndarray, bound_tol: float = 1e-8) -> float:
-    if nu.min() < -bound_tol or nu.max() > 1.0 + bound_tol:
+def _gaussian_entropy(nu: np.ndarray) -> float:
+    if nu.min() < -1e-8 or nu.max() > 1.0 + 1e-8:
         raise np.linalg.LinAlgError(
             f"restricted correlation matrix has eigenvalues in "
             f"[{nu.min():.3e}, {nu.max():.3e}]; covariance data is corrupted"
@@ -302,12 +277,13 @@ class EntropyScan:
 def entropy_scan(cov: CovarianceKernel, lengths: Sequence[int]) -> EntropyScan:
     """Block entropies at each length plus an ``S ~ a ln L + b`` fit and classification.
 
-    Each block's entropy comes from the Ls x Ls hopping matrix when the pairing
-    kernel is exactly zero, and from the 2Ls x 2Ls Nambu correlation matrix
-    otherwise.  The fit window is the upper half of the length range
-    (wrap-around effects on the ring stay mild for L well below the system
-    size); ``a > 0.1`` classifies as log-violation, ``a < 0.05`` as area-law, in
-    between as inconclusive.
+    Each block's entropy comes from the leading corners of ``C_xy = <b+_x b_y>``
+    and ``F_xy = <b_x b_y>``, gathered once: from the Ls x Ls hopping matrix
+    ``C`` when the pairing kernel is exactly zero, and from the 2Ls x 2Ls Nambu
+    matrix ``[[1 - C^T, F], [F^dag, C]]`` otherwise.  The fit window is the
+    upper half of the length range (wrap-around effects on the ring stay mild
+    for L well below the system size); ``a > 0.1`` classifies as
+    log-violation, ``a < 0.05`` as area-law, in between as inconclusive.
     """
     lengths = tuple(int(x) for x in lengths)
     if cov.shape.d != 1:

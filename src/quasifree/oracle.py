@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeShape
+from .lattice import LatticeShape, site_matrix
 from .model import CouplingSet
 from .solver import RealSpaceCorrelators
 
@@ -285,13 +285,10 @@ def compare_with_quasifree(
     if exact.degenerate and not allow_degenerate:
         raise ValueError("degenerate exact ground state; correlators are not comparable")
     shape = rc.shape
-    blocks = np.array([[rc.bdag_b[n], rc.bb[n]] for n in np.ndindex(*shape.dims)])  # (N, 2, s, s)
     sites = shape.momenta()  # the row-major index grid, here of sites
-    # diff[x, y] is the flat index of the offset y - x
-    diff = np.ravel_multi_index(tuple(np.moveaxis((sites[None] - sites[:, None]) % shape.dims, -1, 0)),
-                                shape.dims)
-    # qf[c][(x, a), (y, b)] = blocks[diff[x, y], c, a, b], modes site-major
-    qf = blocks[diff].transpose(2, 0, 3, 1, 4).reshape(2, shape.n_modes, shape.n_modes)
+    grids = [np.array([table[n] for n in np.ndindex(*shape.dims)]).reshape(shape.dims + (shape.spin,) * 2)
+             for table in (rc.bdag_b, rc.bb)]
+    qf = np.stack([site_matrix(grid, sites) for grid in grids])  # modes site-major
     dev = float(np.abs(qf - np.stack([exact.bdag_b, exact.bb])).max())
     e_dev = None
     if energy is not None:

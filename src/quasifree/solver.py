@@ -75,13 +75,13 @@ def _is_zero(energies: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(energies) < tol
 
 
-def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int, rtol: float = CLUSTER_RTOL) -> np.ndarray:
+def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int) -> np.ndarray:
     """Within each degenerate eigenvalue cluster, rotate ``vecs`` in place to
     particle-weight extremal vectors."""
     scale = max(1.0, float(np.abs(lam).max()))
     start = 0
     for stop in range(1, len(lam) + 1):
-        if stop == len(lam) or lam[stop] - lam[stop - 1] > rtol * scale:
+        if stop == len(lam) or lam[stop] - lam[stop - 1] > CLUSTER_RTOL * scale:
             if stop - start > 1:
                 block = vecs[:, start:stop]
                 _, rot = np.linalg.eigh(block[:s].conj().T @ block[:s])

@@ -80,6 +80,19 @@ def test_spinless_general_offset_collision_exits_2(tmp_path, capsys):
     assert not (tmp_path / "spectrum.csv").exists() and not (tmp_path / "report.txt").exists()
 
 
+@pytest.mark.parametrize("model, params, message", [
+    ("spinless-general", ["a1=1", "a1_re=2"], "'a1' and 'a1_re' both set the real part of offset (1,)"),
+    ("p-model", ["p=1", "p=3"], "--param p=1 and p=3 both set 'p'"),
+], ids=["two-spellings", "repeated-key"])
+def test_one_parameter_set_twice_exits_2(tmp_path, capsys, model, params, message):
+    args = ["spectrum", "--model", model, "--dims", "8", "--out", str(tmp_path)]
+    for p in params:
+        args += ["--param", p]
+    assert run(args) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_spectrum_spinless_general_catalog(tmp_path):
     code = run([
         "spectrum", "--model", "spinless-general",
@@ -178,6 +191,13 @@ def test_verify_count_zero_warns(tmp_path, capsys):
     assert run(["verify", "--dims", "8", "--count", "0", "--out", str(tmp_path)]) == 0
     assert "warning" in capsys.readouterr().out
     assert "models drawn: 0" in (tmp_path / "report.txt").read_text().splitlines()
+
+
+@pytest.mark.parametrize("dims, warns", [("32,32", True), ("32", False)])
+def test_verify_gap_warning_sums_over_axes(tmp_path, capsys, dims, warns):
+    # sum_i pi/N_i is 0.196 on 32 x 32 but 0.098 on 32 sites, against the default 0.1
+    assert run(["verify", "--dims", dims, "--count", "0", "--out", str(tmp_path)]) == 0
+    assert ("warning: gap threshold 0.1 is not above" in capsys.readouterr().out) == warns
 
 
 def test_verify_negative_count_exits_2(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifree import LatticeShape, fourier_circulant, inverse_fourier
+from quasifree import LatticeShape, fourier_circulant, inverse_fourier, site_matrix
 
 
 def direct_phases(shape, offset):
@@ -233,3 +233,26 @@ def test_transforms_match_direct_sums(dims, spin, data):
     kern = rng.normal(size=(shape.n_sites, spin, spin)) + 1j * rng.normal(size=(shape.n_sites, spin, spin))
     want = direct_inverse(kern, shape)
     assert np.abs(inverse_fourier(kern, shape) - want).max() < 1e-13 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 12)),
+        st.tuples(st.integers(2, 6), st.integers(2, 6)),
+        st.tuples(st.integers(2, 4), st.integers(2, 4), st.integers(2, 4)),
+    ),
+    spin=st.integers(1, 3),
+    data=st.data(),
+)
+def test_site_matrix_matches_double_loop(dims, spin, data):
+    # sites in any order and outside 0..N-1, as the negated sites of a block are
+    sites = data.draw(st.lists(st.tuples(*(st.integers(-n, 2 * n - 1) for n in dims)),
+                               min_size=1, max_size=10, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    grid = rng.normal(size=dims + (spin, spin)) + 1j * rng.normal(size=dims + (spin, spin))
+    want = np.empty((len(sites) * spin,) * 2, dtype=complex)
+    for i, x in enumerate(sites):
+        for j, y in enumerate(sites):
+            want[i * spin:(i + 1) * spin, j * spin:(j + 1) * spin] = grid[tuple(np.subtract(y, x) % dims)]
+    assert np.array_equal(site_matrix(grid, np.array(sites)), want)

@@ -278,6 +278,15 @@ def test_catalog_spinless_general_rejects_offset_collisions(params, keys):
         catalog(ModelParams("spinless-general", params, chain(8)))
 
 
+@pytest.mark.parametrize("params, keys", [
+    ({"a1": 1.0, "a1_re": 2.0}, "'a1' and 'a1_re'"),
+    ({"b3_im": 0.5, "b3_re": 0.1, "b3": 0.2}, "'b3_re' and 'b3'"),
+], ids=["a1-a1_re", "b3_re-b3"])
+def test_catalog_spinless_general_rejects_two_spellings_of_one_part(params, keys):
+    with pytest.raises(ValueError, match=f"{keys} both set the real part of offset"):
+        catalog(ModelParams("spinless-general", params, chain(8)))
+
+
 def test_catalog_spinless_general_combines_parts_of_one_offset():
     cs = catalog(ModelParams("spinless-general", {"a1_re": 0.5, "a1_im": 0.25}, chain(8)))
     assert cs.hop[(1,)][0, 0] == 0.5 + 0.25j
