@@ -15,6 +15,7 @@ is ``np.fft.ifftn``, so the two are exact inverses in any dimension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -51,7 +52,7 @@ class LatticeShape:
 
     @property
     def n_sites(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def n_modes(self) -> int:
@@ -98,6 +99,12 @@ class LatticeShape:
     @cached_property
     def self_conjugate_mask(self) -> np.ndarray:
         return self.negation_table == np.arange(self.n_sites)
+
+    @cached_property
+    def half_zone(self) -> np.ndarray:
+        """Flat indices ``i <= negation_table[i]``, ascending: the lower index of each
+        ``(k, -k)`` pair and every self-conjugate momentum."""
+        return np.flatnonzero(np.arange(self.n_sites) <= self.negation_table)
 
 
 def fourier_circulant(

@@ -150,18 +150,23 @@ def symmetrize(
     return CouplingSet(shape, project(hop, "hop"), project(pair or {}, "pair"))
 
 
-def bdg_blocks(c: CouplingSet) -> np.ndarray:
-    """All momentum-space BdG blocks, shape ``(n_sites, 2s, 2s)``."""
+def _bdg_rows(c: CouplingSet, rows=slice(None)) -> np.ndarray:
+    """The BdG blocks at the flat momenta ``rows`` (an index array or slice), shape ``(len, 2s, 2s)``."""
     s = c.shape.spin
     a = fourier_circulant(c.hop, c.shape)
-    b = fourier_circulant(c.pair, c.shape)
-    neg = c.shape.negation_table
-    out = np.empty((c.shape.n_sites, 2 * s, 2 * s), dtype=complex)
-    out[:, :s, :s] = a
+    b = fourier_circulant(c.pair, c.shape)[rows]
+    neg = c.shape.negation_table[rows]
+    out = np.empty((len(neg), 2 * s, 2 * s), dtype=complex)
+    out[:, :s, :s] = a[rows]
     out[:, :s, s:] = b
     out[:, s:, :s] = np.conj(np.transpose(b, (0, 2, 1)))
     out[:, s:, s:] = -np.transpose(a[neg], (0, 2, 1))
     return out
+
+
+def bdg_blocks(c: CouplingSet) -> np.ndarray:
+    """All momentum-space BdG blocks, shape ``(n_sites, 2s, 2s)``."""
+    return _bdg_rows(c)
 
 
 def particle_hole_residual(blocks: np.ndarray, shape: LatticeShape) -> float:

@@ -27,10 +27,11 @@ so real-space correlators are plain inverse transforms:
 ``<b_m b_{m+n}> = (1/N) sum_k e^{-i k.n} f_k``.
 
 Particle-hole symmetry ``sx H_k sx = -conj(H_{-k})`` makes the eigendata at
-``-k`` the image of that at ``k``, so only the lead momenta (flat index below
-that of ``-k``) and the self-conjugate ones are diagonalized; ``U_{-k}`` is
-filled in as the image of ``U_k``.  That one eigenbasis is all a solution
-stores.
+``-k`` the image of that at ``k``, so only the half-zone rows
+(``LatticeShape.half_zone``: the lead momenta, flat index below that of ``-k``,
+and the self-conjugate ones) are diagonalized.  A solution stores ``U_k`` on
+those rows only, with the energies on the full grid; ``U_{-k} = sx conj(U_k) sx``
+is derived on demand, and ``ground_covariance`` reads the stored rows alone.
 
 A second route assembles the same kernels from the Bogoliubov coefficients and
 branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
@@ -41,13 +42,14 @@ full-zone ``eigh`` projector).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .lattice import LatticeShape, fourier_circulant, inverse_fourier
-from .model import CouplingSet, bdg_blocks, random_model
+from .model import CouplingSet, _bdg_rows, bdg_blocks, random_model
 
 __all__ = [
     "BogoliubovSolution",
@@ -68,11 +70,31 @@ __all__ = [
 
 ZERO_MODE_TOL = 1e-9
 CLUSTER_RTOL = 1e-12  # relative eigenvalue spacing below which columns form a degenerate cluster
+_COVARIANCE_CHUNK = 1024  # half-zone rows per projector product: ground_covariance temporaries of a few MB
 
 
 def _is_zero(energies: np.ndarray, tol: float) -> np.ndarray:
     """The zero-mode rule: an energy is a zero mode when ``|energy| < tol``."""
     return np.abs(energies) < tol
+
+
+def _check_memory(shape: LatticeShape) -> None:
+    """Refuse a lattice whose diagonalize -> ground_covariance pipeline cannot fit in
+    physical memory, before any per-momentum array exists."""
+    s = shape.spin
+    # the peak comes in ground_covariance, per momentum: the stored basis (half the
+    # momenta, (2s)^2 complex: 32 s^2 bytes) and the kernels g and f (32 s^2), the
+    # full-grid energies and their sorted copy (32 s), the half-zone energies,
+    # weights and masks (33 s), and the negation, half-zone and momentum tables
+    # (at most 48 bytes); diagonalize peaks lower, at blocks plus eigenvectors
+    # (64 s^2).  Add 64 MiB for the interpreter, chunk buffers and BLAS.
+    need = shape.n_sites * (64 * s * s + 65 * s + 48) + (64 << 20)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"{shape.n_sites} momenta at spin {s} need about {need} bytes, more than the "
+            f"{have} bytes of physical memory"
+        )
 
 
 def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int) -> np.ndarray:
@@ -92,18 +114,31 @@ def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BogoliubovSolution:
-    """Full-grid eigendata of one Hamiltonian: ``u``/``u_energies`` in the
-    particle-hole consistent column layout of the module docstring.
+    """Eigendata of one Hamiltonian in the particle-hole consistent column layout of
+    the module docstring.
 
-    Everything else is derived from them: ``energies`` (ascending per momentum),
-    ``coef_ok`` (momenta free of zero modes, where the designation is canonical),
-    ``gap``, ``zero_modes()``, ``branch``, ``alpha`` and ``beta``.
+    ``u_rows`` is the eigenbasis ``U_k`` at the half-zone rows only, in the
+    order of ``shape.half_zone`` (the lead and self-conjugate momenta);
+    ``u_energies`` covers the full grid.  Everything else is derived: the
+    full-grid ``u``, whose partner rows are the images ``U_{-k} = sx conj(U_k) sx``,
+    ``energies`` (ascending per momentum), ``coef_ok`` (momenta free of zero modes,
+    where the designation is canonical), ``gap``, ``zero_modes()``, ``branch``,
+    ``alpha`` and ``beta``.
     """
 
     shape: LatticeShape
-    u: np.ndarray           # (M, 2s, 2s)
+    u_rows: np.ndarray      # (len(shape.half_zone), 2s, 2s)
     u_energies: np.ndarray  # (M, 2s)
     zero_mode_tol: float
+
+    @property
+    def u(self) -> np.ndarray:
+        """Full-grid eigenbasis, shape (M, 2s, 2s): ``u_rows`` plus their particle-hole images."""
+        rows = self.shape.half_zone
+        out = np.empty((self.shape.n_sites,) + self.u_rows.shape[1:], dtype=complex)
+        out[self.shape.negation_table[rows]] = np.roll(self.u_rows, self.shape.spin, axis=(1, 2)).conj()
+        out[rows] = self.u_rows  # a self-conjugate row keeps its own layout
+        return out
 
     @property
     def energies(self) -> np.ndarray:
@@ -153,18 +188,44 @@ def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
     return np.concatenate([by(lam, top[:, :s]), by(-lam, np.sort(top[:, s:], axis=1))], axis=1)
 
 
-def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> BogoliubovSolution:
-    """Hermitian eigendecomposition of the lead-momentum BdG blocks plus branch designation.
+def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, zero_mode_tol: float, i: int):
+    """Layout ``(U_k, energies)`` of a self-conjugate momentum, whose partner columns
+    live in its own block; ``i`` is its flat index, for the error message."""
+    vecs = _resolve_clusters(lam, vecs, s)
+    if _is_zero(lam, zero_mode_tol).any():
+        zero_cols = np.r_[s:2 * s, s - 1:-1:-1]
+        return vecs[:, zero_cols], lam[zero_cols]
+    pos = np.nonzero(lam > 0)[0]
+    if len(pos) != s:
+        raise np.linalg.LinAlgError(
+            f"self-conjugate block lost its +- eigenvalue pairing at flat index {i}"
+        )
+    flip = np.sum(np.abs(vecs[:s, pos]) ** 2, axis=0) < 0.5
+    e = np.where(flip, -lam[pos], lam[pos])
+    order = np.argsort(e, kind="stable")
+    d = np.where(flip, np.roll(vecs[:, pos], s, axis=0).conj(), vecs[:, pos])[:, order]
+    # d is orthogonal to its image only to about eps ||H_k|| / gap; the polar
+    # factor of [d, image] is unitary and keeps the image structure
+    x, _, yh = np.linalg.svd(np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1))
+    d = (x @ yh)[:, :s]
+    return np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1), np.concatenate([e[order], -e[order]])
 
-    Each pair ``(k, -k)`` is diagonalized and designated at its lower flat index and
-    the partner gets the particle-hole image; the self-conjugate momenta (at most
-    ``2^d``) go one by one.
+
+def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> BogoliubovSolution:
+    """Hermitian eigendecomposition of the half-zone BdG blocks plus branch designation.
+
+    Each pair ``(k, -k)`` is diagonalized and designated at its lower flat index,
+    whose eigenbasis is the only one stored; the partner's energies are the
+    particle-hole image.  The self-conjugate momenta (at most ``2^d``) go one by one.
+    Raises ``ValueError`` before any per-momentum allocation when the pipeline
+    would not fit in physical memory.
     """
     shape = c.shape
     s = shape.spin
-    neg = shape.negation_table
-    rows = np.nonzero(np.arange(shape.n_sites) <= neg)[0]  # lead and self-conjugate momenta
-    blocks = bdg_blocks(c)[rows]
+    _check_memory(shape)
+    rows = shape.half_zone
+    neg = shape.negation_table[rows]
+    blocks = _bdg_rows(c, rows)
     try:
         energies, vectors = np.linalg.eigh(blocks)
     except np.linalg.LinAlgError:
@@ -176,47 +237,24 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
                 k = tuple(int(x) for x in shape.momenta()[i])
                 raise np.linalg.LinAlgError(f"eigensolver failed at momentum {k}") from exc
         raise
+    del blocks
 
-    u = np.empty((shape.n_sites, 2 * s, 2 * s), dtype=complex)
+    # the self-conjugate rows read the raw eigenpairs, which the batch below overwrites
+    special = [(r, _self_conjugate(energies[r], vectors[r], s, zero_mode_tol, rows[r]))
+               for r in np.flatnonzero(rows == neg)]
+    scale = np.maximum(1.0, np.abs(energies).max(axis=1))
+    for r in np.nonzero((~(np.diff(energies, axis=1) > CLUSTER_RTOL * scale[:, None])).any(axis=1))[0]:
+        _resolve_clusters(energies[r], vectors[r], s)
+    cols = _designate(energies, np.sum(np.abs(vectors[:, :s]) ** 2, axis=1), s)
+    vectors[:] = np.take_along_axis(vectors, cols[:, None, :], axis=2)
+    energies = np.take_along_axis(energies, cols, axis=1)
+
     u_energies = np.empty((shape.n_sites, 2 * s))
-    is_lead = rows < neg[rows]
-    lead = rows[is_lead]
-    lam, vecs = energies[is_lead], vectors[is_lead]
-    scale = np.maximum(1.0, np.abs(lam).max(axis=1))
-    for r in np.nonzero((~(np.diff(lam, axis=1) > CLUSTER_RTOL * scale[:, None])).any(axis=1))[0]:
-        _resolve_clusters(lam[r], vecs[r], s)
-    cols = _designate(lam, np.sum(np.abs(vecs[:, :s]) ** 2, axis=1), s)
-    u[lead] = np.take_along_axis(vecs, cols[:, None, :], axis=2)
-    u_energies[lead] = np.take_along_axis(lam, cols, axis=1)
-
-    # partner layout: particle-hole images of the lead columns, halves swapped
-    u[neg[lead]] = np.roll(u[lead], s, axis=(1, 2)).conj()
-    u_energies[neg[lead]] = -np.roll(u_energies[lead], s, axis=1)
-
-    for r in np.nonzero(~is_lead)[0]:
-        # self-conjugate momentum: partner columns live in the same block
-        i, lam = rows[r], energies[r]
-        vecs = _resolve_clusters(lam, vectors[r], s)
-        if _is_zero(lam, zero_mode_tol).any():
-            zero_cols = np.r_[s:2 * s, s - 1:-1:-1]
-            u[i], u_energies[i] = vecs[:, zero_cols], lam[zero_cols]
-            continue
-        pos = np.nonzero(lam > 0)[0]
-        if len(pos) != s:
-            raise np.linalg.LinAlgError(
-                f"self-conjugate block lost its +- eigenvalue pairing at flat index {i}"
-            )
-        flip = np.sum(np.abs(vecs[:s, pos]) ** 2, axis=0) < 0.5
-        e = np.where(flip, -lam[pos], lam[pos])
-        order = np.argsort(e, kind="stable")
-        d = np.where(flip, np.roll(vecs[:, pos], s, axis=0).conj(), vecs[:, pos])[:, order]
-        # d is orthogonal to its image only to about eps ||H_k|| / gap; the polar
-        # factor of [d, image] is unitary and keeps the image structure
-        x, _, yh = np.linalg.svd(np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1))
-        d = (x @ yh)[:, :s]
-        u[i] = np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1)
-        u_energies[i] = np.concatenate([e[order], -e[order]])
-    return BogoliubovSolution(shape=shape, u=u, u_energies=u_energies, zero_mode_tol=zero_mode_tol)
+    u_energies[neg] = -np.roll(energies, s, axis=1)  # partner energies: halves swapped
+    u_energies[rows] = energies
+    for r, (u, e) in special:
+        vectors[r], u_energies[rows[r]] = u, e
+    return BogoliubovSolution(shape=shape, u_rows=vectors, u_energies=u_energies, zero_mode_tol=zero_mode_tol)
 
 
 def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:
@@ -291,7 +329,7 @@ class CovarianceKernel:
 
 def _kernels_from_gamma(gamma: np.ndarray, shape: LatticeShape, zero_modes=()) -> CovarianceKernel:
     s = shape.spin
-    g = gamma[shape.negation_table][:, s:, s:].copy()
+    g = gamma[shape.negation_table, s:, s:]
     f = gamma[:, :s, s:].copy()
     return CovarianceKernel(shape=shape, g=g, f=f, zero_modes=tuple(zero_modes))
 
@@ -300,12 +338,34 @@ def ground_covariance(sol: BogoliubovSolution) -> CovarianceKernel:
     """Exact ground-state kernels from the positive-energy spectral projector.
 
     Zero modes are occupied with weight 1/2 and listed in ``zero_modes``;
-    everything else is filled by energy sign.
+    everything else is filled by energy sign.  Only the stored half-zone basis is
+    read: at a row ``k`` the projector ``U_k W U_k^dag`` gives ``g_{-k}`` and
+    ``f_k``, and the partner's projector, the conjugate of the same product over
+    the image ``sx U_k sx`` with the partner weights (``lambda < 0``, 1/2 for a
+    zero mode), gives ``g_k`` and ``f_{-k}``.  Rows go in chunks of
+    ``_COVARIANCE_CHUNK``, so no projector stack is held.
     """
-    lam, u = sol.u_energies, sol.u
-    weight = np.where(_is_zero(lam, sol.zero_mode_tol), 0.5, lam > 0)
-    gamma = (u * weight[:, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
-    return _kernels_from_gamma(gamma, sol.shape, sol.zero_modes())
+    shape, s = sol.shape, sol.shape.spin
+    rows = shape.half_zone
+    neg = shape.negation_table[rows]
+    lam = sol.u_energies[rows]
+    zero = _is_zero(lam, sol.zero_mode_tol)
+    weight = np.where(zero, 0.5, lam > 0)
+    partner = np.roll(np.where(zero, 0.5, lam < 0), s, axis=1)
+
+    def projector(u, w):
+        return (u * w[:, None, :]) @ np.conj(np.transpose(u, (0, 2, 1)))
+
+    g = np.empty((shape.n_sites, s, s), dtype=complex)
+    f = np.empty_like(g)
+    for lo in range(0, len(rows), _COVARIANCE_CHUNK):
+        part = slice(lo, lo + _COVARIANCE_CHUNK)
+        gamma = projector(np.roll(sol.u_rows[part], s, axis=(1, 2)), partner[part]).conj()
+        g[rows[part]], f[neg[part]] = gamma[:, s:, s:], gamma[:, :s, s:]
+        # a self-conjugate row is its own partner: its direct projector overwrites it
+        gamma = projector(sol.u_rows[part], weight[part])
+        g[neg[part]], f[rows[part]] = gamma[:, s:, s:], gamma[:, :s, s:]
+    return CovarianceKernel(shape=shape, g=g, f=f, zero_modes=tuple(sol.zero_modes()))
 
 
 def covariance_from_coefficients(sol: BogoliubovSolution) -> CovarianceKernel:

@@ -48,6 +48,14 @@ def test_spectrum_p_model(tmp_path, capsys):
     assert float(gap_line.split(":")[1]) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_spectrum_refuses_a_lattice_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("quasifree.solver.os.sysconf", lambda name: 1024)
+    code = run(["spectrum", "--model", "p-model", "--param", "p=2", "--dims", "16", "--out", str(tmp_path)])
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum.csv").exists()
+
+
 def test_spectrum_twisted_gap_at_band_zero(tmp_path):
     code = run([
         "spectrum", "--model", "twisted-chain", "--param", "param=0".replace("param", "alpha"),

@@ -42,6 +42,8 @@ def test_shape_counts():
     assert shape.d == 2
     assert shape.n_sites == 24
     assert shape.n_modes == 48
+    # exact beyond int64: a memory check must never see a wrapped count
+    assert LatticeShape((1 << 32, 1 << 32)).n_sites == 1 << 64
 
 
 def test_shape_rejects_bad_input():
@@ -67,6 +69,17 @@ def test_self_conjugate_momenta():
     selfconj = [tuple(k) for k in shape.momenta()[shape.self_conjugate_mask]]
     # k_i in {0, N_i/2 for even N_i} and nothing else
     assert selfconj == [(0, 0), (2, 0)]
+
+
+def test_half_zone_holds_one_momentum_per_pair():
+    for dims in [(4, 5), (6,), (7,), (2, 3, 4)]:
+        shape = LatticeShape(dims)
+        rows = shape.half_zone
+        neg = shape.negation_table
+        assert (np.diff(rows) > 0).all() and (rows <= neg[rows]).all()
+        # every momentum is a stored row or the negation of one
+        assert np.array_equal(np.union1d(rows, neg[rows]), np.arange(shape.n_sites))
+        assert len(rows) == (shape.n_sites + shape.self_conjugate_mask.sum()) // 2
 
 
 def test_phase_zero_offset_is_one():

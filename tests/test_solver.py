@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -149,6 +151,38 @@ def test_diagonalize_layout_zero_modes(twisted_critical_64):
     # number conserving: the designated columns are the particle states
     ph = sol.coef_ok | ~sol.shape.self_conjugate_mask
     assert np.abs(np.abs(sol.u[ph, 0, 0]) - 1).max() < 1e-12
+
+
+def test_diagonalize_refuses_a_lattice_beyond_physical_memory(monkeypatch):
+    cs = random_model(LatticeShape((8,), 2), reach=1, pairing=True, seed=0)
+    monkeypatch.setattr("quasifree.solver.os.sysconf", lambda name: 1024)
+    with pytest.raises(ValueError, match="physical memory"):
+        diagonalize(cs)
+    monkeypatch.undo()
+    # 2^64 momenta: refused by the count alone, before any per-momentum array
+    huge = CouplingSet(LatticeShape((1 << 32, 1 << 32)), {(0, 0): [[0.5]]}, {})
+    with pytest.raises(ValueError, match="physical memory"):
+        diagonalize(huge)
+
+
+@pytest.mark.parametrize("cs", [
+    catalog(ModelParams("p-model", {"p": 2.0}, LatticeShape((1 << 14,), 2))),
+    random_model(LatticeShape((128, 128), 2), reach=1, pairing=True, seed=0),
+], ids=["p-model-chain", "pairing-128x128"])
+def test_ground_covariance_memory_per_momentum(cs):
+    # the half-zone basis and the chunked projector products peak near 420 bytes
+    # per momentum at s = 2; a full-grid basis or projector stack reads 1088
+    shape = cs.shape
+    ground_covariance(diagonalize(cs))  # warm-up: the shape's cached index tables
+    tracemalloc.start()
+    try:
+        sol = diagonalize(cs)
+        ground_covariance(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / shape.n_sites <= 800
+    assert len(sol.u_rows) == np.count_nonzero(np.arange(shape.n_sites) <= shape.negation_table)
 
 
 def test_particle_hole_energy_pairing():
@@ -306,6 +340,18 @@ def test_ground_covariance_matches_full_zone_projector(dims, spin, pairing, seed
         assert sol.zero_modes()
     gamma = ground_covariance(sol).gamma()
     assert np.abs(gamma - full_zone_projector(cs)).max() < 1e-12
+
+
+def test_ground_covariance_chunks_match_one_pass(monkeypatch):
+    # 16 half-zone rows in chunks of 5, the last one ragged, with zero modes
+    cs = zero_mode_model((6, 5), 2, seed=3, pairing=True, flat=7)
+    sol = diagonalize(cs)
+    assert sol.zero_modes()
+    whole = ground_covariance(sol)
+    monkeypatch.setattr("quasifree.solver._COVARIANCE_CHUNK", 5)
+    chunked = ground_covariance(sol)
+    assert np.array_equal(chunked.g, whole.g) and np.array_equal(chunked.f, whole.f)
+    assert np.abs(chunked.gamma() - full_zone_projector(cs)).max() < 1e-12
 
 
 def test_coefficient_route_matches_projector_route():
