@@ -1,8 +1,8 @@
 """Brute-force many-body verification on tiny lattices.
 
 The full Fock-space Hamiltonian of a coupling set is assembled in the
-occupation-number basis and diagonalized exactly, giving ground-state
-correlators that are independent of all momentum-space machinery.  Mode
+occupation-number basis and solved exactly, giving ground-state correlators
+that are independent of all momentum-space machinery.  Mode
 ordering is site-major then spin: mode ``i = flat_site * s + spin_index``, and
 bit ``i`` of a basis-state integer is the occupation of mode ``i``.
 
@@ -15,9 +15,13 @@ enough for fifty desk-scale models.  Modes are indexed through one grid,
 ``np.arange(n_modes).reshape(dims + (s,))``, which ``np.roll`` shifts by a
 lattice offset.
 The Hamiltonian is assembled as one dense matrix.  A quadratic Hamiltonian,
-pairing included, conserves fermion parity, so it is diagonalized as two
-dense blocks, the even- and odd-parity sectors, after checking that nothing
-couples them.  Builds are capped at 14 modes and at physical memory.
+pairing included, conserves fermion parity, so after checking that nothing
+couples the even- and odd-parity sectors each sector is handled as a dense
+block of its own.  The ground state takes each block's spectrum from
+``eigvalsh`` and computes only the ground vectors, by shifted subspace inverse
+iteration; its energy is the Rayleigh quotient of the first ground vector.
+Time evolution diagonalizes each block in full.  Builds are capped at 14 modes
+and at physical memory.
 """
 
 from __future__ import annotations
@@ -47,15 +51,23 @@ __all__ = [
 
 MODE_CAP = 14
 DEGENERACY_TOL = 1e-8
+RESIDUAL_RTOL = 1e-12  # ground-vector residual bound, relative to the spectral width
+_SHIFT = 1e-10         # inverse-iteration shift below the lowest level, relative to the spectral width
+_RITZ_EXTRA = 4        # Rayleigh-Ritz vectors beyond the wanted ground vectors
+_INVERSE_STEPS = 6     # inverse-iteration steps before a LinAlgError
 
 
 def _check_cap(n_modes: int) -> None:
     if n_modes > MODE_CAP:
         raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
-    # the peak comes in _parity_eigh, while the odd sector is diagonalized: h
+    # the peak comes in evolve_state, while the odd sector is diagonalized: h
     # (16 * 4^Ns bytes), the even sector's eigenvectors, and eigh's input block,
-    # LAPACK copy, work, rwork and output (4 * 4^Ns each), plus up to 64 MiB
-    # of index tables and BLAS buffers; the build alone peaks near h itself
+    # LAPACK copy, work, rwork and output (4 * 4^Ns each).  exact_ground_correlators
+    # peaks lower, at 32 * 4^Ns, during the solve: h, both sector blocks, the
+    # shifted matrix and its LU copy (eigvalsh's copy is freed by then).
+    # tracemalloc puts either at 28.3 * 4^Ns with 10 and 12 modes: it misses the
+    # copies and workspaces that numpy.linalg allocates for LAPACK.  Add up to 64
+    # MiB of index tables and BLAS buffers; the build alone peaks near h itself
     need = 40 * 4**n_modes + (64 << 20)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -176,19 +188,25 @@ class ExactGroundState:
 def exact_ground_correlators(
     h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL, average_degenerate: bool = False
 ) -> ExactGroundState:
-    """Exact eigendecomposition, sector by sector, and ground-state correlators.
+    """Exact ground space, sector by sector, and ground-state correlators.
 
-    The two parity sectors' spectra are merged into one, so degeneracy is
-    judged relative to the full spectral width and a ground space may span
-    both sectors.  For a degenerate ground space the correlators of a single
+    Each parity sector's spectrum comes from ``eigvalsh``, and the two are merged
+    into one, so degeneracy is judged relative to the full spectral width and a
+    ground space may span both sectors.  Only the ground vectors are computed, in
+    each sector that holds ground levels, by shifted subspace inverse iteration
+    (``_lowest_vectors``); each has a residual of at most
+    ``RESIDUAL_RTOL * width``.  The energy is the Rayleigh quotient of the first
+    ground vector.  For a degenerate ground space the correlators of a single
     arbitrary vector are not canonical; with ``average_degenerate`` they are
-    averaged over an orthonormal basis of the ground space (the maximally
-    mixed ground state).
+    averaged over an orthonormal basis of the ground space (the maximally mixed
+    ground state).
     """
     dim = h.shape[0]
     n_modes = int(round(np.log2(dim)))
-    sectors = _parity_eigh(h)
-    merged = np.concatenate([e for _, e, _ in sectors])
+    sectors = _parity_sectors(h)
+    blocks = [h[np.ix_(states, states)] for states in sectors]
+    spectra = [np.linalg.eigvalsh(block) for block in blocks]
+    merged = np.concatenate(spectra)
     order = np.argsort(merged, kind="stable")
     evals = merged[order]
     width = max(1.0, float(evals[-1] - evals[0]))
@@ -197,17 +215,20 @@ def exact_ground_correlators(
     degenerate = deg_dim > 1
     gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
 
-    # both sectors hold dim / 2 states; zeros fill the other sector
+    # both sectors hold dim / 2 states; zeros fill the other sector.  A sector's
+    # ground levels are its lowest, and the stable merge keeps them in ascending
+    # order, the order in which _lowest_vectors returns them
+    in_sector = order[:deg_dim] // (dim // 2)
     vectors = np.zeros((dim, deg_dim), dtype=complex)
-    for a, level in enumerate(order[:deg_dim]):
-        states, _, evecs = sectors[level // (dim // 2)]
-        vectors[states, a] = evecs[:, level % (dim // 2)]
+    for states, block, spectrum, cols in zip(sectors, blocks, spectra, (in_sector == 0, in_sector == 1)):
+        if cols.any():
+            vectors[np.ix_(states, cols)] = _lowest_vectors(block, spectrum, int(cols.sum()), width)
     take = deg_dim if (average_degenerate and degenerate) else 1
     pieces = [correlators_from_vector(np.ascontiguousarray(vectors[:, a]), n_modes) for a in range(take)]
     bdag_b = sum(p[0] for p in pieces) / take
     bb = sum(p[1] for p in pieces) / take
     return ExactGroundState(
-        energy=float(evals[0]),
+        energy=float(np.vdot(vectors[:, 0], h @ vectors[:, 0]).real),
         gap_above=gap_above,
         degenerate=degenerate,
         degeneracy_dim=deg_dim,
@@ -217,8 +238,8 @@ def exact_ground_correlators(
     )
 
 
-def _parity_eigh(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(states, evals, evecs)`` of ``h`` in its even, then odd, parity sector.
+def _parity_sectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The basis states of the even, then the odd, fermion-parity sector.
 
     Raises if any entry of ``h`` couples the two sectors.
     """
@@ -229,7 +250,38 @@ def _parity_eigh(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray
                  np.abs(h[np.ix_(odd_states, even_states)]).max())
     if mixing >= 1e-12:
         raise ValueError(f"Hamiltonian couples the fermion-parity sectors (entry {mixing:.2e})")
-    return [(states, *np.linalg.eigh(h[np.ix_(states, states)])) for states in (even_states, odd_states)]
+    return even_states, odd_states
+
+
+def _lowest_vectors(block: np.ndarray, spectrum: np.ndarray, n: int, width: float) -> np.ndarray:
+    """The ``n`` lowest eigenvectors of the Hermitian ``block``, in ascending order,
+    given its ascending ``spectrum`` and the spectral ``width`` of ``h``.
+
+    Shifted subspace inverse iteration: ``_RITZ_EXTRA`` vectors beyond the ``n``
+    wanted ones, from a fixed-seed start, are solved against ``block - sigma I``,
+    orthonormalized and rotated by Rayleigh-Ritz.  The shift ``sigma`` sits
+    ``_SHIFT * width`` below the lowest eigenvalue, so the shifted matrix is
+    positive definite even when ``block`` is diagonal, and the wanted directions
+    grow by ``(lambda_p - sigma) / (lambda_i - sigma)`` per step over the first
+    level ``lambda_p`` outside the subspace.  Raises ``LinAlgError`` when a Ritz
+    residual is above ``RESIDUAL_RTOL * width`` after ``_INVERSE_STEPS`` steps.
+    """
+    size = len(spectrum)
+    p = min(size, n + _RITZ_EXTRA)
+    tol = RESIDUAL_RTOL * width
+    shifted = block.copy()
+    shifted.flat[::size + 1] -= spectrum[0] - _SHIFT * width
+    v = np.random.default_rng(0).standard_normal((size, 2 * p)).view(complex)
+    for _ in range(_INVERSE_STEPS):
+        q = np.linalg.qr(np.linalg.solve(shifted, v))[0]
+        theta, y = np.linalg.eigh(q.conj().T @ block @ q)
+        v = q @ y
+        residual = np.abs(block @ v[:, :n] - v[:, :n] * theta[:n]).max()
+        if residual <= tol:
+            return v[:, :n]
+    raise np.linalg.LinAlgError(
+        f"inverse iteration left a ground-vector residual of {residual:.2e} after "
+        f"{_INVERSE_STEPS} steps (bound {tol:.2e})")
 
 
 def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
@@ -250,7 +302,8 @@ def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
 def evolve_state(h: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:
     """``exp(-i t h) vec`` through the eigendecomposition of ``h``, sector by sector."""
     out = np.zeros(len(vec), dtype=complex)
-    for states, evals, evecs in _parity_eigh(h):
+    for states in _parity_sectors(h):
+        evals, evecs = np.linalg.eigh(h[np.ix_(states, states)])
         out[states] = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec[states]))
     return out
 

@@ -78,21 +78,15 @@ def _is_zero(energies: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(energies) < tol
 
 
-def _check_memory(shape: LatticeShape) -> None:
-    """Refuse a lattice whose diagonalize -> ground_covariance pipeline cannot fit in
-    physical memory, before any per-momentum array exists."""
-    s = shape.spin
-    # the peak comes in ground_covariance, per momentum: the stored basis (half the
-    # momenta, (2s)^2 complex: 32 s^2 bytes) and the kernels g and f (32 s^2), the
-    # full-grid energies and their sorted copy (32 s), the half-zone energies,
-    # weights and masks (33 s), and the negation, half-zone and momentum tables
-    # (at most 48 bytes); diagonalize peaks lower, at blocks plus eigenvectors
-    # (64 s^2).  Add 64 MiB for the interpreter, chunk buffers and BLAS.
-    need = shape.n_sites * (64 * s * s + 65 * s + 48) + (64 << 20)
+def _check_memory(shape: LatticeShape, per_momentum: int) -> None:
+    """Refuse a lattice whose arrays, ``per_momentum`` bytes at every momentum plus
+    64 MiB for the interpreter, chunk buffers and BLAS, cannot fit in physical
+    memory, before any per-momentum array exists."""
+    need = shape.n_sites * per_momentum + (64 << 20)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(
-            f"{shape.n_sites} momenta at spin {s} need about {need} bytes, more than the "
+            f"{shape.n_sites} momenta at spin {shape.spin} need about {need} bytes, more than the "
             f"{have} bytes of physical memory"
         )
 
@@ -222,7 +216,13 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     """
     shape = c.shape
     s = shape.spin
-    _check_memory(shape)
+    # the peak comes in ground_covariance, per momentum: the stored basis (half the
+    # momenta, (2s)^2 complex: 32 s^2 bytes) and the kernels g and f (32 s^2), the
+    # full-grid energies and their sorted copy (32 s), the half-zone energies,
+    # weights and masks (33 s), and the negation, half-zone and momentum tables
+    # (at most 48 bytes); diagonalize peaks lower, at blocks plus eigenvectors
+    # (64 s^2)
+    _check_memory(shape, 64 * s * s + 65 * s + 48)
     rows = shape.half_zone
     neg = shape.negation_table[rows]
     blocks = _bdg_rows(c, rows)
@@ -457,9 +457,20 @@ def random_ph_map(shape: LatticeShape, seed: int, strength: float = 1.0) -> np.n
 
 
 def evolve_quench(cov: CovarianceKernel, h: CouplingSet, t: float) -> CovarianceKernel:
-    """Sudden-quench evolution: conjugate each Nambu block by ``exp(-i t H'_k)``."""
+    """Sudden-quench evolution: conjugate each Nambu block by ``exp(-i t H'_k)``.
+
+    Raises ``ValueError`` before the propagator is built when it would not fit in
+    physical memory.
+    """
     if h.shape != cov.shape:
         raise ValueError(f"quench shape {h.shape} does not match state shape {cov.shape}")
+    s = cov.shape.spin
+    # the peak comes in _propagator's product, per momentum: the eigenvectors, their
+    # phased copy, its conjugate transpose and the product (four (2s)^2 complex
+    # stacks: 256 s^2 bytes), the energies and phases (48 s), the state's kernels g
+    # and f (32 s^2) and the negation table (at most 48 bytes with the others);
+    # conjugating the Nambu blocks holds four stacks again
+    _check_memory(cov.shape, 288 * s * s + 48 * s + 48)
     prop = _propagator(h, t)
     gamma = prop @ cov.gamma() @ np.conj(np.transpose(prop, (0, 2, 1)))
     return _kernels_from_gamma(gamma, cov.shape, cov.zero_modes)

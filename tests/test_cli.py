@@ -16,7 +16,7 @@ from quasifree import (
 )
 from quasifree.cli import _build_parser, main
 
-from conftest import make_twisted
+from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted
 
 
 def run(args):
@@ -54,6 +54,16 @@ def test_spectrum_refuses_a_lattice_beyond_physical_memory(tmp_path, monkeypatch
     assert code == 2
     assert "physical memory" in capsys.readouterr().err
     assert not (tmp_path / "spectrum.csv").exists()
+
+
+def test_quench_refuses_a_lattice_beyond_physical_memory(tmp_path, monkeypatch, capsys):
+    # the ground state fits; the quench's propagator would not
+    monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(QUENCH_SHORT_MEMORY))
+    code = run(["quench", "--model", "p-model", "--param", "p=2", "--dims", "4096", "--times", "0,1",
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "quench.csv").exists()
 
 
 def test_spectrum_twisted_gap_at_band_zero(tmp_path):
@@ -412,6 +422,14 @@ def test_non_hermitian_fock_assembly_exits_3(tmp_path, monkeypatch, capsys):
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
     assert code == 3
     assert "not Hermitian" in capsys.readouterr().err
+
+
+def test_unconverged_ground_vector_exits_3(tmp_path, monkeypatch, capsys):
+    # one inverse-iteration step leaves a residual far above the bound
+    monkeypatch.setattr("quasifree.oracle._INVERSE_STEPS", 1)
+    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
+    assert code == 3
+    assert "inverse iteration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, code", [

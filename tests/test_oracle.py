@@ -382,6 +382,46 @@ def test_parity_sectors_match_full_diagonalization(data, spin, pairing, seed):
         assert np.abs(ex.bb - bb).max() <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_modes=st.integers(4, 7), ground=st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
+       near=st.sampled_from([(), (0.99,), (1.01,), (0.99, 1.01)]), near_odd=st.booleans(),
+       diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ground_space_of_synthetic_parity_hamiltonians(n_modes, ground, near, near_odd, diagonal, seed):
+    # h = U diag(levels) U^dag within each parity sector, U a random unitary or
+    # (diagonal h: the shift must keep block - sigma I nonsingular) the identity;
+    # `ground` levels sit exactly at e0 in each sector, and the `near` levels sit
+    # just below or above the degeneracy threshold in one sector; both together
+    # converge only through the Rayleigh-Ritz vectors beyond the ground space
+    rng = np.random.default_rng(seed)
+    dim, half = 1 << n_modes, 1 << (n_modes - 1)
+    bits = (np.arange(dim)[:, None] >> np.arange(n_modes)) & 1
+    e0 = rng.uniform(-5, 5)
+    width = rng.uniform(1, 10)
+    threshold = oracle.DEGENERACY_TOL * width
+    h = np.zeros((dim, dim), dtype=complex)
+    for parity, k in enumerate(ground):
+        levels = rng.uniform(e0 + 0.01 * width, e0 + width, half)
+        levels[:k] = e0
+        levels[-1] = e0 + width
+        if parity == near_odd:
+            levels[3:3 + len(near)] = e0 + np.array(near) * threshold
+        u = np.eye(half)
+        if not diagonal:
+            u = np.linalg.qr(rng.normal(size=(half, half)) + 1j * rng.normal(size=(half, half)))[0]
+        states = np.nonzero(bits.sum(axis=1) % 2 == parity)[0]
+        h[np.ix_(states, states)] = (u * levels) @ u.conj().T
+    ex = exact_ground_correlators(h)
+    evals = np.linalg.eigh(h)[0]
+    tol = 1e-12 * width
+    assert ex.degeneracy_dim == sum(ground) + (0.99 in near)
+    assert abs(ex.energy - evals[0]) <= tol
+    v = ex.vectors
+    hv = h @ v
+    assert np.abs(v.conj().T @ v - np.eye(ex.degeneracy_dim)).max() <= 1e-12
+    assert np.abs(hv - v * np.einsum("xa,xa->a", v.conj(), hv).real).max() <= tol
+    assert exact_ground_correlators(h).vectors.tobytes() == v.tobytes()
+
+
 def test_parity_mixing_hamiltonian_is_rejected():
     # state 0 is even, state 1 (one mode occupied) odd; either block is checked
     for entry in ((0, 1), (1, 0)):

@@ -24,7 +24,7 @@ from quasifree.lattice import fourier_circulant, inverse_fourier
 from quasifree.model import bdg_blocks, symmetrize
 from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, constraint_residuals, validate_ph_map
 
-from conftest import make_twisted
+from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted
 
 
 def onsite_chain(n, mu):
@@ -163,6 +163,14 @@ def test_diagonalize_refuses_a_lattice_beyond_physical_memory(monkeypatch):
     huge = CouplingSet(LatticeShape((1 << 32, 1 << 32)), {(0, 0): [[0.5]]}, {})
     with pytest.raises(ValueError, match="physical memory"):
         diagonalize(huge)
+
+
+def test_quench_refuses_a_lattice_that_diagonalize_accepts(monkeypatch):
+    shape = LatticeShape((4096,), 2)
+    monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(QUENCH_SHORT_MEMORY))
+    cov = ground_covariance(diagonalize(random_model(shape, reach=1, pairing=True, seed=0)))
+    with pytest.raises(ValueError, match="physical memory"):
+        evolve_quench(cov, random_model(shape, reach=1, pairing=True, seed=1), 1.0)
 
 
 @pytest.mark.parametrize("cs", [
