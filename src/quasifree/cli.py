@@ -247,10 +247,10 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     lines += [
         f"verify: dims={args.dims} reach={reach} spins={list(spins)} seed={args.seed}",
         "ensemble: uniform couplings rescaled to band-slope bound 1",
-        f"models drawn: {survey.drawn}",
+        f"models drawn: {args.count}",
         f"stably gapped (gap > {args.gap_tol:g} at N, > {args.gap_tol / 2:g} at 2N): {survey.gapped}",
         f"worst-case invariant among gapped: {_fmt(survey.worst_invariant)}",
-        f"falsifications (invariant >= {args.inv_tol:g}): {survey.falsifications}",
+        f"falsifications (invariant >= {args.inv_tol:g}): {len(survey.events)}",
     ]
     leak = sum(np.pi / n for n in args.dims)  # the grid energy a unit-slope crossing can reach
     if args.gap_tol <= leak:
@@ -260,7 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
         )
     if args.count == 0:
         lines.append("warning: --count 0 requested; nothing to verify")
-    return lines, 1 if survey.falsifications else 0
+    return lines, 1 if survey.events else 0
 
 
 def cmd_entropy(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -280,7 +280,7 @@ def cmd_entropy(args: argparse.Namespace) -> tuple[list[str], int]:
         raise ValueError(
             f"{exc} (default --lengths 4:{top}, i.e. 4:N/4 for N={n_sites}); pass --lengths"
         ) from exc
-    _write_csv(args.out, "entropy.csv", ["L", "S"], [scan.lengths, scan.entropies])
+    _write_csv(args.out, "entropy.csv", ["L", "S"], [lengths, scan.entropies])
     return [
         f"model dims={cs.shape.dims} spin={cs.shape.spin}",
         f"fit S ~ a ln L + b on upper-half window: a={_fmt(scan.slope)} b={_fmt(scan.intercept)}",
@@ -296,8 +296,6 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list[str], int]:
     if cov.zero_modes:
         raise ValueError("model has one-particle zero modes; oracle comparison undefined")
     exact = exact_ground_correlators(build_fock_hamiltonian(cs), degeneracy_tol=args.degeneracy_tol)
-    if exact.degenerate:
-        raise ValueError("exact ground state is degenerate; oracle comparison undefined")
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
     energy = ground_energy(cs)
     result = compare_with_quasifree(exact, rc, energy=energy)

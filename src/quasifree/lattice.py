@@ -97,10 +97,6 @@ class LatticeShape:
         return np.ravel_multi_index(tuple(neg.T), self.dims)
 
     @cached_property
-    def self_conjugate_mask(self) -> np.ndarray:
-        return self.negation_table == np.arange(self.n_sites)
-
-    @cached_property
     def half_zone(self) -> np.ndarray:
         """Flat indices ``i <= negation_table[i]``, ascending: the lower index of each
         ``(k, -k)`` pair and every self-conjugate momentum."""

@@ -112,16 +112,16 @@ class Violation(NamedTuple):
     magnitude: float
 
 
-def validate(c: CouplingSet, tol: float = CLOSURE_TOL) -> list[Violation]:
-    """Entries where a table and its closure image differ by more than ``tol`` (a
-    missing offset counts as zero); every constructed set has none at the default."""
+def validate(c: CouplingSet) -> list[Violation]:
+    """Entries where a table and its closure image differ by more than ``CLOSURE_TOL``
+    (a missing offset counts as zero); every constructed set has none."""
     out: list[Violation] = []
     zero = np.zeros((c.shape.spin, c.shape.spin), dtype=complex)
     for kind, table in (("hop", c.hop), ("pair", c.pair)):
         image = _closure_image(table, c.shape, kind)
         for n in sorted(set(table) | set(image)):
             dev = np.abs(table.get(n, zero) - image.get(n, zero))
-            for row, col in zip(*np.nonzero(dev > tol)):
+            for row, col in zip(*np.nonzero(dev > CLOSURE_TOL)):
                 out.append(Violation(kind, n, int(row), int(col), float(dev[row, col])))
     return out
 

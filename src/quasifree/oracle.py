@@ -21,12 +21,15 @@ block of its own.  The ground state takes each block's spectrum from
 ``eigvalsh`` and computes only the ground vectors, by shifted subspace inverse
 iteration; its energy is the Rayleigh quotient of the first ground vector.
 Time evolution diagonalizes each block in full.  Builds are capped at 14 modes
-and at physical memory.
+and at physical memory: ``build_fock_hamiltonian`` charges the ground state's
+peak, 32 bytes per entry of the Fock matrix, ``evolve_state`` checks its own 40
+before its first ``eigh``, and ``translation_operator`` charges its 8-byte output,
+each plus the 64 MiB of ``solver._check_memory``.  A degenerate ground space has
+no canonical single-vector correlators, so ``compare_with_quasifree`` refuses it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,7 +37,7 @@ import numpy as np
 
 from .lattice import LatticeShape, site_matrix
 from .model import CouplingSet
-from .solver import RealSpaceCorrelators
+from .solver import RealSpaceCorrelators, _check_memory
 
 __all__ = [
     "MODE_CAP",
@@ -54,26 +57,16 @@ DEGENERACY_TOL = 1e-8
 RESIDUAL_RTOL = 1e-12  # ground-vector residual bound, relative to the spectral width
 _SHIFT = 1e-10         # inverse-iteration shift below the lowest level, relative to the spectral width
 _RITZ_EXTRA = 4        # Rayleigh-Ritz vectors beyond the wanted ground vectors
+_RITZ_REACH = 1e3      # levels within this many times the last wanted level's distance join the block
 _INVERSE_STEPS = 6     # inverse-iteration steps before a LinAlgError
 
 
-def _check_cap(n_modes: int) -> None:
+def _check_cap(n_modes: int, per_entry: int, what: str) -> None:
+    """Refuse more than ``MODE_CAP`` modes, or arrays of ``per_entry`` bytes per
+    entry of the ``2^Ns x 2^Ns`` Fock matrix that cannot fit in physical memory."""
     if n_modes > MODE_CAP:
         raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
-    # the peak comes in evolve_state, while the odd sector is diagonalized: h
-    # (16 * 4^Ns bytes), the even sector's eigenvectors, and eigh's input block,
-    # LAPACK copy, work, rwork and output (4 * 4^Ns each).  exact_ground_correlators
-    # peaks lower, at 32 * 4^Ns, during the solve: h, both sector blocks, the
-    # shifted matrix and its LU copy (eigvalsh's copy is freed by then).
-    # tracemalloc puts either at 28.3 * 4^Ns with 10 and 12 modes: it misses the
-    # copies and workspaces that numpy.linalg allocates for LAPACK.  Add up to 64
-    # MiB of index tables and BLAS buffers; the build alone peaks near h itself
-    need = 40 * 4**n_modes + (64 << 20)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"{n_modes}-mode dense Fock build needs {need} bytes, more than the {have} bytes of physical memory"
-        )
+    _check_memory(f"{what} on {n_modes} modes", per_entry * 4**n_modes)
 
 
 def _bit_tables(n_modes: int):
@@ -112,7 +105,11 @@ def _terms(table, shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     """Dense Fock-space matrix of the quadratic Hamiltonian defined by ``c``."""
     ns = c.shape.n_modes
-    _check_cap(ns)
+    # charged with the peak of exact_ground_correlators, during the solve: h (16
+    # bytes per entry), both sector blocks, the shifted matrix and its LU copy (4
+    # each; eigvalsh's copy is freed by then).  evolve_state checks its own, higher
+    # peak; the build alone peaks near h itself
+    _check_cap(ns, 32, "a dense Fock ground state")
     dim = 1 << ns
     bits, par = _bit_tables(ns)
     h = np.zeros((dim, dim), dtype=complex)
@@ -257,20 +254,25 @@ def _lowest_vectors(block: np.ndarray, spectrum: np.ndarray, n: int, width: floa
     """The ``n`` lowest eigenvectors of the Hermitian ``block``, in ascending order,
     given its ascending ``spectrum`` and the spectral ``width`` of ``h``.
 
-    Shifted subspace inverse iteration: ``_RITZ_EXTRA`` vectors beyond the ``n``
-    wanted ones, from a fixed-seed start, are solved against ``block - sigma I``,
-    orthonormalized and rotated by Rayleigh-Ritz.  The shift ``sigma`` sits
-    ``_SHIFT * width`` below the lowest eigenvalue, so the shifted matrix is
-    positive definite even when ``block`` is diagonal, and the wanted directions
-    grow by ``(lambda_p - sigma) / (lambda_i - sigma)`` per step over the first
-    level ``lambda_p`` outside the subspace.  Raises ``LinAlgError`` when a Ritz
-    residual is above ``RESIDUAL_RTOL * width`` after ``_INVERSE_STEPS`` steps.
+    Shifted subspace inverse iteration: a block of vectors from a fixed-seed start
+    is solved against ``block - sigma I``, orthonormalized and rotated by
+    Rayleigh-Ritz.  The shift ``sigma`` sits ``_SHIFT * width`` below the lowest
+    eigenvalue, so the shifted matrix is positive definite even when ``block`` is
+    diagonal, and the wanted directions grow by ``(lambda_p - sigma) / (lambda_i -
+    sigma)`` per step over the first level ``lambda_p`` outside the subspace.  The
+    block holds ``_RITZ_EXTRA`` vectors beyond the ``n`` wanted ones, and more when
+    needed to take in every level closer to ``sigma`` than ``_RITZ_REACH`` times the
+    last wanted level, so that ratio is at most ``1 / _RITZ_REACH`` even for a
+    degenerate ground space just below dense levels.  Raises ``LinAlgError`` when a
+    Ritz residual is above ``RESIDUAL_RTOL * width`` after ``_INVERSE_STEPS`` steps.
     """
     size = len(spectrum)
-    p = min(size, n + _RITZ_EXTRA)
+    sigma = spectrum[0] - _SHIFT * width
+    near = int(np.count_nonzero(spectrum - sigma < _RITZ_REACH * (spectrum[n - 1] - sigma)))
+    p = min(size, max(n + _RITZ_EXTRA, near))
     tol = RESIDUAL_RTOL * width
     shifted = block.copy()
-    shifted.flat[::size + 1] -= spectrum[0] - _SHIFT * width
+    shifted.flat[::size + 1] -= sigma
     v = np.random.default_rng(0).standard_normal((size, 2 * p)).view(complex)
     for _ in range(_INVERSE_STEPS):
         q = np.linalg.qr(np.linalg.solve(shifted, v))[0]
@@ -287,7 +289,7 @@ def _lowest_vectors(block: np.ndarray, spectrum: np.ndarray, n: int, width: floa
 def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
     """Fock-space one-site translation along ``axis`` (a signed permutation matrix)."""
     ns = shape.n_modes
-    _check_cap(ns)
+    _check_cap(ns, 8, "a Fock translation operator")  # the real output matrix
     mode_map = np.roll(_modes(shape), -1, axis=axis).ravel()  # mode at site + e_axis
     bits = _bit_tables(ns)[0].astype(np.int64)
     # the sign is the parity of the inversions the map makes among occupied modes
@@ -300,7 +302,15 @@ def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
 
 
 def evolve_state(h: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:
-    """``exp(-i t h) vec`` through the eigendecomposition of ``h``, sector by sector."""
+    """``exp(-i t h) vec`` through the eigendecomposition of ``h``, sector by sector.
+
+    Raises ``ValueError`` before the first ``eigh`` when it would not fit in
+    physical memory.
+    """
+    # the peak comes while the odd sector is diagonalized: h (16 bytes per entry),
+    # the even sector's eigenvectors, and eigh's input block, LAPACK copy, work,
+    # rwork and output (4 each)
+    _check_memory(f"time evolution in a {len(vec)}-state Fock space", 40 * h.size)
     out = np.zeros(len(vec), dtype=complex)
     for states in _parity_sectors(h):
         evals, evecs = np.linalg.eigh(h[np.ix_(states, states)])

@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 ZERO_MODE_TOL = 1e-9
+PH_MAP_TOL = 1e-10  # unitarity and particle-hole residual a Bogoliubov map may carry
 CLUSTER_RTOL = 1e-12  # relative eigenvalue spacing below which columns form a degenerate cluster
 _COVARIANCE_CHUNK = 1024  # half-zone rows per projector product: ground_covariance temporaries of a few MB
 
@@ -78,17 +79,14 @@ def _is_zero(energies: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(energies) < tol
 
 
-def _check_memory(shape: LatticeShape, per_momentum: int) -> None:
-    """Refuse a lattice whose arrays, ``per_momentum`` bytes at every momentum plus
-    64 MiB for the interpreter, chunk buffers and BLAS, cannot fit in physical
-    memory, before any per-momentum array exists."""
-    need = shape.n_sites * per_momentum + (64 << 20)
+def _check_memory(what: str, arrays: int) -> None:
+    """Refuse a computation whose arrays, ``arrays`` bytes plus 64 MiB for the
+    interpreter, index tables, chunk buffers and BLAS, cannot fit in physical
+    memory; callers check before their large allocations."""
+    need = arrays + (64 << 20)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
-        raise ValueError(
-            f"{shape.n_sites} momenta at spin {shape.spin} need about {need} bytes, more than the "
-            f"{have} bytes of physical memory"
-        )
+        raise ValueError(f"{what} needs about {need} bytes, more than the {have} bytes of physical memory")
 
 
 def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int) -> np.ndarray:
@@ -222,7 +220,8 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     # weights and masks (33 s), and the negation, half-zone and momentum tables
     # (at most 48 bytes); diagonalize peaks lower, at blocks plus eigenvectors
     # (64 s^2)
-    _check_memory(shape, 64 * s * s + 65 * s + 48)
+    _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
+                  shape.n_sites * (64 * s * s + 65 * s + 48))
     rows = shape.half_zone
     neg = shape.negation_table[rows]
     blocks = _bdg_rows(c, rows)
@@ -422,17 +421,18 @@ def real_space(cov: CovarianceKernel, offsets: Iterable[Iterable[int]]) -> RealS
                                 bb={n: f[shape.negate(n)] for n in keys})
 
 
-def validate_ph_map(w: np.ndarray, shape: LatticeShape, tol: float = 1e-10) -> None:
-    """Check a per-momentum map is unitary with the particle-hole block structure."""
+def validate_ph_map(w: np.ndarray, shape: LatticeShape) -> None:
+    """Check a per-momentum map is unitary with the particle-hole block structure,
+    each to within ``PH_MAP_TOL``."""
     s = shape.spin
     if w.shape != (shape.n_sites, 2 * s, 2 * s):
         raise ValueError(f"map must have shape {(shape.n_sites, 2 * s, 2 * s)}, got {w.shape}")
     eye = np.eye(2 * s)
     uerr = np.abs(w @ np.conj(np.transpose(w, (0, 2, 1))) - eye).max()
-    if uerr > tol:
+    if uerr > PH_MAP_TOL:
         raise ValueError(f"map is not unitary (residual {uerr:.2e})")
     pherr = np.abs(np.roll(np.conj(w[shape.negation_table]), s, axis=(1, 2)) - w).max()
-    if pherr > tol:
+    if pherr > PH_MAP_TOL:
         raise ValueError(f"map breaks particle-hole structure (residual {pherr:.2e})")
 
 
@@ -470,7 +470,8 @@ def evolve_quench(cov: CovarianceKernel, h: CouplingSet, t: float) -> Covariance
     # stacks: 256 s^2 bytes), the energies and phases (48 s), the state's kernels g
     # and f (32 s^2) and the negation table (at most 48 bytes with the others);
     # conjugating the Nambu blocks holds four stacks again
-    _check_memory(cov.shape, 288 * s * s + 48 * s + 48)
+    _check_memory(f"a quench of {cov.shape.n_sites} momenta at spin {s}",
+                  cov.shape.n_sites * (288 * s * s + 48 * s + 48))
     prop = _propagator(h, t)
     gamma = prop @ cov.gamma() @ np.conj(np.transpose(prop, (0, 2, 1)))
     return _kernels_from_gamma(gamma, cov.shape, cov.zero_modes)

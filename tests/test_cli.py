@@ -15,8 +15,9 @@ from quasifree import (
     save_model,
 )
 from quasifree.cli import _build_parser, main
+from quasifree.oracle import build_fock_hamiltonian, evolve_state
 
-from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted
+from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_p_model, make_twisted
 
 
 def run(args):
@@ -322,10 +323,32 @@ def test_oracle_command_reports_library_mode_cap(tmp_path, capsys):
 
 
 def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("quasifree.oracle.os.sysconf", lambda name: 1024)
+    monkeypatch.setattr("quasifree.solver.os.sysconf", lambda name: 1024)
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
     assert code == 2
     assert "physical memory" in capsys.readouterr().err
+
+
+def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatch, capsys):
+    # 10 modes: the oracle is charged 32 * 4^10 bytes and time evolution 40 * 4^10,
+    # each plus 64 MiB; this machine fits only the first
+    monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(100 << 20))
+    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
+    assert code == 0
+    assert "agreement: PASS" in capsys.readouterr().out
+    h = build_fock_hamiltonian(make_p_model(5, 2.0))
+    with pytest.raises(ValueError, match="physical memory"):
+        evolve_state(h, 1.0, np.eye(len(h))[0])
+
+
+@pytest.mark.parametrize("n_sites", ["4", "5"])
+def test_oracle_command_degenerate_ground_space_exits_2(tmp_path, capsys, n_sites):
+    # at 5 sites the ground cluster of 16 levels lies just below dense levels
+    code = run(["oracle", "--model", "spinless-general", "--param", "a0=5e-9", "--dims", n_sites,
+                "--out", str(tmp_path)])
+    assert code == 2
+    assert "degenerate exact ground state" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):

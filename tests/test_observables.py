@@ -21,6 +21,7 @@ from quasifree import (
     real_space,
     verify_criticality,
 )
+from quasifree.model import scaled, slope_bound
 from quasifree.observables import (
     _block_spectra,
     _gaussian_entropy,
@@ -110,7 +111,7 @@ def test_asymmetry_zero_at_self_conjugate_momenta():
         sol = diagonalize(cs)
         (momenta, *_), _ = asymmetry_diagnostics(sol)
         flat = np.ravel_multi_index(tuple(momenta.T), cs.shape.dims)
-        assert not cs.shape.self_conjugate_mask[flat].any()
+        assert not (cs.shape.negation_table == np.arange(cs.shape.n_sites))[flat].any()
 
 
 @pytest.mark.parametrize("onsite", [1e-9, 0.5e-9])
@@ -125,13 +126,13 @@ def test_asymmetry_indeterminate_follows_zero_mode_rule(onsite):
 
 
 def test_verify_consistent_gapped(p_model_64):
-    rep = verify_criticality(p_model_64, size_doubling=True)
+    rep = verify_criticality(p_model_64)
     assert rep.verdict == "consistent-gapped"
     assert not rep.falsification
     assert rep.max_abs_invariant < 1e-10
     assert rep.gap == pytest.approx(1.0, abs=1e-12)
-    assert rep.doubled_gap == pytest.approx(1.0, abs=1e-12)
-    assert rep.dims == (64,)
+    assert diagonalize(p_model_64.resized((128,))).gap == pytest.approx(1.0, abs=1e-12)
+    assert rep.invariant.shape == (64,)
 
 
 def test_verify_twisted_chain_fires_both_sides(twisted_critical_64):
@@ -158,31 +159,57 @@ def test_verify_detects_falsification_without_doubling():
     neg = cs.shape.negation_table
     want = np.sort(np.stack([a_k, -a_k[neg]], 1), 1)
     assert np.abs(want - np.sort(sol.energies, 1)).max() < 1e-12
-    rep = verify_criticality(cs, gap_tol=0.3, size_doubling=False)
+    rep = verify_criticality(cs, gap_tol=0.3)
     assert rep.verdict == "gapless-by-invariant"
     assert rep.falsification
 
 
 def test_verify_doubling_exposes_the_shrinking_gap():
-    rep = verify_criticality(sign_asymmetric_bait(4), gap_tol=0.3, size_doubling=True)
+    rep = verify_criticality(sign_asymmetric_bait(8), gap_tol=0.3)
     assert rep.verdict == "gapless-by-spectrum"
     assert not rep.falsification
-    assert rep.doubled_gap < 0.3
+    assert rep.gap < 0.3
 
 
 def test_verify_two_dimensional_gapped_model():
     shape = LatticeShape((6, 6), 1)
     cs = random_model(shape, reach=1, pairing=True, seed=9)
-    from quasifree.model import scaled, slope_bound
-
     cs = scaled(cs, 0.2 / slope_bound(cs))
     # push the model into a clean gap with a strong on-site term
     hop = dict(cs.hop)
     hop[(0, 0)] = hop.get((0, 0), np.zeros((1, 1))) + 2.0 * np.eye(1)
     cs = CouplingSet(shape, hop, cs.pair)
-    rep = verify_criticality(cs, size_doubling=True)
+    rep = verify_criticality(cs)
     assert rep.verdict == "consistent-gapped"
     assert rep.max_abs_invariant < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.lists(st.integers(3, 8), min_size=1, max_size=3).map(tuple),
+    spin=st.integers(1, 2),
+    pairing=st.booleans(),
+    seed=st.integers(0, 2**16),
+    factor=st.floats(1e-3, 1e3),
+    gap_tol=st.floats(1e-6, 2.0),
+    inv_tol=st.floats(1e-12, 1e-1),
+)
+def test_verdict_follows_gap_and_invariant(dims, spin, pairing, seed, factor, gap_tol, inv_tol):
+    cs = scaled(random_model(LatticeShape(dims, spin), reach=min(2, (min(dims) - 1) // 2),
+                             pairing=pairing, seed=seed), factor)
+    rep = verify_criticality(cs, gap_tol=gap_tol, inv_tol=inv_tol)
+    sol = diagonalize(cs)
+    gap, inv = sol.gap, invariant_map(ground_covariance(sol))
+    if gap <= gap_tol:
+        want = "gapless-by-spectrum"
+    elif np.abs(inv).max() >= inv_tol:
+        want = "gapless-by-invariant"
+    else:
+        want = "consistent-gapped"
+    assert rep.verdict == want
+    assert rep.falsification == (want == "gapless-by-invariant")
+    assert rep.max_abs_invariant == np.abs(rep.invariant).max()
+    assert rep.gap == gap and np.array_equal(rep.invariant, inv)
 
 
 def test_invariant_preserved_by_maps_and_quenches():
@@ -370,4 +397,5 @@ def test_entropies_match_peschel_hopping_formula(cs):
 def test_survey_rejects_negative_count():
     with pytest.raises(ValueError, match="nonnegative"):
         gapped_model_survey((8,), -3, seed=0)
-    assert gapped_model_survey((8,), 0, seed=0).drawn == 0
+    empty = gapped_model_survey((8,), 0, seed=0)
+    assert empty.gapped == 0 and not empty.events

@@ -10,8 +10,10 @@ from quasifree import (
     CouplingSet,
     ExactGroundState,
     LatticeShape,
+    ModelParams,
     RealSpaceCorrelators,
     build_fock_hamiltonian,
+    catalog,
     compare_with_quasifree,
     diagonalize,
     exact_ground_correlators,
@@ -163,7 +165,7 @@ def test_mode_cap_enforced():
 
 def test_build_rejected_when_it_cannot_fit_in_memory(monkeypatch):
     cs = random_model(LatticeShape((10,), 1), reach=1, pairing=True, seed=0)
-    monkeypatch.setattr(oracle.os, "sysconf", lambda name: 1024)
+    monkeypatch.setattr("quasifree.solver.os.sysconf", lambda name: 1024)
     with pytest.raises(ValueError, match="physical memory"):
         build_fock_hamiltonian(cs)
 
@@ -240,6 +242,22 @@ def test_degenerate_ground_state_is_flagged():
     rc = real_space(cov, all_offsets(cs.shape))
     with pytest.raises(ValueError, match="degenerate"):
         compare_with_quasifree(ex, rc)
+
+
+@pytest.mark.parametrize("n_sites", [4, 5, 6])
+def test_averaged_degenerate_ground_space_matches_full_eigh(n_sites):
+    # levels at multiples of 5e-9 on a unit width: the ground cluster (at most two
+    # particles) sits just below the dense three-particle levels
+    cs = catalog(ModelParams("spinless-general", {"a0": 5e-9}, LatticeShape((n_sites,), 1)))
+    h = build_fock_hamiltonian(cs)
+    ex = exact_ground_correlators(h, average_degenerate=True)
+    deg = 1 + n_sites + n_sites * (n_sites - 1) // 2
+    assert ex.degenerate and ex.degeneracy_dim == deg
+    ref = np.linalg.eigh(h)[1][:, :deg]
+    assert np.abs(ex.vectors @ ex.vectors.conj().T - ref @ ref.conj().T).max() < 1e-12
+    pieces = [correlators_from_vector(np.ascontiguousarray(ref[:, a]), cs.shape.n_modes) for a in range(deg)]
+    assert np.abs(ex.bdag_b - sum(p[0] for p in pieces) / deg).max() < 1e-12
+    assert np.abs(ex.bb - sum(p[1] for p in pieces) / deg).max() < 1e-12
 
 
 def test_oracle_agreement_on_random_models():
