@@ -295,7 +295,8 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list[str], int]:
     cov = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
     if cov.zero_modes:
         raise ValueError("model has one-particle zero modes; oracle comparison undefined")
-    exact = exact_ground_correlators(build_fock_hamiltonian(cs), degeneracy_tol=args.degeneracy_tol)
+    exact = exact_ground_correlators(build_fock_hamiltonian(cs), degeneracy_tol=args.degeneracy_tol,
+                                     shape=cs.shape)
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
     energy = ground_energy(cs)
     result = compare_with_quasifree(exact, rc, energy=energy)
@@ -320,9 +321,8 @@ def cmd_quench(args: argparse.Namespace) -> tuple[list[str], int]:
     cov0 = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
     offsets = _reduced_offsets(args.offsets, shape)
     # series[t, o]: invariant at time t and offset o
-    series = np.array([
-        invariant_map(evolve_quench(cov0, quench, t))[tuple(offsets.T)] for t in times
-    ])
+    series = np.array([invariant_map(cov)[tuple(offsets.T)]
+                       for cov in evolve_quench(cov0, quench, times)])
     _write_csv(args.out, "quench.csv", ["t"] + _offset_columns(shape.d) + ["invariant"],
                [np.repeat(times, len(offsets)), *np.tile(offsets, (len(times), 1)).T, series.ravel()])
     spread = float((series.max(axis=0) - series.min(axis=0)).max()) if series.size else 0.0

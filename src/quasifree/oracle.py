@@ -15,21 +15,30 @@ enough for fifty desk-scale models.  Modes are indexed through one grid,
 ``np.arange(n_modes).reshape(dims + (s,))``, which ``np.roll`` shifts by a
 lattice offset.
 The Hamiltonian is assembled as one dense matrix.  A quadratic Hamiltonian,
-pairing included, conserves fermion parity, so after checking that nothing
-couples the even- and odd-parity sectors each sector is handled as a dense
-block of its own.  The ground state takes each block's spectrum from
-``eigvalsh`` and computes only the ground vectors, by shifted subspace inverse
-iteration; its energy is the Rayleigh quotient of the first ground vector.
-Time evolution diagonalizes each block in full.  Builds are capped at 14 modes
-and at physical memory: ``build_fock_hamiltonian`` charges the ground state's
-peak, 32 bytes per entry of the Fock matrix, ``evolve_state`` checks its own 40
-before its first ``eigh``, and ``translation_operator`` charges its 8-byte output,
-each plus the 64 MiB of ``solver._check_memory``.  A degenerate ground space has
+pairing included, conserves fermion parity, and a translation-invariant one
+also commutes with every lattice translation ``T_g``.  The ground state checks
+that nothing couples the even- and odd-parity sectors and, given the lattice,
+that ``T h T^dag = h`` for the one-site translation along each axis; it then
+splits each parity sector into crystal-momentum sectors ``K`` (one sector per
+parity without the lattice).  Each orbit of basis states under the
+translations is represented by its lowest state, and one FFT over the
+translations of the gathered entries ``sign_g(r) h[r', T_g r]`` gives every
+momentum's block at once (``_momentum_sectors``).  The ground state takes each
+block's spectrum from ``eigvalsh`` and computes only the ground vectors, by
+shifted subspace inverse iteration, lifting them back to the occupation basis
+by a phased scatter over each orbit; its energy is the Rayleigh quotient of the
+first ground vector.  Time evolution diagonalizes each parity block in full.
+Builds are capped at 14 modes and at physical memory: ``build_fock_hamiltonian``
+charges the ground state's peak, 32 bytes per entry of the Fock matrix,
+``evolve_state`` checks its own 40 before its first ``eigh``, and
+``translation_operator`` charges its 8-byte output, each plus the 64 MiB of
+``solver._check_memory``.  A degenerate ground space has
 no canonical single-vector correlators, so ``compare_with_quasifree`` refuses it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -105,9 +114,12 @@ def _terms(table, shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     """Dense Fock-space matrix of the quadratic Hamiltonian defined by ``c``."""
     ns = c.shape.n_modes
-    # charged with the peak of exact_ground_correlators, during the solve: h (16
-    # bytes per entry), both sector blocks, the shifted matrix and its LU copy (4
-    # each; eigvalsh's copy is freed by then).  evolve_state checks its own, higher
+    # charged with the peak of exact_ground_correlators without a lattice, where
+    # each parity sector is one block, during the solve: h (16 bytes per entry),
+    # both blocks, the shifted matrix and its LU copy (4 each; eigvalsh's copy and
+    # the FFT's input and output are freed by then).  Given the lattice, blocks
+    # and FFTs are smaller by the number of sites squared, and h and the ~1 MB row
+    # blocks of the checks make the peak.  evolve_state checks its own, higher
     # peak; the build alone peaks near h itself
     _check_cap(ns, 32, "a dense Fock ground state")
     dim = 1 << ns
@@ -130,9 +142,8 @@ def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     np.add.at(flat, y * dim + x, val)
     np.add.at(flat, x * dim + y, val.conj())
 
-    # row blocks of about 2^16 entries keep the check's temporaries near 1 MB
-    step = max(1, (1 << 16) // dim)
-    herm = max(np.abs(h[r:r + step] - h[:, r:r + step].conj().T).max() for r in range(0, dim, step))
+    blocks = _row_blocks(dim)
+    herm = max(np.abs(h[r:r + blocks.step] - h[:, r:r + blocks.step].conj().T).max() for r in blocks)
     if herm > 1e-12:  # a valid CouplingSet assembles Hermitian: this is an internal failure
         raise np.linalg.LinAlgError(
             f"assembled Fock Hamiltonian is not Hermitian (residual {herm:.2e})")
@@ -183,26 +194,42 @@ class ExactGroundState:
 
 
 def exact_ground_correlators(
-    h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL, average_degenerate: bool = False
+    h: np.ndarray,
+    degeneracy_tol: float = DEGENERACY_TOL,
+    average_degenerate: bool = False,
+    shape: LatticeShape | None = None,
 ) -> ExactGroundState:
     """Exact ground space, sector by sector, and ground-state correlators.
 
-    Each parity sector's spectrum comes from ``eigvalsh``, and the two are merged
-    into one, so degeneracy is judged relative to the full spectral width and a
-    ground space may span both sectors.  Only the ground vectors are computed, in
-    each sector that holds ground levels, by shifted subspace inverse iteration
-    (``_lowest_vectors``); each has a residual of at most
-    ``RESIDUAL_RTOL * width``.  The energy is the Rayleigh quotient of the first
-    ground vector.  For a degenerate ground space the correlators of a single
-    arbitrary vector are not canonical; with ``average_degenerate`` they are
-    averaged over an orthonormal basis of the ground space (the maximally mixed
-    ground state).
+    ``h`` is split into fermion-parity sectors and, given the lattice ``shape``
+    of a translation-invariant ``h``, each of those into crystal-momentum
+    sectors (``_momentum_sectors``); without ``shape`` the translation group is
+    the identity alone and each parity sector is one block.  Each block's
+    spectrum comes from ``eigvalsh``, and all are merged into one, so degeneracy
+    is judged relative to the full spectral width and a ground space may span
+    several sectors.  Only the ground vectors are computed, in each sector that
+    holds ground levels, by shifted subspace inverse iteration
+    (``_lowest_vectors``), and lifted back to the occupation basis; each has a
+    residual of at most ``RESIDUAL_RTOL * width``.  The energy is the Rayleigh
+    quotient of the first ground vector.  For a degenerate ground space the
+    correlators of a single arbitrary vector are not canonical; with
+    ``average_degenerate`` they are averaged over an orthonormal basis of the
+    ground space (the maximally mixed ground state).
+
+    Raises ``ValueError`` when ``h`` couples the parity sectors or, with
+    ``shape``, when it does not commute with the lattice translations.
     """
     dim = h.shape[0]
     n_modes = int(round(np.log2(dim)))
-    sectors = _parity_sectors(h)
-    blocks = [h[np.ix_(states, states)] for states in sectors]
-    spectra = [np.linalg.eigvalsh(block) for block in blocks]
+    if shape is not None and shape.n_modes != n_modes:
+        raise ValueError(f"lattice of {shape.n_modes} modes given for a {n_modes}-mode Fock space")
+    group = shape.dims if shape is not None else ()  # without a lattice, the identity alone
+    targets, signs = _translations(n_modes, group)
+    if shape is not None:
+        _check_translation_invariance(h, targets, signs, shape)
+    sectors = [sector for states in _parity_sectors(h)
+               for sector in _momentum_sectors(h, states, targets, signs, group)]
+    spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
     merged = np.concatenate(spectra)
     order = np.argsort(merged, kind="stable")
     evals = merged[order]
@@ -212,14 +239,18 @@ def exact_ground_correlators(
     degenerate = deg_dim > 1
     gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
 
-    # both sectors hold dim / 2 states; zeros fill the other sector.  A sector's
-    # ground levels are its lowest, and the stable merge keeps them in ascending
-    # order, the order in which _lowest_vectors returns them
-    in_sector = order[:deg_dim] // (dim // 2)
+    # a sector's ground levels are its lowest, and the stable merge keeps them in
+    # ascending order, the order in which _lowest_vectors returns them
+    owner = np.repeat(np.arange(len(sectors)), [len(spectrum) for spectrum in spectra])[order[:deg_dim]]
     vectors = np.zeros((dim, deg_dim), dtype=complex)
-    for states, block, spectrum, cols in zip(sectors, blocks, spectra, (in_sector == 0, in_sector == 1)):
-        if cols.any():
-            vectors[np.ix_(states, cols)] = _lowest_vectors(block, spectrum, int(cols.sum()), width)
+    for i in np.unique(owner):
+        cols = owner == i
+        sector = sectors[i]
+        y = _lowest_vectors(sector.block, spectra[i], int(cols.sum()), width)
+        # |r, K> = sum_g coef[g, r] |targets[g, r]>: a phased scatter over each orbit
+        lifted = np.zeros((dim, y.shape[1]), dtype=complex)
+        np.add.at(lifted, sector.targets.ravel(), (sector.coef[..., None] * y).reshape(-1, y.shape[1]))
+        vectors[:, cols] = lifted
     take = deg_dim if (average_degenerate and degenerate) else 1
     pieces = [correlators_from_vector(np.ascontiguousarray(vectors[:, a]), n_modes) for a in range(take)]
     bdag_b = sum(p[0] for p in pieces) / take
@@ -235,19 +266,113 @@ def exact_ground_correlators(
     )
 
 
+def _row_blocks(dim: int) -> range:
+    """Starts of row blocks of about 2^16 entries of a ``dim x dim`` matrix: checked
+    block by block, a dense Fock matrix needs temporaries near 1 MB, not near its
+    own size."""
+    return range(0, dim, max(1, (1 << 16) // dim))
+
+
 def _parity_sectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The basis states of the even, then the odd, fermion-parity sector.
 
     Raises if any entry of ``h`` couples the two sectors.
     """
-    bits, _ = _bit_tables(int(round(np.log2(h.shape[0]))))
+    dim = h.shape[0]
+    bits, _ = _bit_tables(int(round(np.log2(dim))))
     odd = (bits.sum(axis=1) & 1).astype(bool)
     even_states, odd_states = np.nonzero(~odd)[0], np.nonzero(odd)[0]
-    mixing = max(np.abs(h[np.ix_(even_states, odd_states)]).max(),
-                 np.abs(h[np.ix_(odd_states, even_states)]).max())
+    blocks = _row_blocks(dim // 2)
+    mixing = max(np.abs(np.take(h[rows[r:r + blocks.step]], cols, axis=1)).max()
+                 for rows, cols in ((even_states, odd_states), (odd_states, even_states)) for r in blocks)
     if mixing >= 1e-12:
         raise ValueError(f"Hamiltonian couples the fermion-parity sectors (entry {mixing:.2e})")
     return even_states, odd_states
+
+
+def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every lattice translation of every basis state: ``T_g |x> = signs[g, x] |targets[g, x]>``.
+
+    ``g`` runs over the translations of a lattice of ``group`` sites per axis, in
+    row-major order; ``group = ()`` is the identity alone.  ``T_g`` moves the
+    particle in mode ``(m, a)`` to mode ``(m + g, a)``, and its sign is the parity
+    of the inversions that mode map makes among the occupied modes.
+    """
+    modes = np.arange(n_modes).reshape(group + (-1,))
+    axes = tuple(range(len(group)))
+    # maps[g, m]: the mode at site(m) + g
+    maps = np.stack([np.roll(modes, [-c for c in g], axis=axes).ravel() for g in np.ndindex(*group)])
+    bits = _bit_tables(n_modes)[0].astype(np.int64)
+    inversions = np.triu(maps[:, :, None] > maps[:, None, :], k=1).astype(np.int64)
+    signs = 1 - 2 * (np.einsum("xi,gij,xj->gx", bits, inversions, bits) & 1)
+    return (bits @ (1 << maps).T).T, signs
+
+
+def _check_translation_invariance(h: np.ndarray, targets, signs, shape: LatticeShape) -> None:
+    """Raise ``ValueError`` unless ``T h T^dag = h`` for the one-site translation
+    along every axis, to within ``1e-12 * max(1, max|h|)``.
+
+    ``(T h T^dag)[T x, T y] = sign(x) sign(y) h[x, y]``, compared in row blocks.
+    """
+    generators = [math.prod(shape.dims[axis + 1:]) for axis in range(shape.d)]  # g = e_axis, row-major
+    blocks = _row_blocks(h.shape[0])
+    worst = scale = 0.0
+    for r in blocks:
+        rows = h[r:r + blocks.step]
+        scale = max(scale, float(np.abs(rows).max()))
+        for t, s in zip(targets[generators], signs[generators].astype(float)):
+            moved = np.take(h[t[r:r + blocks.step]], t, axis=1)
+            moved *= s[r:r + blocks.step, None]
+            moved *= s
+            moved -= rows
+            worst = max(worst, float(np.abs(moved).max()))
+    if worst >= 1e-12 * max(1.0, scale):
+        raise ValueError(f"Hamiltonian is not translation invariant on {shape.dims} (entry {worst:.2e})")
+
+
+class _Sector(NamedTuple):
+    """One (parity, momentum) sector: the block of ``h`` over the orthonormal states
+    ``|r, K> = sum_g coef[g, r] |targets[g, r]>``, one per kept representative ``r``."""
+
+    block: np.ndarray
+    targets: np.ndarray  # (group order, n)
+    coef: np.ndarray     # (group order, n)
+
+
+def _momentum_sectors(h: np.ndarray, states: np.ndarray, targets, signs, group) -> list[_Sector]:
+    """The crystal-momentum sectors of the parity sector ``states``, momenta ``K``
+    in row-major order of the translation ``group``.
+
+    Each orbit is represented by its lowest state ``r``, with stabilizer ``S_r``.
+    The state ``|r, K>`` is ``sum_g exp(-i K.g) T_g |r> / sqrt(N |S_r|)``, where
+    ``N`` is the group order, when the FFT of the signs of ``S_r``,
+    ``c_r(K) = sum_{g in S_r} exp(-i K.g) sign_g(r)``, is ``|S_r|``; where it is 0
+    the sum vanishes and ``r`` drops out of sector ``K``.  Then
+    ``<r', K|h|r, K>`` is the FFT over ``g`` of
+    ``sign_g(r) h[r', T_g r] / sqrt(|S_r'| |S_r|)``, so one FFT gives every
+    momentum's block at once.  With the trivial group the single sector's block is
+    ``h`` restricted to ``states``, exactly.
+    """
+    reps = states[targets[:, states].min(axis=0) == states]
+    t, s = targets[:, reps], signs[:, reps]
+    n, n_g = len(reps), len(targets)
+    axes = tuple(range(len(group)))
+    fixed = t == reps
+    weight = 1 / np.sqrt(fixed.sum(axis=0))
+    blocks = h[reps[None, :, None], t[:, None, :]]  # blocks[g, r', r] = h[r', T_g r]
+    blocks *= (s * weight)[:, None, :]
+    blocks *= weight[:, None]
+    blocks = np.fft.fftn(blocks.reshape(group + (n, n)), axes=axes).reshape(n_g, n, n)
+    kept = np.fft.fftn((s * fixed).reshape(group + (n,)), axes=axes).reshape(n_g, n).real > 0.5
+    index = np.array(list(np.ndindex(*group)), dtype=float).reshape(n_g, len(group))
+    phases = np.exp(-2j * np.pi * (index / group) @ index.T)  # phases[K, g] = exp(-i K.g)
+    sectors = []
+    for block, keep, phase in zip(blocks, kept, phases):
+        if not keep.all():
+            block = block[np.ix_(keep, keep)]
+        coef = phase[:, None] * (s * weight)[:, keep] / np.sqrt(n_g)
+        sectors.append(_Sector(block, t[:, keep], coef))
+    return sectors
 
 
 def _lowest_vectors(block: np.ndarray, spectrum: np.ndarray, n: int, width: float) -> np.ndarray:
@@ -290,14 +415,11 @@ def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
     """Fock-space one-site translation along ``axis`` (a signed permutation matrix)."""
     ns = shape.n_modes
     _check_cap(ns, 8, "a Fock translation operator")  # the real output matrix
-    mode_map = np.roll(_modes(shape), -1, axis=axis).ravel()  # mode at site + e_axis
-    bits = _bit_tables(ns)[0].astype(np.int64)
-    # the sign is the parity of the inversions the map makes among occupied modes
-    inversions = np.triu(mode_map[:, None] > mode_map[None, :], k=1).astype(np.int64)
-    sign = 1 - 2 * (np.einsum("xi,ij,xj->x", bits, inversions, bits) & 1)
+    targets, signs = _translations(ns, shape.dims)
+    step = math.prod(shape.dims[axis + 1:])  # the row-major index of g = e_axis
     dim = 1 << ns
     out = np.zeros((dim, dim))
-    out[bits @ (1 << mode_map), np.arange(dim)] = sign
+    out[targets[step], np.arange(dim)] = signs[step]
     return out
 
 

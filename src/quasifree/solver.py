@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -436,16 +436,21 @@ def validate_ph_map(w: np.ndarray, shape: LatticeShape) -> None:
         raise ValueError(f"map breaks particle-hole structure (residual {pherr:.2e})")
 
 
-def apply_bogoliubov_map(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKernel:
-    """Conjugate the Nambu blocks by a validated translation-invariant Bogoliubov map."""
-    validate_ph_map(np.asarray(w, dtype=complex), cov.shape)
+def _conjugate(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKernel:
+    """The kernels of ``cov`` with every Nambu block conjugated by ``w_k``."""
     gamma = w @ cov.gamma() @ np.conj(np.transpose(w, (0, 2, 1)))
     return _kernels_from_gamma(gamma, cov.shape, cov.zero_modes)
 
 
-def _propagator(h: CouplingSet, t: float) -> np.ndarray:
-    """``exp(-i t H_k)`` for every BdG block of ``h``, shape ``(M, 2s, 2s)``."""
-    lam, vecs = np.linalg.eigh(bdg_blocks(h))
+def apply_bogoliubov_map(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKernel:
+    """Conjugate the Nambu blocks by a validated translation-invariant Bogoliubov map."""
+    validate_ph_map(np.asarray(w, dtype=complex), cov.shape)
+    return _conjugate(cov, w)
+
+
+def _propagator(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
+    """``exp(-i t H_k)`` for every block, shape ``(M, 2s, 2s)``, from the blocks'
+    eigenvalues ``lam`` and eigenvectors ``vecs``."""
     phases = np.exp(-1j * t * lam)
     return (vecs * phases[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
 
@@ -453,28 +458,34 @@ def _propagator(h: CouplingSet, t: float) -> np.ndarray:
 def random_ph_map(shape: LatticeShape, seed: int, strength: float = 1.0) -> np.ndarray:
     """Random valid Bogoliubov map ``exp(-i * strength * H_k)`` of a seeded Hamiltonian."""
     reach = min(2, (min(shape.dims) - 1) // 2)
-    return _propagator(random_model(shape, reach=reach, pairing=True, seed=seed), strength)
+    h = random_model(shape, reach=reach, pairing=True, seed=seed)
+    return _propagator(*np.linalg.eigh(bdg_blocks(h)), strength)
 
 
-def evolve_quench(cov: CovarianceKernel, h: CouplingSet, t: float) -> CovarianceKernel:
-    """Sudden-quench evolution: conjugate each Nambu block by ``exp(-i t H'_k)``.
+def evolve_quench(
+    cov: CovarianceKernel, h: CouplingSet, times: Iterable[float]
+) -> Iterator[CovarianceKernel]:
+    """Sudden-quench evolution: the kernels at each of ``times``, each Nambu block
+    conjugated by ``exp(-i t H'_k)``.
 
-    Raises ``ValueError`` before the propagator is built when it would not fit in
+    The BdG blocks of ``h`` are diagonalized once, in this call; the kernels follow
+    lazily, one per time, so a caller need hold only one at a time.  Raises
+    ``ValueError`` before the eigendecomposition when it would not fit in
     physical memory.
     """
     if h.shape != cov.shape:
         raise ValueError(f"quench shape {h.shape} does not match state shape {cov.shape}")
     s = cov.shape.spin
-    # the peak comes in _propagator's product, per momentum: the eigenvectors, their
-    # phased copy, its conjugate transpose and the product (four (2s)^2 complex
-    # stacks: 256 s^2 bytes), the energies and phases (48 s), the state's kernels g
-    # and f (32 s^2) and the negation table (at most 48 bytes with the others);
-    # conjugating the Nambu blocks holds four stacks again
+    # the peak comes while a propagator conjugates the Nambu blocks, per momentum:
+    # the eigenvectors, held for every time, the propagator, its product with the
+    # Nambu blocks, its conjugate transpose and their product (five (2s)^2 complex
+    # stacks: 320 s^2 bytes), the energies and phases (48 s), the state's kernels g
+    # and f and the kernels of the previous time that a caller still holds (64 s^2)
+    # and the negation table (at most 48 bytes with the others)
     _check_memory(f"a quench of {cov.shape.n_sites} momenta at spin {s}",
-                  cov.shape.n_sites * (288 * s * s + 48 * s + 48))
-    prop = _propagator(h, t)
-    gamma = prop @ cov.gamma() @ np.conj(np.transpose(prop, (0, 2, 1)))
-    return _kernels_from_gamma(gamma, cov.shape, cov.zero_modes)
+                  cov.shape.n_sites * (384 * s * s + 48 * s + 48))
+    lam, vecs = np.linalg.eigh(bdg_blocks(h))
+    return (_conjugate(cov, _propagator(lam, vecs, t)) for t in times)
 
 
 def ground_energy(c: CouplingSet) -> float:

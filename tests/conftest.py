@@ -23,7 +23,7 @@ def make_p_model(n_sites: int, p: float):
 
 
 # 4096 momenta at s = 2: diagonalize's memory check asks 64 MiB + 434 B per
-# momentum, evolve_quench's 64 MiB + 1296 B; this machine passes only the first
+# momentum, evolve_quench's 64 MiB + 1680 B; this machine passes only the first
 QUENCH_SHORT_MEMORY = (64 << 20) + 4096 * 800
 
 

@@ -75,7 +75,8 @@ def test_criterion_2_invariance_under_maps_and_quenches():
 
         h = random_model(shape, reach=1, pairing=True, seed=BASE_SEED + 2000 + i)
         t = float(rng.uniform(0.0, 10.0))
-        inv_q = invariant_map(evolve_quench(cov, h, t))
+        [quenched] = evolve_quench(cov, h, [t])
+        inv_q = invariant_map(quenched)
         worst = max(worst, np.abs(inv0 - inv_q).max())
     assert worst < 1e-9
     report("criterion 2", f"50 maps + 50 quenches, max invariant deviation {worst:.2e}")
@@ -127,7 +128,7 @@ def _oracle_cases():
         sol = diagonalize(cs)
         if sol.gap < 1e-6:
             continue
-        exact = exact_ground_correlators(build_fock_hamiltonian(cs))
+        exact = exact_ground_correlators(build_fock_hamiltonian(cs), shape=cs.shape)
         if exact.degenerate:
             continue
         produced += 1

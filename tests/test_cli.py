@@ -351,6 +351,22 @@ def test_oracle_command_degenerate_ground_space_exits_2(tmp_path, capsys, n_site
     assert not (tmp_path / "report.txt").exists()
 
 
+def test_oracle_command_rejects_a_translation_breaking_hamiltonian(tmp_path, monkeypatch, capsys):
+    # the command hands the lattice to the oracle, which refuses momentum sectors
+    # for a Hamiltonian that does not commute with the translations
+    def broken(cs):
+        h = build_fock_hamiltonian(cs)
+        h[1, 2] += 1e-9
+        h[2, 1] += 1e-9
+        return h
+
+    monkeypatch.setattr("quasifree.cli.build_fock_hamiltonian", broken)
+    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
+    assert code == 2
+    assert "not translation invariant" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):
     code = run([
         "oracle", "--model", "twisted-chain", "--param", "alpha=1.5707963267948966",

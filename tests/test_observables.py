@@ -222,7 +222,7 @@ def test_invariant_preserved_by_maps_and_quenches():
         inv_m = invariant_map(mapped)
         assert np.abs(inv0 - inv_m).max() < 1e-9
         h = random_model(shape, reach=1, pairing=True, seed=50 + seed)
-        quenched = evolve_quench(cov, h, 0.9 + seed)
+        [quenched] = evolve_quench(cov, h, [0.9 + seed])
         inv_q = invariant_map(quenched)
         assert np.abs(inv0 - inv_q).max() < 1e-9
 

@@ -231,17 +231,29 @@ def test_degenerate_ground_state_is_flagged():
     # two exact zero modes -> fourfold degenerate ground space
     cs = make_twisted(4, np.pi / 2)
     h = build_fock_hamiltonian(cs)
-    ex = exact_ground_correlators(h)
-    assert ex.degenerate
-    assert ex.degeneracy_dim == 4
-    # the ground space spans both parity sectors, two vectors in each
-    v = ex.vectors
-    assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
-    assert np.abs(h @ v - ex.energy * v).max() < 1e-12
+    bits = (np.arange(h.shape[0])[:, None] >> np.arange(cs.shape.n_modes)) & 1
+    odd = bits.sum(axis=1) % 2 == 1
+    t = translation_operator(cs.shape)
     cov = ground_covariance(diagonalize(cs))
     rc = real_space(cov, all_offsets(cs.shape))
-    with pytest.raises(ValueError, match="degenerate"):
-        compare_with_quasifree(ex, rc)
+    for sectors in ({}, {"shape": cs.shape}):
+        ex = exact_ground_correlators(h, **sectors)
+        assert ex.degenerate
+        assert ex.degeneracy_dim == 4
+        # the ground space spans both parity sectors, two vectors in each
+        v = ex.vectors
+        assert np.abs(v.conj().T @ v - np.eye(4)).max() < 1e-12
+        assert np.abs(h @ v - ex.energy * v).max() < 1e-12
+        in_odd = np.linalg.norm(v[odd], axis=0)
+        assert np.abs(np.sort(in_odd) - [0, 0, 1, 1]).max() < 1e-12
+        with pytest.raises(ValueError, match="degenerate"):
+            compare_with_quasifree(ex, rc)
+    # with the lattice given, each ground vector has a crystal momentum, K = +-pi/2
+    # in each parity sector
+    eig = np.einsum("xa,xa->a", v.conj(), t @ v)
+    assert np.abs(t @ v - v * eig).max() < 1e-12
+    assert np.abs(np.sort_complex(np.round(eig, 12)) - [-1j, -1j, 1j, 1j]).max() < 1e-12
+    assert sorted(in_odd[eig.imag > 0].round()) == [0, 1]
 
 
 @pytest.mark.parametrize("n_sites", [4, 5, 6])
@@ -250,14 +262,15 @@ def test_averaged_degenerate_ground_space_matches_full_eigh(n_sites):
     # particles) sits just below the dense three-particle levels
     cs = catalog(ModelParams("spinless-general", {"a0": 5e-9}, LatticeShape((n_sites,), 1)))
     h = build_fock_hamiltonian(cs)
-    ex = exact_ground_correlators(h, average_degenerate=True)
     deg = 1 + n_sites + n_sites * (n_sites - 1) // 2
-    assert ex.degenerate and ex.degeneracy_dim == deg
     ref = np.linalg.eigh(h)[1][:, :deg]
-    assert np.abs(ex.vectors @ ex.vectors.conj().T - ref @ ref.conj().T).max() < 1e-12
     pieces = [correlators_from_vector(np.ascontiguousarray(ref[:, a]), cs.shape.n_modes) for a in range(deg)]
-    assert np.abs(ex.bdag_b - sum(p[0] for p in pieces) / deg).max() < 1e-12
-    assert np.abs(ex.bb - sum(p[1] for p in pieces) / deg).max() < 1e-12
+    for sectors in ({}, {"shape": cs.shape}):
+        ex = exact_ground_correlators(h, average_degenerate=True, **sectors)
+        assert ex.degenerate and ex.degeneracy_dim == deg
+        assert np.abs(ex.vectors @ ex.vectors.conj().T - ref @ ref.conj().T).max() < 1e-12
+        assert np.abs(ex.bdag_b - sum(p[0] for p in pieces) / deg).max() < 1e-12
+        assert np.abs(ex.bb - sum(p[1] for p in pieces) / deg).max() < 1e-12
 
 
 def test_oracle_agreement_on_random_models():
@@ -379,25 +392,27 @@ def test_parity_sectors_match_full_diagonalization(data, spin, pairing, seed):
     draw = lambda: {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
                     for n in all_offsets(shape)}
     h = build_fock_hamiltonian(symmetrize(shape, draw(), draw() if pairing else {}))
-    ex = exact_ground_correlators(h)
     # reference: one full-matrix eigh, with the oracle's degeneracy rule
     evals, evecs = np.linalg.eigh(h)
     width = float(evals[-1] - evals[0])
     deg_dim = int(np.nonzero(evals - evals[0] <= 1e-8 * max(1.0, width))[0][-1]) + 1
     gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
     tol = 1e-12 * max(1.0, width)
-    assert abs(ex.energy - evals[0]) <= tol
-    assert abs(ex.gap_above - gap_above) <= tol
-    assert ex.degeneracy_dim == deg_dim
-    # full-length, orthonormal eigenvectors, whichever sectors they come from
-    v = ex.vectors
-    hv = h @ v
-    assert np.abs(v.conj().T @ v - np.eye(deg_dim)).max() <= 1e-12
-    assert np.abs(hv - v * np.einsum("xa,xa->a", v.conj(), hv).real).max() <= tol
-    if deg_dim == 1:
-        bdag_b, bb = correlators_from_vector(np.ascontiguousarray(evecs[:, 0]), shape.n_modes)
-        assert np.abs(ex.bdag_b - bdag_b).max() <= 1e-12
-        assert np.abs(ex.bb - bb).max() <= 1e-12
+    # parity sectors alone, then (parity, crystal momentum) sectors
+    for sectors in ({}, {"shape": shape}):
+        ex = exact_ground_correlators(h, **sectors)
+        assert abs(ex.energy - evals[0]) <= tol
+        assert abs(ex.gap_above - gap_above) <= tol
+        assert ex.degeneracy_dim == deg_dim
+        # full-length, orthonormal eigenvectors, whichever sectors they come from
+        v = ex.vectors
+        hv = h @ v
+        assert np.abs(v.conj().T @ v - np.eye(deg_dim)).max() <= 1e-12
+        assert np.abs(hv - v * np.einsum("xa,xa->a", v.conj(), hv).real).max() <= tol
+        if deg_dim == 1:
+            bdag_b, bb = correlators_from_vector(np.ascontiguousarray(evecs[:, 0]), shape.n_modes)
+            assert np.abs(ex.bdag_b - bdag_b).max() <= 1e-12
+            assert np.abs(ex.bb - bb).max() <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,6 +464,36 @@ def test_parity_mixing_hamiltonian_is_rejected():
             exact_ground_correlators(h)
         with pytest.raises(ValueError, match="parity"):
             evolve_state(h, 1.0, np.eye(h.shape[0])[0])
+
+
+@pytest.mark.parametrize("dims", [(6,), (3, 3)])
+def test_translation_breaking_hamiltonian_is_rejected_with_a_shape(dims):
+    shape = LatticeShape(dims, 1)
+    h = build_fock_hamiltonian(random_model(shape, reach=1, pairing=True, seed=4))
+    # states 1 and 2 (modes 0 and 1 occupied) share a parity; the break sits on
+    # one entry and its Hermitian partner, where every translation sees it
+    h[1, 2] += 1e-9
+    h[2, 1] += 1e-9
+    with pytest.raises(ValueError, match="not translation invariant"):
+        exact_ground_correlators(h, shape=shape)
+    exact_ground_correlators(h)  # the parity sectors alone still hold
+    with pytest.raises(ValueError, match="modes"):
+        exact_ground_correlators(h, shape=LatticeShape((5,), 1))
+
+
+def test_translation_operator_generates_the_sector_translations():
+    # the table behind the sectors holds every translation; each is a power of
+    # the one-site generators, which commute
+    shape = LatticeShape((3, 2), 1)
+    targets, signs = oracle._translations(shape.n_modes, shape.dims)
+    dim = 1 << shape.n_modes
+    t0, t1 = translation_operator(shape, 0), translation_operator(shape, 1)
+    assert np.abs(t0 @ t1 - t1 @ t0).max() == 0
+    for flat, g in enumerate(np.ndindex(*shape.dims)):  # row-major, as the table
+        want = np.linalg.matrix_power(t0, g[0]) @ np.linalg.matrix_power(t1, g[1])
+        got = np.zeros((dim, dim))
+        got[targets[flat], np.arange(dim)] = signs[flat]
+        assert np.abs(got - want).max() == 0
 
 
 def test_evolve_state_matches_full_matrix_evolution():

@@ -20,6 +20,7 @@ from quasifree import (
     real_space,
     spinless_closed_form,
 )
+from quasifree import solver
 from quasifree.lattice import fourier_circulant, inverse_fourier
 from quasifree.model import bdg_blocks, symmetrize
 from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, constraint_residuals, validate_ph_map
@@ -171,7 +172,7 @@ def test_quench_refuses_a_lattice_that_diagonalize_accepts(monkeypatch):
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(QUENCH_SHORT_MEMORY))
     cov = ground_covariance(diagonalize(random_model(shape, reach=1, pairing=True, seed=0)))
     with pytest.raises(ValueError, match="physical memory"):
-        evolve_quench(cov, random_model(shape, reach=1, pairing=True, seed=1), 1.0)
+        evolve_quench(cov, random_model(shape, reach=1, pairing=True, seed=1), [1.0])
 
 
 @pytest.mark.parametrize("cs", [
@@ -465,10 +466,9 @@ def test_random_ph_map_is_valid():
 def test_quench_time_zero_and_stationarity():
     cs = random_model(LatticeShape((10,), 2), reach=2, pairing=True, seed=8)
     cov = ground_covariance(diagonalize(cs))
-    out0 = evolve_quench(cov, cs, 0.0)
+    out0, out = evolve_quench(cov, cs, [0.0, 2.7])
     assert np.abs(out0.g - cov.g).max() < 1e-13
     # the parent Hamiltonian leaves its own ground state invariant
-    out = evolve_quench(cov, cs, 2.7)
     assert np.abs(out.g - cov.g).max() < 1e-10
     assert np.abs(out.f - cov.f).max() < 1e-10
 
@@ -478,18 +478,33 @@ def test_quench_composition():
     cs = random_model(shape, reach=2, pairing=True, seed=4)
     h = random_model(shape, reach=1, pairing=True, seed=14)
     cov = ground_covariance(diagonalize(cs))
-    once = evolve_quench(cov, h, 1.6)
-    twice = evolve_quench(once, h, 2.1)
-    direct = evolve_quench(cov, h, 3.7)
+    once, direct = evolve_quench(cov, h, [1.6, 3.7])
+    [twice] = evolve_quench(once, h, [2.1])
     assert np.abs(twice.g - direct.g).max() < 1e-10
     assert np.abs(twice.f - direct.f).max() < 1e-10
+
+
+def test_quench_diagonalizes_once_for_all_times(monkeypatch):
+    shape = LatticeShape((12,), 2)
+    cov = ground_covariance(diagonalize(random_model(shape, reach=2, pairing=True, seed=3)))
+    h = random_model(shape, reach=1, pairing=True, seed=13)
+    times = [0.0, 0.4, 2.5, 7.0]
+    calls = []
+    blocks = solver.bdg_blocks
+    monkeypatch.setattr(solver, "bdg_blocks", lambda c: calls.append(c) or blocks(c))
+    kernels = list(evolve_quench(cov, h, times))
+    assert len(calls) == 1
+    # each time's kernels are bit for bit those of a quench to that time alone
+    for t, out in zip(times, kernels):
+        [alone] = evolve_quench(cov, h, [t])
+        assert out.g.tobytes() == alone.g.tobytes() and out.f.tobytes() == alone.f.tobytes()
 
 
 def test_quench_shape_mismatch():
     cov = ground_covariance(diagonalize(make_twisted(8, 0.0)))
     other = random_model(LatticeShape((10,), 1), reach=1, pairing=False, seed=0)
     with pytest.raises(ValueError, match="shape"):
-        evolve_quench(cov, other, 1.0)
+        evolve_quench(cov, other, [1.0])
 
 
 def test_beta_weight_symmetric_in_momentum():
