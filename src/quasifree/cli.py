@@ -25,9 +25,9 @@ floats are written with 17 significant digits so downstream plots reproduce
 exactly.
 
 Commands return their report lines; ``main`` writes ``<out>/report.txt`` and
-repeats it on stdout (after a model file's closure projection note, if any).  A
-failing command writes no report.  ``verify --count 0`` reports "models drawn:
-0" and a warning line.
+repeats it on stdout.  A model file's closure projection note, if any, goes to
+stderr.  A failing command writes no report.  ``verify --count 0`` reports
+"models drawn: 0" and a warning line.
 """
 
 from __future__ import annotations
@@ -138,7 +138,8 @@ def _resolve_model(args: argparse.Namespace) -> CouplingSet:
         loaded = load_model(args.model)
         cs = loaded.couplings
         if loaded.projection_distance > 0:
-            print(f"model file closure projection distance: {loaded.projection_distance:.3e}")
+            print(f"model file closure projection distance: {loaded.projection_distance:.3e}",
+                  file=sys.stderr)
         if args.dims is not None and args.dims != cs.shape.dims:
             cs = cs.resized(args.dims)
         return cs

@@ -23,16 +23,17 @@ splits each parity sector into crystal-momentum sectors ``K`` (one sector per
 parity without the lattice).  Each orbit of basis states under the
 translations is represented by its lowest state, and one FFT over the
 translations of the gathered entries ``sign_g(r) h[r', T_g r]`` gives every
-momentum's block at once (``_momentum_sectors``).  The ground state takes each
-block's spectrum from ``eigvalsh`` and computes only the ground vectors, by
-shifted subspace inverse iteration, lifting them back to the occupation basis
-by a phased scatter over each orbit; its energy is the Rayleigh quotient of the
-first ground vector.  Time evolution diagonalizes each parity block in full.
-Builds are capped at 14 modes and at physical memory: ``build_fock_hamiltonian``
-charges the ground state's peak, 32 bytes per entry of the Fock matrix,
-``evolve_state`` checks its own 40 before its first ``eigh``, and
-``translation_operator`` charges its 8-byte output, each plus the 64 MiB of
-``solver._check_memory``.  A degenerate ground space has
+momentum's block at once (``_momentum_sectors``).  The ground state takes every
+block's spectrum from ``eigvalsh`` and runs ``eigh`` only on the blocks that
+hold ground levels; their lowest columns, normalized, are lifted back to the
+occupation basis by a phased scatter over each orbit, and the energy is the
+Rayleigh quotient of the first ground vector.  Time evolution diagonalizes each
+parity block in full.  Builds are capped at 14 modes, and each step checks
+physical memory before it allocates, every charge plus the 64 MiB of
+``solver._check_memory``: ``build_fock_hamiltonian`` charges ``h``, 16 bytes
+per entry; ``exact_ground_correlators`` charges ``h`` and, for its sectors, 24
+bytes per entry over the number of lattice translations (one without the
+lattice); ``evolve_state`` charges 40 bytes per entry.  A degenerate ground space has
 no canonical single-vector correlators, so ``compare_with_quasifree`` refuses it.
 """
 
@@ -54,7 +55,6 @@ __all__ = [
     "ComparisonResult",
     "build_fock_hamiltonian",
     "exact_ground_correlators",
-    "translation_operator",
     "evolve_state",
     "correlators_from_vector",
     "invariant_from_correlators",
@@ -63,19 +63,6 @@ __all__ = [
 
 MODE_CAP = 14
 DEGENERACY_TOL = 1e-8
-RESIDUAL_RTOL = 1e-12  # ground-vector residual bound, relative to the spectral width
-_SHIFT = 1e-10         # inverse-iteration shift below the lowest level, relative to the spectral width
-_RITZ_EXTRA = 4        # Rayleigh-Ritz vectors beyond the wanted ground vectors
-_RITZ_REACH = 1e3      # levels within this many times the last wanted level's distance join the block
-_INVERSE_STEPS = 6     # inverse-iteration steps before a LinAlgError
-
-
-def _check_cap(n_modes: int, per_entry: int, what: str) -> None:
-    """Refuse more than ``MODE_CAP`` modes, or arrays of ``per_entry`` bytes per
-    entry of the ``2^Ns x 2^Ns`` Fock matrix that cannot fit in physical memory."""
-    if n_modes > MODE_CAP:
-        raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
-    _check_memory(f"{what} on {n_modes} modes", per_entry * 4**n_modes)
 
 
 def _bit_tables(n_modes: int):
@@ -114,14 +101,10 @@ def _terms(table, shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     """Dense Fock-space matrix of the quadratic Hamiltonian defined by ``c``."""
     ns = c.shape.n_modes
-    # charged with the peak of exact_ground_correlators without a lattice, where
-    # each parity sector is one block, during the solve: h (16 bytes per entry),
-    # both blocks, the shifted matrix and its LU copy (4 each; eigvalsh's copy and
-    # the FFT's input and output are freed by then).  Given the lattice, blocks
-    # and FFTs are smaller by the number of sites squared, and h and the ~1 MB row
-    # blocks of the checks make the peak.  evolve_state checks its own, higher
-    # peak; the build alone peaks near h itself
-    _check_cap(ns, 32, "a dense Fock ground state")
+    if ns > MODE_CAP:
+        raise ValueError(f"{ns} modes exceeds the dense Fock-space cap of {MODE_CAP}")
+    # h itself; the term tables and the ~1 MB row blocks of the check are small
+    _check_memory(f"a dense Fock Hamiltonian on {ns} modes", 16 * 4**ns)
     dim = 1 << ns
     bits, par = _bit_tables(ns)
     h = np.zeros((dim, dim), dtype=complex)
@@ -207,17 +190,16 @@ def exact_ground_correlators(
     the identity alone and each parity sector is one block.  Each block's
     spectrum comes from ``eigvalsh``, and all are merged into one, so degeneracy
     is judged relative to the full spectral width and a ground space may span
-    several sectors.  Only the ground vectors are computed, in each sector that
-    holds ground levels, by shifted subspace inverse iteration
-    (``_lowest_vectors``), and lifted back to the occupation basis; each has a
-    residual of at most ``RESIDUAL_RTOL * width``.  The energy is the Rayleigh
-    quotient of the first ground vector.  For a degenerate ground space the
-    correlators of a single arbitrary vector are not canonical; with
-    ``average_degenerate`` they are averaged over an orthonormal basis of the
-    ground space (the maximally mixed ground state).
+    several sectors.  Each sector that holds ground levels gives its lowest
+    columns of ``eigh``, normalized, lifted back to the occupation basis.  The
+    energy is the Rayleigh quotient of the first ground vector.  For a
+    degenerate ground space the correlators of a single arbitrary vector are
+    not canonical; with ``average_degenerate`` they are averaged over an
+    orthonormal basis of the ground space (the maximally mixed ground state).
 
-    Raises ``ValueError`` when ``h`` couples the parity sectors or, with
-    ``shape``, when it does not commute with the lattice translations.
+    Raises ``ValueError`` when ``h`` couples the parity sectors, when, with
+    ``shape``, it does not commute with the lattice translations, or when the
+    sectors cannot fit in physical memory.
     """
     dim = h.shape[0]
     n_modes = int(round(np.log2(dim)))
@@ -227,6 +209,10 @@ def exact_ground_correlators(
     targets, signs = _translations(n_modes, group)
     if shape is not None:
         _check_translation_invariance(h, targets, signs, shape)
+    # h and, beyond it, at most 24 bytes per entry of h over the group order: every
+    # sector's block (both FFT outputs and their kept-state copies) with eigh's
+    # input copy, work, rwork and output, 4 bytes each without the lattice
+    _check_memory(f"the sectors of a {dim}-state Fock space", h.nbytes + 24 * h.size // len(targets))
     sectors = [sector for states in _parity_sectors(h)
                for sector in _momentum_sectors(h, states, targets, signs, group)]
     spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
@@ -240,13 +226,14 @@ def exact_ground_correlators(
     gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
 
     # a sector's ground levels are its lowest, and the stable merge keeps them in
-    # ascending order, the order in which _lowest_vectors returns them
+    # ascending order, the order in which eigh returns them
     owner = np.repeat(np.arange(len(sectors)), [len(spectrum) for spectrum in spectra])[order[:deg_dim]]
     vectors = np.zeros((dim, deg_dim), dtype=complex)
     for i in np.unique(owner):
         cols = owner == i
         sector = sectors[i]
-        y = _lowest_vectors(sector.block, spectra[i], int(cols.sum()), width)
+        y = np.linalg.eigh(sector.block)[1][:, :cols.sum()]
+        y /= np.linalg.norm(y, axis=0)  # eigh's columns are unit only to about 1e-15
         # |r, K> = sum_g coef[g, r] |targets[g, r]>: a phased scatter over each orbit
         lifted = np.zeros((dim, y.shape[1]), dtype=complex)
         np.add.at(lifted, sector.targets.ravel(), (sector.coef[..., None] * y).reshape(-1, y.shape[1]))
@@ -373,54 +360,6 @@ def _momentum_sectors(h: np.ndarray, states: np.ndarray, targets, signs, group) 
         coef = phase[:, None] * (s * weight)[:, keep] / np.sqrt(n_g)
         sectors.append(_Sector(block, t[:, keep], coef))
     return sectors
-
-
-def _lowest_vectors(block: np.ndarray, spectrum: np.ndarray, n: int, width: float) -> np.ndarray:
-    """The ``n`` lowest eigenvectors of the Hermitian ``block``, in ascending order,
-    given its ascending ``spectrum`` and the spectral ``width`` of ``h``.
-
-    Shifted subspace inverse iteration: a block of vectors from a fixed-seed start
-    is solved against ``block - sigma I``, orthonormalized and rotated by
-    Rayleigh-Ritz.  The shift ``sigma`` sits ``_SHIFT * width`` below the lowest
-    eigenvalue, so the shifted matrix is positive definite even when ``block`` is
-    diagonal, and the wanted directions grow by ``(lambda_p - sigma) / (lambda_i -
-    sigma)`` per step over the first level ``lambda_p`` outside the subspace.  The
-    block holds ``_RITZ_EXTRA`` vectors beyond the ``n`` wanted ones, and more when
-    needed to take in every level closer to ``sigma`` than ``_RITZ_REACH`` times the
-    last wanted level, so that ratio is at most ``1 / _RITZ_REACH`` even for a
-    degenerate ground space just below dense levels.  Raises ``LinAlgError`` when a
-    Ritz residual is above ``RESIDUAL_RTOL * width`` after ``_INVERSE_STEPS`` steps.
-    """
-    size = len(spectrum)
-    sigma = spectrum[0] - _SHIFT * width
-    near = int(np.count_nonzero(spectrum - sigma < _RITZ_REACH * (spectrum[n - 1] - sigma)))
-    p = min(size, max(n + _RITZ_EXTRA, near))
-    tol = RESIDUAL_RTOL * width
-    shifted = block.copy()
-    shifted.flat[::size + 1] -= sigma
-    v = np.random.default_rng(0).standard_normal((size, 2 * p)).view(complex)
-    for _ in range(_INVERSE_STEPS):
-        q = np.linalg.qr(np.linalg.solve(shifted, v))[0]
-        theta, y = np.linalg.eigh(q.conj().T @ block @ q)
-        v = q @ y
-        residual = np.abs(block @ v[:, :n] - v[:, :n] * theta[:n]).max()
-        if residual <= tol:
-            return v[:, :n]
-    raise np.linalg.LinAlgError(
-        f"inverse iteration left a ground-vector residual of {residual:.2e} after "
-        f"{_INVERSE_STEPS} steps (bound {tol:.2e})")
-
-
-def translation_operator(shape: LatticeShape, axis: int = 0) -> np.ndarray:
-    """Fock-space one-site translation along ``axis`` (a signed permutation matrix)."""
-    ns = shape.n_modes
-    _check_cap(ns, 8, "a Fock translation operator")  # the real output matrix
-    targets, signs = _translations(ns, shape.dims)
-    step = math.prod(shape.dims[axis + 1:])  # the row-major index of g = e_axis
-    dim = 1 << ns
-    out = np.zeros((dim, dim))
-    out[targets[step], np.arange(dim)] = signs[step]
-    return out
 
 
 def evolve_state(h: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:

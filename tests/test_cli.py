@@ -15,7 +15,7 @@ from quasifree import (
     save_model,
 )
 from quasifree.cli import _build_parser, main
-from quasifree.oracle import build_fock_hamiltonian, evolve_state
+from quasifree.oracle import build_fock_hamiltonian, evolve_state, exact_ground_correlators
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_p_model, make_twisted
 
@@ -330,13 +330,17 @@ def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypat
 
 
 def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatch, capsys):
-    # 10 modes: the oracle is charged 32 * 4^10 bytes and time evolution 40 * 4^10,
-    # each plus 64 MiB; this machine fits only the first
+    # 10 modes, 4^10 entries of h: the build is charged 16 bytes per entry, the
+    # ground state on 5 sites 16 + 24 / 5, the ground state without the lattice
+    # 16 + 24 and time evolution 40, each plus 64 MiB; this machine fits only the
+    # command's two charges
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(100 << 20))
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
     assert code == 0
     assert "agreement: PASS" in capsys.readouterr().out
     h = build_fock_hamiltonian(make_p_model(5, 2.0))
+    with pytest.raises(ValueError, match="physical memory"):
+        exact_ground_correlators(h)
     with pytest.raises(ValueError, match="physical memory"):
         evolve_state(h, 1.0, np.eye(len(h))[0])
 
@@ -430,6 +434,19 @@ def test_csv_outputs_are_byte_identical_across_reruns(tmp_path):
     assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
 
 
+def test_projection_note_goes_to_stderr(tmp_path, capsys):
+    # a hop on offset 1 without its Hermitian partner is projected by distance 0.5
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({
+        "shape": {"dims": [8], "spin": 1},
+        "couplings": [{"kind": "hop", "offset": [1], "matrix": [[[1.0, 0.0]]]}],
+    }))
+    assert run(["spectrum", "--model", str(path), "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (tmp_path / "report.txt").read_text()
+    assert "model file closure projection distance: 5.000e-01" in captured.err
+
+
 def test_closure_broken_by_resize_exits_2(tmp_path, capsys):
     # offset 2 is its own negation on 4 sites but not on 8, where hop(-2) is missing
     path = tmp_path / "m.json"
@@ -461,14 +478,6 @@ def test_non_hermitian_fock_assembly_exits_3(tmp_path, monkeypatch, capsys):
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
     assert code == 3
     assert "not Hermitian" in capsys.readouterr().err
-
-
-def test_unconverged_ground_vector_exits_3(tmp_path, monkeypatch, capsys):
-    # one inverse-iteration step leaves a residual far above the bound
-    monkeypatch.setattr("quasifree.oracle._INVERSE_STEPS", 1)
-    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
-    assert code == 3
-    assert "inverse iteration" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args, code", [

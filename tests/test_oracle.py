@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ from quasifree.oracle import (
     correlators_from_vector,
     evolve_state,
     invariant_from_correlators,
-    translation_operator,
 )
 from quasifree.solver import ground_energy
 
@@ -35,6 +35,17 @@ from conftest import make_p_model, make_twisted
 
 def all_offsets(shape):
     return [tuple(int(v) for v in n) for n in np.ndindex(*shape.dims)]
+
+
+def translation_operator(shape, axis=0):
+    """Fock-space one-site translation along ``axis``, the signed permutation matrix
+    of the oracle's translation table."""
+    targets, signs = oracle._translations(shape.n_modes, shape.dims)
+    step = math.prod(shape.dims[axis + 1:])  # the row-major index of g = e_axis
+    dim = 1 << shape.n_modes
+    out = np.zeros((dim, dim))
+    out[targets[step], np.arange(dim)] = signs[step]
+    return out
 
 
 @dataclass(frozen=True)
@@ -421,10 +432,10 @@ def test_parity_sectors_match_full_diagonalization(data, spin, pairing, seed):
        diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_ground_space_of_synthetic_parity_hamiltonians(n_modes, ground, near, near_odd, diagonal, seed):
     # h = U diag(levels) U^dag within each parity sector, U a random unitary or
-    # (diagonal h: the shift must keep block - sigma I nonsingular) the identity;
-    # `ground` levels sit exactly at e0 in each sector, and the `near` levels sit
-    # just below or above the degeneracy threshold in one sector; both together
-    # converge only through the Rayleigh-Ritz vectors beyond the ground space
+    # (diagonal h) the identity; `ground` levels sit exactly at e0 in each sector,
+    # and the `near` levels sit just below or above the degeneracy threshold in one
+    # sector: below it they join the ground space, above it their eigenvectors
+    # must stay out of it
     rng = np.random.default_rng(seed)
     dim, half = 1 << n_modes, 1 << (n_modes - 1)
     bits = (np.arange(dim)[:, None] >> np.arange(n_modes)) & 1
