@@ -3,7 +3,9 @@
 Build a Hamiltonian from finite-support circulant couplings, diagonalize its
 momentum-space BdG blocks, extract the exact Gaussian ground-state covariance,
 and evaluate the inversion-breaking invariants whose nonvanishing forces the
-model gapless.  A dense Fock-space oracle cross-checks everything at desk scale.
+model gapless.  An exact Fock-space oracle cross-checks everything at desk
+scale, sector by sector, from the columns of the Fock Hamiltonian at the orbit
+representatives of the lattice translations.
 """
 
 from .lattice import LatticeShape, fourier_circulant, inverse_fourier, site_matrix
@@ -33,6 +35,7 @@ from .oracle import (
     build_fock_hamiltonian,
     compare_with_quasifree,
     exact_ground_correlators,
+    fock_ground_state,
 )
 from .solver import (
     BogoliubovSolution,

@@ -11,7 +11,7 @@ for ``--model --param --dims --spin``.
                 --dims --spin --seed --gap-tol --inv-tol --zero-mode-tol --count --range
     entropy     block-entropy scan with log fit -> entropy.csv
                 model, --zero-mode-tol --lengths
-    oracle      brute-force Fock comparison (small lattices)
+    oracle      brute-force Fock comparison by sectors (up to 14 modes)
                 model, --zero-mode-tol --degeneracy-tol
     quench      invariant trajectory under a seeded random quench -> quench.csv
                 model, --seed --zero-mode-tol --offsets --times --range
@@ -19,10 +19,12 @@ for ``--model --param --dims --spin``.
 A flag the command does not read, or a value its type rejects, is an argparse
 error.  Tolerance defaults are the library's.  Exit codes: 0 success, 1 failed
 assertion / falsification / threshold breach, 2 invalid input, 3 internal
-numerical failure (an eigensolver error, corrupted covariance data or a
-non-Hermitian Fock assembly).  All commands are deterministic for a fixed seed;
-floats are written with 17 significant digits so downstream plots reproduce
-exactly.
+numerical failure (an eigensolver error, corrupted covariance data, or Fock
+sector entries that are not Hermitian and translation invariant: ``oracle``
+builds only the columns of the Fock matrix at the orbit representatives and
+checks each entry its sector blocks use against its partner).  All commands
+are deterministic for a fixed seed; floats are written with 17 significant
+digits so downstream plots reproduce exactly.
 
 Commands return their report lines; ``main`` writes ``<out>/report.txt`` and
 repeats it on stdout.  A model file's closure projection note, if any, goes to
@@ -58,9 +60,8 @@ from .observables import (
 )
 from .oracle import (
     DEGENERACY_TOL,
-    build_fock_hamiltonian,
     compare_with_quasifree,
-    exact_ground_correlators,
+    fock_ground_state,
 )
 from .solver import (
     ZERO_MODE_TOL,
@@ -296,8 +297,7 @@ def cmd_oracle(args: argparse.Namespace) -> tuple[list[str], int]:
     cov = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
     if cov.zero_modes:
         raise ValueError("model has one-particle zero modes; oracle comparison undefined")
-    exact = exact_ground_correlators(build_fock_hamiltonian(cs), degeneracy_tol=args.degeneracy_tol,
-                                     shape=cs.shape)
+    exact = fock_ground_state(cs, degeneracy_tol=args.degeneracy_tol)
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
     energy = ground_energy(cs)
     result = compare_with_quasifree(exact, rc, energy=energy)

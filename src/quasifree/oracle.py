@@ -1,47 +1,49 @@
 """Brute-force many-body verification on tiny lattices.
 
-The full Fock-space Hamiltonian of a coupling set is assembled in the
-occupation-number basis and solved exactly, giving ground-state correlators
-that are independent of all momentum-space machinery.  Mode
-ordering is site-major then spin: mode ``i = flat_site * s + spin_index``, and
-bit ``i`` of a basis-state integer is the occupation of mode ``i``.
+The Fock-space Hamiltonian ``h`` of a coupling set, in the occupation-number
+basis, is solved exactly, giving ground-state correlators that are independent
+of all momentum-space machinery.  Mode ordering is site-major then spin: mode
+``i = flat_site * s + spin_index``, and bit ``i`` of a basis-state integer is
+the occupation of mode ``i``.
 
 Jordan-Wigner sign strings run over modes of lower index, so
-``b_i |x> = (-1)^{#occupied modes < i} |x without i>``.  The Hamiltonian is
-built by applying this rule vectorized over the whole basis and over every
-quadratic term (one scatter per kind of term), which is algebraically
-identical to multiplying the dense kron-string operator matrices but fast
-enough for fifty desk-scale models.  Modes are indexed through one grid,
-``np.arange(n_modes).reshape(dims + (s,))``, which ``np.roll`` shifts by a
-lattice offset.
-The Hamiltonian is assembled as one dense matrix.  A quadratic Hamiltonian,
-pairing included, conserves fermion parity, and a translation-invariant one
-also commutes with every lattice translation ``T_g``.  The ground state checks
-that nothing couples the even- and odd-parity sectors and, given the lattice,
-that ``T h T^dag = h`` for the one-site translation along each axis; it then
-splits each parity sector into crystal-momentum sectors ``K`` (one sector per
-parity without the lattice).  Each orbit of basis states under the
-translations is represented by its lowest state, and one FFT over the
-translations of the gathered entries ``sign_g(r) h[r', T_g r]`` gives every
-momentum's block at once (``_momentum_sectors``).  The ground state takes every
-block's spectrum from ``eigvalsh`` and runs ``eigh`` only on the blocks that
-hold ground levels; their lowest columns, normalized, are lifted back to the
-occupation basis by a phased scatter over each orbit, and the energy is the
-Rayleigh quotient of the first ground vector.  Time evolution diagonalizes each
-parity block in full.  Builds are capped at 14 modes, and each step checks
-physical memory before it allocates, every charge plus the 64 MiB of
-``solver._check_memory``: ``build_fock_hamiltonian`` charges ``h``, 16 bytes
-per entry; ``exact_ground_correlators`` charges ``h`` and, for its sectors, 24
-bytes per entry over the number of lattice translations (one without the
-lattice); ``evolve_state`` charges 40 bytes per entry.  A degenerate ground space has
-no canonical single-vector correlators, so ``compare_with_quasifree`` refuses it.
+``b_i |x> = (-1)^{#occupied modes < i} |x without i>``.  ``_fock_columns`` builds
+the columns of ``h`` at a set of source states by applying this rule vectorized
+over those states and over every quadratic term, which is algebraically
+identical to multiplying the dense kron-string operator matrices;
+``build_fock_hamiltonian`` is its columns at every state.  Modes are indexed
+through one grid, ``np.arange(n_modes).reshape(dims + (s,))``, which
+``np.roll`` shifts by a lattice offset.
+
+A quadratic Hamiltonian, pairing included, conserves fermion parity, and a
+translation-invariant one also commutes with every lattice translation ``T_g``.
+The ground state splits each parity sector into crystal-momentum sectors ``K``
+(one sector per parity without the lattice), which need only the columns of
+``h`` at the orbit representatives, a slab about ``1/N`` of ``h`` for ``N``
+translations (``_momentum_sectors``).  ``fock_ground_state``, which the
+``oracle`` command runs, builds only those columns, from the couplings, and
+never forms ``h``; ``exact_ground_correlators`` takes them from a dense ``h``.
+Every block's spectrum comes from ``eigvalsh``, and ``eigh`` runs only on the
+blocks that hold ground levels; their lowest columns, normalized, are lifted
+back to the occupation basis by a phased scatter over each orbit.  The energy
+is the Rayleigh quotient ``v^dag h v`` of the first ground vector, with ``h v``
+formed from the translated representative columns.  Time evolution
+diagonalizes each dense parity block in full.
+
+Fock spaces are capped at 14 modes, and each step checks physical memory
+before it allocates, every charge plus the 64 MiB of ``solver._check_memory``:
+``build_fock_hamiltonian`` charges ``h``, 16 bytes per entry; the sectors 16
+bytes per entry of the column slabs and 48 per entry of the gathered blocks,
+to which ``exact_ground_correlators`` adds ``h``; ``evolve_state`` 40 bytes
+per entry of ``h``.  A degenerate ground space has no canonical single-vector
+correlators, so ``compare_with_quasifree`` refuses it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,10 +56,10 @@ __all__ = [
     "ExactGroundState",
     "ComparisonResult",
     "build_fock_hamiltonian",
+    "fock_ground_state",
     "exact_ground_correlators",
     "evolve_state",
     "correlators_from_vector",
-    "invariant_from_correlators",
     "compare_with_quasifree",
 ]
 
@@ -65,13 +67,12 @@ MODE_CAP = 14
 DEGENERACY_TOL = 1e-8
 
 
-def _bit_tables(n_modes: int):
-    """Occupations and below-mode parities for every basis state.
+def _bit_tables(states: np.ndarray, n_modes: int):
+    """Occupations and below-mode parities of the basis states ``states``.
 
-    Returns ``bits[x, i]`` (occupation of mode i in state x) and ``par[x, i]``
-    (+-1, the Jordan-Wigner sign for acting with mode i on state x).
+    Returns ``bits[x, i]`` (occupation of mode i in state ``states[x]``) and
+    ``par[x, i]`` (+-1, the Jordan-Wigner sign for acting with mode i on it).
     """
-    states = np.arange(1 << n_modes)
     bits = (states[:, None] >> np.arange(n_modes)[None, :]) & 1
     below = np.cumsum(bits, axis=1) - bits
     return bits.astype(np.int8), (1 - 2 * (below & 1)).astype(np.int8)
@@ -98,34 +99,46 @@ def _terms(table, shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return np.concatenate(i), np.concatenate(j), np.concatenate(coef)
 
 
+def _check_cap(n_modes: int) -> None:
+    if n_modes > MODE_CAP:
+        raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
+
+
+def _fock_columns(c: CouplingSet, states: np.ndarray) -> np.ndarray:
+    """``h[:, states]``: the columns of the Fock Hamiltonian of ``c`` at the basis
+    states ``states``, with every term applied to those source states only."""
+    ns = c.shape.n_modes
+    n = len(states)
+    bits, par = _bit_tables(states, ns)
+    cols = np.zeros((1 << ns, n), dtype=complex)
+    flat = cols.reshape(-1)
+
+    # b+_i b_j acts on sources with j occupied and i empty (or i == j), b+_i b+_j
+    # on sources with both empty and its conjugate b_j b_i on sources with both
+    # occupied, whose sign at the emptied state is minus the sign at the source;
+    # each term's targets are distinct, and np.add.at sums the terms that share
+    # an entry in term order
+    i, j, coef = _terms(c.hop, c.shape)
+    t, x = np.nonzero((bits[:, j] == 1).T & ((bits[:, i] == 0).T | (i == j)[:, None]))
+    y = states[x] ^ (1 << i[t]) ^ (1 << j[t])
+    np.add.at(flat, y * n + x, coef[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
+
+    i, j, coef = _terms(c.pair, c.shape)
+    for occupied, val in ((0, 0.5 * coef), (1, -0.5 * coef.conj())):
+        t, x = np.nonzero((bits[:, j] == occupied).T & (bits[:, i] == occupied).T & (i != j)[:, None])
+        y = states[x] ^ (1 << i[t]) ^ (1 << j[t])
+        np.add.at(flat, y * n + x, val[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
+    return cols
+
+
 def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     """Dense Fock-space matrix of the quadratic Hamiltonian defined by ``c``."""
     ns = c.shape.n_modes
-    if ns > MODE_CAP:
-        raise ValueError(f"{ns} modes exceeds the dense Fock-space cap of {MODE_CAP}")
+    _check_cap(ns)
     # h itself; the term tables and the ~1 MB row blocks of the check are small
     _check_memory(f"a dense Fock Hamiltonian on {ns} modes", 16 * 4**ns)
-    dim = 1 << ns
-    bits, par = _bit_tables(ns)
-    h = np.zeros((dim, dim), dtype=complex)
-    flat = h.reshape(-1)
-
-    # b+_i b_j acts on states with j occupied and i empty (or i == j), and
-    # b+_i b+_j on states with both empty; each term's targets are distinct, and
-    # np.add.at sums the terms that share an entry in term order
-    i, j, coef = _terms(c.hop, c.shape)
-    t, x = np.nonzero((bits[:, j] == 1).T & ((bits[:, i] == 0).T | (i == j)[:, None]))
-    y = x ^ (1 << i[t]) ^ (1 << j[t])
-    np.add.at(flat, y * dim + x, coef[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
-
-    i, j, coef = _terms(c.pair, c.shape)
-    t, x = np.nonzero((bits[:, j] == 0).T & (bits[:, i] == 0).T & (i != j)[:, None])
-    y = x | (1 << i[t]) | (1 << j[t])
-    val = 0.5 * coef[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t])
-    np.add.at(flat, y * dim + x, val)
-    np.add.at(flat, x * dim + y, val.conj())
-
-    blocks = _row_blocks(dim)
+    h = _fock_columns(c, np.arange(1 << ns))
+    blocks = _row_blocks(len(h), len(h))
     herm = max(np.abs(h[r:r + blocks.step] - h[:, r:r + blocks.step].conj().T).max() for r in blocks)
     if herm > 1e-12:  # a valid CouplingSet assembles Hermitian: this is an internal failure
         raise np.linalg.LinAlgError(
@@ -149,7 +162,7 @@ def _apply_create(vec: np.ndarray, i: int, bits, par) -> np.ndarray:
 
 def correlators_from_vector(vec: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """All-mode-pair ``<b+_i b_j>`` and ``<b_i b_j>`` matrices for one state vector."""
-    bits, par = _bit_tables(n_modes)
+    bits, par = _bit_tables(np.arange(1 << n_modes), n_modes)
     ann = [_apply_annihilate(vec, i, bits, par) for i in range(n_modes)]
     cre = [_apply_create(vec, i, bits, par) for i in range(n_modes)]
     bdag_b = np.empty((n_modes, n_modes), dtype=complex)
@@ -176,6 +189,21 @@ class ExactGroundState:
     bb: np.ndarray       # (Ns, Ns)
 
 
+def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
+    """Exact ground state of the couplings ``c`` by (parity, crystal-momentum)
+    sectors, built from the columns of ``h`` at the orbit representatives only;
+    ``h`` itself is never formed.  Otherwise as ``exact_ground_correlators``
+    given ``shape=c.shape``.
+
+    Raises ``ValueError`` beyond ``MODE_CAP`` modes or when the sectors cannot fit
+    in physical memory, and ``LinAlgError`` when the assembled entries are not
+    Hermitian and translation invariant.
+    """
+    _check_cap(c.shape.n_modes)
+    return _ground_state(lambda reps: _fock_columns(c, reps),
+                         *_translations(c.shape.n_modes, c.shape.dims), c.shape.dims, degeneracy_tol)
+
+
 def exact_ground_correlators(
     h: np.ndarray,
     degeneracy_tol: float = DEGENERACY_TOL,
@@ -199,7 +227,8 @@ def exact_ground_correlators(
 
     Raises ``ValueError`` when ``h`` couples the parity sectors, when, with
     ``shape``, it does not commute with the lattice translations, or when the
-    sectors cannot fit in physical memory.
+    sectors cannot fit in physical memory, and ``LinAlgError`` when the entries
+    of ``h`` that the blocks use are not Hermitian.
     """
     dim = h.shape[0]
     n_modes = int(round(np.log2(dim)))
@@ -209,12 +238,34 @@ def exact_ground_correlators(
     targets, signs = _translations(n_modes, group)
     if shape is not None:
         _check_translation_invariance(h, targets, signs, shape)
-    # h and, beyond it, at most 24 bytes per entry of h over the group order: every
-    # sector's block (both FFT outputs and their kept-state copies) with eigh's
-    # input copy, work, rwork and output, 4 bytes each without the lattice
-    _check_memory(f"the sectors of a {dim}-state Fock space", h.nbytes + 24 * h.size // len(targets))
-    sectors = [sector for states in _parity_sectors(h)
-               for sector in _momentum_sectors(h, states, targets, signs, group)]
+    return _ground_state(lambda reps: h[:, reps], targets, signs, group, degeneracy_tol,
+                         average_degenerate, held=h.nbytes)
+
+
+def _ground_state(
+    columns: Callable[[np.ndarray], np.ndarray],
+    targets: np.ndarray,
+    signs: np.ndarray,
+    group: tuple[int, ...],
+    degeneracy_tol: float,
+    average_degenerate: bool = False,
+    held: int = 0,
+) -> ExactGroundState:
+    """The ground state from the sectors of the translation ``group``, given
+    ``columns(reps) = h[:, reps]``; ``held`` bytes are already allocated."""
+    dim = targets.shape[1]
+    n_modes = dim.bit_length() - 1
+    parities = _parity_states(n_modes)
+    reps = [states[targets[:, states].min(axis=0) == states] for states in parities]
+    # both parities' column slabs, kept for the energy, and per parity the gathered
+    # blocks, the FFT's intermediate and output, and the kept-state copies
+    _check_memory(f"the sectors of a {dim}-state Fock space",
+                  held + sum(16 * dim * len(r) + 48 * len(targets) * len(r) ** 2 for r in reps))
+    sectors = []
+    for r, other in zip(reps, parities[::-1]):
+        slab = columns(r)
+        _check_parity(slab, other)
+        sectors += _momentum_sectors(slab, r, targets, signs, group)
     spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
     merged = np.concatenate(spectra)
     order = np.argsort(merged, kind="stable")
@@ -234,16 +285,18 @@ def exact_ground_correlators(
         sector = sectors[i]
         y = np.linalg.eigh(sector.block)[1][:, :cols.sum()]
         y /= np.linalg.norm(y, axis=0)  # eigh's columns are unit only to about 1e-15
-        # |r, K> = sum_g coef[g, r] |targets[g, r]>: a phased scatter over each orbit
+        # |r, K> = sum_g coef[g, r] |T_g r>: a phased scatter over each orbit
         lifted = np.zeros((dim, y.shape[1]), dtype=complex)
-        np.add.at(lifted, sector.targets.ravel(), (sector.coef[..., None] * y).reshape(-1, y.shape[1]))
+        np.add.at(lifted, targets[:, sector.reps].ravel(), (sector.coef[..., None] * y).reshape(-1, y.shape[1]))
         vectors[:, cols] = lifted
+        if i == owner[0]:
+            hv = _apply_hamiltonian(sector, y[:, 0], targets, signs)
     take = deg_dim if (average_degenerate and degenerate) else 1
     pieces = [correlators_from_vector(np.ascontiguousarray(vectors[:, a]), n_modes) for a in range(take)]
     bdag_b = sum(p[0] for p in pieces) / take
     bb = sum(p[1] for p in pieces) / take
     return ExactGroundState(
-        energy=float(np.vdot(vectors[:, 0], h @ vectors[:, 0]).real),
+        energy=float(np.vdot(vectors[:, 0], hv).real),
         gap_above=gap_above,
         degenerate=degenerate,
         degeneracy_dim=deg_dim,
@@ -253,28 +306,26 @@ def exact_ground_correlators(
     )
 
 
-def _row_blocks(dim: int) -> range:
-    """Starts of row blocks of about 2^16 entries of a ``dim x dim`` matrix: checked
-    block by block, a dense Fock matrix needs temporaries near 1 MB, not near its
-    own size."""
-    return range(0, dim, max(1, (1 << 16) // dim))
+def _row_blocks(n_rows: int, row_len: int) -> range:
+    """Starts of row blocks of about 2^16 entries of an ``n_rows x row_len``
+    matrix: checked block by block, a Fock matrix or slab needs temporaries near
+    1 MB, not near its own size."""
+    return range(0, n_rows, max(1, (1 << 16) // row_len))
 
 
-def _parity_sectors(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The basis states of the even, then the odd, fermion-parity sector.
+def _parity_states(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The basis states of the even, then the odd, fermion-parity sector."""
+    odd = (_bit_tables(np.arange(1 << n_modes), n_modes)[0].sum(axis=1) & 1).astype(bool)
+    return np.nonzero(~odd)[0], np.nonzero(odd)[0]
 
-    Raises if any entry of ``h`` couples the two sectors.
-    """
-    dim = h.shape[0]
-    bits, _ = _bit_tables(int(round(np.log2(dim))))
-    odd = (bits.sum(axis=1) & 1).astype(bool)
-    even_states, odd_states = np.nonzero(~odd)[0], np.nonzero(odd)[0]
-    blocks = _row_blocks(dim // 2)
-    mixing = max(np.abs(np.take(h[rows[r:r + blocks.step]], cols, axis=1)).max()
-                 for rows, cols in ((even_states, odd_states), (odd_states, even_states)) for r in blocks)
+
+def _check_parity(cols: np.ndarray, other: np.ndarray) -> None:
+    """Raise ``ValueError`` if the columns ``cols`` of one parity sector have an
+    entry in the rows ``other`` of the other sector."""
+    blocks = _row_blocks(len(other), cols.shape[1])
+    mixing = max(np.abs(cols[other[r:r + blocks.step]]).max() for r in blocks)
     if mixing >= 1e-12:
         raise ValueError(f"Hamiltonian couples the fermion-parity sectors (entry {mixing:.2e})")
-    return even_states, odd_states
 
 
 def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +340,7 @@ def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.
     axes = tuple(range(len(group)))
     # maps[g, m]: the mode at site(m) + g
     maps = np.stack([np.roll(modes, [-c for c in g], axis=axes).ravel() for g in np.ndindex(*group)])
-    bits = _bit_tables(n_modes)[0].astype(np.int64)
+    bits = _bit_tables(np.arange(1 << n_modes), n_modes)[0].astype(np.int64)
     inversions = np.triu(maps[:, :, None] > maps[:, None, :], k=1).astype(np.int64)
     signs = 1 - 2 * (np.einsum("xi,gij,xj->gx", bits, inversions, bits) & 1)
     return (bits @ (1 << maps).T).T, signs
@@ -302,7 +353,7 @@ def _check_translation_invariance(h: np.ndarray, targets, signs, shape: LatticeS
     ``(T h T^dag)[T x, T y] = sign(x) sign(y) h[x, y]``, compared in row blocks.
     """
     generators = [math.prod(shape.dims[axis + 1:]) for axis in range(shape.d)]  # g = e_axis, row-major
-    blocks = _row_blocks(h.shape[0])
+    blocks = _row_blocks(len(h), len(h))
     worst = scale = 0.0
     for r in blocks:
         rows = h[r:r + blocks.step]
@@ -319,16 +370,20 @@ def _check_translation_invariance(h: np.ndarray, targets, signs, shape: LatticeS
 
 class _Sector(NamedTuple):
     """One (parity, momentum) sector: the block of ``h`` over the orthonormal states
-    ``|r, K> = sum_g coef[g, r] |targets[g, r]>``, one per kept representative ``r``."""
+    ``|r, K> = sum_g coef[g, r] |T_g r>``, one per kept representative ``r``, and
+    the parity sector's column slab ``cols``, whose columns ``keep`` are at ``reps``."""
 
     block: np.ndarray
-    targets: np.ndarray  # (group order, n)
-    coef: np.ndarray     # (group order, n)
+    reps: np.ndarray  # (n,)
+    coef: np.ndarray  # (group order, n)
+    cols: np.ndarray  # (dim, representatives of the parity sector)
+    keep: np.ndarray  # (n,)
 
 
-def _momentum_sectors(h: np.ndarray, states: np.ndarray, targets, signs, group) -> list[_Sector]:
-    """The crystal-momentum sectors of the parity sector ``states``, momenta ``K``
-    in row-major order of the translation ``group``.
+def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, targets, signs, group) -> list[_Sector]:
+    """The crystal-momentum sectors of one parity sector, from the columns
+    ``cols = h[:, reps]`` at its orbit representatives, momenta ``K`` in row-major
+    order of the translation ``group``.
 
     Each orbit is represented by its lowest state ``r``, with stabilizer ``S_r``.
     The state ``|r, K>`` is ``sum_g exp(-i K.g) T_g |r> / sqrt(N |S_r|)``, where
@@ -337,56 +392,74 @@ def _momentum_sectors(h: np.ndarray, states: np.ndarray, targets, signs, group) 
     the sum vanishes and ``r`` drops out of sector ``K``.  Then
     ``<r', K|h|r, K>`` is the FFT over ``g`` of
     ``sign_g(r) h[r', T_g r] / sqrt(|S_r'| |S_r|)``, so one FFT gives every
-    momentum's block at once.  With the trivial group the single sector's block is
-    ``h`` restricted to ``states``, exactly.
+    momentum's block at once, and ``h[r', T_g r] = conj(h[T_g r, r'])`` is an entry
+    of ``cols``.  Each gathered entry is checked against its translated partner,
+    ``sign_{-g}(r') sign_g(r) h[T_{-g} r', r]``, the same entry of a Hermitian,
+    translation-invariant ``h``.  With the trivial group the single sector's block
+    is ``h`` restricted to the parity sector, exactly.
     """
-    reps = states[targets[:, states].min(axis=0) == states]
     t, s = targets[:, reps], signs[:, reps]
     n, n_g = len(reps), len(targets)
     axes = tuple(range(len(group)))
     fixed = t == reps
     weight = 1 / np.sqrt(fixed.sum(axis=0))
-    blocks = h[reps[None, :, None], t[:, None, :]]  # blocks[g, r', r] = h[r', T_g r]
+    index = np.array(list(np.ndindex(*group)), dtype=int).reshape(n_g, len(group))
+    strides = np.array([math.prod(group[axis + 1:]) for axis in axes], dtype=int)
+    minus = (-index % np.array(group, dtype=int)) @ strides  # minus[g]: the row-major index of -g
+    gathered = cols[t]  # gathered[g, r, r'] = h[T_g r, r']
+    worst = scale = 0.0
+    for g, minus_g in enumerate(minus):
+        partner = np.multiply.outer(s[g], s[minus_g]) * gathered[minus_g].T
+        worst = max(worst, float(np.abs(gathered[g].conj() - partner).max()))
+        scale = max(scale, float(np.abs(gathered[g]).max()))
+    if worst >= 1e-12 * max(1.0, scale):
+        raise np.linalg.LinAlgError(f"assembled Fock Hamiltonian is not Hermitian and translation "
+                                    f"invariant on {group} (residual {worst:.2e})")
+    blocks = np.conjugate(gathered, out=gathered).transpose(0, 2, 1)  # blocks[g, r', r] = h[r', T_g r]
     blocks *= (s * weight)[:, None, :]
     blocks *= weight[:, None]
     blocks = np.fft.fftn(blocks.reshape(group + (n, n)), axes=axes).reshape(n_g, n, n)
     kept = np.fft.fftn((s * fixed).reshape(group + (n,)), axes=axes).reshape(n_g, n).real > 0.5
-    index = np.array(list(np.ndindex(*group)), dtype=float).reshape(n_g, len(group))
     phases = np.exp(-2j * np.pi * (index / group) @ index.T)  # phases[K, g] = exp(-i K.g)
     sectors = []
     for block, keep, phase in zip(blocks, kept, phases):
-        if not keep.all():
-            block = block[np.ix_(keep, keep)]
+        keep = np.nonzero(keep)[0]
         coef = phase[:, None] * (s * weight)[:, keep] / np.sqrt(n_g)
-        sectors.append(_Sector(block, t[:, keep], coef))
+        sectors.append(_Sector(block[np.ix_(keep, keep)], reps[keep], coef, cols, keep))
     return sectors
+
+
+def _apply_hamiltonian(sector: _Sector, y: np.ndarray, targets, signs) -> np.ndarray:
+    """``h v`` for the lifted sector vector ``v = sum_r y_r |r, K>``.
+
+    ``h |T_g r> = sign_g(r) T_g h |r>``, so ``h v`` is ``sum_g T_g (cols @ a_g)`` with
+    ``a_g[r] = coef[g, r] sign_g(r) y_r``, from the columns at the representatives.
+    """
+    amp = np.zeros((sector.cols.shape[1], len(targets)), dtype=complex)
+    amp[sector.keep] = (sector.coef * signs[:, sector.reps] * y).T
+    hv = np.zeros(len(sector.cols), dtype=complex)
+    for t, s, col in zip(targets, signs, (sector.cols @ amp).T):
+        hv[t] += s * col
+    return hv
 
 
 def evolve_state(h: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:
     """``exp(-i t h) vec`` through the eigendecomposition of ``h``, sector by sector.
 
     Raises ``ValueError`` before the first ``eigh`` when it would not fit in
-    physical memory.
+    physical memory, and when ``h`` couples the parity sectors.
     """
     # the peak comes while the odd sector is diagonalized: h (16 bytes per entry),
     # the even sector's eigenvectors, and eigh's input block, LAPACK copy, work,
     # rwork and output (4 each)
     _check_memory(f"time evolution in a {len(vec)}-state Fock space", 40 * h.size)
     out = np.zeros(len(vec), dtype=complex)
-    for states in _parity_sectors(h):
+    parities = _parity_states(int(round(np.log2(len(h)))))
+    for states, other in zip(parities, parities[::-1]):
+        _check_parity(h[:, states], other)
         evals, evecs = np.linalg.eigh(h[np.ix_(states, states)])
         out[states] = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec[states]))
     return out
-
-
-def invariant_from_correlators(bdag_b: np.ndarray, shape: LatticeShape) -> np.ndarray:
-    """Site-averaged ``Im sum_j <b+_m b_{m+n}>`` from Fock correlators, a ``dims``-shaped
-    array indexed by the reduced offset ``n``."""
-    modes = _modes(shape)
-    axes = tuple(range(shape.d))
-    inv = [bdag_b[modes, np.roll(modes, [-c for c in n], axis=axes)].imag.sum()
-           for n in np.ndindex(*shape.dims)]
-    return np.reshape(inv, shape.dims) / shape.n_sites
 
 
 class ComparisonResult(NamedTuple):

@@ -330,10 +330,13 @@ def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypat
 
 
 def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatch, capsys):
-    # 10 modes, 4^10 entries of h: the build is charged 16 bytes per entry, the
-    # ground state on 5 sites 16 + 24 / 5, the ground state without the lattice
-    # 16 + 24 and time evolution 40, each plus 64 MiB; this machine fits only the
-    # command's two charges
+    # 10 modes, 4^10 entries of h, each charge plus 64 MiB: the command never
+    # forms h and charges its column slabs, 16 bytes per entry of 2^10 rows by
+    # the 104 orbit representatives of each parity, and its blocks, 48 bytes per
+    # entry of 5 x 104^2 per parity, about 9 MB in all; the dense build is charged
+    # 16 bytes per entry of h, the ground state of h without the lattice 56 (h,
+    # slabs of half of h per parity, blocks) and time evolution 40; this machine
+    # fits the command and the build, but not the last two
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(100 << 20))
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
     assert code == 0
@@ -356,19 +359,47 @@ def test_oracle_command_degenerate_ground_space_exits_2(tmp_path, capsys, n_site
 
 
 def test_oracle_command_rejects_a_translation_breaking_hamiltonian(tmp_path, monkeypatch, capsys):
-    # the command hands the lattice to the oracle, which refuses momentum sectors
-    # for a Hamiltonian that does not commute with the translations
-    def broken(cs):
-        h = build_fock_hamiltonian(cs)
-        h[1, 2] += 1e-9
-        h[2, 1] += 1e-9
-        return h
+    # the command builds only the columns of h at the orbit representatives and
+    # checks each entry the sector blocks use against its Hermitian, translated
+    # partner; a break inside the even sector, at h[3, 0] (modes 0 and 1
+    # occupied, from the vacuum), is an assembly fault
+    import quasifree.oracle as oracle
 
-    monkeypatch.setattr("quasifree.cli.build_fock_hamiltonian", broken)
+    columns = oracle._fock_columns
+
+    def broken(c, states):
+        cols = columns(c, states)
+        if states[0] == 0:
+            cols[3, 0] += 1e-9
+        return cols
+
+    monkeypatch.setattr(oracle, "_fock_columns", broken)
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
-    assert code == 2
-    assert "not translation invariant" in capsys.readouterr().err
+    assert code == 3
+    assert "not Hermitian and translation invariant" in capsys.readouterr().err
     assert not (tmp_path / "report.txt").exists()
+
+
+def test_oracle_command_never_forms_the_dense_hamiltonian(tmp_path, monkeypatch, capsys):
+    def refuse(c):
+        raise AssertionError("the dense Fock Hamiltonian was built")
+
+    import quasifree.oracle as oracle
+
+    columns, built = oracle._fock_columns, []
+
+    def counted(c, states):
+        built.append(len(states))
+        return columns(c, states)
+
+    monkeypatch.setattr(oracle, "build_fock_hamiltonian", refuse)
+    monkeypatch.setattr(oracle, "_fock_columns", counted)
+    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
+    assert code == 0
+    assert "agreement: PASS" in capsys.readouterr().out
+    # one slab per parity, together well under the 2^8 columns of h: each orbit
+    # under the 4 translations has one representative
+    assert len(built) == 2 and sum(built) < 2**8 / 3
 
 
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):

@@ -23,11 +23,7 @@ from quasifree import (
     real_space,
     symmetrize,
 )
-from quasifree.oracle import (
-    correlators_from_vector,
-    evolve_state,
-    invariant_from_correlators,
-)
+from quasifree.oracle import correlators_from_vector, evolve_state
 from quasifree.solver import ground_energy
 
 from conftest import make_p_model, make_twisted
@@ -35,6 +31,17 @@ from conftest import make_p_model, make_twisted
 
 def all_offsets(shape):
     return [tuple(int(v) for v in n) for n in np.ndindex(*shape.dims)]
+
+
+def invariant_from_correlators(bdag_b, shape):
+    """Site-averaged ``Im sum_j <b+_m b_{m+n}>`` from Fock correlators, a ``dims``-shaped
+    array indexed by the reduced offset ``n``: an independent reference for the
+    momentum-side ``invariant_map``."""
+    modes = np.arange(shape.n_modes).reshape(shape.dims + (shape.spin,))
+    axes = tuple(range(shape.d))
+    inv = [bdag_b[modes, np.roll(modes, [-c for c in n], axis=axes)].imag.sum()
+           for n in np.ndindex(*shape.dims)]
+    return np.reshape(inv, shape.dims) / shape.n_sites
 
 
 def translation_operator(shape, axis=0):
@@ -517,3 +524,57 @@ def test_evolve_state_matches_full_matrix_evolution():
     for t in (0.3, 4.0):
         full = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ psi))
         assert np.abs(evolve_state(h, t, psi) - full).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), spin=st.integers(1, 2), pairing=st.booleans(), seed=st.integers(0, 10_000))
+def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing, seed):
+    # d in {1, 2}, at most 12 modes; couplings at every lattice offset
+    first = data.draw(st.integers(2, 12 // spin))
+    second = data.draw(st.sampled_from([()] + [(n,) for n in (2, 3) if n * first * spin <= 12]))
+    shape = LatticeShape((first,) + second, spin)
+    rng = np.random.default_rng(seed)
+    draw = lambda: {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
+                    for n in all_offsets(shape)}
+    cs = symmetrize(shape, draw(), draw() if pairing else {})
+    h = build_fock_hamiltonian(cs)
+    targets, signs = oracle._translations(shape.n_modes, shape.dims)
+    momenta = shape.momenta()
+    # phases[K, g] = exp(-i K.g), momenta and translations in row-major order
+    phases = np.exp(-2j * np.pi * (momenta / shape.dims) @ momenta.T)
+    for states in oracle._parity_states(shape.n_modes):
+        reps = states[targets[:, states].min(axis=0) == states]
+        sectors = oracle._momentum_sectors(oracle._fock_columns(cs, reps), reps, targets, signs, shape.dims)
+        assert len(sectors) == shape.n_sites
+        assert sum(len(sector.reps) for sector in sectors) == len(states)
+        for sector, phase in zip(sectors, phases):
+            # reference: <r', K|h|r, K> = w_r' w_r sum_g exp(-i K.g) sign_g(r) h[r', T_g r],
+            # from the rows of h and one explicit sum over the translations
+            r = sector.reps
+            weight = 1 / np.sqrt((targets[:, r] == r).sum(axis=0))
+            rows = h[r[None, :, None], targets[:, r][:, None, :]] * signs[:, r][:, None, :]
+            ref = np.einsum("g,gab->ab", phase, rows) * np.multiply.outer(weight, weight)
+            assert np.abs(sector.block - ref).max() <= 1e-13
+
+
+@pytest.mark.parametrize("dims, spin, pairing", [((6,), 1, True), ((3, 3), 1, True), ((4,), 2, False)])
+def test_fock_columns_are_the_dense_hamiltonian_columns(dims, spin, pairing):
+    cs = random_model(LatticeShape(dims, spin), reach=1, pairing=pairing, seed=11)
+    h = build_fock_hamiltonian(cs)
+    rng = np.random.default_rng(11)
+    for states in (np.arange(len(h)), np.sort(rng.choice(len(h), 17, replace=False)),
+                   rng.permutation(len(h))[:9]):
+        assert np.array_equal(oracle._fock_columns(cs, states), h[:, states])
+
+
+@pytest.mark.parametrize("dims, spin", [((5,), 2), ((3, 3), 1), ((8,), 1)])
+def test_lifted_energy_is_the_rayleigh_quotient(dims, spin):
+    cs = random_model(LatticeShape(dims, spin), reach=1, pairing=True, seed=2)
+    h = build_fock_hamiltonian(cs)
+    ex = oracle.fock_ground_state(cs)
+    v = ex.vectors[:, 0]
+    assert abs(ex.energy - np.vdot(v, h @ v).real) <= 1e-14 * abs(ex.energy)
+    # the dense path gathers the same columns from h, and gives the same state
+    dense = exact_ground_correlators(h, shape=cs.shape)
+    assert dense.energy == ex.energy
+    assert dense.vectors.tobytes() == ex.vectors.tobytes()
