@@ -17,7 +17,8 @@ for ``--model --param --dims --spin``.
                 model, --seed --zero-mode-tol --offsets --times --range
 
 A flag the command does not read, or a value its type rejects, is an argparse
-error.  Tolerance defaults are the library's.  Exit codes: 0 success, 1 failed
+error.  Tolerance defaults are the library's; a tolerance that is not finite
+and positive is invalid input.  Exit codes: 0 success, 1 failed
 assertion / falsification / threshold breach, 2 invalid input, 3 internal
 numerical failure (an eigensolver error, corrupted covariance data, or Fock
 sector entries that are not Hermitian and translation invariant: ``oracle``
@@ -35,6 +36,8 @@ stderr.  A failing command writes no report.  ``verify --count 0`` reports
 from __future__ import annotations
 
 import argparse
+import itertools
+import math
 import os
 import sys
 
@@ -77,6 +80,7 @@ QUENCH_SPREAD_TOL = 1e-9
 DEFAULT_SEED = 20240
 
 FLOAT_FMT = "%.17g"
+CSV_CHUNK = 4096  # rows formatted by one ``%``
 
 
 def _fmt(value) -> str:
@@ -85,13 +89,16 @@ def _fmt(value) -> str:
 
 def _write_csv(out, name, header, columns) -> None:
     """Write equal-length columns to ``out/name``: integer columns as ``%d``, the
-    rest as ``FLOAT_FMT``."""
+    rest as ``FLOAT_FMT``, ``CSV_CHUNK`` rows per format call."""
     columns = [np.asarray(c) for c in columns]
     row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in columns) + "\n"
+    values = [c.tolist() for c in columns]
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, name), "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
+        for lo in range(0, len(values[0]), CSV_CHUNK):
+            part = list(zip(*(v[lo:lo + CSV_CHUNK] for v in values)))
+            fh.write((row * len(part)) % tuple(itertools.chain.from_iterable(part)))
 
 
 # argparse types: a value they reject is an argparse error, exit code 2
@@ -403,8 +410,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         for name, value in vars(args).items():
-            if name.endswith("_tol") and value <= 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be positive")
+            if name.endswith("_tol") and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"--{name.replace('_', '-')} must be positive and finite, got {value:g}")
         lines, code = args.handler(args)
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "report.txt"), "w") as fh:

@@ -109,10 +109,13 @@ def fourier_circulant(
     """Momentum kernel ``X_k = sum_n exp(-2pi i n.k/N) X_n`` of a finite-support circulant.
 
     The support is scattered into a zero offset grid, which ``np.fft.fftn``
-    transforms over the site axes.  Offsets colliding after modular reduction
-    make the circulant ambiguous and raise ``ValueError``.
+    transforms over the site axes; an empty support is the zero kernel, with no
+    transform.  Offsets colliding after modular reduction make the circulant
+    ambiguous and raise ``ValueError``.
     """
     s = shape.spin
+    if not couplings:
+        return np.zeros((shape.n_sites, s, s), dtype=complex)
     grid = np.zeros(shape.dims + (s, s), dtype=complex)
     seen: set[tuple[int, ...]] = set()
     for offset, mat in couplings.items():

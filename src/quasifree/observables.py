@@ -5,13 +5,15 @@ The central quantity is the offset map
     invariant(n) = Im sum_j <b^{j dag}_m b^j_{m+n}>,
 
 the density of the conserved charge ``C_n = (i/2) sum_{m,j} (b+_{n+m} b_m - b+_m b_{m+n})``.
-It equals the sine transform of the spin-traced occupation kernel, is invariant
-under every translation-invariant Bogoliubov map and quench, and can only be
-nonzero when the one-particle spectrum is sign-asymmetric under momentum
-negation, which forces a band through zero in the large-lattice limit.  A
-truly gapped model therefore carries an identically vanishing invariant even
-at finite size; a nonzero invariant together with a stable finite-size gap
-would falsify that picture and is reported as such.
+It equals the sine transform of the spin-traced occupation kernel, which the
+criticality checks read straight off a solution's eigenbasis, with no
+covariance kernel formed.  It is invariant under every translation-invariant
+Bogoliubov map and quench, and can only be nonzero when the one-particle
+spectrum is sign-asymmetric under momentum negation, which forces a band
+through zero in the large-lattice limit.  A truly gapped model therefore
+carries an identically vanishing invariant even at finite size; a nonzero
+invariant together with a stable finite-size gap would falsify that picture
+and is reported as such.
 
 Block entropies of a chain come from the correlation spectrum of the block.
 ``lattice.site_matrix`` gathers ``C_xy = <b+_x b_y>`` and ``F_xy = <b_x b_y>``
@@ -35,7 +37,6 @@ from .solver import (
     CovarianceKernel,
     _is_zero,
     diagonalize,
-    ground_covariance,
 )
 
 __all__ = [
@@ -54,11 +55,11 @@ INV_TOL = 1e-8
 SURVEY_GAP_TOL = 0.1  # above sum_i pi/N_i for N >= 32 in 1-D at unit band slope
 
 
-def invariant_map(cov: CovarianceKernel) -> np.ndarray:
+def invariant_map(state: BogoliubovSolution | CovarianceKernel) -> np.ndarray:
     """The invariant at every lattice offset, a ``dims``-shaped array indexed by the
-    reduced offset, via an inverse FFT of the traced kernel."""
-    shape = cov.shape
-    return np.fft.ifftn(cov.trace_kernel().reshape(shape.dims)).imag
+    reduced offset, via an inverse FFT of the traced occupation of ``state``: a
+    solution's ground state or a covariance kernel."""
+    return np.fft.ifftn(state.trace_kernel().reshape(state.shape.dims)).imag
 
 
 def asymmetry_diagnostics(
@@ -120,8 +121,7 @@ def verify_criticality(
     is not a proof that the continuum band stays away from zero.
     """
     sol = diagonalize(c, zero_mode_tol=zero_mode_tol)
-    cov = ground_covariance(sol)
-    inv = invariant_map(cov)
+    inv = invariant_map(sol)
     gap = sol.gap
     if gap <= gap_tol:
         verdict = "gapless-by-spectrum"
@@ -131,7 +131,7 @@ def verify_criticality(
         verdict = "consistent-gapped"
     asym, indet = asymmetry_diagnostics(sol)
     return InvariantReport(invariant=inv, gap=gap, asymmetry=asym, indeterminate=indet,
-                           zero_modes=tuple(cov.zero_modes), verdict=verdict)
+                           zero_modes=tuple(sol.zero_modes()), verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def gapped_model_survey(
         if diagonalize(cs.resized(doubled), zero_mode_tol=zero_mode_tol).gap <= gap_tol / 2:
             continue
         gapped += 1
-        max_inv = float(np.abs(invariant_map(ground_covariance(sol))).max())
+        max_inv = float(np.abs(invariant_map(sol)).max())
         worst = max(worst, max_inv)
         if max_inv >= inv_tol:
             events.append((seed + idx, sol.gap, max_inv))

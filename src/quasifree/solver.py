@@ -32,6 +32,9 @@ Particle-hole symmetry ``sx H_k sx = -conj(H_{-k})`` makes the eigendata at
 and the self-conjugate ones) are diagonalized.  A solution stores ``U_k`` on
 those rows only, with the energies on the full grid; ``U_{-k} = sx conj(U_k) sx``
 is derived on demand, and ``ground_covariance`` reads the stored rows alone.
+The spin-traced occupation ``tr g_k``, all that the invariant needs, comes
+from the stored rows without any kernel (``BogoliubovSolution.trace_kernel``):
+the trace of a projector block is a weighted sum of column weights.
 
 A second route assembles the same kernels from the Bogoliubov coefficients and
 branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
@@ -168,6 +171,26 @@ class BogoliubovSolution:
         hits = np.argwhere(_is_zero(self.energies, self.zero_mode_tol))
         grid = self.shape.momenta()
         return [(tuple(int(c) for c in grid[i]), int(a)) for i, a in hits]
+
+    def trace_kernel(self) -> np.ndarray:
+        """Spin-traced occupation ``tr g_k`` per momentum (real), as
+        ``ground_covariance(self).trace_kernel()`` without forming the kernels.
+
+        With ``P_j`` and ``Q_j`` the weights of column ``j`` of ``U_k`` on its upper
+        and lower s rows, ``tr g_k = sum_j w^-_j P_j`` and ``tr g_{-k} = sum_j w^+_j Q_j``;
+        ``w^+`` (``w^-``) is 1 where ``lambda > 0`` (``lambda < 0``) and 1/2 at a zero
+        mode.  A self-conjugate row keeps the ``-k`` value, as in ``ground_covariance``.
+        """
+        s = self.shape.spin
+        rows = self.shape.half_zone
+        lam = self.u_energies[rows]
+        zero = _is_zero(lam, self.zero_mode_tol)
+        weight = np.abs(self.u_rows) ** 2
+        out = np.empty(self.shape.n_sites)
+        out[rows] = np.sum(np.where(zero, 0.5, lam < 0) * weight[:, :s].sum(axis=1), axis=1)
+        out[self.shape.negation_table[rows]] = np.sum(
+            np.where(zero, 0.5, lam > 0) * weight[:, s:].sum(axis=1), axis=1)
+        return out
 
 
 def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:

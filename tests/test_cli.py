@@ -593,3 +593,17 @@ def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command, flag):
     args = ["--dims", "8"] if command == "verify" else ["--model", "p-model", "--dims", "4"]
     assert run([command, *args, flag, "0", "--out", str(tmp_path)]) == 2
     assert f"{flag} must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("invariants", "--gap-tol"), ("invariants", "--inv-tol"), ("verify", "--gap-tol"),
+    ("spectrum", "--zero-mode-tol"), ("oracle", "--degeneracy-tol"),
+])
+def test_nonfinite_tolerance_exits_2(tmp_path, capsys, command, flag, value):
+    # an infinite --inv-tol would call every gapped model consistent, a NaN --gap-tol
+    # every draw stably gapped
+    args = ["--dims", "8"] if command == "verify" else ["--model", "p-model", "--dims", "4"]
+    assert run([command, *args, f"{flag}={value}", "--out", str(tmp_path)]) == 2
+    assert f"{flag} must be positive and finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()

@@ -199,7 +199,7 @@ def test_verdict_follows_gap_and_invariant(dims, spin, pairing, seed, factor, ga
                              pairing=pairing, seed=seed), factor)
     rep = verify_criticality(cs, gap_tol=gap_tol, inv_tol=inv_tol)
     sol = diagonalize(cs)
-    gap, inv = sol.gap, invariant_map(ground_covariance(sol))
+    gap, inv = sol.gap, invariant_map(sol)
     if gap <= gap_tol:
         want = "gapless-by-spectrum"
     elif np.abs(inv).max() >= inv_tol:
@@ -210,6 +210,7 @@ def test_verdict_follows_gap_and_invariant(dims, spin, pairing, seed, factor, ga
     assert rep.falsification == (want == "gapless-by-invariant")
     assert rep.max_abs_invariant == np.abs(rep.invariant).max()
     assert rep.gap == gap and np.array_equal(rep.invariant, inv)
+    assert np.abs(inv - invariant_map(ground_covariance(sol))).max() < 1e-14
 
 
 def test_invariant_preserved_by_maps_and_quenches():

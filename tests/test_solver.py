@@ -22,7 +22,7 @@ from quasifree import (
 )
 from quasifree import solver
 from quasifree.lattice import fourier_circulant, inverse_fourier
-from quasifree.model import bdg_blocks, symmetrize
+from quasifree.model import bdg_blocks, scaled, symmetrize
 from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, constraint_residuals, validate_ph_map
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted
@@ -362,6 +362,32 @@ def test_ground_covariance_chunks_match_one_pass(monkeypatch):
     chunked = ground_covariance(sol)
     assert np.array_equal(chunked.g, whole.g) and np.array_equal(chunked.f, whole.f)
     assert np.abs(chunked.gamma() - full_zone_projector(cs)).max() < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
+    spin=st.integers(1, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 10_000),
+    factor=st.floats(1e-3, 1e3),
+)
+def test_solution_trace_matches_covariance_trace(dims, spin, pairing, seed, factor):
+    reach = 1 if min(dims) > 2 else 0
+    cs = scaled(random_model(LatticeShape(dims, spin), reach, pairing, seed), factor)
+    sol = diagonalize(cs)
+    assert np.abs(sol.trace_kernel() - ground_covariance(sol).trace_kernel()).max() < 1e-14
+
+
+@pytest.mark.parametrize("cs, zero_modes", [
+    (make_twisted(64, np.pi / 2), 4),
+    # every slot of this pairing chain falls in the zero-mode band
+    (scaled(random_model(LatticeShape((64,), 2), 2, True, 3), 1e-10), 256),
+], ids=["quarter-twist", "scaled-into-band"])
+def test_solution_trace_with_zero_modes(cs, zero_modes):
+    sol = diagonalize(cs)
+    assert len(sol.zero_modes()) == zero_modes
+    assert np.abs(sol.trace_kernel() - ground_covariance(sol).trace_kernel()).max() < 1e-14
 
 
 def test_coefficient_route_matches_projector_route():
