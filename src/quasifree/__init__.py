@@ -2,10 +2,11 @@
 
 Build a Hamiltonian from finite-support circulant couplings, diagonalize its
 momentum-space BdG blocks, extract the exact Gaussian ground-state covariance,
-and evaluate the inversion-breaking invariants whose nonvanishing forces the
-model gapless.  An exact Fock-space oracle cross-checks everything at desk
-scale, sector by sector, from the columns of the Fock Hamiltonian at the orbit
-representatives of the lattice translations.
+evolve it under a sudden quench, and evaluate the inversion-breaking
+invariants whose nonvanishing forces the model gapless.  An exact Fock-space
+oracle cross-checks everything at desk scale, sector by sector, from the
+columns of the Fock Hamiltonian at the orbit representatives of the lattice
+translations.
 """
 
 from .lattice import LatticeShape, fourier_circulant, inverse_fourier, site_matrix
@@ -15,7 +16,6 @@ from .model import (
     ModelParams,
     bdg_blocks,
     catalog,
-    inversion_transform,
     load_model,
     random_model,
     save_model,
@@ -41,15 +41,12 @@ from .solver import (
     BogoliubovSolution,
     CovarianceKernel,
     RealSpaceCorrelators,
-    apply_bogoliubov_map,
     covariance_from_coefficients,
     diagonalize,
     evolve_quench,
     ground_covariance,
     ground_energy,
-    random_ph_map,
     real_space,
-    spinless_closed_form,
 )
 
 __version__ = "0.1.0"

@@ -63,6 +63,7 @@ from .observables import (
 )
 from .oracle import (
     DEGENERACY_TOL,
+    _check_cap,
     compare_with_quasifree,
     fock_ground_state,
 )
@@ -301,6 +302,7 @@ def cmd_entropy(args: argparse.Namespace) -> tuple[list[str], int]:
 
 def cmd_oracle(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
+    _check_cap(cs.shape.n_modes)  # refused before the momentum route allocates for the lattice
     cov = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
     if cov.zero_modes:
         raise ValueError("model has one-particle zero modes; oracle comparison undefined")

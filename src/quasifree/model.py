@@ -40,7 +40,6 @@ __all__ = [
     "validate",
     "symmetrize",
     "bdg_blocks",
-    "inversion_transform",
     "catalog",
     "CATALOG_NAMES",
     "random_model",
@@ -150,8 +149,9 @@ def symmetrize(
     return CouplingSet(shape, project(hop, "hop"), project(pair or {}, "pair"))
 
 
-def _bdg_rows(c: CouplingSet, rows=slice(None)) -> np.ndarray:
-    """The BdG blocks at the flat momenta ``rows`` (an index array or slice), shape ``(len, 2s, 2s)``."""
+def bdg_blocks(c: CouplingSet, rows=slice(None)) -> np.ndarray:
+    """The momentum-space BdG blocks at the flat momenta ``rows`` (an index array
+    or slice, by default every momentum), shape ``(len, 2s, 2s)``."""
     s = c.shape.spin
     a = fourier_circulant(c.hop, c.shape)
     b = fourier_circulant(c.pair, c.shape)[rows]
@@ -164,21 +164,10 @@ def _bdg_rows(c: CouplingSet, rows=slice(None)) -> np.ndarray:
     return out
 
 
-def bdg_blocks(c: CouplingSet) -> np.ndarray:
-    """All momentum-space BdG blocks, shape ``(n_sites, 2s, 2s)``."""
-    return _bdg_rows(c)
-
-
 def particle_hole_residual(blocks: np.ndarray, shape: LatticeShape) -> float:
     """Max norm of ``sx H_k sx + conj(H_{-k})`` over the grid (identically ~0)."""
     swapped = np.roll(blocks, shape.spin, axis=(1, 2))
     return float(np.abs(swapped + np.conj(blocks[shape.negation_table])).max())
-
-
-def inversion_transform(c: CouplingSet) -> CouplingSet:
-    """Site-inversion image ``b_m -> i b_{-m}``: every hop matrix is replaced by its
-    adjoint (equivalently ``hop(n) -> hop(-n)``), pairing matrices are kept.  Involution."""
-    return CouplingSet(c.shape, {n: m.conj().T for n, m in c.hop.items()}, dict(c.pair))
 
 
 # ---------------------------------------------------------------------------

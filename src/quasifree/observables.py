@@ -77,8 +77,8 @@ def asymmetry_diagnostics(
     neg = sol.shape.negation_table
     grid = sol.shape.momenta()
     lk, lnk = sol.branch, sol.branch[neg]
-    indet = (_is_zero(lk, sol.zero_mode_tol) | _is_zero(lnk, sol.zero_mode_tol)
-             | ~(sol.coef_ok & sol.coef_ok[neg])[:, None])
+    ok = sol.coef_ok
+    indet = (_is_zero(lk, sol.zero_mode_tol) | _is_zero(lnk, sol.zero_mode_tol) | ~(ok & ok[neg])[:, None])
     m = (np.sign(lk) - np.sign(lnk)) / 2.0
     p = (np.sign(lk) + np.sign(lnk)) / 2.0
     i, j = np.nonzero(~indet & (np.abs(m) == 1))

@@ -17,26 +17,25 @@ through one grid, ``np.arange(n_modes).reshape(dims + (s,))``, which
 
 A quadratic Hamiltonian, pairing included, conserves fermion parity, and a
 translation-invariant one also commutes with every lattice translation ``T_g``.
-The ground state splits each parity sector into crystal-momentum sectors ``K``
-(one sector per parity without the lattice), which need only the columns of
+``fock_ground_state``, which the ``oracle`` command runs, splits each parity
+sector into crystal-momentum sectors ``K``, which need only the columns of
 ``h`` at the orbit representatives, a slab about ``1/N`` of ``h`` for ``N``
-translations (``_momentum_sectors``).  ``fock_ground_state``, which the
-``oracle`` command runs, builds only those columns, from the couplings, and
-never forms ``h``; ``exact_ground_correlators`` takes them from a dense ``h``.
-Every block's spectrum comes from ``eigvalsh``, and ``eigh`` runs only on the
-blocks that hold ground levels; their lowest columns, normalized, are lifted
-back to the occupation basis by a phased scatter over each orbit.  The energy
-is the Rayleigh quotient ``v^dag h v`` of the first ground vector, with ``h v``
-formed from the translated representative columns.  Time evolution
-diagonalizes each dense parity block in full.
+translations (``_momentum_sectors``); it builds only those columns, from the
+couplings, and never forms ``h``.  ``exact_ground_correlators`` solves a dense
+``h`` by its two parity sectors alone.  Every block's spectrum comes from
+``eigvalsh``, and ``eigh`` runs only on the blocks that hold ground levels;
+their lowest columns, normalized, are lifted back to the occupation basis by a
+phased scatter over each orbit.  The energy is the Rayleigh quotient
+``v^dag h v`` of the first ground vector, with ``h v`` formed from the
+translated representative columns.
 
 Fock spaces are capped at 14 modes, and each step checks physical memory
 before it allocates, every charge plus the 64 MiB of ``solver._check_memory``:
 ``build_fock_hamiltonian`` charges ``h``, 16 bytes per entry; the sectors 16
 bytes per entry of the column slabs and 48 per entry of the gathered blocks,
-to which ``exact_ground_correlators`` adds ``h``; ``evolve_state`` 40 bytes
-per entry of ``h``.  A degenerate ground space has no canonical single-vector
-correlators, so ``compare_with_quasifree`` refuses it.
+to which ``exact_ground_correlators`` adds ``h``.  A degenerate ground space
+has no canonical single-vector correlators, so ``compare_with_quasifree``
+refuses it.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ __all__ = [
     "build_fock_hamiltonian",
     "fock_ground_state",
     "exact_ground_correlators",
-    "evolve_state",
     "correlators_from_vector",
     "compare_with_quasifree",
 ]
@@ -177,8 +175,7 @@ def correlators_from_vector(vec: np.ndarray, n_modes: int) -> tuple[np.ndarray, 
 @dataclass(frozen=True)
 class ExactGroundState:
     """Exact diagonalization summary: lowest energy, gap to the next level,
-    ground vector(s), and all two-point functions of the (possibly averaged)
-    ground state."""
+    ground vector(s), and all two-point functions of the first ground vector."""
 
     energy: float
     gap_above: float
@@ -192,8 +189,7 @@ class ExactGroundState:
 def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
     """Exact ground state of the couplings ``c`` by (parity, crystal-momentum)
     sectors, built from the columns of ``h`` at the orbit representatives only;
-    ``h`` itself is never formed.  Otherwise as ``exact_ground_correlators``
-    given ``shape=c.shape``.
+    ``h`` itself is never formed.  Otherwise as ``exact_ground_correlators``.
 
     Raises ``ValueError`` beyond ``MODE_CAP`` modes or when the sectors cannot fit
     in physical memory, and ``LinAlgError`` when the assembled entries are not
@@ -204,42 +200,24 @@ def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) ->
                          *_translations(c.shape.n_modes, c.shape.dims), c.shape.dims, degeneracy_tol)
 
 
-def exact_ground_correlators(
-    h: np.ndarray,
-    degeneracy_tol: float = DEGENERACY_TOL,
-    average_degenerate: bool = False,
-    shape: LatticeShape | None = None,
-) -> ExactGroundState:
-    """Exact ground space, sector by sector, and ground-state correlators.
+def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
+    """Exact ground space of the dense Fock matrix ``h``, by its fermion-parity
+    sectors, and the correlators of its first ground vector.
 
-    ``h`` is split into fermion-parity sectors and, given the lattice ``shape``
-    of a translation-invariant ``h``, each of those into crystal-momentum
-    sectors (``_momentum_sectors``); without ``shape`` the translation group is
-    the identity alone and each parity sector is one block.  Each block's
-    spectrum comes from ``eigvalsh``, and all are merged into one, so degeneracy
-    is judged relative to the full spectral width and a ground space may span
-    several sectors.  Each sector that holds ground levels gives its lowest
-    columns of ``eigh``, normalized, lifted back to the occupation basis.  The
-    energy is the Rayleigh quotient of the first ground vector.  For a
-    degenerate ground space the correlators of a single arbitrary vector are
-    not canonical; with ``average_degenerate`` they are averaged over an
-    orthonormal basis of the ground space (the maximally mixed ground state).
+    Each sector's spectrum comes from ``eigvalsh``, and both are merged into
+    one, so degeneracy is judged relative to the full spectral width and a
+    ground space may span both sectors.  Each sector that holds ground levels
+    gives its lowest columns of ``eigh``, normalized.  The energy is the
+    Rayleigh quotient of the first ground vector.  For a degenerate ground
+    space the correlators of a single arbitrary vector are not canonical.
 
-    Raises ``ValueError`` when ``h`` couples the parity sectors, when, with
-    ``shape``, it does not commute with the lattice translations, or when the
-    sectors cannot fit in physical memory, and ``LinAlgError`` when the entries
-    of ``h`` that the blocks use are not Hermitian.
+    Raises ``ValueError`` when ``h`` couples the parity sectors or when the
+    sectors cannot fit in physical memory, and ``LinAlgError`` when the
+    entries of ``h`` that the blocks use are not Hermitian.
     """
-    dim = h.shape[0]
-    n_modes = int(round(np.log2(dim)))
-    if shape is not None and shape.n_modes != n_modes:
-        raise ValueError(f"lattice of {shape.n_modes} modes given for a {n_modes}-mode Fock space")
-    group = shape.dims if shape is not None else ()  # without a lattice, the identity alone
-    targets, signs = _translations(n_modes, group)
-    if shape is not None:
-        _check_translation_invariance(h, targets, signs, shape)
-    return _ground_state(lambda reps: h[:, reps], targets, signs, group, degeneracy_tol,
-                         average_degenerate, held=h.nbytes)
+    n_modes = int(round(np.log2(h.shape[0])))
+    return _ground_state(lambda reps: h[:, reps], *_translations(n_modes, ()), (), degeneracy_tol,
+                         held=h.nbytes)
 
 
 def _ground_state(
@@ -248,7 +226,6 @@ def _ground_state(
     signs: np.ndarray,
     group: tuple[int, ...],
     degeneracy_tol: float,
-    average_degenerate: bool = False,
     held: int = 0,
 ) -> ExactGroundState:
     """The ground state from the sectors of the translation ``group``, given
@@ -273,7 +250,6 @@ def _ground_state(
     width = max(1.0, float(evals[-1] - evals[0]))
     cluster = np.nonzero(evals - evals[0] <= degeneracy_tol * width)[0]
     deg_dim = int(cluster[-1]) + 1
-    degenerate = deg_dim > 1
     gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
 
     # a sector's ground levels are its lowest, and the stable merge keeps them in
@@ -291,14 +267,11 @@ def _ground_state(
         vectors[:, cols] = lifted
         if i == owner[0]:
             hv = _apply_hamiltonian(sector, y[:, 0], targets, signs)
-    take = deg_dim if (average_degenerate and degenerate) else 1
-    pieces = [correlators_from_vector(np.ascontiguousarray(vectors[:, a]), n_modes) for a in range(take)]
-    bdag_b = sum(p[0] for p in pieces) / take
-    bb = sum(p[1] for p in pieces) / take
+    bdag_b, bb = correlators_from_vector(np.ascontiguousarray(vectors[:, 0]), n_modes)
     return ExactGroundState(
         energy=float(np.vdot(vectors[:, 0], hv).real),
         gap_above=gap_above,
-        degenerate=degenerate,
+        degenerate=deg_dim > 1,
         degeneracy_dim=deg_dim,
         vectors=vectors,
         bdag_b=bdag_b,
@@ -342,30 +315,8 @@ def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.
     maps = np.stack([np.roll(modes, [-c for c in g], axis=axes).ravel() for g in np.ndindex(*group)])
     bits = _bit_tables(np.arange(1 << n_modes), n_modes)[0].astype(np.int64)
     inversions = np.triu(maps[:, :, None] > maps[:, None, :], k=1).astype(np.int64)
-    signs = 1 - 2 * (np.einsum("xi,gij,xj->gx", bits, inversions, bits) & 1)
+    signs = 1 - 2 * (np.einsum("gxj,xj->gx", bits @ inversions, bits) & 1)
     return (bits @ (1 << maps).T).T, signs
-
-
-def _check_translation_invariance(h: np.ndarray, targets, signs, shape: LatticeShape) -> None:
-    """Raise ``ValueError`` unless ``T h T^dag = h`` for the one-site translation
-    along every axis, to within ``1e-12 * max(1, max|h|)``.
-
-    ``(T h T^dag)[T x, T y] = sign(x) sign(y) h[x, y]``, compared in row blocks.
-    """
-    generators = [math.prod(shape.dims[axis + 1:]) for axis in range(shape.d)]  # g = e_axis, row-major
-    blocks = _row_blocks(len(h), len(h))
-    worst = scale = 0.0
-    for r in blocks:
-        rows = h[r:r + blocks.step]
-        scale = max(scale, float(np.abs(rows).max()))
-        for t, s in zip(targets[generators], signs[generators].astype(float)):
-            moved = np.take(h[t[r:r + blocks.step]], t, axis=1)
-            moved *= s[r:r + blocks.step, None]
-            moved *= s
-            moved -= rows
-            worst = max(worst, float(np.abs(moved).max()))
-    if worst >= 1e-12 * max(1.0, scale):
-        raise ValueError(f"Hamiltonian is not translation invariant on {shape.dims} (entry {worst:.2e})")
 
 
 class _Sector(NamedTuple):
@@ -443,25 +394,6 @@ def _apply_hamiltonian(sector: _Sector, y: np.ndarray, targets, signs) -> np.nda
     return hv
 
 
-def evolve_state(h: np.ndarray, t: float, vec: np.ndarray) -> np.ndarray:
-    """``exp(-i t h) vec`` through the eigendecomposition of ``h``, sector by sector.
-
-    Raises ``ValueError`` before the first ``eigh`` when it would not fit in
-    physical memory, and when ``h`` couples the parity sectors.
-    """
-    # the peak comes while the odd sector is diagonalized: h (16 bytes per entry),
-    # the even sector's eigenvectors, and eigh's input block, LAPACK copy, work,
-    # rwork and output (4 each)
-    _check_memory(f"time evolution in a {len(vec)}-state Fock space", 40 * h.size)
-    out = np.zeros(len(vec), dtype=complex)
-    parities = _parity_states(int(round(np.log2(len(h)))))
-    for states, other in zip(parities, parities[::-1]):
-        _check_parity(h[:, states], other)
-        evals, evecs = np.linalg.eigh(h[np.ix_(states, states)])
-        out[states] = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec[states]))
-    return out
-
-
 class ComparisonResult(NamedTuple):
     max_correlator_dev: float
     energy_rel_dev: float | None
@@ -471,15 +403,13 @@ def compare_with_quasifree(
     exact: ExactGroundState,
     rc: RealSpaceCorrelators,
     energy: float | None = None,
-    allow_degenerate: bool = False,
 ) -> ComparisonResult:
     """Entrywise deviation between Fock and momentum-space ground-state correlators.
 
     ``rc`` must cover every lattice offset.  Degenerate exact ground states are
-    rejected unless explicitly allowed (their single-vector correlators are not
-    canonical).
+    rejected (their single-vector correlators are not canonical).
     """
-    if exact.degenerate and not allow_degenerate:
+    if exact.degenerate:
         raise ValueError("degenerate exact ground state; correlators are not comparable")
     shape = rc.shape
     sites = shape.momenta()  # the row-major index grid, here of sites

@@ -41,6 +41,9 @@ branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
 but uses different algebra; the two must agree, and the test suite checks both
 against references that share no code with them (the dense Fock oracle and a
 full-zone ``eigh`` projector).
+
+A sudden quench (``evolve_quench``) conjugates every Nambu block by the
+Bogoliubov map ``exp(-i t H'_k)`` of the quench Hamiltonian ``H'``.
 """
 
 from __future__ import annotations
@@ -52,27 +55,22 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .lattice import LatticeShape, fourier_circulant, inverse_fourier
-from .model import CouplingSet, _bdg_rows, bdg_blocks, random_model
+from .model import CouplingSet, bdg_blocks
 
 __all__ = [
     "BogoliubovSolution",
     "CovarianceKernel",
     "RealSpaceCorrelators",
     "diagonalize",
-    "spinless_closed_form",
     "ground_covariance",
     "covariance_from_coefficients",
     "real_space",
-    "apply_bogoliubov_map",
-    "validate_ph_map",
-    "random_ph_map",
     "evolve_quench",
     "ground_energy",
     "constraint_residuals",
 ]
 
 ZERO_MODE_TOL = 1e-9
-PH_MAP_TOL = 1e-10  # unitarity and particle-hole residual a Bogoliubov map may carry
 CLUSTER_RTOL = 1e-12  # relative eigenvalue spacing below which columns form a degenerate cluster
 _COVARIANCE_CHUNK = 1024  # half-zone rows per projector product: ground_covariance temporaries of a few MB
 
@@ -247,7 +245,7 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
                   shape.n_sites * (64 * s * s + 65 * s + 48))
     rows = shape.half_zone
     neg = shape.negation_table[rows]
-    blocks = _bdg_rows(c, rows)
+    blocks = bdg_blocks(c, rows)
     try:
         energies, vectors = np.linalg.eigh(blocks)
     except np.linalg.LinAlgError:
@@ -304,21 +302,6 @@ def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:
     }
 
 
-def spinless_closed_form(c: CouplingSet) -> np.ndarray:
-    """Closed-form one-particle energies for spinless models.
-
-    Per momentum, ``(A_k - A_{-k} + sqrt((A_k + A_{-k})^2 + 4 |B_k|^2)) / 2``;
-    together with ``-value(-k)`` this reproduces the 2x2 block eigenvalue pair.
-    """
-    if c.shape.spin != 1:
-        raise ValueError("closed form applies to spinless models only")
-    a = fourier_circulant(c.hop, c.shape)[:, 0, 0].real
-    b = fourier_circulant(c.pair, c.shape)[:, 0, 0]
-    an = a[c.shape.negation_table]
-    rad = (a + an) ** 2 + 4.0 * np.abs(b) ** 2
-    return (a - an + np.sqrt(np.clip(rad, 0.0, None))) / 2.0
-
-
 # ---------------------------------------------------------------------------
 # covariance kernels
 # ---------------------------------------------------------------------------
@@ -347,13 +330,6 @@ class CovarianceKernel:
     def trace_kernel(self) -> np.ndarray:
         """Spin-traced occupation per momentum (real)."""
         return np.trace(self.g, axis1=1, axis2=2).real
-
-
-def _kernels_from_gamma(gamma: np.ndarray, shape: LatticeShape, zero_modes=()) -> CovarianceKernel:
-    s = shape.spin
-    g = gamma[shape.negation_table, s:, s:]
-    f = gamma[:, :s, s:].copy()
-    return CovarianceKernel(shape=shape, g=g, f=f, zero_modes=tuple(zero_modes))
 
 
 def ground_covariance(sol: BogoliubovSolution) -> CovarianceKernel:
@@ -444,31 +420,12 @@ def real_space(cov: CovarianceKernel, offsets: Iterable[Iterable[int]]) -> RealS
                                 bb={n: f[shape.negate(n)] for n in keys})
 
 
-def validate_ph_map(w: np.ndarray, shape: LatticeShape) -> None:
-    """Check a per-momentum map is unitary with the particle-hole block structure,
-    each to within ``PH_MAP_TOL``."""
-    s = shape.spin
-    if w.shape != (shape.n_sites, 2 * s, 2 * s):
-        raise ValueError(f"map must have shape {(shape.n_sites, 2 * s, 2 * s)}, got {w.shape}")
-    eye = np.eye(2 * s)
-    uerr = np.abs(w @ np.conj(np.transpose(w, (0, 2, 1))) - eye).max()
-    if uerr > PH_MAP_TOL:
-        raise ValueError(f"map is not unitary (residual {uerr:.2e})")
-    pherr = np.abs(np.roll(np.conj(w[shape.negation_table]), s, axis=(1, 2)) - w).max()
-    if pherr > PH_MAP_TOL:
-        raise ValueError(f"map breaks particle-hole structure (residual {pherr:.2e})")
-
-
 def _conjugate(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKernel:
     """The kernels of ``cov`` with every Nambu block conjugated by ``w_k``."""
+    s = cov.shape.spin
     gamma = w @ cov.gamma() @ np.conj(np.transpose(w, (0, 2, 1)))
-    return _kernels_from_gamma(gamma, cov.shape, cov.zero_modes)
-
-
-def apply_bogoliubov_map(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKernel:
-    """Conjugate the Nambu blocks by a validated translation-invariant Bogoliubov map."""
-    validate_ph_map(np.asarray(w, dtype=complex), cov.shape)
-    return _conjugate(cov, w)
+    return CovarianceKernel(shape=cov.shape, g=gamma[cov.shape.negation_table, s:, s:],
+                            f=gamma[:, :s, s:].copy(), zero_modes=tuple(cov.zero_modes))
 
 
 def _propagator(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
@@ -476,13 +433,6 @@ def _propagator(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
     eigenvalues ``lam`` and eigenvectors ``vecs``."""
     phases = np.exp(-1j * t * lam)
     return (vecs * phases[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
-
-
-def random_ph_map(shape: LatticeShape, seed: int, strength: float = 1.0) -> np.ndarray:
-    """Random valid Bogoliubov map ``exp(-i * strength * H_k)`` of a seeded Hamiltonian."""
-    reach = min(2, (min(shape.dims) - 1) // 2)
-    h = random_model(shape, reach=reach, pairing=True, seed=seed)
-    return _propagator(*np.linalg.eigh(bdg_blocks(h)), strength)
 
 
 def evolve_quench(

@@ -10,25 +10,23 @@ import pytest
 from quasifree import (
     LatticeShape,
     ModelParams,
-    apply_bogoliubov_map,
-    build_fock_hamiltonian,
     catalog,
     compare_with_quasifree,
     covariance_from_coefficients,
     diagonalize,
     entropy_scan,
     evolve_quench,
-    exact_ground_correlators,
+    fock_ground_state,
     ground_covariance,
     invariant_map,
     random_model,
-    random_ph_map,
     real_space,
-    spinless_closed_form,
 )
 from quasifree.model import bdg_blocks, particle_hole_residual
 from quasifree.observables import gapped_model_survey
 from quasifree.solver import constraint_residuals, ground_energy
+
+from conftest import spinless_closed_form
 
 BASE_SEED = 20240
 
@@ -69,7 +67,9 @@ def test_criterion_2_invariance_under_maps_and_quenches():
         cov = ground_covariance(diagonalize(cs))
         inv0 = invariant_map(cov)
 
-        mapped = apply_bogoliubov_map(cov, random_ph_map(shape, seed=BASE_SEED + 1000 + i))
+        # a Bogoliubov map: the propagator exp(-i H_k) of a random pairing model
+        generator = random_model(shape, reach=2, pairing=True, seed=BASE_SEED + 1000 + i)
+        mapped = next(evolve_quench(cov, generator, [1.0]))
         inv_m = invariant_map(mapped)
         worst = max(worst, np.abs(inv0 - inv_m).max())
 
@@ -128,7 +128,7 @@ def _oracle_cases():
         sol = diagonalize(cs)
         if sol.gap < 1e-6:
             continue
-        exact = exact_ground_correlators(build_fock_hamiltonian(cs), shape=cs.shape)
+        exact = fock_ground_state(cs)
         if exact.degenerate:
             continue
         produced += 1

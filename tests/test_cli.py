@@ -15,7 +15,7 @@ from quasifree import (
     save_model,
 )
 from quasifree.cli import _build_parser, main
-from quasifree.oracle import build_fock_hamiltonian, evolve_state, exact_ground_correlators
+from quasifree.oracle import build_fock_hamiltonian, exact_ground_correlators
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_p_model, make_twisted
 
@@ -322,6 +322,17 @@ def test_oracle_command_reports_library_mode_cap(tmp_path, capsys):
     assert "dense Fock-space cap" in capsys.readouterr().err
 
 
+def test_oracle_command_checks_the_mode_cap_before_diagonalizing(tmp_path, monkeypatch, capsys):
+    # 16 modes: refused before the momentum route runs at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("diagonalize ran before the mode cap was checked")
+
+    monkeypatch.setattr("quasifree.cli.diagonalize", refuse)
+    code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "8", "--out", str(tmp_path)])
+    assert code == 2
+    assert "16 modes exceeds the dense Fock-space cap" in capsys.readouterr().err
+
+
 def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("quasifree.solver.os.sysconf", lambda name: 1024)
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
@@ -334,9 +345,9 @@ def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatc
     # forms h and charges its column slabs, 16 bytes per entry of 2^10 rows by
     # the 104 orbit representatives of each parity, and its blocks, 48 bytes per
     # entry of 5 x 104^2 per parity, about 9 MB in all; the dense build is charged
-    # 16 bytes per entry of h, the ground state of h without the lattice 56 (h,
-    # slabs of half of h per parity, blocks) and time evolution 40; this machine
-    # fits the command and the build, but not the last two
+    # 16 bytes per entry of h and the parity-sector ground state of h 56 (h, slabs
+    # of half of h per parity, blocks); this machine fits the command and the
+    # build, but not the dense ground state
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(100 << 20))
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
     assert code == 0
@@ -344,8 +355,6 @@ def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatc
     h = build_fock_hamiltonian(make_p_model(5, 2.0))
     with pytest.raises(ValueError, match="physical memory"):
         exact_ground_correlators(h)
-    with pytest.raises(ValueError, match="physical memory"):
-        evolve_state(h, 1.0, np.eye(len(h))[0])
 
 
 @pytest.mark.parametrize("n_sites", ["4", "5"])

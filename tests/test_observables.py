@@ -9,7 +9,6 @@ from quasifree import (
     CouplingSet,
     LatticeShape,
     ModelParams,
-    apply_bogoliubov_map,
     catalog,
     diagonalize,
     entropy_scan,
@@ -17,7 +16,6 @@ from quasifree import (
     ground_covariance,
     invariant_map,
     random_model,
-    random_ph_map,
     real_space,
     verify_criticality,
 )
@@ -219,7 +217,8 @@ def test_invariant_preserved_by_maps_and_quenches():
     cov = ground_covariance(diagonalize(cs))
     inv0 = invariant_map(cov)
     for seed in range(5):
-        mapped = apply_bogoliubov_map(cov, random_ph_map(shape, seed=seed))
+        # a Bogoliubov map: the propagator exp(-i H_k) of a random pairing model
+        mapped = next(evolve_quench(cov, random_model(shape, reach=2, pairing=True, seed=seed), [1.0]))
         inv_m = invariant_map(mapped)
         assert np.abs(inv0 - inv_m).max() < 1e-9
         h = random_model(shape, reach=1, pairing=True, seed=50 + seed)

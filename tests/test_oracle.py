@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -18,12 +18,13 @@ from quasifree import (
     compare_with_quasifree,
     diagonalize,
     exact_ground_correlators,
+    fock_ground_state,
     ground_covariance,
     random_model,
     real_space,
     symmetrize,
 )
-from quasifree.oracle import correlators_from_vector, evolve_state
+from quasifree.oracle import correlators_from_vector
 from quasifree.solver import ground_energy
 
 from conftest import make_p_model, make_twisted
@@ -42,6 +43,27 @@ def invariant_from_correlators(bdag_b, shape):
     inv = [bdag_b[modes, np.roll(modes, [-c for c in n], axis=axes)].imag.sum()
            for n in np.ndindex(*shape.dims)]
     return np.reshape(inv, shape.dims) / shape.n_sites
+
+
+def evolve_state(h, t, vec):
+    """Reference ``exp(-i t h) vec`` through the eigendecomposition of each parity
+    block of the dense ``h``; raises ``ValueError`` when ``h`` couples them."""
+    out = np.zeros(len(vec), dtype=complex)
+    parities = oracle._parity_states(int(round(np.log2(len(h)))))
+    for states, other in zip(parities, parities[::-1]):
+        oracle._check_parity(h[:, states], other)
+        evals, evecs = np.linalg.eigh(h[np.ix_(states, states)])
+        out[states] = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec[states]))
+    return out
+
+
+def mixed_ground_state(ex, n_modes):
+    """``ex`` with its correlators averaged over its orthonormal ground vectors (the
+    maximally mixed ground state, which is canonical), marked nondegenerate so that
+    ``compare_with_quasifree`` takes it."""
+    pieces = [correlators_from_vector(np.ascontiguousarray(v), n_modes) for v in ex.vectors.T]
+    return replace(ex, degenerate=False, bdag_b=sum(p[0] for p in pieces) / len(pieces),
+                   bb=sum(p[1] for p in pieces) / len(pieces))
 
 
 def translation_operator(shape, axis=0):
@@ -254,8 +276,7 @@ def test_degenerate_ground_state_is_flagged():
     t = translation_operator(cs.shape)
     cov = ground_covariance(diagonalize(cs))
     rc = real_space(cov, all_offsets(cs.shape))
-    for sectors in ({}, {"shape": cs.shape}):
-        ex = exact_ground_correlators(h, **sectors)
+    for ex in (exact_ground_correlators(h), fock_ground_state(cs)):
         assert ex.degenerate
         assert ex.degeneracy_dim == 4
         # the ground space spans both parity sectors, two vectors in each
@@ -283,12 +304,12 @@ def test_averaged_degenerate_ground_space_matches_full_eigh(n_sites):
     deg = 1 + n_sites + n_sites * (n_sites - 1) // 2
     ref = np.linalg.eigh(h)[1][:, :deg]
     pieces = [correlators_from_vector(np.ascontiguousarray(ref[:, a]), cs.shape.n_modes) for a in range(deg)]
-    for sectors in ({}, {"shape": cs.shape}):
-        ex = exact_ground_correlators(h, average_degenerate=True, **sectors)
+    for ex in (exact_ground_correlators(h), fock_ground_state(cs)):
         assert ex.degenerate and ex.degeneracy_dim == deg
         assert np.abs(ex.vectors @ ex.vectors.conj().T - ref @ ref.conj().T).max() < 1e-12
-        assert np.abs(ex.bdag_b - sum(p[0] for p in pieces) / deg).max() < 1e-12
-        assert np.abs(ex.bb - sum(p[1] for p in pieces) / deg).max() < 1e-12
+        mixed = mixed_ground_state(ex, cs.shape.n_modes)
+        assert np.abs(mixed.bdag_b - sum(p[0] for p in pieces) / deg).max() < 1e-12
+        assert np.abs(mixed.bb - sum(p[1] for p in pieces) / deg).max() < 1e-12
 
 
 def test_oracle_agreement_on_random_models():
@@ -344,17 +365,17 @@ def test_zero_mode_invariant_matches_oracle_ground_space():
     from quasifree import invariant_map
 
     inv_qf = invariant_map(cov)
-    ex = exact_ground_correlators(build_fock_hamiltonian(cs), average_degenerate=True)
+    ex = exact_ground_correlators(build_fock_hamiltonian(cs))
     assert ex.degenerate and ex.degeneracy_dim == 2
-    inv_fock = invariant_from_correlators(ex.bdag_b, cs.shape)
+    mixed = mixed_ground_state(ex, cs.shape.n_modes)
+    inv_fock = invariant_from_correlators(mixed.bdag_b, cs.shape)
     assert np.abs(inv_fock - inv_qf).max() < 1e-9
     # averaged ground space equals the half-filled zero-mode Gaussian state exactly
     rc = real_space(cov, all_offsets(cs.shape))
-    res = compare_with_quasifree(ex, rc, allow_degenerate=True)
+    res = compare_with_quasifree(mixed, rc)
     assert res.max_correlator_dev < 1e-9
     # single arbitrary ground vectors shift only the real part
-    single = exact_ground_correlators(build_fock_hamiltonian(cs))
-    inv_single = invariant_from_correlators(single.bdag_b, cs.shape)
+    inv_single = invariant_from_correlators(ex.bdag_b, cs.shape)
     assert np.abs(inv_single - inv_qf).max() < 1e-9
 
 
@@ -409,16 +430,16 @@ def test_parity_sectors_match_full_diagonalization(data, spin, pairing, seed):
     rng = np.random.default_rng(seed)
     draw = lambda: {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
                     for n in all_offsets(shape)}
-    h = build_fock_hamiltonian(symmetrize(shape, draw(), draw() if pairing else {}))
+    cs = symmetrize(shape, draw(), draw() if pairing else {})
+    h = build_fock_hamiltonian(cs)
     # reference: one full-matrix eigh, with the oracle's degeneracy rule
     evals, evecs = np.linalg.eigh(h)
     width = float(evals[-1] - evals[0])
     deg_dim = int(np.nonzero(evals - evals[0] <= 1e-8 * max(1.0, width))[0][-1]) + 1
     gap_above = float(evals[deg_dim] - evals[0]) if deg_dim < len(evals) else 0.0
     tol = 1e-12 * max(1.0, width)
-    # parity sectors alone, then (parity, crystal momentum) sectors
-    for sectors in ({}, {"shape": shape}):
-        ex = exact_ground_correlators(h, **sectors)
+    # the parity sectors of h alone, then the (parity, crystal momentum) sectors of the couplings
+    for ex in (exact_ground_correlators(h), fock_ground_state(cs)):
         assert abs(ex.energy - evals[0]) <= tol
         assert abs(ex.gap_above - gap_above) <= tol
         assert ex.degeneracy_dim == deg_dim
@@ -482,21 +503,6 @@ def test_parity_mixing_hamiltonian_is_rejected():
             exact_ground_correlators(h)
         with pytest.raises(ValueError, match="parity"):
             evolve_state(h, 1.0, np.eye(h.shape[0])[0])
-
-
-@pytest.mark.parametrize("dims", [(6,), (3, 3)])
-def test_translation_breaking_hamiltonian_is_rejected_with_a_shape(dims):
-    shape = LatticeShape(dims, 1)
-    h = build_fock_hamiltonian(random_model(shape, reach=1, pairing=True, seed=4))
-    # states 1 and 2 (modes 0 and 1 occupied) share a parity; the break sits on
-    # one entry and its Hermitian partner, where every translation sees it
-    h[1, 2] += 1e-9
-    h[2, 1] += 1e-9
-    with pytest.raises(ValueError, match="not translation invariant"):
-        exact_ground_correlators(h, shape=shape)
-    exact_ground_correlators(h)  # the parity sectors alone still hold
-    with pytest.raises(ValueError, match="modes"):
-        exact_ground_correlators(h, shape=LatticeShape((5,), 1))
 
 
 def test_translation_operator_generates_the_sector_translations():
@@ -571,10 +577,6 @@ def test_fock_columns_are_the_dense_hamiltonian_columns(dims, spin, pairing):
 def test_lifted_energy_is_the_rayleigh_quotient(dims, spin):
     cs = random_model(LatticeShape(dims, spin), reach=1, pairing=True, seed=2)
     h = build_fock_hamiltonian(cs)
-    ex = oracle.fock_ground_state(cs)
+    ex = fock_ground_state(cs)
     v = ex.vectors[:, 0]
     assert abs(ex.energy - np.vdot(v, h @ v).real) <= 1e-14 * abs(ex.energy)
-    # the dense path gathers the same columns from h, and gives the same state
-    dense = exact_ground_correlators(h, shape=cs.shape)
-    assert dense.energy == ex.energy
-    assert dense.vectors.tobytes() == ex.vectors.tobytes()

@@ -9,23 +9,20 @@ from quasifree import (
     CouplingSet,
     LatticeShape,
     ModelParams,
-    apply_bogoliubov_map,
     catalog,
     covariance_from_coefficients,
     diagonalize,
     evolve_quench,
     ground_covariance,
     random_model,
-    random_ph_map,
     real_space,
-    spinless_closed_form,
 )
 from quasifree import solver
 from quasifree.lattice import fourier_circulant, inverse_fourier
 from quasifree.model import bdg_blocks, scaled, symmetrize
-from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, constraint_residuals, validate_ph_map
+from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, constraint_residuals
 
-from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted
+from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted, spinless_closed_form
 
 
 def onsite_chain(n, mu):
@@ -102,11 +99,17 @@ def test_eigen_residuals_and_unitarity():
         check_layout(diagonalize(cs), bdg_blocks(cs))
 
 
+def random_propagator(shape, seed, t):
+    """``exp(-i t H_k)`` of a seeded random pairing model, the propagator of a quench."""
+    h = random_model(shape, reach=min(2, (min(shape.dims) - 1) // 2), pairing=True, seed=seed)
+    return solver._propagator(*np.linalg.eigh(bdg_blocks(h)), t)
+
+
 def conjugated_model(cs, seed):
     """``cs`` conjugated by a random Bogoliubov map: the spectrum is kept, and
     particles and holes are mixed at every momentum."""
     shape, s = cs.shape, cs.shape.spin
-    w = random_ph_map(shape, seed=seed, strength=0.7)
+    w = random_propagator(shape, seed, 0.7)
     h = w @ bdg_blocks(cs) @ np.conj(np.transpose(w, (0, 2, 1)))
     hop_grid = inverse_fourier(h[:, :s, :s], shape)
     pair_grid = inverse_fourier(h[:, :s, s:], shape)
@@ -449,7 +452,7 @@ def test_apply_identity_map_is_noop():
     cs = random_model(LatticeShape((10,), 2), reach=1, pairing=True, seed=2)
     cov = ground_covariance(diagonalize(cs))
     eye = np.broadcast_to(np.eye(4), (10, 4, 4)).copy()
-    out = apply_bogoliubov_map(cov, eye)
+    out = solver._conjugate(cov, eye)
     assert np.abs(out.g - cov.g).max() < 1e-14
     assert np.abs(out.f - cov.f).max() < 1e-14
 
@@ -460,7 +463,7 @@ def test_particle_hole_swap_flips_occupation():
     cov = ground_covariance(diagonalize(cs))
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     swap = np.broadcast_to(sx, (8, 2, 2)).copy()
-    out = apply_bogoliubov_map(cov, swap)
+    out = solver._conjugate(cov, swap)
     neg = cs.shape.negation_table
     expected = np.eye(1) - np.transpose(cov.g[neg], (0, 2, 1))
     assert np.abs(out.g - expected).max() < 1e-12
@@ -470,23 +473,15 @@ def test_particle_hole_swap_flips_occupation():
     assert np.abs(np.sort(old) - np.sort(new)).max() < 1e-12
 
 
-def test_map_validation_rejects_bad_maps():
-    shape = LatticeShape((8,), 1)
-    cs = random_model(shape, reach=1, pairing=True, seed=0)
-    cov = ground_covariance(diagonalize(cs))
-    with pytest.raises(ValueError, match="unitary"):
-        apply_bogoliubov_map(cov, np.ones((8, 2, 2)))
-    # unitary at each momentum but breaking the particle-hole pairing across +-k
-    w = np.broadcast_to(np.eye(2, dtype=complex), (8, 2, 2)).copy()
-    w[1] = np.diag([np.exp(0.7j), np.exp(-0.7j)])
-    with pytest.raises(ValueError, match="particle-hole"):
-        apply_bogoliubov_map(cov, w)
-
-
-def test_random_ph_map_is_valid():
+def test_quench_propagator_is_a_bogoliubov_map():
+    # unitary at every momentum, and W_{-k} = sx conj(W_k) sx, so it maps the
+    # Nambu blocks of a state to those of a state
     shape = LatticeShape((12,), 2)
+    neg = shape.negation_table
     for seed in range(5):
-        validate_ph_map(random_ph_map(shape, seed=seed), shape)
+        w = random_propagator(shape, seed, 1.0)
+        assert np.abs(w @ np.conj(np.transpose(w, (0, 2, 1))) - np.eye(4)).max() < 1e-13
+        assert np.abs(np.roll(np.conj(w[neg]), 2, axis=(1, 2)) - w).max() < 1e-13
 
 
 def test_quench_time_zero_and_stationarity():
