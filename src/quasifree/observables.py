@@ -5,10 +5,12 @@ The central quantity is the offset map
     invariant(n) = Im sum_j <b^{j dag}_m b^j_{m+n}>,
 
 the density of the conserved charge ``C_n = (i/2) sum_{m,j} (b+_{n+m} b_m - b+_m b_{m+n})``.
-It equals the sine transform of the spin-traced occupation kernel, which the
-criticality checks read straight off a solution's eigenbasis, with no
-covariance kernel formed.  It is invariant under every translation-invariant
-Bogoliubov map and quench, and can only be nonzero when the one-particle
+It is the sine transform of the spin-traced occupation ``tr g_k``, whose odd part
+is a count: ``tr g_k - tr g_{-k} = n_-(k) + n_0(k)/2 - s``, with ``n_-`` the BdG
+energies below the zero-mode band and ``n_0`` the zero modes at ``k``.  So the
+criticality checks need energies alone (for a pairing-free model the spectra
+of the s x s hopping kernel).  The invariant is unchanged by every
+translation-invariant Bogoliubov map and quench, and is nonzero only when the
 spectrum is sign-asymmetric under momentum negation, which forces a band
 through zero in the large-lattice limit.  A truly gapped model therefore
 carries an identically vanishing invariant even at finite size; a nonzero
@@ -36,7 +38,8 @@ from .solver import (
     BogoliubovSolution,
     CovarianceKernel,
     _is_zero,
-    diagonalize,
+    _spectrum,
+    _zero_modes,
 )
 
 __all__ = [
@@ -56,10 +59,18 @@ SURVEY_GAP_TOL = 0.1  # above sum_i pi/N_i for N >= 32 in 1-D at unit band slope
 
 
 def invariant_map(state: BogoliubovSolution | CovarianceKernel) -> np.ndarray:
-    """The invariant at every lattice offset, a ``dims``-shaped array indexed by the
-    reduced offset, via an inverse FFT of the traced occupation of ``state``: a
-    solution's ground state or a covariance kernel."""
+    """The invariant at every offset (a ``dims``-shaped array indexed by the reduced
+    offset): the sine transform of a solution's counts, or of a kernel's ``tr g_k``."""
+    if isinstance(state, BogoliubovSolution):
+        return _count_invariant(state.shape, state.u_energies, state.zero_mode_tol)
     return np.fft.ifftn(state.trace_kernel().reshape(state.shape.dims)).imag
+
+
+def _count_invariant(shape: LatticeShape, energies: np.ndarray, tol: float) -> np.ndarray:
+    """The invariant of the ground state of the ``(M, 2s)`` grid ``energies``: the sine
+    transform of ``(tr g_k - tr g_{-k})/2 = (n_-(k) + n_0(k)/2 - s)/2``."""
+    odd = np.sum(np.where(_is_zero(energies, tol), 0.5, energies < 0), axis=1) - shape.spin
+    return np.fft.ifftn(0.5 * odd.reshape(shape.dims)).imag
 
 
 def asymmetry_diagnostics(
@@ -74,15 +85,20 @@ def asymmetry_diagnostics(
     and the other arrays have length ``n``; both groups run over momenta in
     flat order, bands ascending within a momentum.
     """
-    neg = sol.shape.negation_table
-    grid = sol.shape.momenta()
-    lk, lnk = sol.branch, sol.branch[neg]
-    ok = sol.coef_ok
-    indet = (_is_zero(lk, sol.zero_mode_tol) | _is_zero(lnk, sol.zero_mode_tol) | ~(ok & ok[neg])[:, None])
-    m = (np.sign(lk) - np.sign(lnk)) / 2.0
-    p = (np.sign(lk) + np.sign(lnk)) / 2.0
+    return _asymmetry(sol.shape, sol.u_energies, sol.branch, sol.zero_mode_tol)
+
+
+def _asymmetry(shape: LatticeShape, energies: np.ndarray, branch: np.ndarray, tol: float):
+    """``asymmetry_diagnostics`` of the ``(M, 2s)`` grid ``energies`` and its ``(M, s)``
+    ``branch``.  The energies at ``-k`` are those at ``k`` negated, so a zero mode
+    at either momentum makes every band at both indeterminate."""
+    neg = shape.negation_table
+    m = (np.sign(branch) - np.sign(branch[neg])) / 2.0
+    p = (np.sign(branch) + np.sign(branch[neg])) / 2.0
+    indet = np.broadcast_to(_is_zero(energies, tol).any(axis=1)[:, None], branch.shape)
     i, j = np.nonzero(~indet & (np.abs(m) == 1))
     k, b = np.nonzero(indet)
+    grid = shape.momenta()
     return (grid[i], j, m[i, j], p[i, j]), (grid[k], b)
 
 
@@ -120,18 +136,18 @@ def verify_criticality(
     ``consistent-gapped`` and the rest ``gapless-by-spectrum``.  A finite-size gap
     is not a proof that the continuum band stays away from zero.
     """
-    sol = diagonalize(c, zero_mode_tol=zero_mode_tol)
-    inv = invariant_map(sol)
-    gap = sol.gap
+    energies, branch = _spectrum(c, zero_mode_tol)
+    inv = _count_invariant(c.shape, energies, zero_mode_tol)
+    gap = float(np.abs(energies).min())
     if gap <= gap_tol:
         verdict = "gapless-by-spectrum"
     elif np.abs(inv).max() >= inv_tol:
         verdict = "gapless-by-invariant"
     else:
         verdict = "consistent-gapped"
-    asym, indet = asymmetry_diagnostics(sol)
+    asym, indet = _asymmetry(c.shape, energies, branch, zero_mode_tol)
     return InvariantReport(invariant=inv, gap=gap, asymmetry=asym, indeterminate=indet,
-                           zero_modes=tuple(sol.zero_modes()), verdict=verdict)
+                           zero_modes=tuple(_zero_modes(c.shape, energies, zero_mode_tol)), verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -179,16 +195,15 @@ def gapped_model_survey(
         steep = slope_bound(cs)
         if steep > 1.0:
             cs = scaled(cs, 1.0 / steep)
-        sol = diagonalize(cs, zero_mode_tol=zero_mode_tol)
-        if sol.gap <= gap_tol:
-            continue
-        if diagonalize(cs.resized(doubled), zero_mode_tol=zero_mode_tol).gap <= gap_tol / 2:
+        energies, _ = _spectrum(cs, zero_mode_tol)
+        gap = float(np.abs(energies).min())
+        if gap <= gap_tol or np.abs(_spectrum(cs.resized(doubled), zero_mode_tol)[0]).min() <= gap_tol / 2:
             continue
         gapped += 1
-        max_inv = float(np.abs(invariant_map(sol)).max())
+        max_inv = float(np.abs(_count_invariant(cs.shape, energies, zero_mode_tol)).max())
         worst = max(worst, max_inv)
         if max_inv >= inv_tol:
-            events.append((seed + idx, sol.gap, max_inv))
+            events.append((seed + idx, gap, max_inv))
     return SurveyResult(gapped=gapped, worst_invariant=worst, events=tuple(events))
 
 

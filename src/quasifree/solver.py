@@ -32,9 +32,8 @@ Particle-hole symmetry ``sx H_k sx = -conj(H_{-k})`` makes the eigendata at
 and the self-conjugate ones) are diagonalized.  A solution stores ``U_k`` on
 those rows only, with the energies on the full grid; ``U_{-k} = sx conj(U_k) sx``
 is derived on demand, and ``ground_covariance`` reads the stored rows alone.
-The spin-traced occupation ``tr g_k``, all that the invariant needs, comes
-from the stored rows without any kernel (``BogoliubovSolution.trace_kernel``):
-the trace of a projector block is a weighted sum of column weights.
+Where only energies are needed (``_spectrum``), a pairing-free model forms no
+BdG block: its designated branch is the spectrum of the hopping kernel ``A_k``.
 
 A second route assembles the same kernels from the Bogoliubov coefficients and
 branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
@@ -166,29 +165,15 @@ class BogoliubovSolution:
 
     def zero_modes(self) -> list[tuple[tuple[int, ...], int]]:
         """(momentum tuple, slot in ``energies``) for every zero mode."""
-        hits = np.argwhere(_is_zero(self.energies, self.zero_mode_tol))
-        grid = self.shape.momenta()
-        return [(tuple(int(c) for c in grid[i]), int(a)) for i, a in hits]
+        return _zero_modes(self.shape, self.u_energies, self.zero_mode_tol)
 
-    def trace_kernel(self) -> np.ndarray:
-        """Spin-traced occupation ``tr g_k`` per momentum (real), as
-        ``ground_covariance(self).trace_kernel()`` without forming the kernels.
 
-        With ``P_j`` and ``Q_j`` the weights of column ``j`` of ``U_k`` on its upper
-        and lower s rows, ``tr g_k = sum_j w^-_j P_j`` and ``tr g_{-k} = sum_j w^+_j Q_j``;
-        ``w^+`` (``w^-``) is 1 where ``lambda > 0`` (``lambda < 0``) and 1/2 at a zero
-        mode.  A self-conjugate row keeps the ``-k`` value, as in ``ground_covariance``.
-        """
-        s = self.shape.spin
-        rows = self.shape.half_zone
-        lam = self.u_energies[rows]
-        zero = _is_zero(lam, self.zero_mode_tol)
-        weight = np.abs(self.u_rows) ** 2
-        out = np.empty(self.shape.n_sites)
-        out[rows] = np.sum(np.where(zero, 0.5, lam < 0) * weight[:, :s].sum(axis=1), axis=1)
-        out[self.shape.negation_table[rows]] = np.sum(
-            np.where(zero, 0.5, lam > 0) * weight[:, s:].sum(axis=1), axis=1)
-        return out
+def _zero_modes(shape: LatticeShape, energies: np.ndarray, tol: float) -> list[tuple[tuple[int, ...], int]]:
+    """(momentum tuple, slot in the row's ascending order) for every zero mode of
+    the ``(M, 2s)`` grid ``energies``; only the rows with a zero mode are sorted."""
+    rows = np.flatnonzero(_is_zero(energies, tol).any(axis=1))
+    hits = np.argwhere(_is_zero(np.sort(energies[rows], axis=1), tol))
+    return [(tuple(int(c) for c in shape.momenta()[rows[i]]), int(a)) for i, a in hits]
 
 
 def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
@@ -275,6 +260,26 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     for r, (u, e) in special:
         vectors[r], u_energies[rows[r]] = u, e
     return BogoliubovSolution(shape=shape, u_rows=vectors, u_energies=u_energies, zero_mode_tol=zero_mode_tol)
+
+
+def _spectrum(c: CouplingSet, zero_mode_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(M, 2s)`` energies in the ``u_energies`` layout and the ``(M, s)``
+    designated branch.  A pairing model goes through ``diagonalize``.  Without
+    pairing ``H_k = A_k + (-A_{-k}^T)``: the branch is the spectrum of ``A_k``
+    (ascending) and the partner half ``-branch[-k]`` (descending).  Raises
+    ``ValueError`` before any per-momentum allocation when it would not fit.
+    """
+    if c.pair:
+        sol = diagonalize(c, zero_mode_tol=zero_mode_tol)
+        return sol.u_energies, sol.branch
+    shape, s = c.shape, c.shape.spin
+    # per momentum: the hopping kernel's offset grid and two FFT stages (48 s^2), then
+    # the energies, branch, count weights, signs and asymmetry markers (at most 64 s:
+    # 113 bytes measured at s = 1 with every entry marked) and the index tables (48)
+    _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
+                  shape.n_sites * (48 * s * s + 64 * s + 48))
+    branch = np.linalg.eigvalsh(fourier_circulant(c.hop, shape))
+    return np.concatenate([branch, -branch[shape.negation_table]], axis=1), branch
 
 
 def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:

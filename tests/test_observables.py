@@ -21,6 +21,8 @@ from quasifree import (
 )
 from quasifree.model import scaled, slope_bound
 from quasifree.observables import (
+    GAP_TOL,
+    INV_TOL,
     _block_spectra,
     _gaussian_entropy,
     _nambu_block,
@@ -182,6 +184,133 @@ def test_verify_two_dimensional_gapped_model():
     assert rep.max_abs_invariant < 1e-12
 
 
+# rounding bound between the gap of the eigenvalue route and diagonalize's,
+# relative to the largest |energy|
+GAP_RTOL = 1e-14
+
+
+def expected_verdict(gap, inv, gap_tol, inv_tol):
+    if gap <= gap_tol:
+        return "gapless-by-spectrum"
+    if np.abs(inv).max() >= inv_tol:
+        return "gapless-by-invariant"
+    return "consistent-gapped"
+
+
+def random_unitary(spin, seed):
+    z = np.random.default_rng(seed).standard_normal((2, spin, spin))
+    q, r = np.linalg.qr(z[0] + 1j * z[1])
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugated_couplings(cs):
+    """Complex conjugation of every coupling: time reversal."""
+    return CouplingSet(cs.shape, {n: m.conj() for n, m in cs.hop.items()},
+                       {n: m.conj() for n, m in cs.pair.items()})
+
+
+def rotated_couplings(cs, u):
+    """The on-site spin rotation ``b_m -> u b_m``: ``hop -> u hop u^dag``, ``pair -> u pair u^T``."""
+    return CouplingSet(cs.shape, {n: u @ m @ u.conj().T for n, m in cs.hop.items()},
+                       {n: u @ m @ u.T for n, m in cs.pair.items()})
+
+
+def invariant_routes(cs):
+    """The invariant map by every route: the count of a solution, the count of the
+    report (eigenvalues alone without pairing) and the trace of the covariance kernel."""
+    sol = diagonalize(cs)
+    return invariant_map(sol), verify_criticality(cs).invariant, invariant_map(ground_covariance(sol))
+
+
+model_draws = dict(
+    dims=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
+    spin=st.integers(1, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 10_000),
+    factor=st.floats(1e-3, 1e3),
+)
+
+
+def drawn_model(dims, spin, pairing, seed, factor):
+    reach = 1 if min(dims) > 2 else 0
+    return scaled(random_model(LatticeShape(dims, spin), reach, pairing, seed), factor)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**model_draws)
+def test_solution_invariant_matches_covariance_invariant(dims, spin, pairing, seed, factor):
+    # the trace of a projector is its rank: tr g_k - tr g_{-k} = n_-(k) + n_0(k)/2 - s
+    sol = diagonalize(drawn_model(dims, spin, pairing, seed, factor))
+    assert np.abs(invariant_map(sol) - invariant_map(ground_covariance(sol))).max() < 1e-14
+
+
+def full_sort_zero_modes(sol):
+    """Zero modes as (momentum, slot) from the whole sorted energy grid."""
+    hits = np.argwhere(np.abs(np.sort(sol.u_energies, axis=1)) < sol.zero_mode_tol)
+    return [(tuple(int(c) for c in sol.shape.momenta()[i]), int(a)) for i, a in hits]
+
+
+@pytest.mark.parametrize("cs, zero_modes", [
+    (make_twisted(64, np.pi / 2), 4),
+    # every slot of this pairing chain falls in the zero-mode band
+    (scaled(random_model(LatticeShape((64,), 2), 2, True, 3), 1e-10), 256),
+    # a zero mode stored ahead of negative energies: its slot is not its column
+    (zero_mode_model((6, 5), 2, seed=3, pairing=True, flat=7), 2),
+], ids=["quarter-twist", "scaled-into-band", "pairing-6x5"])
+def test_solution_invariant_with_zero_modes(cs, zero_modes):
+    sol = diagonalize(cs)
+    assert len(sol.zero_modes()) == zero_modes
+    assert sol.zero_modes() == full_sort_zero_modes(sol)
+    assert verify_criticality(cs).zero_modes == tuple(full_sort_zero_modes(sol))
+    assert np.abs(invariant_map(sol) - invariant_map(ground_covariance(sol))).max() < 1e-14
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
+    spin=st.integers(1, 3),
+    seed=st.integers(0, 10_000),
+    factor=st.floats(1e-3, 1e3),
+    zero_at=st.one_of(st.none(), st.integers(0, 10_000)),
+)
+@example(dims=(64,), spin=1, seed=0, factor=1.0, zero_at=16)
+def test_eigenvalue_route_matches_diagonalize(dims, spin, seed, factor, zero_at):
+    # a pairing-free model: verify_criticality reads the spectra of the hopping
+    # kernel, the reference diagonalizes the BdG blocks
+    if zero_at is None:
+        cs = drawn_model(dims, spin, False, seed, factor)
+    else:
+        cs = scaled(zero_mode_model(dims, spin, seed, False, zero_at), factor)
+    rep = verify_criticality(cs)
+    sol = diagonalize(cs)
+    assert rep.verdict == expected_verdict(sol.gap, invariant_map(sol), GAP_TOL, INV_TOL)
+    assert abs(rep.gap - sol.gap) <= GAP_RTOL * np.abs(sol.u_energies).max()
+    assert np.array_equal(rep.invariant, invariant_map(sol))
+    (momenta, band, m, p), indet = asymmetry_diagnostics(sol)
+    for got, want in zip(rep.asymmetry + rep.indeterminate, (momenta, band, m, p) + indet):
+        assert np.array_equal(got, want)
+    assert rep.zero_modes == tuple(sol.zero_modes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(**model_draws)
+def test_conjugation_negates_the_invariant(dims, spin, pairing, seed, factor):
+    # time reversal flips the sign of Im <b+_m b_{m+n}> on every route
+    cs = drawn_model(dims, spin, pairing, seed, factor)
+    for inv, image in zip(invariant_routes(cs), invariant_routes(conjugated_couplings(cs))):
+        assert np.abs(inv + image).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(**model_draws)
+def test_onsite_rotation_keeps_the_invariant(dims, spin, pairing, seed, factor):
+    # the spin-traced correlator is unchanged by an on-site U(s) rotation on every route
+    cs = drawn_model(dims, spin, pairing, seed, factor)
+    rotated = rotated_couplings(cs, random_unitary(spin, seed))
+    for inv, image in zip(invariant_routes(cs), invariant_routes(rotated)):
+        assert np.abs(inv - image).max() < 1e-14
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dims=st.lists(st.integers(3, 8), min_size=1, max_size=3).map(tuple),
@@ -196,19 +325,15 @@ def test_verdict_follows_gap_and_invariant(dims, spin, pairing, seed, factor, ga
     cs = scaled(random_model(LatticeShape(dims, spin), reach=min(2, (min(dims) - 1) // 2),
                              pairing=pairing, seed=seed), factor)
     rep = verify_criticality(cs, gap_tol=gap_tol, inv_tol=inv_tol)
-    sol = diagonalize(cs)
-    gap, inv = sol.gap, invariant_map(sol)
-    if gap <= gap_tol:
-        want = "gapless-by-spectrum"
-    elif np.abs(inv).max() >= inv_tol:
-        want = "gapless-by-invariant"
-    else:
-        want = "consistent-gapped"
+    want = expected_verdict(rep.gap, rep.invariant, gap_tol, inv_tol)
     assert rep.verdict == want
     assert rep.falsification == (want == "gapless-by-invariant")
     assert rep.max_abs_invariant == np.abs(rep.invariant).max()
-    assert rep.gap == gap and np.array_equal(rep.invariant, inv)
-    assert np.abs(inv - invariant_map(ground_covariance(sol))).max() < 1e-14
+    # a pairing-free model takes the eigenvalue route, which agrees with diagonalize
+    # to rounding
+    sol = diagonalize(cs)
+    assert abs(rep.gap - sol.gap) <= GAP_RTOL * np.abs(sol.u_energies).max()
+    assert np.abs(rep.invariant - invariant_map(ground_covariance(sol))).max() < 1e-14
 
 
 def test_invariant_preserved_by_maps_and_quenches():
