@@ -41,12 +41,14 @@ from .solver import (
     BogoliubovSolution,
     CovarianceKernel,
     RealSpaceCorrelators,
+    Spectrum,
     covariance_from_coefficients,
     diagonalize,
     evolve_quench,
     ground_covariance,
     ground_energy,
     real_space,
+    spectrum,
 )
 
 __version__ = "0.1.0"

@@ -74,6 +74,7 @@ from .solver import (
     ground_covariance,
     ground_energy,
     real_space,
+    spectrum,
 )
 
 ORACLE_DEV_TOL = 1e-9
@@ -135,9 +136,12 @@ def _lengths(text: str) -> list[int]:
 
 def _times(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        times = [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}") from exc
+    if not all(math.isfinite(t) for t in times):
+        raise argparse.ArgumentTypeError(f"quench times must be finite, got {text!r}")
+    return times
 
 
 def _resolve_model(args: argparse.Namespace) -> CouplingSet:
@@ -201,19 +205,19 @@ def _reduced_offsets(text: str | None, shape: LatticeShape) -> np.ndarray:
 
 def cmd_spectrum(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
-    sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
+    spec = spectrum(cs, zero_mode_tol=args.zero_mode_tol)
     shape = cs.shape
     header = (
         [f"k_{i + 1}" for i in range(shape.d)]
         + [f"lam_{a + 1}" for a in range(2 * shape.spin)]
         + [f"branch_{j + 1}" for j in range(shape.spin)]
     )
-    columns = [*shape.momenta().T, *sol.energies.T, *sol.branch.T]
+    columns = [*shape.momenta().T, *spec.energies.T, *spec.branch.T]
     _write_csv(args.out, "spectrum.csv", header, columns)
     return [
         f"model dims={shape.dims} spin={shape.spin}",
-        f"spectral gap: {_fmt(sol.gap)}",
-        f"zero modes (|energy| < {args.zero_mode_tol:g}): {len(sol.zero_modes())}",
+        f"spectral gap: {_fmt(spec.gap)}",
+        f"zero modes (|energy| < {args.zero_mode_tol:g}): {len(spec.zero_modes())}",
     ], 0
 
 

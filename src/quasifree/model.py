@@ -61,6 +61,8 @@ def _freeze(couplings: Mapping[tuple[int, ...], np.ndarray], shape: LatticeShape
         mat = np.asarray(mat, dtype=complex)
         if mat.shape != (shape.spin, shape.spin):
             raise ValueError(f"coupling at {offset} must be {shape.spin}x{shape.spin}")
+        if not np.isfinite(mat).all():
+            raise ValueError(f"coupling at {offset} has a non-finite entry")
         mat = mat.copy()
         mat.setflags(write=False)
         out[red] = mat
@@ -79,9 +81,9 @@ def _closure_image(table: Mapping[tuple[int, ...], np.ndarray], shape: LatticeSh
 class CouplingSet:
     """Immutable hopping/pairing support of one translation-invariant Hamiltonian.
 
-    Invariant: ``hop(-n) = hop(n)^dag`` and ``pair(-n) = -pair(n)^T`` entrywise
-    within ``CLOSURE_TOL``, a missing offset counting as zero.  Construction
-    raises ``ValueError`` listing the violations otherwise.
+    Invariant: every entry is finite, and ``hop(-n) = hop(n)^dag`` and
+    ``pair(-n) = -pair(n)^T`` hold entrywise within ``CLOSURE_TOL``, a missing
+    offset counting as zero.  Construction raises ``ValueError`` otherwise.
     """
 
     shape: LatticeShape
@@ -144,7 +146,7 @@ def symmetrize(
         # keys one at a time keeps the key order that slope_bound's sum follows
         offsets = set(raw) | {n for n in image}
         proj = {n: (raw.get(n, zero) + image.get(n, zero)) / 2 for n in offsets}
-        return {n: m for n, m in proj.items() if np.abs(m).max() > 0.0}
+        return {n: m for n, m in proj.items() if m.any()}  # a NaN is kept, for CouplingSet to refuse
 
     return CouplingSet(shape, project(hop, "hop"), project(pair or {}, "pair"))
 
@@ -193,8 +195,8 @@ def _p_model(shape: LatticeShape, p: float) -> CouplingSet:
     # of its ground state are the canonical non-real-but-gapped example
     if shape.d != 1 or shape.spin != 2:
         raise ValueError("p-model is a spin-1/2 chain: need d=1 and spin=2")
-    if not p > 0:
-        raise ValueError(f"p-model needs p > 0, got {p}")
+    if not 0 < p < np.inf:
+        raise ValueError(f"p-model needs a finite p > 0, got {p}")
     hop1 = np.array(
         [[1j * (p + 1) / 4, -(p + 1) / 4],
          [-(p + 1) / 4, -1j * (p + 1) / 4]],

@@ -7,12 +7,13 @@ The central quantity is the offset map
 the density of the conserved charge ``C_n = (i/2) sum_{m,j} (b+_{n+m} b_m - b+_m b_{m+n})``.
 It is the sine transform of the spin-traced occupation ``tr g_k``, whose odd part
 is a count: ``tr g_k - tr g_{-k} = n_-(k) + n_0(k)/2 - s``, with ``n_-`` the BdG
-energies below the zero-mode band and ``n_0`` the zero modes at ``k``.  So the
-criticality checks need energies alone (for a pairing-free model the spectra
-of the s x s hopping kernel).  The invariant is unchanged by every
-translation-invariant Bogoliubov map and quench, and is nonzero only when the
-spectrum is sign-asymmetric under momentum negation, which forces a band
-through zero in the large-lattice limit.  A truly gapped model therefore
+energies below the zero-mode band and ``n_0`` the zero modes at ``k``
+(``Spectrum.imbalance``).  So the criticality checks read a ``solver.Spectrum``
+alone (for a pairing-free model the spectra of the s x s hopping kernel).  The
+invariant is unchanged by every translation-invariant Bogoliubov map and
+quench, and is nonzero only when the spectrum is sign-asymmetric under
+momentum negation, which forces a band through zero in the large-lattice
+limit.  A truly gapped model therefore
 carries an identically vanishing invariant even at finite size; a nonzero
 invariant together with a stable finite-size gap would falsify that picture
 and is reported as such.
@@ -33,14 +34,7 @@ import numpy as np
 
 from .lattice import LatticeShape, inverse_fourier, site_matrix
 from .model import CouplingSet, random_model, scaled, slope_bound
-from .solver import (
-    ZERO_MODE_TOL,
-    BogoliubovSolution,
-    CovarianceKernel,
-    _is_zero,
-    _spectrum,
-    _zero_modes,
-)
+from .solver import ZERO_MODE_TOL, CovarianceKernel, Spectrum, spectrum
 
 __all__ = [
     "InvariantReport",
@@ -58,47 +52,35 @@ INV_TOL = 1e-8
 SURVEY_GAP_TOL = 0.1  # above sum_i pi/N_i for N >= 32 in 1-D at unit band slope
 
 
-def invariant_map(state: BogoliubovSolution | CovarianceKernel) -> np.ndarray:
+def invariant_map(state: Spectrum | CovarianceKernel) -> np.ndarray:
     """The invariant at every offset (a ``dims``-shaped array indexed by the reduced
-    offset): the sine transform of a solution's counts, or of a kernel's ``tr g_k``."""
-    if isinstance(state, BogoliubovSolution):
-        return _count_invariant(state.shape, state.u_energies, state.zero_mode_tol)
+    offset): the sine transform of a spectrum's ``(tr g_k - tr g_{-k})/2``, read off
+    its counts, or of a kernel's ``tr g_k``."""
+    if isinstance(state, Spectrum):
+        return np.fft.ifftn(0.5 * state.imbalance.reshape(state.shape.dims)).imag
     return np.fft.ifftn(state.trace_kernel().reshape(state.shape.dims)).imag
 
 
-def _count_invariant(shape: LatticeShape, energies: np.ndarray, tol: float) -> np.ndarray:
-    """The invariant of the ground state of the ``(M, 2s)`` grid ``energies``: the sine
-    transform of ``(tr g_k - tr g_{-k})/2 = (n_-(k) + n_0(k)/2 - s)/2``."""
-    odd = np.sum(np.where(_is_zero(energies, tol), 0.5, energies < 0), axis=1) - shape.spin
-    return np.fft.ifftn(0.5 * odd.reshape(shape.dims)).imag
-
-
 def asymmetry_diagnostics(
-    sol: BogoliubovSolution,
+    spec: Spectrum,
 ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Sign-asymmetry markers of the designated branch.
 
     Returns ``((momenta, band, M, P), (momenta, band))``.  The first group lists
     the (momentum, band) entries with ``|M| = 1``, ``M = (sgn L_k - sgn L_{-k})/2``
     (``M`` takes only the values 0, +-1/2 and +-1); the second those whose
-    branch energy is too close to zero for a sign.  Momenta are ``(n, d)`` rows
-    and the other arrays have length ``n``; both groups run over momenta in
-    flat order, bands ascending within a momentum.
+    branch energy is too close to zero for a sign (a zero mode at ``k`` or ``-k``
+    makes every band at both so).  Momenta are ``(n, d)`` rows and the other arrays
+    have length ``n``; both groups run over momenta in flat order, bands ascending
+    within a momentum.
     """
-    return _asymmetry(sol.shape, sol.u_energies, sol.branch, sol.zero_mode_tol)
-
-
-def _asymmetry(shape: LatticeShape, energies: np.ndarray, branch: np.ndarray, tol: float):
-    """``asymmetry_diagnostics`` of the ``(M, 2s)`` grid ``energies`` and its ``(M, s)``
-    ``branch``.  The energies at ``-k`` are those at ``k`` negated, so a zero mode
-    at either momentum makes every band at both indeterminate."""
-    neg = shape.negation_table
+    branch, neg = spec.branch, spec.shape.negation_table
     m = (np.sign(branch) - np.sign(branch[neg])) / 2.0
     p = (np.sign(branch) + np.sign(branch[neg])) / 2.0
-    indet = np.broadcast_to(_is_zero(energies, tol).any(axis=1)[:, None], branch.shape)
+    indet = np.broadcast_to(~spec.coef_ok[:, None], branch.shape)
     i, j = np.nonzero(~indet & (np.abs(m) == 1))
     k, b = np.nonzero(indet)
-    grid = shape.momenta()
+    grid = spec.shape.momenta()
     return (grid[i], j, m[i, j], p[i, j]), (grid[k], b)
 
 
@@ -136,18 +118,17 @@ def verify_criticality(
     ``consistent-gapped`` and the rest ``gapless-by-spectrum``.  A finite-size gap
     is not a proof that the continuum band stays away from zero.
     """
-    energies, branch = _spectrum(c, zero_mode_tol)
-    inv = _count_invariant(c.shape, energies, zero_mode_tol)
-    gap = float(np.abs(energies).min())
+    spec = spectrum(c, zero_mode_tol)
+    inv, gap = invariant_map(spec), spec.gap
     if gap <= gap_tol:
         verdict = "gapless-by-spectrum"
     elif np.abs(inv).max() >= inv_tol:
         verdict = "gapless-by-invariant"
     else:
         verdict = "consistent-gapped"
-    asym, indet = _asymmetry(c.shape, energies, branch, zero_mode_tol)
+    asym, indet = asymmetry_diagnostics(spec)
     return InvariantReport(invariant=inv, gap=gap, asymmetry=asym, indeterminate=indet,
-                           zero_modes=tuple(_zero_modes(c.shape, energies, zero_mode_tol)), verdict=verdict)
+                           zero_modes=tuple(spec.zero_modes()), verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -195,12 +176,12 @@ def gapped_model_survey(
         steep = slope_bound(cs)
         if steep > 1.0:
             cs = scaled(cs, 1.0 / steep)
-        energies, _ = _spectrum(cs, zero_mode_tol)
-        gap = float(np.abs(energies).min())
-        if gap <= gap_tol or np.abs(_spectrum(cs.resized(doubled), zero_mode_tol)[0]).min() <= gap_tol / 2:
+        spec = spectrum(cs, zero_mode_tol)
+        gap = spec.gap
+        if gap <= gap_tol or spectrum(cs.resized(doubled), zero_mode_tol).gap <= gap_tol / 2:
             continue
         gapped += 1
-        max_inv = float(np.abs(_count_invariant(cs.shape, energies, zero_mode_tol)).max())
+        max_inv = float(np.abs(invariant_map(spec)).max())
         worst = max(worst, max_inv)
         if max_inv >= inv_tol:
             events.append((seed + idx, gap, max_inv))

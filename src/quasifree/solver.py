@@ -32,8 +32,9 @@ Particle-hole symmetry ``sx H_k sx = -conj(H_{-k})`` makes the eigendata at
 and the self-conjugate ones) are diagonalized.  A solution stores ``U_k`` on
 those rows only, with the energies on the full grid; ``U_{-k} = sx conj(U_k) sx``
 is derived on demand, and ``ground_covariance`` reads the stored rows alone.
-Where only energies are needed (``_spectrum``), a pairing-free model forms no
-BdG block: its designated branch is the spectrum of the hopping kernel ``A_k``.
+What follows from the energies alone lives on ``Spectrum``, of which a solution
+is one; ``spectrum`` forms no BdG block for a pairing-free model, whose designated
+branch is the spectrum of the hopping kernel ``A_k``.
 
 A second route assembles the same kernels from the Bogoliubov coefficients and
 branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
@@ -57,10 +58,12 @@ from .lattice import LatticeShape, fourier_circulant, inverse_fourier
 from .model import CouplingSet, bdg_blocks
 
 __all__ = [
+    "Spectrum",
     "BogoliubovSolution",
     "CovarianceKernel",
     "RealSpaceCorrelators",
     "diagonalize",
+    "spectrum",
     "ground_covariance",
     "covariance_from_coefficients",
     "real_space",
@@ -105,23 +108,57 @@ def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class BogoliubovSolution:
-    """Eigendata of one Hamiltonian in the particle-hole consistent column layout of
-    the module docstring.
-
-    ``u_rows`` is the eigenbasis ``U_k`` at the half-zone rows only, in the
-    order of ``shape.half_zone`` (the lead and self-conjugate momenta);
-    ``u_energies`` covers the full grid.  Everything else is derived: the
-    full-grid ``u``, whose partner rows are the images ``U_{-k} = sx conj(U_k) sx``,
-    ``energies`` (ascending per momentum), ``coef_ok`` (momenta free of zero modes,
-    where the designation is canonical), ``gap``, ``zero_modes()``, ``branch``,
-    ``alpha`` and ``beta``.
-    """
+class Spectrum:
+    """Full-grid energies of one Hamiltonian in the column layout of the module
+    docstring (designated branch, then partners), and all that follows from them:
+    ``energies``, ``branch``, ``coef_ok`` (momenta free of zero modes, where the
+    designation is canonical), ``gap``, ``imbalance`` and ``zero_modes()``."""
 
     shape: LatticeShape
-    u_rows: np.ndarray      # (len(shape.half_zone), 2s, 2s)
     u_energies: np.ndarray  # (M, 2s)
     zero_mode_tol: float
+
+    @property
+    def energies(self) -> np.ndarray:
+        """One-particle energies per momentum in ascending order, shape (M, 2s)."""
+        return np.sort(self.u_energies, axis=1)
+
+    @property
+    def branch(self) -> np.ndarray:
+        """Designated one-particle energies ``u_energies[:, :s]``, shape (M, s)."""
+        return self.u_energies[:, :self.shape.spin]
+
+    @property
+    def coef_ok(self) -> np.ndarray:
+        """(M,) bool: the block at this momentum has no zero mode."""
+        return ~_is_zero(self.u_energies, self.zero_mode_tol).any(axis=1)
+
+    @property
+    def gap(self) -> float:
+        return float(np.abs(self.u_energies).min())
+
+    @property
+    def imbalance(self) -> np.ndarray:
+        """(M,) ``n_-(k) + n_0(k)/2 - s`` over the energies below the zero-mode band and
+        the zero modes: ``tr g_k - tr g_{-k}`` of the ground state."""
+        zero = _is_zero(self.u_energies, self.zero_mode_tol)
+        return np.sum(np.where(zero, 0.5, self.u_energies < 0), axis=1) - self.shape.spin
+
+    def zero_modes(self) -> list[tuple[tuple[int, ...], int]]:
+        """(momentum tuple, slot in ``energies``) for every zero mode; only the rows
+        with a zero mode are sorted."""
+        rows = np.flatnonzero(~self.coef_ok)
+        hits = np.argwhere(_is_zero(np.sort(self.u_energies[rows], axis=1), self.zero_mode_tol))
+        return [(tuple(int(c) for c in self.shape.momenta()[rows[i]]), int(a)) for i, a in hits]
+
+
+@dataclass(frozen=True)
+class BogoliubovSolution(Spectrum):
+    """A ``Spectrum`` plus the eigenbasis ``U_k`` at the rows of ``shape.half_zone``
+    (``u_rows``).  Derived: the full-grid ``u``, whose partner rows are the images
+    ``U_{-k} = sx conj(U_k) sx``, ``alpha`` and ``beta``."""
+
+    u_rows: np.ndarray  # (len(shape.half_zone), 2s, 2s)
 
     @property
     def u(self) -> np.ndarray:
@@ -131,21 +168,6 @@ class BogoliubovSolution:
         out[self.shape.negation_table[rows]] = np.roll(self.u_rows, self.shape.spin, axis=(1, 2)).conj()
         out[rows] = self.u_rows  # a self-conjugate row keeps its own layout
         return out
-
-    @property
-    def energies(self) -> np.ndarray:
-        """One-particle energies per momentum in ascending order, shape (M, 2s)."""
-        return np.sort(self.u_energies, axis=1)
-
-    @property
-    def coef_ok(self) -> np.ndarray:
-        """(M,) bool: the block at this momentum has no zero mode."""
-        return ~_is_zero(self.u_energies, self.zero_mode_tol).any(axis=1)
-
-    @property
-    def branch(self) -> np.ndarray:
-        """Designated one-particle energies ``u_energies[:, :s]``, shape (M, s)."""
-        return self.u_energies[:, :self.shape.spin]
 
     @property
     def alpha(self) -> np.ndarray:
@@ -159,21 +181,20 @@ class BogoliubovSolution:
         s = self.shape.spin
         return np.conj(np.transpose(self.u[:, s:, :s], (0, 2, 1)))
 
-    @property
-    def gap(self) -> float:
-        return float(np.abs(self.u_energies).min())
 
-    def zero_modes(self) -> list[tuple[tuple[int, ...], int]]:
-        """(momentum tuple, slot in ``energies``) for every zero mode."""
-        return _zero_modes(self.shape, self.u_energies, self.zero_mode_tol)
-
-
-def _zero_modes(shape: LatticeShape, energies: np.ndarray, tol: float) -> list[tuple[tuple[int, ...], int]]:
-    """(momentum tuple, slot in the row's ascending order) for every zero mode of
-    the ``(M, 2s)`` grid ``energies``; only the rows with a zero mode are sorted."""
-    rows = np.flatnonzero(_is_zero(energies, tol).any(axis=1))
-    hits = np.argwhere(_is_zero(np.sort(energies[rows], axis=1), tol))
-    return [(tuple(int(c) for c in shape.momenta()[rows[i]]), int(a)) for i, a in hits]
+def _solve(solver, blocks: np.ndarray, shape: LatticeShape, flat: Iterable[int]):
+    """``solver(blocks)`` for the blocks at the flat momenta ``flat``; a ``LinAlgError``
+    names the first momentum whose block fails alone."""
+    try:
+        return solver(blocks)
+    except np.linalg.LinAlgError:
+        for i, blk in zip(flat, blocks):
+            try:
+                solver(blk)
+            except np.linalg.LinAlgError as exc:
+                k = tuple(int(x) for x in shape.momenta()[i])
+                raise np.linalg.LinAlgError(f"eigensolver failed at momentum {k}") from exc
+        raise
 
 
 def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
@@ -231,17 +252,7 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     rows = shape.half_zone
     neg = shape.negation_table[rows]
     blocks = bdg_blocks(c, rows)
-    try:
-        energies, vectors = np.linalg.eigh(blocks)
-    except np.linalg.LinAlgError:
-        # locate the offending momentum for the error message
-        for i, blk in zip(rows, blocks):
-            try:
-                np.linalg.eigh(blk)
-            except np.linalg.LinAlgError as exc:
-                k = tuple(int(x) for x in shape.momenta()[i])
-                raise np.linalg.LinAlgError(f"eigensolver failed at momentum {k}") from exc
-        raise
+    energies, vectors = _solve(np.linalg.eigh, blocks, shape, rows)
     del blocks
 
     # the self-conjugate rows read the raw eigenpairs, which the batch below overwrites
@@ -262,24 +273,23 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     return BogoliubovSolution(shape=shape, u_rows=vectors, u_energies=u_energies, zero_mode_tol=zero_mode_tol)
 
 
-def _spectrum(c: CouplingSet, zero_mode_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(M, 2s)`` energies in the ``u_energies`` layout and the ``(M, s)``
-    designated branch.  A pairing model goes through ``diagonalize``.  Without
-    pairing ``H_k = A_k + (-A_{-k}^T)``: the branch is the spectrum of ``A_k``
-    (ascending) and the partner half ``-branch[-k]`` (descending).  Raises
-    ``ValueError`` before any per-momentum allocation when it would not fit.
+def spectrum(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Spectrum:
+    """The energies of ``c``, without the eigenbasis where it can be skipped.  A
+    pairing model's is its ``diagonalize`` solution.  Without pairing
+    ``H_k = A_k + (-A_{-k}^T)``: the branch is the spectrum of ``A_k`` (ascending)
+    and the partner half ``-branch[-k]`` (descending).  Raises ``ValueError``
+    before any per-momentum allocation when it would not fit.
     """
     if c.pair:
-        sol = diagonalize(c, zero_mode_tol=zero_mode_tol)
-        return sol.u_energies, sol.branch
+        return diagonalize(c, zero_mode_tol=zero_mode_tol)
     shape, s = c.shape, c.shape.spin
     # per momentum: the hopping kernel's offset grid and two FFT stages (48 s^2), then
     # the energies, branch, count weights, signs and asymmetry markers (at most 64 s:
     # 113 bytes measured at s = 1 with every entry marked) and the index tables (48)
     _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
                   shape.n_sites * (48 * s * s + 64 * s + 48))
-    branch = np.linalg.eigvalsh(fourier_circulant(c.hop, shape))
-    return np.concatenate([branch, -branch[shape.negation_table]], axis=1), branch
+    branch = _solve(np.linalg.eigvalsh, fourier_circulant(c.hop, shape), shape, range(shape.n_sites))
+    return Spectrum(shape, np.concatenate([branch, -branch[shape.negation_table]], axis=1), zero_mode_tol)
 
 
 def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:

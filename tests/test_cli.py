@@ -497,13 +497,62 @@ def test_closure_broken_by_resize_exits_2(tmp_path, capsys):
 
 
 def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # both routes of the spectrum command: eigvalsh of the hopping kernels of a
+    # pairing-free model, eigh of the BdG blocks of a pairing one
     def fail(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
-    code = run(["spectrum", "--model", "p-model", "--dims", "8", "--out", str(tmp_path)])
-    assert code == 3
-    assert "eigensolver failed at momentum (0,)" in capsys.readouterr().err
+    for solver, model in [("eigvalsh", ["p-model"]),
+                          ("eigh", ["spinless-general", "--param", "a1=1", "--param", "b1=0.5"])]:
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, solver, fail)
+            code = run(["spectrum", "--model", *model, "--dims", "8", "--out", str(tmp_path)])
+        assert code == 3
+        assert "eigensolver failed at momentum (0,)" in capsys.readouterr().err
+
+
+def test_spectrum_and_invariants_print_one_gap(tmp_path, capsys):
+    # a pairing-free model whose gap the BdG eigh and the hopping-kernel eigvalsh
+    # round differently: both commands read the one spectrum
+    path = tmp_path / "m.json"
+    save_model(random_model(LatticeShape((24,), 2), reach=2, pairing=False, seed=15), path)
+    gaps = []
+    for command in ("spectrum", "invariants"):
+        run([command, "--model", str(path), "--out", str(tmp_path / command)])
+        gaps.append(next(line for line in (tmp_path / command / "report.txt").read_text().splitlines()
+                         if line.startswith("spectral gap: ")))
+    assert gaps[0] == gaps[1]
+    capsys.readouterr()
+
+
+def nan_hop_file(path):
+    path.write_text(json.dumps({
+        "shape": {"dims": [8], "spin": 1},
+        "couplings": [{"kind": "hop", "offset": [1], "matrix": [[[float("nan"), 0.0]]]}],
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["invariants", "--model", "nan-file"], "non-finite entry"),
+    (["entropy", "--model", "nan-file", "--dims", "64"], "non-finite entry"),
+    (["invariants", "--model", "twisted-chain", "--param", "alpha=nan", "--dims", "8"], "non-finite entry"),
+    (["spectrum", "--model", "p-model", "--param", "p=inf", "--dims", "8"], "finite p > 0"),
+], ids=["file-invariants", "file-entropy", "catalog-alpha-nan", "catalog-p-inf"])
+def test_non_finite_coupling_exits_2(tmp_path, capsys, args, message):
+    args = [nan_hop_file(tmp_path / "m.json") if a == "nan-file" else a for a in args]
+    assert run([*args, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("times", ["0,nan", "0,inf"])
+def test_quench_rejects_non_finite_times(tmp_path, capsys, times):
+    with pytest.raises(SystemExit) as exc:
+        run(["quench", "--model", "p-model", "--dims", "8", "--times", times, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "quench times must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "quench.csv").exists()
 
 
 def drop_last_fock_term(monkeypatch):

@@ -394,6 +394,24 @@ def test_model_file_loader_projects_and_reports(tmp_path):
     assert loaded.couplings.hop[(1,)][0, 0] == pytest.approx(0.5)
 
 
+def test_non_finite_couplings_are_refused(tmp_path):
+    # the constructor, scaled, and a model file, whose closure projection must
+    # keep the non-finite offset for the constructor to see
+    from quasifree.model import scaled
+
+    with pytest.raises(ValueError, match="non-finite entry"):
+        CouplingSet(chain(8), {(1,): [[np.inf]], (7,): [[np.inf]]}, {})
+    with pytest.raises(ValueError, match="non-finite entry"):
+        scaled(random_model(chain(8), reach=1, pairing=True, seed=0), np.nan)
+    import json
+
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"shape": {"dims": [8], "spin": 1},
+                                "couplings": [{"kind": "pair", "offset": [2], "matrix": [[[0.0, np.nan]]]}]}))
+    with pytest.raises(ValueError, match="non-finite entry"):
+        load_model(path)
+
+
 def test_model_file_rejects_duplicates_and_bad_kind(tmp_path):
     import json
 

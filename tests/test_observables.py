@@ -17,6 +17,7 @@ from quasifree import (
     invariant_map,
     random_model,
     real_space,
+    spectrum,
     verify_criticality,
 )
 from quasifree.model import scaled, slope_bound
@@ -30,7 +31,7 @@ from quasifree.observables import (
     asymmetry_diagnostics,
     gapped_model_survey,
 )
-from quasifree.solver import CovarianceKernel
+from quasifree.solver import BogoliubovSolution, CovarianceKernel
 
 from conftest import make_p_model, make_twisted
 from test_solver import zero_mode_model
@@ -269,20 +270,28 @@ def test_solution_invariant_with_zero_modes(cs, zero_modes):
 @given(
     dims=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
     spin=st.integers(1, 3),
+    pairing=st.booleans(),
     seed=st.integers(0, 10_000),
     factor=st.floats(1e-3, 1e3),
     zero_at=st.one_of(st.none(), st.integers(0, 10_000)),
 )
-@example(dims=(64,), spin=1, seed=0, factor=1.0, zero_at=16)
-def test_eigenvalue_route_matches_diagonalize(dims, spin, seed, factor, zero_at):
-    # a pairing-free model: verify_criticality reads the spectra of the hopping
-    # kernel, the reference diagonalizes the BdG blocks
+@example(dims=(64,), spin=1, pairing=False, seed=0, factor=1.0, zero_at=16)
+def test_eigenvalue_route_matches_diagonalize(dims, spin, pairing, seed, factor, zero_at):
+    # spectrum() of a pairing-free model reads the spectra of the hopping kernel,
+    # the reference diagonalizes the BdG blocks; a pairing model's is its solution
     if zero_at is None:
-        cs = drawn_model(dims, spin, False, seed, factor)
+        cs = drawn_model(dims, spin, pairing, seed, factor)
     else:
-        cs = scaled(zero_mode_model(dims, spin, seed, False, zero_at), factor)
+        cs = scaled(zero_mode_model(dims, spin, seed, pairing, zero_at), factor)
     rep = verify_criticality(cs)
     sol = diagonalize(cs)
+    spec = spectrum(cs)
+    if cs.pair:
+        assert isinstance(spec, BogoliubovSolution)
+        assert np.array_equal(spec.u_energies, sol.u_energies) and np.array_equal(spec.u_rows, sol.u_rows)
+    else:
+        assert np.abs(spec.energies - sol.energies).max() <= 1e-15 * np.abs(sol.u_energies).max()
+    assert spec.zero_modes() == sol.zero_modes()
     assert rep.verdict == expected_verdict(sol.gap, invariant_map(sol), GAP_TOL, INV_TOL)
     assert abs(rep.gap - sol.gap) <= GAP_RTOL * np.abs(sol.u_energies).max()
     assert np.array_equal(rep.invariant, invariant_map(sol))
