@@ -211,6 +211,8 @@ def _twisted_chain(shape: LatticeShape, alpha: float) -> CouplingSet:
     # band is cos(2 pi k/N - alpha) and <c+_l c_{l+1}> picks up e^{i alpha}
     if shape.d != 1 or shape.spin != 1:
         raise ValueError("twisted-chain is spinless and one-dimensional")
+    if not np.isfinite(alpha):
+        raise ValueError(f"twisted-chain alpha={alpha} would give the hop a non-finite entry")
     t = np.exp(1j * alpha) / 2
     hop = {(1,): np.array([[t]]), (-1,): np.array([[np.conj(t)]])}
     return CouplingSet(shape, {shape.reduce(n): m for n, m in hop.items()}, {})
@@ -341,6 +343,8 @@ def _matrix_from_json(data, s: int) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
     if arr.shape != (s, s, 2):
         raise ValueError(f"matrix must be {s}x{s} of [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():  # refused before the complex arithmetic and the projection
+        raise ValueError(f"matrix {data} has a non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 

@@ -34,7 +34,9 @@ those rows only, with the energies on the full grid; ``U_{-k} = sx conj(U_k) sx`
 is derived on demand, and ``ground_covariance`` reads the stored rows alone.
 What follows from the energies alone lives on ``Spectrum``, of which a solution
 is one; ``spectrum`` forms no BdG block for a pairing-free model, whose designated
-branch is the spectrum of the hopping kernel ``A_k``.
+branch is the spectrum of the hopping kernel ``A_k``: in closed form for s = 2
+(``_eigvalsh``), by LAPACK's ``eigvalsh`` otherwise.  An eigensolver result that is not
+finite, as from a kernel that overflows, is refused with the momentum named.
 
 A second route assembles the same kernels from the Bogoliubov coefficients and
 branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
@@ -50,7 +52,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -182,19 +184,48 @@ class BogoliubovSolution(Spectrum):
         return np.conj(np.transpose(self.u[:, s:, :s], (0, 2, 1)))
 
 
-def _solve(solver, blocks: np.ndarray, shape: LatticeShape, flat: Iterable[int]):
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian blocks.  A 2x2 block is
+    ``mean +- hypot((p - q)/2, |b|)`` over its real diagonal ``p, q`` and upper entry
+    ``b``, formed from halved diagonals so that no finite entry overflows; other
+    sizes go to ``eigvalsh``."""
+    if a.shape[-1] != 2:
+        return np.linalg.eigvalsh(a)
+    out = np.empty(a.shape[:-1])
+    lo, hi = out[..., 0], out[..., 1]
+    np.multiply(a[..., 0, 0].real, 0.5, out=lo)
+    np.multiply(a[..., 1, 1].real, 0.5, out=hi)
+    mean = lo + hi
+    lo -= hi
+    np.hypot(lo, np.abs(a[..., 0, 1]), out=hi)
+    np.subtract(mean, hi, out=lo)
+    hi += mean
+    return out
+
+
+def _momentum(shape: LatticeShape, i: int) -> tuple[int, ...]:
+    return tuple(int(x) for x in shape.momenta()[i])
+
+
+def _solve(solver, blocks: np.ndarray, shape: LatticeShape, flat: Sequence[int]):
     """``solver(blocks)`` for the blocks at the flat momenta ``flat``; a ``LinAlgError``
-    names the first momentum whose block fails alone."""
+    names the first momentum whose block fails alone, or whose result is not finite."""
     try:
-        return solver(blocks)
+        out = solver(blocks)
     except np.linalg.LinAlgError:
         for i, blk in zip(flat, blocks):
             try:
                 solver(blk)
             except np.linalg.LinAlgError as exc:
-                k = tuple(int(x) for x in shape.momenta()[i])
-                raise np.linalg.LinAlgError(f"eigensolver failed at momentum {k}") from exc
+                raise np.linalg.LinAlgError(f"eigensolver failed at momentum {_momentum(shape, i)}") from exc
         raise
+    for part in out if isinstance(out, tuple) else (out,):
+        finite = np.isfinite(part).reshape(len(part), -1).all(axis=1)
+        if not finite.all():
+            k = _momentum(shape, flat[int(np.argmin(finite))])
+            raise np.linalg.LinAlgError(f"eigensolver gave a non-finite result at momentum {k}: "
+                                        "its block overflows, or the solver failed")
+    return out
 
 
 def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
@@ -251,8 +282,10 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
                   shape.n_sites * (64 * s * s + 65 * s + 48))
     rows = shape.half_zone
     neg = shape.negation_table[rows]
-    blocks = bdg_blocks(c, rows)
-    energies, vectors = _solve(np.linalg.eigh, blocks, shape, rows)
+    # a block that overflows gives a non-finite energy, which _solve refuses by momentum
+    with np.errstate(over="ignore", invalid="ignore"):
+        blocks = bdg_blocks(c, rows)
+        energies, vectors = _solve(np.linalg.eigh, blocks, shape, rows)
     del blocks
 
     # the self-conjugate rows read the raw eigenpairs, which the batch below overwrites
@@ -288,7 +321,8 @@ def spectrum(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Spectrum:
     # 113 bytes measured at s = 1 with every entry marked) and the index tables (48)
     _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
                   shape.n_sites * (48 * s * s + 64 * s + 48))
-    branch = _solve(np.linalg.eigvalsh, fourier_circulant(c.hop, shape), shape, range(shape.n_sites))
+    with np.errstate(over="ignore", invalid="ignore"):  # as in diagonalize
+        branch = _solve(_eigvalsh, fourier_circulant(c.hop, shape), shape, range(shape.n_sites))
     return Spectrum(shape, np.concatenate([branch, -branch[shape.negation_table]], axis=1), zero_mode_tol)
 
 

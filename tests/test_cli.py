@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -496,19 +497,41 @@ def test_closure_broken_by_resize_exits_2(tmp_path, capsys):
     assert "coupling closure" in capsys.readouterr().err
 
 
+def overflow_file(path):
+    # finite entries whose hopping kernel overflows: A_k = 8e307 (1 + 2 cos k) I
+    big = [[[8e307, 0.0], [0.0, 0.0]], [[0.0, 0.0], [8e307, 0.0]]]
+    path.write_text(json.dumps({
+        "shape": {"dims": [8], "spin": 2},
+        "couplings": [{"kind": "hop", "offset": [n], "matrix": big} for n in (0, 1, -1)],
+    }))
+    return str(path)
+
+
 def test_eigensolver_failure_exits_3(tmp_path, monkeypatch, capsys):
-    # both routes of the spectrum command: eigvalsh of the hopping kernels of a
-    # pairing-free model, eigh of the BdG blocks of a pairing one
+    # every eigensolver route: LAPACK eigvalsh of the 3x3 hopping kernels of a
+    # pairing-free model, eigh of the BdG blocks of a pairing one, and, on kernels
+    # that overflow, the closed form of 2x2 kernels (spectrum, invariants) and eigh
+    # of their BdG blocks (entropy)
     def fail(a, *args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    for solver, model in [("eigvalsh", ["p-model"]),
-                          ("eigh", ["spinless-general", "--param", "a1=1", "--param", "b1=0.5"])]:
+    path = tmp_path / "s3.json"
+    save_model(random_model(LatticeShape((8,), 3), reach=1, pairing=False, seed=0), path)
+    pairing = ["spinless-general", "--param", "a1=1", "--param", "b1=0.5", "--dims", "8"]
+    for solver, model in [("eigvalsh", [str(path)]), ("eigh", pairing)]:
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, solver, fail)
-            code = run(["spectrum", "--model", *model, "--dims", "8", "--out", str(tmp_path)])
+            code = run(["spectrum", "--model", *model, "--out", str(tmp_path)])
         assert code == 3
         assert "eigensolver failed at momentum (0,)" in capsys.readouterr().err
+    big = overflow_file(tmp_path / "big.json")
+    for command in ("spectrum", "invariants", "entropy"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run([command, "--model", big, "--out", str(tmp_path / command)])
+        assert code == 3
+        assert "non-finite result at momentum (0,)" in capsys.readouterr().err
+        assert not (tmp_path / command).exists()
 
 
 def test_spectrum_and_invariants_print_one_gap(tmp_path, capsys):
@@ -525,10 +548,15 @@ def test_spectrum_and_invariants_print_one_gap(tmp_path, capsys):
     capsys.readouterr()
 
 
-def nan_hop_file(path):
+# model files whose hop at offset 1 holds a non-finite [re, im] entry
+NON_FINITE_FILES = {"nan-file": [float("nan"), 0.0], "inf-real-file": [float("inf"), 0.0],
+                    "inf-imag-file": [0.0, float("inf")]}
+
+
+def non_finite_hop_file(path, entry):
     path.write_text(json.dumps({
         "shape": {"dims": [8], "spin": 1},
-        "couplings": [{"kind": "hop", "offset": [1], "matrix": [[[float("nan"), 0.0]]]}],
+        "couplings": [{"kind": "hop", "offset": [1], "matrix": [[entry]]}],
     }))
     return str(path)
 
@@ -536,12 +564,20 @@ def nan_hop_file(path):
 @pytest.mark.parametrize("args, message", [
     (["invariants", "--model", "nan-file"], "non-finite entry"),
     (["entropy", "--model", "nan-file", "--dims", "64"], "non-finite entry"),
+    (["invariants", "--model", "inf-real-file"], "non-finite entry"),
+    (["invariants", "--model", "inf-imag-file"], "non-finite entry"),
     (["invariants", "--model", "twisted-chain", "--param", "alpha=nan", "--dims", "8"], "non-finite entry"),
+    (["invariants", "--model", "twisted-chain", "--param", "alpha=inf", "--dims", "8"], "non-finite entry"),
     (["spectrum", "--model", "p-model", "--param", "p=inf", "--dims", "8"], "finite p > 0"),
-], ids=["file-invariants", "file-entropy", "catalog-alpha-nan", "catalog-p-inf"])
+], ids=["file-invariants", "file-entropy", "file-inf-real", "file-inf-imag", "catalog-alpha-nan",
+        "catalog-alpha-inf", "catalog-p-inf"])
 def test_non_finite_coupling_exits_2(tmp_path, capsys, args, message):
-    args = [nan_hop_file(tmp_path / "m.json") if a == "nan-file" else a for a in args]
-    assert run([*args, "--out", str(tmp_path / "out")]) == 2
+    # refused before any arithmetic on the value, which would warn first
+    args = [non_finite_hop_file(tmp_path / "m.json", NON_FINITE_FILES[a]) if a in NON_FINITE_FILES else a
+            for a in args]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([*args, "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -395,8 +395,7 @@ def test_model_file_loader_projects_and_reports(tmp_path):
 
 
 def test_non_finite_couplings_are_refused(tmp_path):
-    # the constructor, scaled, and a model file, whose closure projection must
-    # keep the non-finite offset for the constructor to see
+    # the constructor, scaled, and a model file, refused before its closure projection
     from quasifree.model import scaled
 
     with pytest.raises(ValueError, match="non-finite entry"):

@@ -21,7 +21,7 @@ from quasifree import (
 from quasifree import solver
 from quasifree.lattice import fourier_circulant, inverse_fourier
 from quasifree.model import bdg_blocks, symmetrize
-from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, constraint_residuals
+from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, _eigvalsh, constraint_residuals
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted, spinless_closed_form
 
@@ -198,6 +198,37 @@ def test_eigenvalue_route_memory_per_momentum(cs):
     finally:
         tracemalloc.stop()
     assert peak / cs.shape.n_sites <= 256
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    count=st.integers(1, 16),
+    kind=st.sampled_from(["hermitian", "diagonal", "identity", "zero"]),
+    exponent=st.floats(-150, 150),
+    seed=st.integers(0, 10_000),
+)
+@example(n=2, count=4, kind="zero", exponent=0.0, seed=0)
+def test_closed_form_eigenvalues_match_lapack(n, count, kind, exponent, seed):
+    # 2x2 stacks take the closed form, 1x1 and 3x3 LAPACK: ascending, a 1x1 block
+    # bit-equal to LAPACK, the others within 2e-15 of each block's largest |eigenvalue|
+    z = np.random.default_rng(seed).uniform(-1, 1, (2, count, n, n))
+    a = z[0] + 1j * z[1]
+    a = (a + np.conj(np.transpose(a, (0, 2, 1)))) / 2
+    if kind == "diagonal":
+        a = a * np.eye(n)
+    elif kind == "identity":
+        a = a[:, :1, :1].real * np.eye(n)
+    elif kind == "zero":
+        a = np.zeros_like(a)
+    a = a * 10.0 ** exponent
+    got, want = _eigvalsh(a), np.linalg.eigvalsh(a)
+    assert got.shape == want.shape
+    assert (np.diff(got, axis=1) >= 0).all()
+    if n == 1:
+        assert np.array_equal(got, want)
+    else:
+        assert (np.abs(got - want) <= 2e-15 * np.abs(want).max(axis=1, keepdims=True)).all()
 
 
 def test_quench_refuses_a_lattice_that_diagonalize_accepts(monkeypatch):
