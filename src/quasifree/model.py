@@ -141,12 +141,14 @@ def symmetrize(
 
     def project(table, kind):
         raw = {shape.reduce(n): np.asarray(m, dtype=complex) for n, m in table.items()}
+        if bad := [n for n, m in raw.items() if not np.isfinite(m).all()]:  # before any arithmetic
+            raise ValueError(f"coupling at {bad[0]} has a non-finite entry")
         image = _closure_image(raw, shape, kind)
         # a set's iteration order depends on how it was built; adding the image
         # keys one at a time keeps the key order that slope_bound's sum follows
         offsets = set(raw) | {n for n in image}
         proj = {n: (raw.get(n, zero) + image.get(n, zero)) / 2 for n in offsets}
-        return {n: m for n, m in proj.items() if m.any()}  # a NaN is kept, for CouplingSet to refuse
+        return {n: m for n, m in proj.items() if m.any()}  # an overflow is kept, for CouplingSet to refuse
 
     return CouplingSet(shape, project(hop, "hop"), project(pair or {}, "pair"))
 
@@ -307,18 +309,19 @@ def slope_bound(c: CouplingSet) -> float:
     crossing shows as a grid energy of at most ``sum_i slope_i pi/N_i``, which
     is what makes gap thresholds above that sum a rigorous gaplessness filter.
     """
-    worst = 0.0
-    for axis in range(c.shape.d):
-        total = 0.0
-        for table in (c.hop, c.pair):
-            for n, mat in table.items():
-                total += abs(c.shape.signed(n)[axis]) * np.linalg.norm(mat, 2)
-        worst = max(worst, total)
-    return worst
+    items = [*c.hop.items(), *c.pair.items()]
+    if not items:
+        return 0.0
+    offsets = np.abs([c.shape.signed(n) for n, _ in items])
+    norms = np.linalg.norm(np.stack([m for _, m in items]), 2, axis=(1, 2))
+    # cumsum adds in table order, one term at a time: bit-identical to a running total
+    return float(np.cumsum(offsets * norms[:, None], axis=0)[-1].max())
 
 
 def scaled(c: CouplingSet, factor: float) -> CouplingSet:
     """Multiply every coupling matrix by a real factor (units change only)."""
+    if not np.isfinite(factor):  # refused before the product, which would warn
+        raise ValueError(f"scaling factor {factor} would give the couplings a non-finite entry")
     return CouplingSet(
         c.shape,
         {n: factor * m for n, m in c.hop.items()},

@@ -14,9 +14,8 @@ invariant is unchanged by every translation-invariant Bogoliubov map and
 quench, and is nonzero only when the spectrum is sign-asymmetric under
 momentum negation, which forces a band through zero in the large-lattice
 limit.  A truly gapped model therefore
-carries an identically vanishing invariant even at finite size; a nonzero
-invariant together with a stable finite-size gap would falsify that picture
-and is reported as such.
+carries an identically vanishing invariant even at finite size, and a nonzero
+invariant is a proof of a continuum zero crossing, whatever the gap on the grid.
 
 Block entropies of a chain come from the correlation spectrum of the block.
 ``lattice.site_matrix`` gathers ``C_xy = <b+_x b_y>`` and ``F_xy = <b_x b_y>``
@@ -99,10 +98,6 @@ class InvariantReport:
     def max_abs_invariant(self) -> float:
         return float(np.abs(self.invariant).max())
 
-    @property
-    def falsification(self) -> bool:
-        return self.verdict == "gapless-by-invariant"
-
 
 def verify_criticality(
     c: CouplingSet,
@@ -112,11 +107,11 @@ def verify_criticality(
 ) -> InvariantReport:
     """Evaluate the invariant map and the spectral gap, and classify the model.
 
-    The model counts as gapped when its gap on ``c``'s own lattice exceeds
-    ``gap_tol``.  A gapped model whose invariant reaches ``inv_tol`` somewhere is
-    ``gapless-by-invariant``, a falsification event; other gapped models are
-    ``consistent-gapped`` and the rest ``gapless-by-spectrum``.  A finite-size gap
-    is not a proof that the continuum band stays away from zero.
+    A model whose gap on ``c``'s own lattice is at most ``gap_tol`` is
+    ``gapless-by-spectrum``.  One gapped on the grid whose invariant reaches
+    ``inv_tol`` is ``gapless-by-invariant``: its counts are unbalanced, a proof of
+    a band crossing zero between grid momenta.  The rest are ``consistent-gapped``,
+    though a grid gap does not prove that the continuum band avoids zero.
     """
     spec = spectrum(c, zero_mode_tol)
     inv, gap = invariant_map(spec), spec.gap
@@ -133,7 +128,7 @@ def verify_criticality(
 
 @dataclass(frozen=True)
 class SurveyResult:
-    """Outcome of a randomized sweep of the gap/invariant consistency check."""
+    """Outcome of a randomized sweep of the gap/invariant check."""
 
     gapped: int
     worst_invariant: float
@@ -150,22 +145,21 @@ def gapped_model_survey(
     inv_tol: float = INV_TOL,
     zero_mode_tol: float = ZERO_MODE_TOL,
 ) -> SurveyResult:
-    """Draw ``count`` random models, keep the stably gapped ones, check invariants.
+    """Draw ``count`` random models and classify each with ``verify_criticality``.
 
     Each draw alternates spin and pairing and is rescaled so its band-slope
-    bound is at most 1.  With unit slopes, a continuum band crossing forces a
-    grid energy of at most ``sum_i pi/N_i`` (see ``slope_bound``), so a gap above
-    ``gap_tol`` at the base size and above ``gap_tol/2`` on the doubled lattice
-    provably excludes gapless bands only when ``gap_tol > sum_i pi/N_i``: for
-    the default 0.1, from N = 32 in 1-D, 63 in 2-D and 95 in 3-D.  Below that
-    the filter is a heuristic.  Surviving models are then genuinely gapped and
-    must carry a vanishing invariant; any with invariant at or above
-    ``inv_tol`` is a falsification event.
+    bound is at most 1.  ``gapped`` counts the draws whose grid gap exceeds
+    ``gap_tol``; ``events`` lists those among them that are
+    ``gapless-by-invariant``, as ``(seed, gap, invariant)``.  With unit slopes a
+    continuum band crossing shows as a grid energy of at most ``sum_i pi/N_i``
+    (see ``slope_bound``), so for ``gap_tol`` above that sum (for the default
+    0.1, from N = 32 in 1-D, 63 in 2-D and 95 in 3-D) the grid gap excludes a
+    crossing and an event would contradict the theorem or ``slope_bound``.
+    Below it an event is a draw certified gapless by its invariant.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     spins = tuple(spins)
-    doubled = tuple(2 * n for n in dims)
     gapped = 0
     worst = 0.0
     events = []
@@ -176,15 +170,13 @@ def gapped_model_survey(
         steep = slope_bound(cs)
         if steep > 1.0:
             cs = scaled(cs, 1.0 / steep)
-        spec = spectrum(cs, zero_mode_tol)
-        gap = spec.gap
-        if gap <= gap_tol or spectrum(cs.resized(doubled), zero_mode_tol).gap <= gap_tol / 2:
+        report = verify_criticality(cs, gap_tol=gap_tol, inv_tol=inv_tol, zero_mode_tol=zero_mode_tol)
+        if report.verdict == "gapless-by-spectrum":
             continue
         gapped += 1
-        max_inv = float(np.abs(invariant_map(spec)).max())
-        worst = max(worst, max_inv)
-        if max_inv >= inv_tol:
-            events.append((seed + idx, gap, max_inv))
+        worst = max(worst, report.max_abs_invariant)
+        if report.verdict == "gapless-by-invariant":
+            events.append((seed + idx, report.gap, report.max_abs_invariant))
     return SurveyResult(gapped=gapped, worst_invariant=worst, events=tuple(events))
 
 

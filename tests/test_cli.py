@@ -204,7 +204,7 @@ def test_verify_clean_run_and_determinism(tmp_path):
     first = (tmp_path / "report.txt").read_bytes()
     assert run(args) == 0
     assert (tmp_path / "report.txt").read_bytes() == first
-    assert b"falsifications (invariant >= 1e-08): 0" in first
+    assert b"certified gapless among them (invariant >= 1e-08): 0" in first
 
 
 def test_verify_count_zero_warns(tmp_path, capsys):
@@ -218,6 +218,38 @@ def test_verify_gap_warning_sums_over_axes(tmp_path, capsys, dims, warns):
     # sum_i pi/N_i is 0.196 on 32 x 32 but 0.098 on 32 sites, against the default 0.1
     assert run(["verify", "--dims", dims, "--count", "0", "--out", str(tmp_path)]) == 0
     assert ("warning: gap threshold 0.1 is not above" in capsys.readouterr().out) == warns
+
+
+def understate_slope_bound(monkeypatch):
+    """``verify`` rescales each draw by a tenth of its true slope bound, so bands up to
+    ten times steeper than assumed leak through the gap filter."""
+    import quasifree.observables as obs
+
+    bound = obs.slope_bound
+    monkeypatch.setattr(obs, "slope_bound", lambda cs: bound(cs) / 10)
+
+
+def test_verify_falsification_needs_a_leak_proof_filter(tmp_path, monkeypatch, capsys):
+    # sum_i pi/N_i = 0.0785 on 40 sites, below the default 0.1: only a wrong slope
+    # bound lets an unbalanced draw through
+    understate_slope_bound(monkeypatch)
+    assert run(["verify", "--dims", "40", "--count", "60", "--out", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:5]] == [
+        f"FALSIFICATION at seed {seed}" for seed in (20248, 20275, 20282, 20288, 20299)]
+    assert "certified gapless among them (invariant >= 1e-08): 5" in out
+
+
+@pytest.mark.parametrize("dims, certified", [("16", [20250]), ("40", [])], ids=["16-sites", "40-sites"])
+def test_verify_lists_certified_gapless_draws(tmp_path, capsys, dims, certified):
+    # below the leak (16 sites) an unbalanced draw gapped on the grid is certified
+    # gapless; on 40 sites none is gapped on the grid
+    assert run(["verify", "--dims", dims, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:len(certified)]] == [
+        f"certified gapless at seed {seed}" for seed in certified]
+    assert f"certified gapless among them (invariant >= 1e-08): {len(certified)}" in out
+    assert not any("FALSIFICATION" in line for line in out)
 
 
 def test_verify_negative_count_exits_2(tmp_path, capsys):
@@ -452,17 +484,18 @@ def test_quench_shape_mismatch_is_input_error(tmp_path):
     assert code == 2
 
 
-def test_invariants_finite_size_falsification_exits_1(tmp_path, capsys):
-    # incommensurate twist at small N: the grid misses the band crossing, the
-    # invariant stays macroscopic, and the check reports the inconsistency
+@pytest.mark.parametrize("alpha", ["0.9", "1.0"])
+def test_invariants_finite_size_certificate_exits_0(tmp_path, capsys, alpha):
+    # incommensurate twist at small N: the grid misses the band crossing, but the
+    # invariant stays macroscopic and certifies it
     code = run([
-        "invariants", "--model", "twisted-chain", "--param", "alpha=0.9",
+        "invariants", "--model", "twisted-chain", "--param", f"alpha={alpha}",
         "--dims", "16", "--out", str(tmp_path),
     ])
-    assert code == 1
+    assert code == 0
     out = capsys.readouterr().out
-    assert "FALSIFICATION" in out
-    assert "verdict: gapless-by-invariant" in out
+    assert "FALSIFICATION" not in out
+    assert out.splitlines()[-1] == "verdict: gapless-by-invariant"
 
 
 def test_csv_outputs_are_byte_identical_across_reruns(tmp_path):
@@ -607,9 +640,9 @@ def test_non_hermitian_fock_assembly_exits_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("args, code", [
     (["spectrum", "--model", "p-model", "--dims", "8"], 0),
-    (["invariants", "--model", "twisted-chain", "--param", "alpha=0.9", "--dims", "16"], 1),
+    (["invariants", "--model", "twisted-chain", "--param", "alpha=0.9", "--dims", "16"], 0),
     (["verify", "--dims", "8", "--count", "2"], 0),
-    (["verify", "--dims", "8", "--count", "3", "--gap-tol", "0.01"], 1),
+    (["verify", "--dims", "40", "--count", "9"], 1),
     (["entropy", "--model", "p-model", "--dims", "16", "--lengths", "4:12"], 0),
     (["oracle", "--model", "p-model", "--dims", "4"], 0),
     (["quench", "--model", "p-model", "--dims", "8", "--times", "0,1"], 0),
@@ -620,6 +653,8 @@ def test_non_hermitian_fock_assembly_exits_3(tmp_path, monkeypatch, capsys):
 def test_stdout_is_the_report(tmp_path, monkeypatch, capsys, args, code):
     if code == 3:
         drop_last_fock_term(monkeypatch)
+    if code == 1:
+        understate_slope_bound(monkeypatch)
     assert run([*args, "--out", str(tmp_path)]) == code
     out = capsys.readouterr().out
     report = tmp_path / "report.txt"
@@ -627,8 +662,8 @@ def test_stdout_is_the_report(tmp_path, monkeypatch, capsys, args, code):
         assert out == "" and not report.exists()
     else:
         assert out == report.read_text()
-    if "--gap-tol" in args:
-        assert out.startswith("FALSIFICATION at seed 20242: gap ")
+    if code == 1:
+        assert out.startswith("FALSIFICATION at seed 20248: grid gap ")
 
 
 @pytest.mark.parametrize("model", [
@@ -696,7 +731,7 @@ def test_nonpositive_tolerance_exits_2(tmp_path, capsys, command, flag):
 ])
 def test_nonfinite_tolerance_exits_2(tmp_path, capsys, command, flag, value):
     # an infinite --inv-tol would call every gapped model consistent, a NaN --gap-tol
-    # every draw stably gapped
+    # every draw gapped on the grid
     args = ["--dims", "8"] if command == "verify" else ["--model", "p-model", "--dims", "4"]
     assert run([command, *args, f"{flag}={value}", "--out", str(tmp_path)]) == 2
     assert f"{flag} must be positive and finite, got {value}" in capsys.readouterr().err

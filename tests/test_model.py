@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +371,28 @@ def test_slope_bound_dominates_band_derivative():
         assert steep <= bound + 1e-9
 
 
+def running_total_slope_bound(c):
+    """``slope_bound`` as one running total per axis, every norm taken per axis."""
+    worst = 0.0
+    for axis in range(c.shape.d):
+        total = 0.0
+        for table in (c.hop, c.pair):
+            for n, mat in table.items():
+                total += abs(c.shape.signed(n)[axis]) * np.linalg.norm(mat, 2)
+        worst = max(worst, total)
+    return worst
+
+
+@settings(max_examples=1000, deadline=None)
+@given(d=st.integers(1, 3), spin=st.integers(1, 2), reach=st.integers(0, 2), pairing=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_slope_bound_is_bit_identical_to_the_running_total(d, spin, reach, pairing, seed):
+    from quasifree.model import slope_bound
+
+    cs = random_model(LatticeShape((5,) * d, spin), reach=reach, pairing=pairing, seed=seed)
+    assert slope_bound(cs) == running_total_slope_bound(cs)
+
+
 def test_model_file_round_trip(tmp_path, p_model_64):
     path = tmp_path / "model.json"
     save_model(p_model_64, path)
@@ -395,20 +419,28 @@ def test_model_file_loader_projects_and_reports(tmp_path):
 
 
 def test_non_finite_couplings_are_refused(tmp_path):
-    # the constructor, scaled, and a model file, refused before its closure projection
-    from quasifree.model import scaled
-
-    with pytest.raises(ValueError, match="non-finite entry"):
-        CouplingSet(chain(8), {(1,): [[np.inf]], (7,): [[np.inf]]}, {})
-    with pytest.raises(ValueError, match="non-finite entry"):
-        scaled(random_model(chain(8), reach=1, pairing=True, seed=0), np.nan)
+    # the constructor, scaled, symmetrize, and a model file, refused before any
+    # arithmetic on the entries, so without a numpy warning
     import json
 
-    path = tmp_path / "nan.json"
-    path.write_text(json.dumps({"shape": {"dims": [8], "spin": 1},
-                                "couplings": [{"kind": "pair", "offset": [2], "matrix": [[[0.0, np.nan]]]}]}))
-    with pytest.raises(ValueError, match="non-finite entry"):
-        load_model(path)
+    from quasifree.model import scaled
+
+    cs = random_model(chain(8), reach=1, pairing=True, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            CouplingSet(chain(8), {(1,): [[np.inf]], (7,): [[np.inf]]}, {})
+        for factor in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite entry"):
+                scaled(cs, factor)
+        with pytest.raises(ValueError, match="non-finite entry"):
+            symmetrize(chain(8), {(1,): [[np.inf]]})
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"shape": {"dims": [8], "spin": 1},
+                                    "couplings": [{"kind": "pair", "offset": [2],
+                                                   "matrix": [[[0.0, np.nan]]]}]}))
+        with pytest.raises(ValueError, match="non-finite entry"):
+            load_model(path)
 
 
 def test_model_file_rejects_duplicates_and_bad_kind(tmp_path):
