@@ -9,7 +9,7 @@ columns of the Fock Hamiltonian at the orbit representatives of the lattice
 translations.
 """
 
-from .lattice import LatticeShape, fourier_circulant, inverse_fourier, site_matrix
+from .lattice import CouplingTable, LatticeShape, fourier_circulant, inverse_fourier, site_matrix
 from .model import (
     CATALOG_NAMES,
     CouplingSet,

@@ -1,10 +1,11 @@
 """Site/momentum indexing and circulant Fourier transforms on periodic cubic lattices.
 
-Offsets and momenta are plain tuples of ints; :class:`LatticeShape` is the single
-authority for reducing, negating and enumerating them.  Momentum-resolved kernels
+:class:`LatticeShape` is the single authority for reducing, negating and
+enumerating offsets and momenta; a :class:`CouplingTable` holds a circulant's
+finite support as arrays of offsets and matrices.  Momentum-resolved kernels
 are stored as arrays of shape ``(n_sites, s, s)`` whose first axis runs over
 ``LatticeShape.momenta()`` in row-major order; offset grids as arrays of shape
-``dims + (s, s)`` indexed by the reduced offset tuple, and ``site_matrix`` turns
+``dims + (s, s)`` indexed by the reduced offset, and ``site_matrix`` turns
 such a grid into the site-by-site matrix of a translation-invariant operator.
 
 Sign convention: numpy's.  The forward transform
@@ -18,11 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
 __all__ = [
+    "CouplingTable",
     "LatticeShape",
     "fourier_circulant",
     "inverse_fourier",
@@ -60,25 +62,22 @@ class LatticeShape:
 
     # -- offset / momentum arithmetic -------------------------------------
 
-    def _check(self, idx: Iterable[int]) -> tuple[int, ...]:
-        idx = tuple(int(c) for c in idx)
-        if len(idx) != self.d:
-            raise ValueError(f"index {idx} has {len(idx)} components, lattice has {self.d}")
-        return idx
-
     def reduce(self, offset: Iterable[int]) -> tuple[int, ...]:
         """Reduce an offset (or momentum) componentwise modulo the axis sizes."""
-        return tuple(c % n for c, n in zip(self._check(offset), self.dims))
+        idx = tuple(int(c) for c in offset)
+        if len(idx) != self.d:
+            raise ValueError(f"index {idx} has {len(idx)} components, lattice has {self.d}")
+        return tuple(c % n for c, n in zip(idx, self.dims))
 
     def negate(self, offset: Iterable[int]) -> tuple[int, ...]:
-        return tuple((n - c) % n for c, n in zip(self._check(offset), self.dims))
+        return self.reduce(-int(c) for c in offset)
 
-    def signed(self, offset: Iterable[int]) -> tuple[int, ...]:
-        """Minimal-magnitude signed representative (ties resolve to the positive one)."""
-        out = []
-        for c, n in zip(self.reduce(offset), self.dims):
-            out.append(c if c <= n // 2 else c - n)
-        return tuple(out)
+    def signed(self, offsets) -> np.ndarray:
+        """Minimal-magnitude signed representatives of ``(..., d)`` offsets (ties
+        resolve to the positive one)."""
+        dims = np.asarray(self.dims)
+        red = np.asarray(offsets) % dims
+        return np.where(red <= dims // 2, red, red - dims)
 
     # -- momentum grid ------------------------------------------------------
 
@@ -103,30 +102,58 @@ class LatticeShape:
         return np.flatnonzero(np.arange(self.n_sites) <= self.negation_table)
 
 
-def fourier_circulant(
-    couplings: Mapping[tuple[int, ...], np.ndarray], shape: LatticeShape
-) -> np.ndarray:
-    """Momentum kernel ``X_k = sum_n exp(-2pi i n.k/N) X_n`` of a finite-support circulant.
+@dataclass(frozen=True, eq=False)
+class CouplingTable:
+    """The finite support of one circulant coupling on ``shape``: the s x s matrix
+    ``mats[k]`` sits at ``offsets[k]``, and ``len`` is their count ``K``.  ``offsets``
+    is ``(K, d)`` int64, reduced, unique and in row-major order, ``mats`` ``(K, s, s)``
+    complex and finite, both read-only: the constructor reduces and sorts, and
+    raises ``ValueError`` on a non-integer or duplicate offset or a wrong shape."""
 
-    The support is scattered into a zero offset grid, which ``np.fft.fftn``
-    transforms over the site axes; an empty support is the zero kernel, with no
-    transform.  Offsets colliding after modular reduction make the circulant
-    ambiguous and raise ``ValueError``.
-    """
-    s = shape.spin
-    if not couplings:
+    shape: LatticeShape
+    offsets: np.ndarray
+    mats: np.ndarray
+
+    def __post_init__(self):
+        d, s = self.shape.d, self.shape.spin
+        offsets, mats = np.asarray(self.offsets), np.array(self.mats, dtype=complex)
+        if offsets.size == 0 and mats.size == 0:
+            offsets, mats = np.empty((0, d), np.int64), np.empty((0, s, s), complex)
+        if offsets.dtype.kind not in "iu" or offsets.shape[1:] != (d,) or mats.shape != (len(offsets), s, s):
+            raise ValueError(f"a coupling table takes (K, {d}) integer offsets and (K, {s}, {s}) "
+                             f"matrices, got {offsets.dtype} {offsets.shape} and {mats.shape}")
+        offsets = offsets.astype(np.int64) % self.shape.dims
+        if not (finite := np.isfinite(mats).all(axis=(1, 2))).all():
+            raise ValueError(f"coupling at offset {offsets[finite.argmin()].tolist()} has a non-finite entry")
+        order = np.lexsort(offsets.T[::-1])  # row-major: the first axis is the primary key
+        offsets, mats = offsets[order], mats[order]
+        if (repeat := (np.diff(offsets, axis=0) == 0).all(axis=1)).any():
+            raise ValueError(f"duplicate coupling at reduced offset {offsets[repeat.argmax()].tolist()}")
+        for name, value in (("offsets", offsets), ("mats", mats)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __len__(self) -> int:
+        return len(self.offsets)
+
+    @classmethod
+    def of(cls, shape: LatticeShape, data) -> "CouplingTable":
+        """``data`` as a table on ``shape``: a table on ``shape`` itself, else a table's
+        arrays or an ``{offset: matrix}`` mapping's keys and values, constructed."""
+        if isinstance(data, cls):
+            return data if data.shape == shape else cls(shape, data.offsets, data.mats)
+        return cls(shape, list(data.keys()), list(data.values()))
+
+
+def fourier_circulant(table, shape: LatticeShape) -> np.ndarray:
+    """Momentum kernel ``X_k = sum_n exp(-2pi i n.k/N) X_n`` of a finite-support
+    circulant (a table, or a mapping for ``CouplingTable.of``): one scatter into a
+    zero offset grid and one ``np.fft.fftn`` over its site axes (none if empty)."""
+    table, s = CouplingTable.of(shape, table), shape.spin
+    if not len(table):
         return np.zeros((shape.n_sites, s, s), dtype=complex)
     grid = np.zeros(shape.dims + (s, s), dtype=complex)
-    seen: set[tuple[int, ...]] = set()
-    for offset, mat in couplings.items():
-        red = shape.reduce(offset)
-        if red in seen:
-            raise ValueError(f"support collision after modular reduction at offset {red}")
-        seen.add(red)
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (s, s):
-            raise ValueError(f"coupling at {offset} has shape {mat.shape}, expected {(s, s)}")
-        grid[red] = mat
+    grid[tuple(table.offsets.T)] = table.mats
     return np.fft.fftn(grid, axes=tuple(range(shape.d))).reshape(shape.n_sites, s, s)
 
 

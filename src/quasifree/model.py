@@ -6,12 +6,14 @@ A quadratic lattice Hamiltonian
         + 1/2 sum (B^{jl}_{mn} b^{j+}_m b^{l+}_n - conj(B)^{jl}_{mn} b^j_m b^l_n)
 
 with circulant coefficients is stored through its offset slices
-``hop(n) = A_{n,0}`` and ``pair(n) = B_{n,0}`` (s x s complex matrices keyed by
-reduced offset tuples).  Hermiticity requires ``hop(-n) = hop(n)^dag`` and the
-fermionic antisymmetry of the pairing requires ``pair(-n) = -pair(n)^T``.  Every
-``CouplingSet`` satisfies both: its constructor raises on a violation, so code
-that receives one never checks again.  ``symmetrize`` and ``load_model`` project
-raw data onto the constraints.
+``hop(n) = A_{n,0}`` and ``pair(n) = B_{n,0}``, each a ``lattice.CouplingTable``
+(offsets as one ``(K, d)`` array, s x s complex matrices as one ``(K, s, s)``
+stack; a ``{offset: matrix}`` mapping is accepted wherever a table is).
+Hermiticity requires ``hop(-n) = hop(n)^dag`` and the fermionic antisymmetry of
+the pairing requires ``pair(-n) = -pair(n)^T``.  Every ``CouplingSet``
+satisfies both: its constructor raises on a violation, so code that receives
+one never checks again.  ``symmetrize`` and ``load_model`` project raw data
+onto the constraints.
 
 Momentum blocks are the 2s x 2s Bogoliubov-de Gennes matrices
 
@@ -30,7 +32,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeShape, fourier_circulant
+from .lattice import CouplingTable, LatticeShape, fourier_circulant
 
 __all__ = [
     "CouplingSet",
@@ -52,29 +54,24 @@ __all__ = [
 CLOSURE_TOL = 1e-12
 
 
-def _freeze(couplings: Mapping[tuple[int, ...], np.ndarray], shape: LatticeShape):
-    out = {}
-    for offset, mat in couplings.items():
-        red = shape.reduce(offset)
-        if red in out:
-            raise ValueError(f"duplicate coupling at reduced offset {red}")
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (shape.spin, shape.spin):
-            raise ValueError(f"coupling at {offset} must be {shape.spin}x{shape.spin}")
-        if not np.isfinite(mat).all():
-            raise ValueError(f"coupling at {offset} has a non-finite entry")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        out[red] = mat
-    return out
+def _closure_image(table: CouplingTable, shape: LatticeShape, kind: str) -> CouplingTable:
+    """The table closure requires ``table`` to equal: ``partner(table(n))`` at ``-n``,
+    with partner ``m^dag`` for ``kind == "hop"`` and ``-m^T`` for ``kind == "pair"``."""
+    swapped = np.swapaxes(table.mats, 1, 2)
+    return CouplingTable(shape, -table.offsets, swapped.conj() if kind == "hop" else -swapped)
 
 
-def _closure_image(table: Mapping[tuple[int, ...], np.ndarray], shape: LatticeShape, kind: str):
-    """The table closure requires ``table`` to equal: ``{-n: partner(table[n])}``, with
-    partner ``m^dag`` for ``kind == "hop"`` and ``-m^T`` for ``kind == "pair"``."""
-    if kind == "hop":
-        return {shape.negate(n): m.conj().T for n, m in table.items()}
-    return {shape.negate(n): -m.T for n, m in table.items()}
+def _aligned(a: CouplingTable, b: CouplingTable) -> tuple[np.ndarray, np.ndarray]:
+    """The union of two tables' offsets, in row-major order, and both tables'
+    matrices on it, stacked, a missing offset counting as zero."""
+    offsets = np.concatenate([a.offsets, b.offsets])
+    order = np.lexsort(offsets.T[::-1])
+    fresh = (np.diff(offsets[order], axis=0, prepend=-1) != 0).any(axis=1)  # first of each equal run
+    rows = np.empty(len(order), dtype=np.int64)
+    rows[order] = np.cumsum(fresh) - 1
+    mats = np.zeros((2, fresh.sum()) + a.mats.shape[1:], dtype=complex)
+    mats[0, rows[:len(a)]], mats[1, rows[len(a):]] = a.mats, b.mats
+    return offsets[order][fresh], mats
 
 
 @dataclass(frozen=True)
@@ -87,12 +84,12 @@ class CouplingSet:
     """
 
     shape: LatticeShape
-    hop: Mapping[tuple[int, ...], np.ndarray]
-    pair: Mapping[tuple[int, ...], np.ndarray]
+    hop: CouplingTable
+    pair: CouplingTable
 
     def __post_init__(self):
-        object.__setattr__(self, "hop", _freeze(self.hop, self.shape))
-        object.__setattr__(self, "pair", _freeze(self.pair, self.shape))
+        object.__setattr__(self, "hop", CouplingTable.of(self.shape, self.hop))
+        object.__setattr__(self, "pair", CouplingTable.of(self.shape, self.pair))
         if problems := validate(self):
             lines = "\n".join(f"  {v.kind} offset {v.offset} entry ({v.row},{v.col}) "
                               f"magnitude {v.magnitude:.3e}" for v in problems[:10])
@@ -100,9 +97,9 @@ class CouplingSet:
 
     def resized(self, dims: Iterable[int]) -> "CouplingSet":
         """Same couplings on a different lattice (offsets carried over as signed representatives)."""
-        return CouplingSet(LatticeShape(tuple(dims), self.shape.spin),
-                           {self.shape.signed(n): m for n, m in self.hop.items()},
-                           {self.shape.signed(n): m for n, m in self.pair.items()})
+        shape = LatticeShape(tuple(dims), self.shape.spin)
+        return CouplingSet(shape, *(CouplingTable(shape, self.shape.signed(t.offsets), t.mats)
+                                    for t in (self.hop, self.pair)))
 
 
 class Violation(NamedTuple):
@@ -117,38 +114,24 @@ def validate(c: CouplingSet) -> list[Violation]:
     """Entries where a table and its closure image differ by more than ``CLOSURE_TOL``
     (a missing offset counts as zero); every constructed set has none."""
     out: list[Violation] = []
-    zero = np.zeros((c.shape.spin, c.shape.spin), dtype=complex)
     for kind, table in (("hop", c.hop), ("pair", c.pair)):
-        image = _closure_image(table, c.shape, kind)
-        for n in sorted(set(table) | set(image)):
-            dev = np.abs(table.get(n, zero) - image.get(n, zero))
-            for row, col in zip(*np.nonzero(dev > CLOSURE_TOL)):
-                out.append(Violation(kind, n, int(row), int(col), float(dev[row, col])))
+        union, (mats, image) = _aligned(table, _closure_image(table, c.shape, kind))
+        dev = np.abs(mats - image)
+        out += [Violation(kind, tuple(union[k].tolist()), int(row), int(col), float(dev[k, row, col]))
+                for k, row, col in zip(*np.nonzero(dev > CLOSURE_TOL))]
     return out
 
 
-def symmetrize(
-    shape: LatticeShape,
-    hop: Mapping[tuple[int, ...], np.ndarray],
-    pair: Mapping[tuple[int, ...], np.ndarray] | None = None,
-) -> CouplingSet:
-    """Project raw coupling data onto the closure constraints.
-
+def symmetrize(shape: LatticeShape, hop, pair=None) -> CouplingSet:
+    """Project raw coupling tables (or mappings) onto the closure constraints:
     ``hop(n) <- (hop(n) + hop(-n)^dag)/2`` and ``pair(n) <- (pair(n) - pair(-n)^T)/2``,
-    filled in on both ``n`` and ``-n``.  Idempotent; the output always validates.
-    """
-    zero = np.zeros((shape.spin, shape.spin), dtype=complex)
-
-    def project(table, kind):
-        raw = {shape.reduce(n): np.asarray(m, dtype=complex) for n, m in table.items()}
-        if bad := [n for n, m in raw.items() if not np.isfinite(m).all()]:  # before any arithmetic
-            raise ValueError(f"coupling at {bad[0]} has a non-finite entry")
-        image = _closure_image(raw, shape, kind)
-        # a set's iteration order depends on how it was built; adding the image
-        # keys one at a time keeps the key order that slope_bound's sum follows
-        offsets = set(raw) | {n for n in image}
-        proj = {n: (raw.get(n, zero) + image.get(n, zero)) / 2 for n in offsets}
-        return {n: m for n, m in proj.items() if m.any()}  # an overflow is kept, for CouplingSet to refuse
+    filled in on both ``n`` and ``-n``.  Idempotent; the output always validates."""
+    def project(data, kind):
+        raw = CouplingTable.of(shape, data)  # refuses a non-finite entry before any arithmetic
+        union, (mats, image) = _aligned(raw, _closure_image(raw, shape, kind))
+        proj = (mats + image) / 2
+        keep = proj.any(axis=(1, 2))  # an overflow is kept, for the table to refuse
+        return CouplingTable(shape, union[keep], proj[keep])
 
     return CouplingSet(shape, project(hop, "hop"), project(pair or {}, "pair"))
 
@@ -199,13 +182,10 @@ def _p_model(shape: LatticeShape, p: float) -> CouplingSet:
         raise ValueError("p-model is a spin-1/2 chain: need d=1 and spin=2")
     if not 0 < p < np.inf:
         raise ValueError(f"p-model needs a finite p > 0, got {p}")
-    hop1 = np.array(
-        [[1j * (p + 1) / 4, -(p + 1) / 4],
-         [-(p + 1) / 4, -1j * (p + 1) / 4]],
-        dtype=complex,
-    )
-    hop = {(0,): (p - 1) / 2 * np.eye(2, dtype=complex), (1,): hop1, (-1,): hop1.conj().T}
-    return CouplingSet(shape, {shape.reduce(n): m for n, m in hop.items()}, {})
+    q = (p + 1) / 4
+    hop1 = np.array([[1j * q, -q], [-q, -1j * q]])
+    return CouplingSet(shape, {(0,): (p - 1) / 2 * np.eye(2, dtype=complex), (1,): hop1,
+                               (-1,): hop1.conj().T}, {})
 
 
 def _twisted_chain(shape: LatticeShape, alpha: float) -> CouplingSet:
@@ -216,8 +196,7 @@ def _twisted_chain(shape: LatticeShape, alpha: float) -> CouplingSet:
     if not np.isfinite(alpha):
         raise ValueError(f"twisted-chain alpha={alpha} would give the hop a non-finite entry")
     t = np.exp(1j * alpha) / 2
-    hop = {(1,): np.array([[t]]), (-1,): np.array([[np.conj(t)]])}
-    return CouplingSet(shape, {shape.reduce(n): m for n, m in hop.items()}, {})
+    return CouplingSet(shape, {(1,): [[t]], (-1,): [[np.conj(t)]]}, {})
 
 
 def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> CouplingSet:
@@ -250,10 +229,12 @@ def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> Coupl
         table[n] = table.get(n, 0.0) + (value if part == "re" else 1j * value)
 
     def complete(table, kind):
-        raw = {n: np.array([[v]], dtype=complex) for n, v in table.items()}
-        return {**_closure_image(raw, shape, kind), **raw}
+        # the closure partner at -r: hop(r)^dag, or -pair(r)^T
+        image = {shape.negate(n): complex(v).conjugate() if kind == "a" else -complex(v)
+                 for n, v in table.items()}
+        return {n: [[v]] for n, v in {**image, **table}.items()}
 
-    return CouplingSet(shape, complete(hop, "hop"), complete(pair, "pair"))
+    return CouplingSet(shape, complete(hop, "a"), complete(pair, "b"))
 
 
 def catalog(mp: ModelParams) -> CouplingSet:
@@ -281,22 +262,15 @@ def random_model(
     if reach >= min(shape.dims) / 2:
         raise ValueError(f"reach {reach} too large for dims {shape.dims}")
     rng = np.random.default_rng(seed)
-    s = shape.spin
-    offsets = sorted(
-        np.ndindex(*([2 * reach + 1] * shape.d)),
-        key=lambda t: t,
-    )
+    s, side = shape.spin, 2 * reach + 1
+    offsets = np.indices((side,) * shape.d).reshape(shape.d, -1).T - reach  # row-major
 
     def draw():
-        table = {}
-        for raw in offsets:
-            n = tuple(c - reach for c in raw)
-            table[shape.reduce(n)] = rng.uniform(-1, 1, (s, s)) + 1j * rng.uniform(-1, 1, (s, s))
-        return table
+        # one draw, in the order of a real then an imaginary s x s draw per offset
+        parts = rng.uniform(-1, 1, (len(offsets), 2, s, s))
+        return CouplingTable(shape, offsets, parts[:, 0] + 1j * parts[:, 1])
 
-    hop = draw()
-    pair = draw() if pairing else {}
-    return symmetrize(shape, hop, pair)
+    return symmetrize(shape, draw(), draw() if pairing else {})  # hop drawn first
 
 
 def slope_bound(c: CouplingSet) -> float:
@@ -309,12 +283,11 @@ def slope_bound(c: CouplingSet) -> float:
     crossing shows as a grid energy of at most ``sum_i slope_i pi/N_i``, which
     is what makes gap thresholds above that sum a rigorous gaplessness filter.
     """
-    items = [*c.hop.items(), *c.pair.items()]
-    if not items:
+    offsets = np.abs(c.shape.signed(np.concatenate([c.hop.offsets, c.pair.offsets])))
+    if not len(offsets):
         return 0.0
-    offsets = np.abs([c.shape.signed(n) for n, _ in items])
-    norms = np.linalg.norm(np.stack([m for _, m in items]), 2, axis=(1, 2))
-    # cumsum adds in table order, one term at a time: bit-identical to a running total
+    norms = np.linalg.norm(np.concatenate([c.hop.mats, c.pair.mats]), 2, axis=(1, 2))
+    # one term at a time in table order, hop then pair (np.sum adds 8 or more terms pairwise)
     return float(np.cumsum(offsets * norms[:, None], axis=0)[-1].max())
 
 
@@ -322,11 +295,8 @@ def scaled(c: CouplingSet, factor: float) -> CouplingSet:
     """Multiply every coupling matrix by a real factor (units change only)."""
     if not np.isfinite(factor):  # refused before the product, which would warn
         raise ValueError(f"scaling factor {factor} would give the couplings a non-finite entry")
-    return CouplingSet(
-        c.shape,
-        {n: factor * m for n, m in c.hop.items()},
-        {n: factor * m for n, m in c.pair.items()},
-    )
+    return CouplingSet(c.shape, *(CouplingTable(c.shape, t.offsets, factor * t.mats)
+                                  for t in (c.hop, c.pair)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +308,32 @@ class LoadedModel(NamedTuple):
     projection_distance: float
 
 
-def _matrix_to_json(mat: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+def _field(block: dict, key: str, where: str, ok=lambda v: True, what: str = "", default=None):
+    """``block[key]`` (``default``, if given, when absent), refused by name unless ``ok``."""
+    if not isinstance(block, dict):
+        raise ValueError(f"model file: {where[:-1] or 'document'} is a {type(block).__name__}, not an object")
+    if key not in block and default is None:
+        raise ValueError(f"model file: {where}{key} is missing")
+    value = block.get(key, default)
+    if not ok(value):
+        raise ValueError(f"model file: {where}{key} must be {what}, got {value!r}")
+    return value
 
 
-def _matrix_from_json(data, s: int) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+def _ints(v, n=None) -> bool:
+    """``v`` is a list of (JSON, so not boolean) integers, of length ``n`` if given."""
+    return isinstance(v, list) and all(type(c) is int for c in v) and n in (None, len(v))
+
+
+def _matrix_from_json(data, s: int, where: str) -> np.ndarray:
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
     if arr.shape != (s, s, 2):
-        raise ValueError(f"matrix must be {s}x{s} of [re, im] pairs, got shape {arr.shape}")
+        raise ValueError(f"model file: {where}matrix must be {s}x{s} of [re, im] pairs, got {data!r}")
     if not np.isfinite(arr).all():  # refused before the complex arithmetic and the projection
-        raise ValueError(f"matrix {data} has a non-finite entry")
+        raise ValueError(f"model file: {where}matrix {data} has a non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -356,9 +342,9 @@ def save_model(c: CouplingSet, path) -> None:
     doc = {
         "shape": {"d": c.shape.d, "dims": list(c.shape.dims), "spin": c.shape.spin},
         "couplings": [
-            {"kind": kind, "offset": list(n), "matrix": _matrix_to_json(m)}
+            {"kind": kind, "offset": n, "matrix": m}
             for kind, table in (("hop", c.hop), ("pair", c.pair))
-            for n, m in sorted(table.items())
+            for n, m in zip(table.offsets.tolist(), np.stack([table.mats.real, table.mats.imag], -1).tolist())
         ],
     }
     with open(path, "w") as fh:
@@ -367,29 +353,24 @@ def save_model(c: CouplingSet, path) -> None:
 
 
 def load_model(path) -> LoadedModel:
-    """Read a model definition file, closure-project it, and report the projection distance."""
+    """Read a model definition file, closure-project it, and report the projection
+    distance.  A malformed file raises ``ValueError`` naming the field."""
     with open(path) as fh:
         doc = json.load(fh)
-    sh = doc["shape"]
-    shape = LatticeShape(tuple(sh["dims"]), int(sh.get("spin", 1)))
-    if "d" in sh and int(sh["d"]) != shape.d:
+    sh = _field(doc, "shape", "")
+    shape = LatticeShape(tuple(_field(sh, "dims", "shape.", _ints, "a list of integers")),
+                         _field(sh, "spin", "shape.", lambda v: _ints([v]), "an integer", default=1))
+    if _field(sh, "d", "shape.", lambda v: _ints([v]), "an integer", default=shape.d) != shape.d:
         raise ValueError(f"shape block says d={sh['d']} but dims has {shape.d} axes")
-    hop: dict[tuple[int, ...], np.ndarray] = {}
-    pair: dict[tuple[int, ...], np.ndarray] = {}
-    for rec in doc.get("couplings", []):
-        kind = rec["kind"]
-        if kind not in ("hop", "pair"):
-            raise ValueError(f"coupling kind must be 'hop' or 'pair', got {kind!r}")
-        n = shape.reduce(rec["offset"])
-        table = hop if kind == "hop" else pair
-        if n in table:
-            raise ValueError(f"duplicate {kind} record at reduced offset {n}")
-        table[n] = _matrix_from_json(rec["matrix"], shape.spin)
+    raw: dict[str, tuple[list, list]] = {"hop": ([], []), "pair": ([], [])}
+    for i, rec in enumerate(_field(doc, "couplings", "", lambda v: isinstance(v, list), "a list", default=[])):
+        where = f"couplings[{i}]."
+        offsets, mats = raw[_field(rec, "kind", where, lambda v: v in ("hop", "pair"), "'hop' or 'pair'")]
+        offsets.append(_field(rec, "offset", where, lambda v: _ints(v, shape.d),
+                              f"a list of {shape.d} integer(s)"))
+        mats.append(_matrix_from_json(_field(rec, "matrix", where), shape.spin, where))
+    hop, pair = (CouplingTable(shape, *raw[kind]) for kind in ("hop", "pair"))
     cs = symmetrize(shape, hop, pair)
-    zero = np.zeros((shape.spin, shape.spin), dtype=complex)
-    distance = max(
-        (float(np.abs(raw.get(n, zero) - table.get(n, zero)).max())
-         for raw, table in ((hop, cs.hop), (pair, cs.pair)) for n in set(raw) | set(table)),
-        default=0.0,
-    )
+    distance = max(float(np.abs(np.subtract(*_aligned(raw, table)[1])).max(initial=0.0))
+                   for raw, table in ((hop, cs.hop), (pair, cs.pair)))
     return LoadedModel(cs, distance)

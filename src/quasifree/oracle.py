@@ -12,8 +12,8 @@ the columns of ``h`` at a set of source states by applying this rule vectorized
 over those states and over every quadratic term, which is algebraically
 identical to multiplying the dense kron-string operator matrices;
 ``build_fock_hamiltonian`` is its columns at every state.  Modes are indexed
-through one grid, ``np.arange(n_modes).reshape(dims + (s,))``, which
-``np.roll`` shifts by a lattice offset.
+through one grid, ``np.arange(n_modes).reshape(dims + (s,))``, indexed at
+the sites shifted by every coupling offset at once.
 
 A quadratic Hamiltonian, pairing included, conserves fermion parity, and a
 translation-invariant one also commutes with every lattice translation ``T_g``.
@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .lattice import LatticeShape, site_matrix
+from .lattice import CouplingTable, LatticeShape, site_matrix
 from .model import CouplingSet
 from .solver import RealSpaceCorrelators, _check_memory
 
@@ -81,20 +81,16 @@ def _modes(shape: LatticeShape) -> np.ndarray:
     return np.arange(shape.n_modes).reshape(shape.dims + (shape.spin,))
 
 
-def _terms(table, shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Modes ``i``, ``j`` and coefficient of every term ``mat[a, b]`` at site ``m``
-    that pairs mode ``(m, a)`` with mode ``(m - offset, b)``, in offset, site,
+def _terms(table: CouplingTable, shape: LatticeShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modes ``i``, ``j`` and coefficient of every term ``mats[k][a, b]`` at site ``m``
+    that pairs mode ``(m, a)`` with mode ``(m - offsets[k], b)``, in site, offset,
     ``(a, b)`` order."""
     modes = _modes(shape)
-    i, j, coef = [], [], []
-    for offset, mat in table.items():
-        a, b = np.nonzero(mat)
-        i.append(modes[..., a].ravel())
-        j.append(np.roll(modes, offset, axis=tuple(range(shape.d)))[..., b].ravel())
-        coef.append(np.broadcast_to(mat[a, b], modes[..., a].shape).ravel())
-    if not i:
-        return np.empty(0, int), np.empty(0, int), np.empty(0, complex)
-    return np.concatenate(i), np.concatenate(j), np.concatenate(coef)
+    k, a, b = np.nonzero(table.mats)
+    source = (shape.momenta()[:, None, :] - table.offsets[k]) % shape.dims  # (site, term, axis)
+    i = modes[..., a].reshape(-1)
+    j = modes[tuple(np.moveaxis(source, -1, 0)) + (b,)].reshape(-1)
+    return i, j, np.tile(table.mats[k, a, b], shape.n_sites)
 
 
 def _check_cap(n_modes: int) -> None:
@@ -144,25 +140,19 @@ def build_fock_hamiltonian(c: CouplingSet) -> np.ndarray:
     return h
 
 
-def _apply_annihilate(vec: np.ndarray, i: int, bits, par) -> np.ndarray:
+def _apply(vec: np.ndarray, i: int, bits, par, occupied: int) -> np.ndarray:
+    """``b_i vec`` (``occupied`` 1) or ``b+_i vec`` (``occupied`` 0), with Jordan-Wigner signs."""
     out = np.zeros_like(vec)
-    src = np.nonzero(bits[:, i] == 1)[0]
+    src = np.nonzero(bits[:, i] == occupied)[0]
     out[src ^ (1 << i)] = par[src, i] * vec[src]
-    return out
-
-
-def _apply_create(vec: np.ndarray, i: int, bits, par) -> np.ndarray:
-    out = np.zeros_like(vec)
-    src = np.nonzero(bits[:, i] == 0)[0]
-    out[src | (1 << i)] = par[src, i] * vec[src]
     return out
 
 
 def correlators_from_vector(vec: np.ndarray, n_modes: int) -> tuple[np.ndarray, np.ndarray]:
     """All-mode-pair ``<b+_i b_j>`` and ``<b_i b_j>`` matrices for one state vector."""
     bits, par = _bit_tables(np.arange(1 << n_modes), n_modes)
-    ann = [_apply_annihilate(vec, i, bits, par) for i in range(n_modes)]
-    cre = [_apply_create(vec, i, bits, par) for i in range(n_modes)]
+    ann = [_apply(vec, i, bits, par, 1) for i in range(n_modes)]
+    cre = [_apply(vec, i, bits, par, 0) for i in range(n_modes)]
     bdag_b = np.empty((n_modes, n_modes), dtype=complex)
     bb = np.empty((n_modes, n_modes), dtype=complex)
     for i in range(n_modes):

@@ -139,6 +139,28 @@ def test_invalid_model_file_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+GOOD_RECORD = {"kind": "hop", "offset": [1], "matrix": [[[0.5, 0.0]]]}
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"shape": {"dims": [8]}, "couplings": [{"offset": [1], "matrix": [[[0.5, 0.0]]]}]}, "couplings[0].kind"),
+    ({"couplings": [GOOD_RECORD]}, "shape"),
+    ({"shape": {"dims": [8]}, "couplings": [{"kind": "hop", "offset": [1]}]}, "couplings[0].matrix"),
+    ({"shape": {"dims": 8}, "couplings": [GOOD_RECORD]}, "shape.dims"),
+    ([GOOD_RECORD], "document"),
+    ({"shape": {"dims": [8]}, "couplings": [{**GOOD_RECORD, "offset": [1.5]}]}, "couplings[0].offset"),
+], ids=["no-kind", "no-shape", "no-matrix", "dims-int", "top-level-list", "offset-float"])
+def test_malformed_model_file_exits_2(tmp_path, capsys, doc, field):
+    # a malformed file is invalid input, named by its field, not a traceback (exit 1)
+    # and, for a fractional offset, not a silently truncated coupling (exit 0)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run(["spectrum", "--model", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model file: " + field) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_catalog_name_exits_2(tmp_path):
     assert run(["spectrum", "--model", "nope", "--dims", "8", "--out", str(tmp_path)]) == 2
 

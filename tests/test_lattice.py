@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasifree import LatticeShape, fourier_circulant, inverse_fourier, site_matrix
+from quasifree import CouplingTable, LatticeShape, fourier_circulant, inverse_fourier, site_matrix
 
 
 def direct_phases(shape, offset):
@@ -60,8 +60,7 @@ def test_offset_reduction_and_negation():
     assert shape.reduce((-1, 7)) == (3, 1)
     assert shape.negate((1, 2)) == (3, 4)
     assert shape.negate((0, 0)) == (0, 0)
-    assert shape.signed((3, 5)) == (-1, -1)
-    assert shape.signed((2, 3)) == (2, 3)  # ties resolve positive
+    assert shape.signed([[3, 5], [2, 3]]).tolist() == [[-1, -1], [2, 3]]  # ties resolve positive
 
 
 def test_self_conjugate_momenta():
@@ -214,8 +213,11 @@ def test_parseval():
 
 
 def test_support_collision_rejected():
+    # offsets colliding after modular reduction make the circulant ambiguous
     shape = LatticeShape((4,))
-    with pytest.raises(ValueError, match="collision"):
+    with pytest.raises(ValueError, match=r"duplicate coupling at reduced offset \[1\]"):
+        CouplingTable(shape, [(1,), (-3,)], [np.eye(1), np.eye(1)])
+    with pytest.raises(ValueError, match="duplicate"):
         fourier_circulant({(1,): np.eye(1), (-3,): np.eye(1)}, shape)
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from quasifree import (
     symmetrize,
     validate,
 )
-from quasifree.lattice import fourier_circulant
+from quasifree.lattice import CouplingTable, fourier_circulant
 from quasifree.model import CLOSURE_TOL, particle_hole_residual
 
 from conftest import make_p_model, make_twisted
@@ -88,7 +89,11 @@ def test_coupling_set_is_valid_by_construction(data):
     else:
         assert unique and closed
         assert validate(cs) == []
-    assert validate(symmetrize(shape, hop, pair)) == []
+    if unique:
+        assert validate(symmetrize(shape, hop, pair)) == []
+    else:
+        with pytest.raises(ValueError, match="duplicate"):
+            symmetrize(shape, hop, pair)
 
 
 def old_symmetrize(shape, hop, pair=None):
@@ -111,10 +116,18 @@ def old_symmetrize(shape, hop, pair=None):
     return project(hop, lambda b: b.conj().T), project(pair, lambda b: -b.T)
 
 
+def assert_table_is(table, ref):
+    """``table`` holds the entries of the ``{offset: matrix}`` dict ``ref`` bit for bit,
+    its offsets in row-major order."""
+    keys = sorted(ref)
+    assert table.offsets.tolist() == [list(n) for n in keys]
+    assert table.mats.tobytes() == b"".join(np.asarray(ref[n], dtype=complex).tobytes() for n in keys)
+
+
 @pytest.mark.parametrize("dims", [(6,), (9,), (6, 6), (5, 5, 5), (12, 12, 12)])
 def test_symmetrize_matches_previous_implementation(dims):
-    # large partial supports, as on the 12^3 grid, are where a set of the same
-    # offsets built another way iterates in another order
+    # large partial supports, as on the 12^3 grid, where the reference's set of
+    # offsets iterates in hash order and the table must come out row-major
     for seed in range(8):
         rng = np.random.default_rng(seed)
         shape = LatticeShape(dims, 1 + seed % 2)
@@ -128,20 +141,19 @@ def test_symmetrize_matches_previous_implementation(dims):
         hop, pair = draw(), draw()
         new = symmetrize(shape, hop, pair)
         for table, ref in zip((new.hop, new.pair), old_symmetrize(shape, hop, pair)):
-            assert list(table) == list(ref)
-            assert all(table[n].tobytes() == ref[n].tobytes() for n in ref)
+            assert_table_is(table, ref)
 
 
 def test_symmetrize_is_identity_on_valid_sets(p_model_64):
     again = symmetrize(p_model_64.shape, p_model_64.hop, p_model_64.pair)
-    for n, mat in p_model_64.hop.items():
-        assert np.abs(again.hop[n] - mat).max() < 1e-15
+    assert np.array_equal(again.hop.offsets, p_model_64.hop.offsets)
+    assert np.abs(again.hop.mats - p_model_64.hop.mats).max() < 1e-15
 
 
 def test_symmetrize_averages_hermitian_partner():
     cs = symmetrize(chain(8), {(1,): [[1.0]], (-1,): [[0.0]]})
-    assert cs.hop[(1,)][0, 0] == pytest.approx(0.5)
-    assert cs.hop[(7,)][0, 0] == pytest.approx(0.5)
+    assert cs.hop.offsets.tolist() == [[1], [7]]
+    assert cs.hop.mats[:, 0, 0] == pytest.approx([0.5, 0.5])
 
 
 @settings(max_examples=25, deadline=None)
@@ -200,19 +212,20 @@ def inversion_transform(c):
     """Site-inversion image ``b_m -> i b_{-m}`` of a coupling set: ``hop(n) -> hop(-n)
     = hop(n)^dag`` and, with the sign of ``i^2``, ``pair(n) -> -pair(-n) = pair(n)^T``.
     An involution."""
-    return CouplingSet(c.shape, {n: m.conj().T for n, m in c.hop.items()},
-                       {n: m.T for n, m in c.pair.items()})
+    return CouplingSet(c.shape, CouplingTable(c.shape, c.hop.offsets, np.swapaxes(c.hop.mats, 1, 2).conj()),
+                       CouplingTable(c.shape, c.pair.offsets, np.swapaxes(c.pair.mats, 1, 2)))
 
 
 def test_inversion_fixed_point_iff_hop_hermitian():
     sym = CouplingSet(chain(8), {(1,): [[0.5]], (-1,): [[0.5]]}, {})
     out = inversion_transform(sym)
-    assert np.abs(out.hop[(1,)] - sym.hop[(1,)]).max() < 1e-15
+    assert np.array_equal(out.hop.offsets, sym.hop.offsets)
+    assert np.abs(out.hop.mats - sym.hop.mats).max() < 1e-15
 
     asym = CouplingSet(chain(8), {(1,): [[(1 + 1j) / 2]], (-1,): [[(1 - 1j) / 2]]}, {})
     out = inversion_transform(asym)
-    assert out.hop[(1,)][0, 0] == pytest.approx((1 - 1j) / 2)
-    assert out.hop[(7,)][0, 0] == pytest.approx((1 + 1j) / 2)
+    assert out.hop.offsets.tolist() == [[1], [7]]
+    assert out.hop.mats[:, 0, 0] == pytest.approx([(1 - 1j) / 2, (1 + 1j) / 2])
 
 
 def test_inversion_is_involution_and_preserves_validity():
@@ -220,10 +233,9 @@ def test_inversion_is_involution_and_preserves_validity():
     once = inversion_transform(cs)
     assert validate(once) == []
     twice = inversion_transform(once)
-    for n in cs.hop:
-        assert np.abs(twice.hop[n] - cs.hop[n]).max() < 1e-15
-    for n in cs.pair:
-        assert np.abs(twice.pair[n] - cs.pair[n]).max() < 1e-15
+    for table, ref in ((twice.hop, cs.hop), (twice.pair, cs.pair)):
+        assert np.array_equal(table.offsets, ref.offsets)
+        assert np.abs(table.mats - ref.mats).max() < 1e-15
 
 
 def test_catalog_p_model_requires_valid_parameters():
@@ -276,8 +288,8 @@ def test_catalog_spinless_general_rejects_closure_violations(params):
 
 def test_catalog_spinless_general_accepts_consistent_partner():
     cs = catalog(ModelParams("spinless-general", {"a1": 1.0, "a7": 1.0}, chain(8)))
-    assert set(cs.hop) == {(1,), (7,)}
-    assert cs.hop[(1,)][0, 0] == cs.hop[(7,)][0, 0] == 1.0
+    assert cs.hop.offsets.tolist() == [[1], [7]]
+    assert cs.hop.mats[:, 0, 0].tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("params, keys", [
@@ -300,8 +312,8 @@ def test_catalog_spinless_general_rejects_two_spellings_of_one_part(params, keys
 
 def test_catalog_spinless_general_combines_parts_of_one_offset():
     cs = catalog(ModelParams("spinless-general", {"a1_re": 0.5, "a1_im": 0.25}, chain(8)))
-    assert cs.hop[(1,)][0, 0] == 0.5 + 0.25j
-    assert cs.hop[(7,)][0, 0] == 0.5 - 0.25j
+    assert cs.hop.offsets.tolist() == [[1], [7]]
+    assert cs.hop.mats[:, 0, 0].tolist() == [0.5 + 0.25j, 0.5 - 0.25j]
 
 
 def test_catalog_spinless_general_rejects_unknown_keys():
@@ -313,18 +325,17 @@ def test_random_model_deterministic_and_valid():
     shape = LatticeShape((10,), 2)
     a = random_model(shape, reach=2, pairing=True, seed=42)
     b = random_model(shape, reach=2, pairing=True, seed=42)
-    for n in a.hop:
-        assert np.array_equal(a.hop[n], b.hop[n])
-    for n in a.pair:
-        assert np.array_equal(a.pair[n], b.pair[n])
+    for table, other in ((a.hop, b.hop), (a.pair, b.pair)):
+        assert np.array_equal(table.offsets, other.offsets)
+        assert np.array_equal(table.mats, other.mats)
     for seed in range(30):
         assert validate(random_model(shape, reach=2, pairing=seed % 2 == 0, seed=seed)) == []
 
 
 def test_random_model_onsite_only_when_reach_zero():
     cs = random_model(LatticeShape((6,), 2), reach=0, pairing=False, seed=0)
-    assert set(cs.hop) == {(0,)}
-    assert cs.pair == {}
+    assert cs.hop.offsets.tolist() == [[0]]
+    assert len(cs.pair) == 0
 
 
 def test_random_model_range_check():
@@ -332,13 +343,46 @@ def test_random_model_range_check():
         random_model(chain(4), reach=2, pairing=False, seed=0)
 
 
+def old_random_model(shape, reach, pairing, seed):
+    """``random_model`` as written with one draw per offset into dicts, projected by
+    ``old_symmetrize``; ``test_random_model_matches_the_per_offset_draws`` pins to it."""
+    rng = np.random.default_rng(seed)
+    s = shape.spin
+    offsets = sorted(np.ndindex(*([2 * reach + 1] * shape.d)))
+
+    def draw():
+        table = {}
+        for raw in offsets:
+            n = tuple(c - reach for c in raw)
+            table[shape.reduce(n)] = rng.uniform(-1, 1, (s, s)) + 1j * rng.uniform(-1, 1, (s, s))
+        return table
+
+    hop = draw()
+    pair = draw() if pairing else {}
+    return old_symmetrize(shape, hop, pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 3), spin=st.integers(1, 3), reach=st.integers(0, 2), pairing=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_random_model_matches_the_per_offset_draws(d, spin, reach, pairing, seed, data):
+    # one (K, 2, s, s) draw reads the stream as K pairs of (s, s) draws: the
+    # seeded models of the benchmark and of verify's seed lists stay the same
+    dims = tuple(data.draw(st.lists(st.integers(max(2, 2 * reach + 1), 6), min_size=d, max_size=d)))
+    shape = LatticeShape(dims, spin)
+    cs = random_model(shape, reach, pairing, seed)
+    for table, ref in zip((cs.hop, cs.pair), old_random_model(shape, reach, pairing, seed)):
+        assert_table_is(table, ref)
+
+
 def test_resized_preserves_signed_support():
     cs = random_model(LatticeShape((8,), 1), reach=2, pairing=True, seed=7)
     big = cs.resized((16,))
     assert big.shape.dims == (16,)
-    for n, mat in cs.hop.items():
-        target = big.shape.reduce(cs.shape.signed(n))
-        assert np.abs(big.hop[target] - mat).max() < 1e-15
+    target = cs.shape.signed(cs.hop.offsets) % 16
+    order = np.argsort(target[:, 0])
+    assert np.array_equal(big.hop.offsets, target[order])
+    assert np.abs(big.hop.mats - cs.hop.mats[order]).max() < 1e-15
     assert validate(big) == []
 
 
@@ -377,7 +421,7 @@ def running_total_slope_bound(c):
     for axis in range(c.shape.d):
         total = 0.0
         for table in (c.hop, c.pair):
-            for n, mat in table.items():
+            for n, mat in zip(table.offsets, table.mats):  # table order: row-major
                 total += abs(c.shape.signed(n)[axis]) * np.linalg.norm(mat, 2)
         worst = max(worst, total)
     return worst
@@ -399,8 +443,8 @@ def test_model_file_round_trip(tmp_path, p_model_64):
     loaded = load_model(path)
     assert loaded.projection_distance < 1e-15
     assert loaded.couplings.shape == p_model_64.shape
-    for n, mat in p_model_64.hop.items():
-        assert np.abs(loaded.couplings.hop[n] - mat).max() < 1e-15
+    assert np.array_equal(loaded.couplings.hop.offsets, p_model_64.hop.offsets)
+    assert np.abs(loaded.couplings.hop.mats - p_model_64.hop.mats).max() < 1e-15
 
 
 def test_model_file_loader_projects_and_reports(tmp_path):
@@ -415,7 +459,8 @@ def test_model_file_loader_projects_and_reports(tmp_path):
     loaded = load_model(path)
     assert loaded.projection_distance == pytest.approx(0.5)
     assert validate(loaded.couplings) == []
-    assert loaded.couplings.hop[(1,)][0, 0] == pytest.approx(0.5)
+    assert loaded.couplings.hop.offsets.tolist() == [[1], [7]]
+    assert loaded.couplings.hop.mats[:, 0, 0] == pytest.approx([0.5, 0.5])
 
 
 def test_non_finite_couplings_are_refused(tmp_path):
@@ -464,6 +509,25 @@ def test_model_file_rejects_duplicates_and_bad_kind(tmp_path):
     }
     path.write_text(json.dumps(bad))
     with pytest.raises(ValueError, match="kind"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("shape, offset, field", [
+    ({"dims": [8.0]}, [1], "shape.dims"),
+    ({"dims": [8], "spin": 1.5}, [1], "shape.spin"),
+    ({"dims": [8], "spin": True}, [1], "shape.spin"),
+    ({"dims": [8], "d": 1.0}, [1], "shape.d"),
+    ({"dims": [8]}, [True], "couplings[0].offset"),
+    ({"dims": [8]}, [1, 0], "couplings[0].offset"),
+])
+def test_model_file_refuses_non_integer_fields(tmp_path, shape, offset, field):
+    # JSON numbers that are not integers, booleans included, are not truncated
+    import json
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"shape": shape, "couplings": [
+        {"kind": "hop", "offset": offset, "matrix": [[[0.5, 0.0]]]}]}))
+    with pytest.raises(ValueError, match=f"model file: {re.escape(field)} must be"):
         load_model(path)
 
 

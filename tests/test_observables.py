@@ -20,6 +20,7 @@ from quasifree import (
     spectrum,
     verify_criticality,
 )
+from quasifree.lattice import CouplingTable
 from quasifree.model import scaled, slope_bound
 from quasifree.observables import (
     GAP_TOL,
@@ -193,9 +194,9 @@ def test_verify_two_dimensional_gapped_model():
     cs = random_model(shape, reach=1, pairing=True, seed=9)
     cs = scaled(cs, 0.2 / slope_bound(cs))
     # push the model into a clean gap with a strong on-site term
-    hop = dict(cs.hop)
-    hop[(0, 0)] = hop.get((0, 0), np.zeros((1, 1))) + 2.0 * np.eye(1)
-    cs = CouplingSet(shape, hop, cs.pair)
+    mats = np.array(cs.hop.mats)
+    mats[(cs.hop.offsets == 0).all(axis=1)] += 2.0 * np.eye(1)
+    cs = CouplingSet(shape, CouplingTable(shape, cs.hop.offsets, mats), cs.pair)
     rep = verify_criticality(cs)
     assert rep.verdict == "consistent-gapped"
     assert rep.max_abs_invariant < 1e-12
@@ -222,14 +223,13 @@ def random_unitary(spin, seed):
 
 def conjugated_couplings(cs):
     """Complex conjugation of every coupling: time reversal."""
-    return CouplingSet(cs.shape, {n: m.conj() for n, m in cs.hop.items()},
-                       {n: m.conj() for n, m in cs.pair.items()})
+    return CouplingSet(cs.shape, *(CouplingTable(cs.shape, t.offsets, t.mats.conj()) for t in (cs.hop, cs.pair)))
 
 
 def rotated_couplings(cs, u):
     """The on-site spin rotation ``b_m -> u b_m``: ``hop -> u hop u^dag``, ``pair -> u pair u^T``."""
-    return CouplingSet(cs.shape, {n: u @ m @ u.conj().T for n, m in cs.hop.items()},
-                       {n: u @ m @ u.T for n, m in cs.pair.items()})
+    return CouplingSet(cs.shape, CouplingTable(cs.shape, cs.hop.offsets, u @ cs.hop.mats @ u.conj().T),
+                       CouplingTable(cs.shape, cs.pair.offsets, u @ cs.pair.mats @ u.T))
 
 
 def invariant_routes(cs):
@@ -334,6 +334,26 @@ def test_onsite_rotation_keeps_the_invariant(dims, spin, pairing, seed, factor):
     rotated = rotated_couplings(cs, random_unitary(spin, seed))
     for inv, image in zip(invariant_routes(cs), invariant_routes(rotated)):
         assert np.abs(inv - image).max() < 1e-14
+
+
+def permuted_axes(cs, perm):
+    """The lattice with its axes reordered: offset ``n`` goes to ``n[perm]``, an
+    unsorted order that the table constructor must sort."""
+    shape = LatticeShape(tuple(cs.shape.dims[i] for i in perm), cs.shape.spin)
+    return CouplingSet(shape, *(CouplingTable(shape, t.offsets[:, perm], t.mats) for t in (cs.hop, cs.pair)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**{**model_draws, "dims": st.lists(st.integers(2, 6), min_size=2, max_size=3).map(tuple)},
+       data=st.data())
+def test_axis_permutation_transposes_the_invariant(dims, spin, pairing, seed, factor, data):
+    # on the count route and the covariance-kernel route
+    perm = data.draw(st.permutations(range(len(dims))))
+    cs = drawn_model(dims, spin, pairing, seed, factor)
+    image = permuted_axes(cs, perm)
+    for route in (lambda c: invariant_map(spectrum(c)),
+                  lambda c: invariant_map(ground_covariance(diagonalize(c)))):
+        assert np.abs(route(image) - np.transpose(route(cs), perm)).max() <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)

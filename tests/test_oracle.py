@@ -113,13 +113,13 @@ def reference_hamiltonian(cs):
     dim = 1 << shape.n_modes
     h = np.zeros((dim, dim), dtype=complex)
     sites = all_offsets(shape)
-    for offset, mat in cs.hop.items():
+    for offset, mat in zip(cs.hop.offsets, cs.hop.mats):
         for m in sites:
             n = shape.reduce(tuple(mc - oc for mc, oc in zip(m, offset)))
             for sj in range(shape.spin):
                 for sl in range(shape.spin):
                     h += mat[sj, sl] * bd[mode(m, sj)] @ b[mode(n, sl)]
-    for offset, mat in cs.pair.items():
+    for offset, mat in zip(cs.pair.offsets, cs.pair.mats):
         for m in sites:
             n = shape.reduce(tuple(mc - oc for mc, oc in zip(m, offset)))
             for sj in range(shape.spin):

@@ -19,7 +19,7 @@ from quasifree import (
     verify_criticality,
 )
 from quasifree import solver
-from quasifree.lattice import fourier_circulant, inverse_fourier
+from quasifree.lattice import CouplingTable, fourier_circulant, inverse_fourier
 from quasifree.model import bdg_blocks, symmetrize
 from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, _eigvalsh, constraint_residuals
 
@@ -381,10 +381,9 @@ def zero_mode_model(dims, spin, seed, pairing, flat):
     reach = 1 if min(dims) > 2 else 0
     cs = random_model(shape, reach, False, seed)
     mu = np.linalg.eigvalsh(fourier_circulant(cs.hop, shape)[flat % shape.n_sites])[seed % spin]
-    hop = dict(cs.hop)
-    origin = (0,) * len(dims)
-    hop[origin] = hop.get(origin, 0) - mu * np.eye(spin)
-    cs = CouplingSet(shape, hop, {})
+    mats = np.array(cs.hop.mats)
+    mats[(cs.hop.offsets == 0).all(axis=1)] -= mu * np.eye(spin)
+    cs = CouplingSet(shape, CouplingTable(shape, cs.hop.offsets, mats), {})
     return conjugated_model(cs, seed) if pairing else cs
 
 
