@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -130,10 +131,15 @@ class Spectrum:
         """Designated one-particle energies ``u_energies[:, :s]``, shape (M, s)."""
         return self.u_energies[:, :self.shape.spin]
 
+    @cached_property
+    def _zero(self) -> np.ndarray:
+        """(M, 2s) bool: ``_is_zero`` of ``u_energies``."""
+        return _is_zero(self.u_energies, self.zero_mode_tol)
+
     @property
     def coef_ok(self) -> np.ndarray:
         """(M,) bool: the block at this momentum has no zero mode."""
-        return ~_is_zero(self.u_energies, self.zero_mode_tol).any(axis=1)
+        return ~self._zero.any(axis=1)
 
     @property
     def gap(self) -> float:
@@ -143,14 +149,14 @@ class Spectrum:
     def imbalance(self) -> np.ndarray:
         """(M,) ``n_-(k) + n_0(k)/2 - s`` over the energies below the zero-mode band and
         the zero modes: ``tr g_k - tr g_{-k}`` of the ground state."""
-        zero = _is_zero(self.u_energies, self.zero_mode_tol)
-        return np.sum(np.where(zero, 0.5, self.u_energies < 0), axis=1) - self.shape.spin
+        return np.sum(np.where(self._zero, 0.5, self.u_energies < 0), axis=1) - self.shape.spin
 
     def zero_modes(self) -> list[tuple[tuple[int, ...], int]]:
         """(momentum tuple, slot in ``energies``) for every zero mode; only the rows
         with a zero mode are sorted."""
         rows = np.flatnonzero(~self.coef_ok)
-        hits = np.argwhere(_is_zero(np.sort(self.u_energies[rows], axis=1), self.zero_mode_tol))
+        order = np.argsort(self.u_energies[rows], axis=1)
+        hits = np.argwhere(np.take_along_axis(self._zero[rows], order, axis=1))
         return [(tuple(int(c) for c in self.shape.momenta()[rows[i]]), int(a)) for i, a in hits]
 
 

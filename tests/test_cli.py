@@ -1,9 +1,13 @@
+import itertools
 import json
+import math
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quasifree import (
     CouplingSet,
@@ -15,7 +19,7 @@ from quasifree import (
     random_model,
     save_model,
 )
-from quasifree.cli import _build_parser, main
+from quasifree.cli import CSV_CHUNK, FLOAT_FMT, _build_parser, _write_csv, main
 from quasifree.oracle import build_fock_hamiltonian, exact_ground_correlators
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_p_model, make_twisted
@@ -528,6 +532,55 @@ def test_csv_outputs_are_byte_identical_across_reruns(tmp_path):
     assert code_a == code_b
     assert (a / "invariants.csv").read_bytes() == (b / "invariants.csv").read_bytes()
     assert (a / "report.txt").read_bytes() == (b / "report.txt").read_bytes()
+
+
+def old_write_csv(out, name, header, columns) -> None:
+    """``cli._write_csv`` as written with one ``%`` per ``CSV_CHUNK`` rows;
+    ``test_write_csv_matches_the_per_row_format`` pins to it."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else FLOAT_FMT for c in columns) + "\n"
+    values = [c.tolist() for c in columns]
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, name), "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(values[0]), CSV_CHUNK):
+            part = list(zip(*(v[lo:lo + CSV_CHUNK] for v in values)))
+            fh.write((row * len(part)) % tuple(itertools.chain.from_iterable(part)))
+
+
+INT_VALUES = st.sampled_from([0, -1, 2**62, -2**62]) | st.integers(-2**63, 2**63 - 1)
+FLOAT_VALUES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]) | st.floats()
+
+
+@st.composite
+def csv_tables(draw):
+    """1-6 equal-length int or float columns: values drawn from a pool of 1-3 (so
+    they repeat) or from random bit patterns (so they mostly do not), as arrays or
+    as Python lists."""
+    n_rows = draw(st.sampled_from([0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1]))
+    columns = []
+    for _ in range(draw(st.integers(1, 6))):
+        is_int = draw(st.booleans())
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if draw(st.booleans()):
+            pool = draw(st.lists(INT_VALUES if is_int else FLOAT_VALUES, min_size=1, max_size=3))
+            column = np.array(pool, dtype=np.int64 if is_int else float)[rng.integers(len(pool), size=n_rows)]
+        else:
+            column = np.frombuffer(rng.bytes(8 * n_rows), dtype=np.int64 if is_int else float)
+        columns.append(column.tolist() if draw(st.booleans()) else column)
+    return columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=csv_tables())
+@example(columns=[[-0.0, 0.0, -0.0]])
+def test_write_csv_matches_the_per_row_format(tmp_path_factory, columns):
+    # formatting each distinct value once must leave every byte of the CSV as it was
+    out = tmp_path_factory.mktemp("csv")
+    header = [f"c_{i}" for i in range(len(columns))]
+    old_write_csv(out, "old.csv", header, columns)
+    _write_csv(out, "new.csv", header, columns)
+    assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 
 def test_projection_note_goes_to_stderr(tmp_path, capsys):
