@@ -21,10 +21,12 @@ error.  Tolerance defaults are the library's; a tolerance that is not finite
 and positive is invalid input.  Exit codes: 0 success (``invariants`` on
 every verdict), 1 a failed check (for ``verify``, only where its gap filter is
 leak-proof), 2 invalid input, 3 internal numerical failure (an eigensolver
-error, corrupted covariance data, or Fock sector entries that are not
-Hermitian and translation invariant: ``oracle`` builds only the columns of
-the Fock matrix at the orbit representatives and checks each entry its
-sector blocks use against its partner).  All commands
+error, corrupted covariance data, or Fock columns that leak out of their
+charge group or whose sector entries are not Hermitian and translation
+invariant: ``oracle`` builds only the columns of the Fock matrix at the orbit
+representatives of each particle number, or each fermion parity for a pairing
+model, checks that they have no entry in another group's rows, and checks each
+entry its sector blocks use against its partner).  All commands
 are deterministic for a fixed seed; floats are written with 17 significant
 digits so downstream plots reproduce exactly; each block of CSV rows formats a
 column's distinct values once and gathers the rows from that text.

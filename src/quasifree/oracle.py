@@ -15,13 +15,16 @@ identical to multiplying the dense kron-string operator matrices;
 through one grid, ``np.arange(n_modes).reshape(dims + (s,))``, indexed at
 the sites shifted by every coupling offset at once.
 
-A quadratic Hamiltonian, pairing included, conserves fermion parity, and a
-translation-invariant one also commutes with every lattice translation ``T_g``.
-``fock_ground_state``, which the ``oracle`` command runs, splits each parity
-sector into crystal-momentum sectors ``K``, which need only the columns of
-``h`` at the orbit representatives, a slab about ``1/N`` of ``h`` for ``N``
-translations (``_momentum_sectors``); it builds only those columns, from the
-couplings, and never forms ``h``.  ``exact_ground_correlators`` solves a dense
+A quadratic Hamiltonian, pairing included, conserves fermion parity; one
+without pairing conserves the particle number ``N``; and a translation-invariant
+one also commutes with every lattice translation ``T_g``.  ``fock_ground_state``,
+which the ``oracle`` command runs, splits the basis states into charge groups,
+the ``n_modes + 1`` particle numbers of a pairing-free coupling set or else the
+two parities, and each group into crystal-momentum sectors ``K``, which need only
+the columns of ``h`` at the orbit representatives, a slab about ``1/N`` of the
+group's columns for ``N`` translations (``_momentum_sectors``); it builds only
+those columns, from the couplings, and never forms ``h``.  A slab entry outside
+its own group is an assembly fault.  ``exact_ground_correlators`` solves a dense
 ``h`` by its two parity sectors alone.  Every block's spectrum comes from
 ``eigvalsh``, and ``eigh`` runs only on the blocks that hold ground levels;
 their lowest columns, normalized, are lifted back to the occupation basis by a
@@ -30,12 +33,12 @@ phased scatter over each orbit.  The energy is the Rayleigh quotient
 translated representative columns.
 
 Fock spaces are capped at 14 modes, and each step checks physical memory
-before it allocates, every charge plus the 64 MiB of ``solver._check_memory``:
-``build_fock_hamiltonian`` charges ``h``, 16 bytes per entry; the sectors 16
-bytes per entry of the column slabs and 48 per entry of the gathered blocks,
-to which ``exact_ground_correlators`` adds ``h``.  A degenerate ground space
-has no canonical single-vector correlators, so ``compare_with_quasifree``
-refuses it.
+before it allocates, each estimate plus the 64 MiB of ``solver._check_memory``:
+``build_fock_hamiltonian`` counts ``h``, 16 bytes per entry; the sectors 16
+bytes per entry of the full-height column slabs of every charge group and 48
+per entry of each group's gathered blocks, to which ``exact_ground_correlators``
+adds ``h``.  A degenerate ground space has no canonical single-vector
+correlators, so ``compare_with_quasifree`` refuses it.
 """
 
 from __future__ import annotations
@@ -98,9 +101,16 @@ def _check_cap(n_modes: int) -> None:
         raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
 
 
-def _fock_columns(c: CouplingSet, states: np.ndarray) -> np.ndarray:
+def _fock_columns(c: CouplingSet, states: np.ndarray, terms=None) -> np.ndarray:
     """``h[:, states]``: the columns of the Fock Hamiltonian of ``c`` at the basis
-    states ``states``, with every term applied to those source states only."""
+    states ``states``, with every term applied to those source states only.
+
+    ``terms`` is ``(_terms(c.hop, c.shape), _terms(c.pair, c.shape))``, passed by a
+    caller that builds many slabs of one ``c``; by default it is built here.
+    """
+    if terms is None:
+        terms = _terms(c.hop, c.shape), _terms(c.pair, c.shape)
+    (i, j, coef), pair = terms
     ns = c.shape.n_modes
     n = len(states)
     bits, par = _bit_tables(states, ns)
@@ -112,12 +122,11 @@ def _fock_columns(c: CouplingSet, states: np.ndarray) -> np.ndarray:
     # occupied, whose sign at the emptied state is minus the sign at the source;
     # each term's targets are distinct, and np.add.at sums the terms that share
     # an entry in term order
-    i, j, coef = _terms(c.hop, c.shape)
     t, x = np.nonzero((bits[:, j] == 1).T & ((bits[:, i] == 0).T | (i == j)[:, None]))
     y = states[x] ^ (1 << i[t]) ^ (1 << j[t])
     np.add.at(flat, y * n + x, coef[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
 
-    i, j, coef = _terms(c.pair, c.shape)
+    i, j, coef = pair
     for occupied, val in ((0, 0.5 * coef), (1, -0.5 * coef.conj())):
         t, x = np.nonzero((bits[:, j] == occupied).T & (bits[:, i] == occupied).T & (i != j)[:, None])
         y = states[x] ^ (1 << i[t]) ^ (1 << j[t])
@@ -177,26 +186,30 @@ class ExactGroundState:
 
 
 def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
-    """Exact ground state of the couplings ``c`` by (parity, crystal-momentum)
+    """Exact ground state of the couplings ``c`` by (charge, crystal-momentum)
     sectors, built from the columns of ``h`` at the orbit representatives only;
-    ``h`` itself is never formed.  Otherwise as ``exact_ground_correlators``.
+    ``h`` itself is never formed.  The charge is the particle number when ``c``
+    has no pairing terms, and the fermion parity otherwise.  Otherwise as
+    ``exact_ground_correlators``.
 
     Raises ``ValueError`` beyond ``MODE_CAP`` modes or when the sectors cannot fit
-    in physical memory, and ``LinAlgError`` when the assembled entries are not
-    Hermitian and translation invariant.
+    in physical memory, and ``LinAlgError`` when the assembled columns couple two
+    charge groups or their entries are not Hermitian and translation invariant.
     """
     _check_cap(c.shape.n_modes)
-    return _ground_state(lambda reps: _fock_columns(c, reps),
-                         *_translations(c.shape.n_modes, c.shape.dims), c.shape.dims, degeneracy_tol)
+    terms = _terms(c.hop, c.shape), _terms(c.pair, c.shape)
+    return _ground_state(lambda reps: _fock_columns(c, reps, terms),
+                         *_translations(c.shape.n_modes, c.shape.dims), c.shape.dims, degeneracy_tol,
+                         number=not len(c.pair), leak=np.linalg.LinAlgError)
 
 
 def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
     """Exact ground space of the dense Fock matrix ``h``, by its fermion-parity
     sectors, and the correlators of its first ground vector.
 
-    Each sector's spectrum comes from ``eigvalsh``, and both are merged into
+    Each sector's spectrum comes from ``eigvalsh``, and all are merged into
     one, so degeneracy is judged relative to the full spectral width and a
-    ground space may span both sectors.  Each sector that holds ground levels
+    ground space may span several sectors.  Each sector that holds ground levels
     gives its lowest columns of ``eigh``, normalized.  The energy is the
     Rayleigh quotient of the first ground vector.  For a degenerate ground
     space the correlators of a single arbitrary vector are not canonical.
@@ -207,7 +220,7 @@ def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_T
     """
     n_modes = int(round(np.log2(h.shape[0])))
     return _ground_state(lambda reps: h[:, reps], *_translations(n_modes, ()), (), degeneracy_tol,
-                         held=h.nbytes)
+                         number=False, leak=ValueError, held=h.nbytes)
 
 
 def _ground_state(
@@ -216,22 +229,26 @@ def _ground_state(
     signs: np.ndarray,
     group: tuple[int, ...],
     degeneracy_tol: float,
+    number: bool,
+    leak: type[ValueError],
     held: int = 0,
 ) -> ExactGroundState:
-    """The ground state from the sectors of the translation ``group``, given
-    ``columns(reps) = h[:, reps]``; ``held`` bytes are already allocated."""
+    """The ground state from the sectors of the translation ``group`` within each
+    charge group (particle number if ``number``, else fermion parity), given
+    ``columns(reps) = h[:, reps]``; a column entry outside its charge group
+    raises ``leak``, and ``held`` bytes are already allocated."""
     dim = targets.shape[1]
     n_modes = dim.bit_length() - 1
-    parities = _parity_states(n_modes)
-    reps = [states[targets[:, states].min(axis=0) == states] for states in parities]
-    # both parities' column slabs, kept for the energy, and per parity the gathered
+    charge, groups = _charge_groups(n_modes, number)
+    reps = [states[targets[:, states].min(axis=0) == states] for states in groups]
+    # every group's column slab, kept for the energy, and per group the gathered
     # blocks, the FFT's intermediate and output, and the kept-state copies
     _check_memory(f"the sectors of a {dim}-state Fock space",
                   held + sum(16 * dim * len(r) + 48 * len(targets) * len(r) ** 2 for r in reps))
     sectors = []
-    for r, other in zip(reps, parities[::-1]):
+    for q, r in enumerate(reps):
         slab = columns(r)
-        _check_parity(slab, other)
+        _check_charge(slab, np.nonzero(charge != q)[0], number, leak)
         sectors += _momentum_sectors(slab, r, targets, signs, group)
     spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
     merged = np.concatenate(spectra)
@@ -276,19 +293,24 @@ def _row_blocks(n_rows: int, row_len: int) -> range:
     return range(0, n_rows, max(1, (1 << 16) // row_len))
 
 
-def _parity_states(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The basis states of the even, then the odd, fermion-parity sector."""
-    odd = (_bit_tables(np.arange(1 << n_modes), n_modes)[0].sum(axis=1) & 1).astype(bool)
-    return np.nonzero(~odd)[0], np.nonzero(odd)[0]
+def _charge_groups(n_modes: int, number: bool) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The conserved charge of every basis state, its particle number (``number``)
+    or else its fermion parity, and the states of each charge value in turn."""
+    charge = _bit_tables(np.arange(1 << n_modes), n_modes)[0].sum(axis=1)
+    if not number:
+        charge &= 1
+    return charge, [np.nonzero(charge == q)[0] for q in range(int(charge.max()) + 1)]
 
 
-def _check_parity(cols: np.ndarray, other: np.ndarray) -> None:
-    """Raise ``ValueError`` if the columns ``cols`` of one parity sector have an
-    entry in the rows ``other`` of the other sector."""
+def _check_charge(cols: np.ndarray, other: np.ndarray, number: bool, leak: type[ValueError]) -> None:
+    """Raise ``leak`` if the columns ``cols`` of one charge group (particle number
+    if ``number``, else fermion parity) have an entry in the rows ``other``
+    outside it."""
     blocks = _row_blocks(len(other), cols.shape[1])
     mixing = max(np.abs(cols[other[r:r + blocks.step]]).max() for r in blocks)
     if mixing >= 1e-12:
-        raise ValueError(f"Hamiltonian couples the fermion-parity sectors (entry {mixing:.2e})")
+        raise leak(f"Hamiltonian couples the {'particle-number' if number else 'fermion-parity'} "
+                   f"sectors (entry {mixing:.2e})")
 
 
 def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -310,19 +332,19 @@ def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.
 
 
 class _Sector(NamedTuple):
-    """One (parity, momentum) sector: the block of ``h`` over the orthonormal states
+    """One (charge, momentum) sector: the block of ``h`` over the orthonormal states
     ``|r, K> = sum_g coef[g, r] |T_g r>``, one per kept representative ``r``, and
-    the parity sector's column slab ``cols``, whose columns ``keep`` are at ``reps``."""
+    the charge group's column slab ``cols``, whose columns ``keep`` are at ``reps``."""
 
     block: np.ndarray
     reps: np.ndarray  # (n,)
     coef: np.ndarray  # (group order, n)
-    cols: np.ndarray  # (dim, representatives of the parity sector)
+    cols: np.ndarray  # (dim, representatives of the charge group)
     keep: np.ndarray  # (n,)
 
 
 def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, targets, signs, group) -> list[_Sector]:
-    """The crystal-momentum sectors of one parity sector, from the columns
+    """The crystal-momentum sectors of one charge group, from the columns
     ``cols = h[:, reps]`` at its orbit representatives, momenta ``K`` in row-major
     order of the translation ``group``.
 
@@ -337,7 +359,7 @@ def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, targets, signs, group)
     of ``cols``.  Each gathered entry is checked against its translated partner,
     ``sign_{-g}(r') sign_g(r) h[T_{-g} r', r]``, the same entry of a Hermitian,
     translation-invariant ``h``.  With the trivial group the single sector's block
-    is ``h`` restricted to the parity sector, exactly.
+    is ``h`` restricted to the charge group, exactly.
     """
     t, s = targets[:, reps], signs[:, reps]
     n, n_g = len(reps), len(targets)

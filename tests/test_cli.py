@@ -400,13 +400,14 @@ def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypat
 
 
 def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatch, capsys):
-    # 10 modes, 4^10 entries of h, each charge plus 64 MiB: the command never
-    # forms h and charges its column slabs, 16 bytes per entry of 2^10 rows by
-    # the 104 orbit representatives of each parity, and its blocks, 48 bytes per
-    # entry of 5 x 104^2 per parity, about 9 MB in all; the dense build is charged
-    # 16 bytes per entry of h and the parity-sector ground state of h 56 (h, slabs
-    # of half of h per parity, blocks); this machine fits the command and the
-    # build, but not the dense ground state
+    # 10 modes, 4^10 entries of h, each estimate plus 64 MiB: the command never
+    # forms h and counts its column slabs, 16 bytes per entry of 2^10 rows by
+    # the 208 orbit representatives of the 11 particle numbers, and its blocks,
+    # 48 bytes per entry of 5 x 52^2 at the largest, 5 particles, about 5 MB in
+    # all; the dense build is counted 16 bytes per entry of h and the
+    # parity-sector ground state of h 56 (h, slabs of half of h per parity,
+    # blocks); this machine fits the command and the build, but not the dense
+    # ground state
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(100 << 20))
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
     assert code == 0
@@ -429,22 +430,47 @@ def test_oracle_command_degenerate_ground_space_exits_2(tmp_path, capsys, n_site
 def test_oracle_command_rejects_a_translation_breaking_hamiltonian(tmp_path, monkeypatch, capsys):
     # the command builds only the columns of h at the orbit representatives and
     # checks each entry the sector blocks use against its Hermitian, translated
-    # partner; a break inside the even sector, at h[3, 0] (modes 0 and 1
-    # occupied, from the vacuum), is an assembly fault
+    # partner; a break inside the one-particle group, at h[2, 1] (mode 1
+    # occupied, from mode 0), is an assembly fault
     import quasifree.oracle as oracle
 
     columns = oracle._fock_columns
 
-    def broken(c, states):
-        cols = columns(c, states)
-        if states[0] == 0:
-            cols[3, 0] += 1e-9
+    def broken(c, states, *rest):
+        cols = columns(c, states, *rest)
+        if states[0] == 1:
+            cols[2, 0] += 1e-9
         return cols
 
     monkeypatch.setattr(oracle, "_fock_columns", broken)
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
     assert code == 3
     assert "not Hermitian and translation invariant" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("model, row, charge", [
+    (["p-model", "--param", "p=2"], 3, "particle-number"),
+    (["spinless-general", "--param", "a1=1", "--param", "b1=0.5", "--param", "a0=0.3"], 1, "fermion-parity"),
+], ids=["particle-number", "fermion-parity"])
+def test_oracle_command_rejects_a_sector_leak(tmp_path, monkeypatch, capsys, model, row, charge):
+    # an entry of the vacuum's column in another charge group's row, two
+    # particles for the pairing-free p-model and one for the pairing chain, is an
+    # assembly fault of a valid coupling set, not invalid input
+    import quasifree.oracle as oracle
+
+    columns = oracle._fock_columns
+
+    def leaking(c, states, *rest):
+        cols = columns(c, states, *rest)
+        if states[0] == 0:
+            cols[row, 0] += 1e-9
+        return cols
+
+    monkeypatch.setattr(oracle, "_fock_columns", leaking)
+    code = run(["oracle", "--model", *model, "--dims", "4", "--out", str(tmp_path)])
+    assert code == 3
+    assert f"couples the {charge} sectors" in capsys.readouterr().err
     assert not (tmp_path / "report.txt").exists()
 
 
@@ -456,18 +482,19 @@ def test_oracle_command_never_forms_the_dense_hamiltonian(tmp_path, monkeypatch,
 
     columns, built = oracle._fock_columns, []
 
-    def counted(c, states):
+    def counted(c, states, *rest):
         built.append(len(states))
-        return columns(c, states)
+        return columns(c, states, *rest)
 
     monkeypatch.setattr(oracle, "build_fock_hamiltonian", refuse)
     monkeypatch.setattr(oracle, "_fock_columns", counted)
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "4", "--out", str(tmp_path)])
     assert code == 0
     assert "agreement: PASS" in capsys.readouterr().out
-    # one slab per parity, together well under the 2^8 columns of h: each orbit
-    # under the 4 translations has one representative
-    assert len(built) == 2 and sum(built) < 2**8 / 3
+    # one slab per particle number of the pairing-free p-model, 0 to 8, together
+    # well under the 2^8 columns of h: each orbit under the 4 translations has
+    # one representative
+    assert len(built) == 9 and sum(built) < 2**8 / 3
 
 
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):

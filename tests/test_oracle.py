@@ -3,7 +3,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasifree import oracle
@@ -49,9 +49,9 @@ def evolve_state(h, t, vec):
     """Reference ``exp(-i t h) vec`` through the eigendecomposition of each parity
     block of the dense ``h``; raises ``ValueError`` when ``h`` couples them."""
     out = np.zeros(len(vec), dtype=complex)
-    parities = oracle._parity_states(int(round(np.log2(len(h)))))
-    for states, other in zip(parities, parities[::-1]):
-        oracle._check_parity(h[:, states], other)
+    parity, groups = oracle._charge_groups(int(round(np.log2(len(h)))), number=False)
+    for q, states in enumerate(groups):
+        oracle._check_charge(h[:, states], np.nonzero(parity != q)[0], False, ValueError)
         evals, evecs = np.linalg.eigh(h[np.ix_(states, states)])
         out[states] = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec[states]))
     return out
@@ -548,9 +548,13 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
     momenta = shape.momenta()
     # phases[K, g] = exp(-i K.g), momenta and translations in row-major order
     phases = np.exp(-2j * np.pi * (momenta / shape.dims) @ momenta.T)
-    for states in oracle._parity_states(shape.n_modes):
+    # the charge groups of the oracle: particle numbers without pairing, else parities
+    charge, groups = oracle._charge_groups(shape.n_modes, number=not pairing)
+    for q, states in enumerate(groups):
         reps = states[targets[:, states].min(axis=0) == states]
-        sectors = oracle._momentum_sectors(oracle._fock_columns(cs, reps), reps, targets, signs, shape.dims)
+        cols = oracle._fock_columns(cs, reps)
+        assert not cols[charge != q].any()
+        sectors = oracle._momentum_sectors(cols, reps, targets, signs, shape.dims)
         assert len(sectors) == shape.n_sites
         assert sum(len(sector.reps) for sector in sectors) == len(states)
         for sector, phase in zip(sectors, phases):
@@ -560,7 +564,40 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
             weight = 1 / np.sqrt((targets[:, r] == r).sum(axis=0))
             rows = h[r[None, :, None], targets[:, r][:, None, :]] * signs[:, r][:, None, :]
             ref = np.einsum("g,gab->ab", phase, rows) * np.multiply.outer(weight, weight)
-            assert np.abs(sector.block - ref).max() <= 1e-13
+            assert np.abs(sector.block - ref).max(initial=0.0) <= 1e-13
+
+
+@st.composite
+def pairing_free_models(draw):
+    """Hopping-only coupling sets on at most 10 modes, d in {1, 2}, s in {1, 2},
+    with couplings at every lattice offset.  (At 12 modes the dense reference's
+    parity blocks are 2048 x 2048, about 10 s of eigvalsh and eigh per draw.)"""
+    spin = draw(st.integers(1, 2))
+    first = draw(st.integers(2, 10 // spin))
+    second = draw(st.sampled_from([()] + [(n,) for n in (2, 3) if n * first * spin <= 10]))
+    shape = LatticeShape((first,) + second, spin)
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    return symmetrize(shape, {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
+                              for n in all_offsets(shape)}, {})
+
+
+@settings(max_examples=20, deadline=None)
+@given(cs=pairing_free_models())
+# levels at multiples of 5e-9: a ground space of 16 states spread over the
+# particle numbers 0, 1 and 2
+@example(cs=catalog(ModelParams("spinless-general", {"a0": 5e-9}, LatticeShape((5,), 1))))
+def test_particle_number_sectors_match_the_dense_parity_sectors(cs):
+    # the (particle number, momentum) sectors built from the couplings against the
+    # parity sectors of the dense h
+    ex = fock_ground_state(cs)
+    ref = exact_ground_correlators(build_fock_hamiltonian(cs))
+    tol = 1e-12 * max(1.0, abs(ref.energy))
+    assert ex.degeneracy_dim == ref.degeneracy_dim
+    assert abs(ex.energy - ref.energy) <= tol
+    assert abs(ex.gap_above - ref.gap_above) <= tol
+    if not ref.degenerate:
+        assert np.abs(ex.bdag_b - ref.bdag_b).max() <= 1e-12
+        assert np.abs(ex.bb - ref.bb).max() <= 1e-12
 
 
 @pytest.mark.parametrize("dims, spin, pairing", [((6,), 1, True), ((3, 3), 1, True), ((4,), 2, False)])
