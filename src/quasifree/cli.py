@@ -28,8 +28,8 @@ representatives of each particle number, or each fermion parity for a pairing
 model, checks that they have no entry in another group's rows, and checks each
 entry its sector blocks use against its partner).  All commands
 are deterministic for a fixed seed; floats are written with 17 significant
-digits so downstream plots reproduce exactly; each block of CSV rows formats a
-column's distinct values once and gathers the rows from that text.
+digits so downstream plots reproduce exactly; CSV integers are gathered from a
+digit table, and a float column's distinct values are formatted once per block.
 
 Commands return their report lines; ``main`` writes ``<out>/report.txt`` and
 repeats it on stdout.  A model file's closure projection note, if any, goes to
@@ -87,6 +87,14 @@ DEFAULT_SEED = 20240
 FLOAT_FMT = "%.17g"
 FLOAT_WIDTH = 24  # the longest ``FLOAT_FMT`` output, e.g. -2.2250738585072014e-308
 CSV_CHUNK = 4096  # rows gathered at a time
+# each n < 10^4 as "%04d" (_DIGITS) and "%4d" (_PADDED); _cells's limb texts read as
+# uint32: "%04d" below a value's top limb, "%4d" at it, "    " above it, "   -" the sign
+_DIGITS = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+_PADDED = _DIGITS.copy()
+_PADDED[:1000, 0] = _PADDED[:100, 1] = _PADDED[:10, 2] = ord(" ")
+_WORDS = np.concatenate([_DIGITS, _PADDED, np.frombuffer(b"       -", dtype=np.uint8).reshape(2, 4)])
+_WORDS = _WORDS.view(np.uint32).ravel()
+_BLANK = 20000  # the index of "    " in _WORDS; "   -" is the next
 
 
 def _fmt(value) -> str:
@@ -95,28 +103,39 @@ def _fmt(value) -> str:
 
 def _cells(column: np.ndarray) -> np.ndarray:
     """The text of each value of ``column`` as a ``(len(column), width)`` uint8
-    array, left-aligned and padded with spaces: integers as ``%d``, the rest as
-    ``FLOAT_FMT``.  Each distinct value is formatted once; floats are told apart by
-    their bits, so ``-0.0`` and ``0.0`` keep their own text."""
+    array padded with spaces.  Integers read as ``%d``: their magnitudes, uint64
+    so that ``-2**63`` has one, are split into base-10^4 limbs whose texts are
+    gathered from ``_WORDS``, after a sign word if the block has a negative value.
+    The rest read as ``FLOAT_FMT``, each distinct value formatted once; floats are
+    told apart by their bits, so ``-0.0`` and ``0.0`` keep their own text."""
     if column.dtype.kind in "iu":
-        keys, rows = np.unique(column, return_inverse=True)
-        values = keys.tolist()
-        width = max(len(str(values[0])), len(str(values[-1]))) if values else 0
-        fmt = f"%-{width}d"
-    else:
-        keys, rows = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
-        values = keys.view(np.float64).tolist()
-        width, fmt = FLOAT_WIDTH, f"%-{FLOAT_WIDTH}{FLOAT_FMT[1:]}"
-    text = ((fmt * len(values)) % tuple(values)).encode("ascii")
-    return np.frombuffer(text, dtype=np.uint8).reshape(len(values), width)[rows]
+        neg = column < 0
+        q = column.astype(np.uint64)
+        np.negative(q, out=q, where=neg)  # modulo 2^64: the magnitude of a negative value
+        words = []
+        while not words or q.any():
+            hi = q // np.uint64(10000)
+            index = (q - hi * np.uint64(10000)).astype(np.intp)
+            index[hi == 0] += 10000  # the top limb
+            if words:
+                index[q == 0] = _BLANK  # above the top limb
+            words.append(_WORDS[index])
+            q = hi
+        if neg.any():
+            words.append(_WORDS[_BLANK + neg])
+        return np.stack(words[::-1], axis=1).view(np.uint8)
+    keys, rows = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
+    values = keys.view(np.float64).tolist()
+    text = ((f"%-{FLOAT_WIDTH}{FLOAT_FMT[1:]}" * len(values)) % tuple(values)).encode("ascii")
+    return np.frombuffer(text, dtype=np.uint8).reshape(len(values), FLOAT_WIDTH)[rows]
 
 
 def _write_csv(out, name, header, columns) -> None:
     """Write equal-length columns to ``out/name``: integer columns as ``%d``, the
-    rest as ``FLOAT_FMT``.  ``CSV_CHUNK`` rows at a time, each column's distinct
-    values are formatted once (``_cells``), the cells are laid side by side with
-    the ``,`` and newline columns, and the padding is dropped; since no value
-    contains a space, that leaves the bytes of one ``%`` call per row."""
+    rest as ``FLOAT_FMT``.  ``CSV_CHUNK`` rows at a time, each column's cells
+    (``_cells``) are laid side by side with the ``,`` and newline columns, and
+    the padding is dropped; since no value contains a space, that leaves the
+    bytes of one ``%`` call per row."""
     columns = [np.asarray(c) for c in columns]
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, name), "wb") as fh:

@@ -237,15 +237,22 @@ def _spinless_general(shape: LatticeShape, params: Mapping[str, float]) -> Coupl
     return CouplingSet(shape, complete(hop, "a"), complete(pair, "b"))
 
 
+def _only_param(mp: ModelParams, key: str, default: float) -> float:
+    """``mp``'s value of ``key``, its one parameter, or ``default``; any other key raises."""
+    for other in mp.params:
+        if other != key:
+            raise ValueError(f"unrecognized {mp.name} parameter {other!r}")
+    return float(mp.params.get(key, default))
+
+
 def catalog(mp: ModelParams) -> CouplingSet:
     """Build a named catalog model; unknown names and out-of-range parameters raise."""
-    params = dict(mp.params)
     if mp.name == "p-model":
-        return _p_model(mp.shape, float(params.pop("p", 2.0)))
+        return _p_model(mp.shape, _only_param(mp, "p", 2.0))
     if mp.name == "twisted-chain":
-        return _twisted_chain(mp.shape, float(params.pop("alpha", 0.0)))
+        return _twisted_chain(mp.shape, _only_param(mp, "alpha", 0.0))
     if mp.name == "spinless-general":
-        return _spinless_general(mp.shape, params)
+        return _spinless_general(mp.shape, mp.params)
     raise ValueError(f"unknown catalog model {mp.name!r}; known: {CATALOG_NAMES}")
 
 

@@ -73,14 +73,15 @@ def asymmetry_diagnostics(
     have length ``n``; both groups run over momenta in flat order, bands ascending
     within a momentum.
     """
-    branch, neg = spec.branch, spec.shape.negation_table
-    m = (np.sign(branch) - np.sign(branch[neg])) / 2.0
-    p = (np.sign(branch) + np.sign(branch[neg])) / 2.0
-    indet = np.broadcast_to(~spec.coef_ok[:, None], branch.shape)
-    i, j = np.nonzero(~indet & (np.abs(m) == 1))
-    k, b = np.nonzero(indet)
+    s = spec.shape.spin
+    sign = np.sign(spec.branch)
+    partner = np.take(sign, spec.shape.negation_table, axis=0)
+    # |M| = 1 exactly where the two signs are opposite; (flat index) // s is the momentum
+    i, j = np.divmod(np.flatnonzero((sign * partner < 0) & spec.coef_ok[:, None]), s)
+    sign, partner = sign[i, j], partner[i, j]
+    k, b = np.divmod(np.flatnonzero(np.repeat(~spec.coef_ok, s)), s)
     grid = spec.shape.momenta()
-    return (grid[i], j, m[i, j], p[i, j]), (grid[k], b)
+    return (grid[i], j, (sign - partner) / 2.0, (sign + partner) / 2.0), (grid[k], b)
 
 
 @dataclass(frozen=True)

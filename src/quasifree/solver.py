@@ -136,10 +136,12 @@ class Spectrum:
         """(M, 2s) bool: ``_is_zero`` of ``u_energies``."""
         return _is_zero(self.u_energies, self.zero_mode_tol)
 
-    @property
+    @cached_property
     def coef_ok(self) -> np.ndarray:
         """(M,) bool: the block at this momentum has no zero mode."""
-        return ~self._zero.any(axis=1)
+        ok = np.ones(len(self.u_energies), dtype=bool)
+        ok[np.flatnonzero(self._zero) // self._zero.shape[1]] = False  # any(axis=1) pays per row
+        return ok
 
     @property
     def gap(self) -> float:

@@ -169,6 +169,16 @@ def test_unknown_catalog_name_exits_2(tmp_path):
     assert run(["spectrum", "--model", "nope", "--dims", "8", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("model, param", [("p-model", "q=2"), ("twisted-chain", "p=1")])
+def test_unknown_catalog_parameter_exits_2(tmp_path, capsys, model, param):
+    # a key the model does not take is invalid input, not ignored
+    args = ["invariants", "--model", model, "--param", param, "--dims", "8", "--out", str(tmp_path)]
+    assert run(args) == 2
+    key = param.partition("=")[0]
+    assert f"error: unrecognized {model} parameter {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_invariants_p_model(tmp_path, capsys):
     code = run([
         "invariants", "--model", "p-model", "--param", "p=2", "--dims", "32",
@@ -575,7 +585,7 @@ def old_write_csv(out, name, header, columns) -> None:
             fh.write((row * len(part)) % tuple(itertools.chain.from_iterable(part)))
 
 
-INT_VALUES = st.sampled_from([0, -1, 2**62, -2**62]) | st.integers(-2**63, 2**63 - 1)
+INT_VALUES = st.sampled_from([0, -1, 2**62, -2**62, -2**63, 2**63 - 1]) | st.integers(-2**63, 2**63 - 1)
 FLOAT_VALUES = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]) | st.floats()
 
 
@@ -601,6 +611,7 @@ def csv_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(columns=csv_tables())
 @example(columns=[[-0.0, 0.0, -0.0]])
+@example(columns=[np.array([-(10 ** (i % 19)) for i in range(CSV_CHUNK)] + [-2**63])])
 def test_write_csv_matches_the_per_row_format(tmp_path_factory, columns):
     # formatting each distinct value once must leave every byte of the CSV as it was
     out = tmp_path_factory.mktemp("csv")

@@ -316,9 +316,14 @@ def test_catalog_spinless_general_combines_parts_of_one_offset():
     assert cs.hop.mats[:, 0, 0].tolist() == [0.5 + 0.25j, 0.5 - 0.25j]
 
 
-def test_catalog_spinless_general_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unrecognized"):
-        catalog(ModelParams("spinless-general", {"j2": 1.0}, chain(8)))
+@pytest.mark.parametrize("name, params", [
+    ("spinless-general", {"j2": 1.0}),
+    ("p-model", {"q": 2.0}),
+    ("twisted-chain", {"alpha": 0.5, "p": 1.0}),
+], ids=["spinless-general", "p-model", "twisted-chain"])
+def test_catalog_rejects_unknown_keys(name, params):
+    with pytest.raises(ValueError, match=f"unrecognized {name} parameter"):
+        catalog(ModelParams(name, params, chain(8)))
 
 
 def test_random_model_deterministic_and_valid():

@@ -282,6 +282,38 @@ def test_solution_invariant_with_zero_modes(cs, zero_modes):
     assert np.abs(invariant_map(sol) - invariant_map(ground_covariance(sol))).max() < 1e-14
 
 
+def old_asymmetry_diagnostics(spec):
+    """``asymmetry_diagnostics`` as written with M and P over the whole grid and the
+    indeterminate rows from a second mask; ``test_asymmetry_matches_two_pass_reference``
+    pins to it."""
+    branch, neg = spec.branch, spec.shape.negation_table
+    m = (np.sign(branch) - np.sign(branch[neg])) / 2.0
+    p = (np.sign(branch) + np.sign(branch[neg])) / 2.0
+    indet = np.broadcast_to(~spec.coef_ok[:, None], branch.shape)
+    i, j = np.nonzero(~indet & (np.abs(m) == 1))
+    k, b = np.nonzero(indet)
+    grid = spec.shape.momenta()
+    return (grid[i], j, m[i, j], p[i, j]), (grid[k], b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**model_draws, zero_at=st.one_of(st.none(), st.integers(0, 10_000)))
+@example(dims=(64,), spin=1, pairing=False, seed=0, factor=1.0, zero_at=16)
+@example(dims=(6, 5), spin=2, pairing=True, seed=3, factor=1.0, zero_at=7)
+def test_asymmetry_matches_two_pass_reference(dims, spin, pairing, seed, factor, zero_at):
+    # the markers read from one sign pass are the old arrays, bit for bit and dtype
+    # for dtype, the indeterminate rows at zero-mode momenta included
+    if zero_at is None:
+        cs = drawn_model(dims, spin, pairing, seed, factor)
+    else:
+        cs = scaled(zero_mode_model(dims, spin, seed, pairing, zero_at), factor)
+    for spec in (spectrum(cs), diagonalize(cs)):
+        (asym, indet), (old_asym, old_indet) = asymmetry_diagnostics(spec), old_asymmetry_diagnostics(spec)
+        for got, want in zip(asym + indet, old_asym + old_indet):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     dims=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
