@@ -40,6 +40,7 @@ stderr.  A failing command writes no report.  ``verify --count 0`` reports
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -441,6 +442,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process: a parse keeps its values in its own namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quasifree",

@@ -23,22 +23,24 @@ the ``n_modes + 1`` particle numbers of a pairing-free coupling set or else the
 two parities, and each group into crystal-momentum sectors ``K``, which need only
 the columns of ``h`` at the orbit representatives, a slab about ``1/N`` of the
 group's columns for ``N`` translations (``_momentum_sectors``); it builds only
-those columns, from the couplings, and never forms ``h``.  A slab entry outside
-its own group is an assembly fault.  ``exact_ground_correlators`` solves a dense
-``h`` by its two parity sectors alone.  Every block's spectrum comes from
-``eigvalsh``, and ``eigh`` runs only on the blocks that hold ground levels;
-their lowest columns, normalized, are lifted back to the occupation basis by a
-phased scatter over each orbit.  The energy is the Rayleigh quotient
-``v^dag h v`` of the first ground vector, with ``h v`` formed from the
-translated representative columns.
+those columns, on the group's own rows, from the couplings, and never forms
+``h``.  A group's index table holds each basis state's row in the group's slab,
+-1 outside the group, and a term that takes a source state to a -1 row is an
+assembly fault.  ``exact_ground_correlators`` solves a dense ``h`` by its two
+parity sectors alone.  Every block's spectrum comes from ``eigvalsh``, and
+``eigh`` runs only on the blocks that hold ground levels; their lowest columns,
+normalized, are lifted back to the occupation basis by a phased scatter over
+each orbit.  The energy is the Rayleigh quotient ``v^dag h v`` of the first
+ground vector, with ``h v`` formed from the translated representative columns.
 
 Fock spaces are capped at 14 modes, and each step checks physical memory
 before it allocates, each estimate plus the 64 MiB of ``solver._check_memory``:
 ``build_fock_hamiltonian`` counts ``h``, 16 bytes per entry; the sectors 16
-bytes per entry of the full-height column slabs of every charge group and 48
-per entry of each group's gathered blocks, to which ``exact_ground_correlators``
-adds ``h``.  A degenerate ground space has no canonical single-vector
-correlators, so ``compare_with_quasifree`` refuses it.
+bytes per entry of every charge group's column slab, the group's rows by its
+orbit representatives, and 48 per entry of each group's gathered blocks, to
+which ``exact_ground_correlators`` adds ``h``.  A degenerate ground space has
+no canonical single-vector correlators, so ``compare_with_quasifree`` refuses
+it.
 """
 
 from __future__ import annotations
@@ -101,36 +103,48 @@ def _check_cap(n_modes: int) -> None:
         raise ValueError(f"{n_modes} modes exceeds the dense Fock-space cap of {MODE_CAP}")
 
 
-def _fock_columns(c: CouplingSet, states: np.ndarray, terms=None) -> np.ndarray:
-    """``h[:, states]``: the columns of the Fock Hamiltonian of ``c`` at the basis
-    states ``states``, with every term applied to those source states only.
+def _fock_columns(c: CouplingSet, states: np.ndarray, rows=None, terms=None) -> np.ndarray:
+    """``h[group, states]``: the columns of the Fock Hamiltonian of ``c`` at the basis
+    states ``states``, on the rows of one charge group, with every term applied to
+    those source states only.
 
-    ``terms`` is ``(_terms(c.hop, c.shape), _terms(c.pair, c.shape))``, passed by a
-    caller that builds many slabs of one ``c``; by default it is built here.
+    ``rows[x]`` is the row of basis state ``x`` in the slab, -1 outside the group;
+    by default every state is its own row, and the slab is ``h[:, states]``.  A term
+    that takes a source state outside the group raises ``LinAlgError``.  ``terms``
+    is ``(_terms(c.hop, c.shape), _terms(c.pair, c.shape))``, passed by a caller
+    that builds many slabs of one ``c``; by default it is built here.
     """
     if terms is None:
         terms = _terms(c.hop, c.shape), _terms(c.pair, c.shape)
-    (i, j, coef), pair = terms
     ns = c.shape.n_modes
+    if rows is None:
+        rows = np.arange(1 << ns)
     n = len(states)
     bits, par = _bit_tables(states, ns)
-    cols = np.zeros((1 << ns, n), dtype=complex)
+    cols = np.zeros((int(rows.max()) + 1, n), dtype=complex)
     flat = cols.reshape(-1)
+
+    def scatter(i, j, t, x, val):
+        target = states[x] ^ (1 << i[t]) ^ (1 << j[t])
+        y = rows[target]
+        if (y < 0).any():
+            k = np.argmin(y)
+            raise np.linalg.LinAlgError(
+                f"Hamiltonian couples the {'fermion-parity' if len(c.pair) else 'particle-number'} "
+                f"sectors (a term takes state {states[x[k]]} to state {target[k]})")
+        np.add.at(flat, y * n + x, val[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
 
     # b+_i b_j acts on sources with j occupied and i empty (or i == j), b+_i b+_j
     # on sources with both empty and its conjugate b_j b_i on sources with both
     # occupied, whose sign at the emptied state is minus the sign at the source;
     # each term's targets are distinct, and np.add.at sums the terms that share
     # an entry in term order
-    t, x = np.nonzero((bits[:, j] == 1).T & ((bits[:, i] == 0).T | (i == j)[:, None]))
-    y = states[x] ^ (1 << i[t]) ^ (1 << j[t])
-    np.add.at(flat, y * n + x, coef[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
-
-    i, j, coef = pair
+    i, j, coef = terms[0]
+    scatter(i, j, *np.nonzero((bits[:, j] == 1).T & ((bits[:, i] == 0).T | (i == j)[:, None])), coef)
+    i, j, coef = terms[1]
     for occupied, val in ((0, 0.5 * coef), (1, -0.5 * coef.conj())):
-        t, x = np.nonzero((bits[:, j] == occupied).T & (bits[:, i] == occupied).T & (i != j)[:, None])
-        y = states[x] ^ (1 << i[t]) ^ (1 << j[t])
-        np.add.at(flat, y * n + x, val[t] * (par[x, j[t]] * par[x, i[t]] * np.where(j < i, -1, 1)[t]))
+        scatter(i, j, *np.nonzero((bits[:, j] == occupied).T & (bits[:, i] == occupied).T & (i != j)[:, None]),
+                val)
     return cols
 
 
@@ -193,14 +207,15 @@ def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) ->
     ``exact_ground_correlators``.
 
     Raises ``ValueError`` beyond ``MODE_CAP`` modes or when the sectors cannot fit
-    in physical memory, and ``LinAlgError`` when the assembled columns couple two
-    charge groups or their entries are not Hermitian and translation invariant.
+    in physical memory, and ``LinAlgError`` when a term takes a state out of its
+    charge group or the assembled entries are not Hermitian and translation
+    invariant.
     """
     _check_cap(c.shape.n_modes)
     terms = _terms(c.hop, c.shape), _terms(c.pair, c.shape)
-    return _ground_state(lambda reps: _fock_columns(c, reps, terms),
+    return _ground_state(lambda reps, rows: _fock_columns(c, reps, rows, terms),
                          *_translations(c.shape.n_modes, c.shape.dims), c.shape.dims, degeneracy_tol,
-                         number=not len(c.pair), leak=np.linalg.LinAlgError)
+                         number=not len(c.pair))
 
 
 def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
@@ -219,8 +234,13 @@ def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_T
     entries of ``h`` that the blocks use are not Hermitian.
     """
     n_modes = int(round(np.log2(h.shape[0])))
-    return _ground_state(lambda reps: h[:, reps], *_translations(n_modes, ()), (), degeneracy_tol,
-                         number=False, leak=ValueError, held=h.nbytes)
+
+    def columns(reps, rows):
+        _check_charge(h, np.nonzero(rows < 0)[0], reps)
+        return h[np.ix_(np.nonzero(rows >= 0)[0], reps)]
+
+    return _ground_state(columns, *_translations(n_modes, ()), (), degeneracy_tol, number=False,
+                         held=h.nbytes)
 
 
 def _ground_state(
@@ -230,26 +250,26 @@ def _ground_state(
     group: tuple[int, ...],
     degeneracy_tol: float,
     number: bool,
-    leak: type[ValueError],
     held: int = 0,
 ) -> ExactGroundState:
     """The ground state from the sectors of the translation ``group`` within each
     charge group (particle number if ``number``, else fermion parity), given
-    ``columns(reps) = h[:, reps]``; a column entry outside its charge group
-    raises ``leak``, and ``held`` bytes are already allocated."""
+    ``columns(reps, rows)``, the slab ``h[states, reps]`` of a group's ``states``
+    whose index table (``_group_rows``) is ``rows``; ``columns`` raises when ``h``
+    couples the group to another, and ``held`` bytes are already allocated."""
     dim = targets.shape[1]
     n_modes = dim.bit_length() - 1
-    charge, groups = _charge_groups(n_modes, number)
+    groups = _charge_groups(n_modes, number)
     reps = [states[targets[:, states].min(axis=0) == states] for states in groups]
     # every group's column slab, kept for the energy, and per group the gathered
-    # blocks, the FFT's intermediate and output, and the kept-state copies
+    # blocks, the FFT's output and the kept-state copies
     _check_memory(f"the sectors of a {dim}-state Fock space",
-                  held + sum(16 * dim * len(r) + 48 * len(targets) * len(r) ** 2 for r in reps))
+                  held + sum(16 * len(states) * len(r) + 48 * len(targets) * len(r) ** 2
+                             for states, r in zip(groups, reps)))
     sectors = []
-    for q, r in enumerate(reps):
-        slab = columns(r)
-        _check_charge(slab, np.nonzero(charge != q)[0], number, leak)
-        sectors += _momentum_sectors(slab, r, targets, signs, group)
+    for states, r in zip(groups, reps):
+        rows = _group_rows(states, dim)
+        sectors += _momentum_sectors(columns(r, rows), r, states, rows, targets, signs, group)
     spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
     merged = np.concatenate(spectra)
     order = np.argsort(merged, kind="stable")
@@ -293,24 +313,30 @@ def _row_blocks(n_rows: int, row_len: int) -> range:
     return range(0, n_rows, max(1, (1 << 16) // row_len))
 
 
-def _charge_groups(n_modes: int, number: bool) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The conserved charge of every basis state, its particle number (``number``)
-    or else its fermion parity, and the states of each charge value in turn."""
+def _charge_groups(n_modes: int, number: bool) -> list[np.ndarray]:
+    """The basis states of each value of the conserved charge in turn, ascending:
+    the particle number (``number``) or else the fermion parity."""
     charge = _bit_tables(np.arange(1 << n_modes), n_modes)[0].sum(axis=1)
     if not number:
         charge &= 1
-    return charge, [np.nonzero(charge == q)[0] for q in range(int(charge.max()) + 1)]
+    return [np.nonzero(charge == q)[0] for q in range(int(charge.max()) + 1)]
 
 
-def _check_charge(cols: np.ndarray, other: np.ndarray, number: bool, leak: type[ValueError]) -> None:
-    """Raise ``leak`` if the columns ``cols`` of one charge group (particle number
-    if ``number``, else fermion parity) have an entry in the rows ``other``
-    outside it."""
-    blocks = _row_blocks(len(other), cols.shape[1])
-    mixing = max(np.abs(cols[other[r:r + blocks.step]]).max() for r in blocks)
+def _group_rows(states: np.ndarray, dim: int) -> np.ndarray:
+    """The index table of the charge group ``states`` among ``dim`` basis states:
+    each state's row in the group's slabs, -1 outside the group."""
+    rows = np.full(dim, -1)
+    rows[states] = np.arange(len(states))
+    return rows
+
+
+def _check_charge(h: np.ndarray, other: np.ndarray, cols: np.ndarray) -> None:
+    """Raise ``ValueError`` if the columns ``cols`` of the dense ``h``, in one
+    fermion-parity group, have an entry in the rows ``other`` outside it."""
+    blocks = _row_blocks(len(other), len(cols))
+    mixing = max(np.abs(h[np.ix_(other[r:r + blocks.step], cols)]).max() for r in blocks)
     if mixing >= 1e-12:
-        raise leak(f"Hamiltonian couples the {'particle-number' if number else 'fermion-parity'} "
-                   f"sectors (entry {mixing:.2e})")
+        raise ValueError(f"Hamiltonian couples the fermion-parity sectors (entry {mixing:.2e})")
 
 
 def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -334,19 +360,23 @@ def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.
 class _Sector(NamedTuple):
     """One (charge, momentum) sector: the block of ``h`` over the orthonormal states
     ``|r, K> = sum_g coef[g, r] |T_g r>``, one per kept representative ``r``, and
-    the charge group's column slab ``cols``, whose columns ``keep`` are at ``reps``."""
+    the charge group's column slab ``cols`` on the group's ``states``, whose
+    columns ``keep`` are at ``reps``."""
 
     block: np.ndarray
-    reps: np.ndarray  # (n,)
-    coef: np.ndarray  # (group order, n)
-    cols: np.ndarray  # (dim, representatives of the charge group)
-    keep: np.ndarray  # (n,)
+    reps: np.ndarray    # (n,)
+    coef: np.ndarray    # (group order, n)
+    cols: np.ndarray    # (states, representatives of the charge group)
+    keep: np.ndarray    # (n,)
+    states: np.ndarray  # (states,)
 
 
-def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, targets, signs, group) -> list[_Sector]:
-    """The crystal-momentum sectors of one charge group, from the columns
-    ``cols = h[:, reps]`` at its orbit representatives, momenta ``K`` in row-major
-    order of the translation ``group``.
+def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, states: np.ndarray, rows: np.ndarray,
+                      targets, signs, group) -> list[_Sector]:
+    """The nonempty crystal-momentum sectors of one charge group, from the columns
+    ``cols = h[states, reps]`` at its orbit representatives on the group's
+    ``states``, whose index table (``_group_rows``) is ``rows``, momenta ``K`` in
+    row-major order of the translation ``group``.
 
     Each orbit is represented by its lowest state ``r``, with stabilizer ``S_r``.
     The state ``|r, K>`` is ``sum_g exp(-i K.g) T_g |r> / sqrt(N |S_r|)``, where
@@ -356,7 +386,8 @@ def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, targets, signs, group)
     ``<r', K|h|r, K>`` is the FFT over ``g`` of
     ``sign_g(r) h[r', T_g r] / sqrt(|S_r'| |S_r|)``, so one FFT gives every
     momentum's block at once, and ``h[r', T_g r] = conj(h[T_g r, r'])`` is an entry
-    of ``cols``.  Each gathered entry is checked against its translated partner,
+    of ``cols``, since translations keep the charge.  Each gathered entry is
+    checked against its translated partner,
     ``sign_{-g}(r') sign_g(r) h[T_{-g} r', r]``, the same entry of a Hermitian,
     translation-invariant ``h``.  With the trivial group the single sector's block
     is ``h`` restricted to the charge group, exactly.
@@ -369,16 +400,15 @@ def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, targets, signs, group)
     index = np.array(list(np.ndindex(*group)), dtype=int).reshape(n_g, len(group))
     strides = np.array([math.prod(group[axis + 1:]) for axis in axes], dtype=int)
     minus = (-index % np.array(group, dtype=int)) @ strides  # minus[g]: the row-major index of -g
-    gathered = cols[t]  # gathered[g, r, r'] = h[T_g r, r']
-    worst = scale = 0.0
-    for g, minus_g in enumerate(minus):
-        partner = np.multiply.outer(s[g], s[minus_g]) * gathered[minus_g].T
-        worst = max(worst, float(np.abs(gathered[g].conj() - partner).max()))
-        scale = max(scale, float(np.abs(gathered[g]).max()))
+    # every entry of cols is gathered below, each state of the group being T_g r
+    scale = float(np.abs(cols).max(initial=0.0))
+    gathered = cols[rows[t]]  # gathered[g, r, r'] = h[T_g r, r']
+    worst = _translation_residual(gathered, s, minus)
     if worst >= 1e-12 * max(1.0, scale):
         raise np.linalg.LinAlgError(f"assembled Fock Hamiltonian is not Hermitian and translation "
                                     f"invariant on {group} (residual {worst:.2e})")
     blocks = np.conjugate(gathered, out=gathered).transpose(0, 2, 1)  # blocks[g, r', r] = h[r', T_g r]
+    del gathered  # blocks alone holds the buffer, freed once the FFT returns
     blocks *= (s * weight)[:, None, :]
     blocks *= weight[:, None]
     blocks = np.fft.fftn(blocks.reshape(group + (n, n)), axes=axes).reshape(n_g, n, n)
@@ -387,21 +417,40 @@ def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, targets, signs, group)
     sectors = []
     for block, keep, phase in zip(blocks, kept, phases):
         keep = np.nonzero(keep)[0]
-        coef = phase[:, None] * (s * weight)[:, keep] / np.sqrt(n_g)
-        sectors.append(_Sector(block[np.ix_(keep, keep)], reps[keep], coef, cols, keep))
+        if len(keep):
+            coef = phase[:, None] * (s * weight)[:, keep] / np.sqrt(n_g)
+            sectors.append(_Sector(block[keep[:, None], keep], reps[keep], coef, cols, keep, states))
     return sectors
 
 
+def _translation_residual(gathered: np.ndarray, s: np.ndarray, minus: np.ndarray) -> float:
+    """The largest ``|conj(gathered[g, r, r']) - s[g, r] s[-g, r'] gathered[-g, r', r]|``.
+
+    The residual at ``-g`` is the conjugate transpose of that at ``g``, so only the
+    first translations that hold one of each pair ``(g, -g)`` are compared, in one
+    dimension ``g <= N/2``, against one gathered copy of their partners.
+    """
+    half = int(np.minimum(np.arange(len(minus)), minus).max()) + 1
+    partner = gathered[minus[:half]].transpose(0, 2, 1)
+    partner *= s[:half, :, None]
+    partner *= s[minus[:half], None, :]
+    np.conjugate(partner, out=partner)
+    partner -= gathered[:half]
+    return float(np.abs(partner).max(initial=0.0))
+
+
 def _apply_hamiltonian(sector: _Sector, y: np.ndarray, targets, signs) -> np.ndarray:
-    """``h v`` for the lifted sector vector ``v = sum_r y_r |r, K>``.
+    """``h v`` for the lifted sector vector ``v = sum_r y_r |r, K>``, over every
+    basis state.
 
     ``h |T_g r> = sign_g(r) T_g h |r>``, so ``h v`` is ``sum_g T_g (cols @ a_g)`` with
-    ``a_g[r] = coef[g, r] sign_g(r) y_r``, from the columns at the representatives.
+    ``a_g[r] = coef[g, r] sign_g(r) y_r``, from the columns at the representatives,
+    whose rows are the charge group's states.
     """
     amp = np.zeros((sector.cols.shape[1], len(targets)), dtype=complex)
     amp[sector.keep] = (sector.coef * signs[:, sector.reps] * y).T
-    hv = np.zeros(len(sector.cols), dtype=complex)
-    for t, s, col in zip(targets, signs, (sector.cols @ amp).T):
+    hv = np.zeros(targets.shape[1], dtype=complex)
+    for t, s, col in zip(targets[:, sector.states], signs[:, sector.states], (sector.cols @ amp).T):
         hv[t] += s * col
     return hv
 

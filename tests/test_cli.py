@@ -411,13 +411,12 @@ def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypat
 
 def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatch, capsys):
     # 10 modes, 4^10 entries of h, each estimate plus 64 MiB: the command never
-    # forms h and counts its column slabs, 16 bytes per entry of 2^10 rows by
-    # the 208 orbit representatives of the 11 particle numbers, and its blocks,
-    # 48 bytes per entry of 5 x 52^2 at the largest, 5 particles, about 5 MB in
-    # all; the dense build is counted 16 bytes per entry of h and the
-    # parity-sector ground state of h 56 (h, slabs of half of h per parity,
-    # blocks); this machine fits the command and the build, but not the dense
-    # ground state
+    # forms h and counts its column slabs, 16 bytes per entry of each particle
+    # number's C(10, N) rows by its orbit representatives, 208 in all, and its
+    # blocks, 48 bytes per entry of 5 x 52^2 at the largest, 5 particles, about
+    # 2.4 MB in all; the dense build is counted 16 bytes per entry of h and the
+    # parity-sector ground state of h 48 (h, each parity's quarter of h, blocks);
+    # this machine fits the command and the build, but not the dense ground state
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(100 << 20))
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
     assert code == 0
@@ -425,6 +424,31 @@ def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatc
     h = build_fock_hamiltonian(make_p_model(5, 2.0))
     with pytest.raises(ValueError, match="physical memory"):
         exact_ground_correlators(h)
+
+
+def test_oracle_memory_estimate_counts_group_rows(tmp_path, monkeypatch, capsys):
+    # the 12-mode p-model's sectors, plus 64 MiB: per particle number N, 16 bytes
+    # per entry of its C(12, N) rows by its orbit representatives and 48 per entry
+    # of the gathered blocks of the 6 translations, about 30 MB; full-height slabs
+    # of 2^12 rows would ask about 39 MB more, and a machine just above the
+    # estimate runs the command
+    import quasifree.oracle as oracle
+
+    targets, _ = oracle._translations(12, (6,))
+    particles = np.array([bin(x).count("1") for x in range(1 << 12)])
+    need = 64 << 20
+    for n in range(13):
+        group = np.nonzero(particles == n)[0]
+        reps = np.count_nonzero(targets[:, group].min(axis=0) == group)
+        need += 16 * len(group) * reps + 48 * 6 * reps**2
+    args = ["oracle", "--model", "p-model", "--param", "p=2", "--dims", "6", "--out"]
+    monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(need - 1))
+    assert run(args + [str(tmp_path / "short")]) == 2
+    err = capsys.readouterr().err
+    assert "the sectors of a 4096-state Fock space" in err and "physical memory" in err
+    monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(need + 4095))
+    assert run(args + [str(tmp_path / "fits")]) == 0
+    assert "agreement: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n_sites", ["4", "5"])
@@ -438,18 +462,19 @@ def test_oracle_command_degenerate_ground_space_exits_2(tmp_path, capsys, n_site
 
 
 def test_oracle_command_rejects_a_translation_breaking_hamiltonian(tmp_path, monkeypatch, capsys):
-    # the command builds only the columns of h at the orbit representatives and
-    # checks each entry the sector blocks use against its Hermitian, translated
-    # partner; a break inside the one-particle group, at h[2, 1] (mode 1
-    # occupied, from mode 0), is an assembly fault
+    # the command builds only the columns of h at the orbit representatives, on
+    # their charge group's rows, and checks each entry the sector blocks use
+    # against its Hermitian, translated partner; a break inside the one-particle
+    # group, at h[2, 1] (mode 1 occupied, from mode 0), in state 2's row of the
+    # group's slab, is an assembly fault
     import quasifree.oracle as oracle
 
     columns = oracle._fock_columns
 
-    def broken(c, states, *rest):
-        cols = columns(c, states, *rest)
+    def broken(c, states, rows, *rest):
+        cols = columns(c, states, rows, *rest)
         if states[0] == 1:
-            cols[2, 0] += 1e-9
+            cols[rows[2], 0] += 1e-9
         return cols
 
     monkeypatch.setattr(oracle, "_fock_columns", broken)
@@ -464,20 +489,21 @@ def test_oracle_command_rejects_a_translation_breaking_hamiltonian(tmp_path, mon
     (["spinless-general", "--param", "a1=1", "--param", "b1=0.5", "--param", "a0=0.3"], 1, "fermion-parity"),
 ], ids=["particle-number", "fermion-parity"])
 def test_oracle_command_rejects_a_sector_leak(tmp_path, monkeypatch, capsys, model, row, charge):
-    # an entry of the vacuum's column in another charge group's row, two
-    # particles for the pairing-free p-model and one for the pairing chain, is an
-    # assembly fault of a valid coupling set, not invalid input
+    # a slab holds its charge group's rows alone, so a leak is a term that takes a
+    # state out of the group: with a state of two particles for the pairing-free
+    # p-model, and of one for the pairing chain, filed under the vacuum's group,
+    # the terms of its column reach the rest of its own group, rows the vacuum
+    # group's slab does not have; an assembly fault of a valid coupling set, not
+    # invalid input
     import quasifree.oracle as oracle
 
-    columns = oracle._fock_columns
+    groups = oracle._charge_groups
 
-    def leaking(c, states, *rest):
-        cols = columns(c, states, *rest)
-        if states[0] == 0:
-            cols[row, 0] += 1e-9
-        return cols
+    def misfiled(n_modes, number):
+        vacuum, *rest = groups(n_modes, number)
+        return [np.union1d(vacuum, [row])] + [np.setdiff1d(states, [row]) for states in rest]
 
-    monkeypatch.setattr(oracle, "_fock_columns", leaking)
+    monkeypatch.setattr(oracle, "_charge_groups", misfiled)
     code = run(["oracle", "--model", *model, "--dims", "4", "--out", str(tmp_path)])
     assert code == 3
     assert f"couples the {charge} sectors" in capsys.readouterr().err
@@ -493,8 +519,9 @@ def test_oracle_command_never_forms_the_dense_hamiltonian(tmp_path, monkeypatch,
     columns, built = oracle._fock_columns, []
 
     def counted(c, states, *rest):
-        built.append(len(states))
-        return columns(c, states, *rest)
+        cols = columns(c, states, *rest)
+        built.append(cols.shape)
+        return cols
 
     monkeypatch.setattr(oracle, "build_fock_hamiltonian", refuse)
     monkeypatch.setattr(oracle, "_fock_columns", counted)
@@ -503,8 +530,9 @@ def test_oracle_command_never_forms_the_dense_hamiltonian(tmp_path, monkeypatch,
     assert "agreement: PASS" in capsys.readouterr().out
     # one slab per particle number of the pairing-free p-model, 0 to 8, together
     # well under the 2^8 columns of h: each orbit under the 4 translations has
-    # one representative
-    assert len(built) == 9 and sum(built) < 2**8 / 3
+    # one representative; each slab has exactly its particle number's C(8, N) rows
+    assert len(built) == 9 and sum(n for _, n in built) < 2**8 / 3
+    assert [rows for rows, _ in built] == [math.comb(8, n) for n in range(9)]
 
 
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):
@@ -825,6 +853,20 @@ def test_command_rejects_flags_it_does_not_read(command, capsys):
             run([command, flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_carries_no_state(tmp_path, capsys):
+    # in one process every main call parses with the same parser; a --param of
+    # the first call must not stay in the second, which runs with the catalog's p
+    assert _build_parser() is _build_parser()
+    args = ["spectrum", "--model", "p-model", "--dims", "8"]
+    assert run(args + ["--param", "p=3", "--out", str(tmp_path / "p3")]) == 0
+    assert run(args + ["--out", str(tmp_path / "default")]) == 0
+    assert run(args + ["--param", "p=2", "--out", str(tmp_path / "p2")]) == 0
+    capsys.readouterr()
+    default = (tmp_path / "default" / "spectrum.csv").read_bytes()
+    assert default == (tmp_path / "p2" / "spectrum.csv").read_bytes()
+    assert default != (tmp_path / "p3" / "spectrum.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -49,9 +49,8 @@ def evolve_state(h, t, vec):
     """Reference ``exp(-i t h) vec`` through the eigendecomposition of each parity
     block of the dense ``h``; raises ``ValueError`` when ``h`` couples them."""
     out = np.zeros(len(vec), dtype=complex)
-    parity, groups = oracle._charge_groups(int(round(np.log2(len(h)))), number=False)
-    for q, states in enumerate(groups):
-        oracle._check_charge(h[:, states], np.nonzero(parity != q)[0], False, ValueError)
+    for states in oracle._charge_groups(int(round(np.log2(len(h)))), number=False):
+        oracle._check_charge(h, np.setdiff1d(np.arange(len(h)), states), states)
         evals, evecs = np.linalg.eigh(h[np.ix_(states, states)])
         out[states] = evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ vec[states]))
     return out
@@ -549,15 +548,20 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
     # phases[K, g] = exp(-i K.g), momenta and translations in row-major order
     phases = np.exp(-2j * np.pi * (momenta / shape.dims) @ momenta.T)
     # the charge groups of the oracle: particle numbers without pairing, else parities
-    charge, groups = oracle._charge_groups(shape.n_modes, number=not pairing)
-    for q, states in enumerate(groups):
+    for states in oracle._charge_groups(shape.n_modes, number=not pairing):
         reps = states[targets[:, states].min(axis=0) == states]
-        cols = oracle._fock_columns(cs, reps)
-        assert not cols[charge != q].any()
-        sectors = oracle._momentum_sectors(cols, reps, targets, signs, shape.dims)
-        assert len(sectors) == shape.n_sites
+        rows = oracle._group_rows(states, len(h))
+        cols = oracle._fock_columns(cs, reps, rows)
+        assert not np.delete(h[:, reps], states, axis=0).any()
+        sectors = oracle._momentum_sectors(cols, reps, states, rows, targets, signs, shape.dims)
+        # r is in sector K when sum_{g in S_r} exp(-i K.g) sign_g(r) is |S_r|, not 0;
+        # the sectors that keep no representative are left out
+        kept = (phases @ (signs[:, reps] * (targets[:, reps] == reps))).real > 0.5
+        nonempty = kept.any(axis=1)
+        assert len(sectors) == nonempty.sum()
         assert sum(len(sector.reps) for sector in sectors) == len(states)
-        for sector, phase in zip(sectors, phases):
+        for sector, phase, keep in zip(sectors, phases[nonempty], kept[nonempty]):
+            assert np.array_equal(sector.reps, reps[keep])
             # reference: <r', K|h|r, K> = w_r' w_r sum_g exp(-i K.g) sign_g(r) h[r', T_g r],
             # from the rows of h and one explicit sum over the translations
             r = sector.reps
@@ -565,6 +569,26 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
             rows = h[r[None, :, None], targets[:, r][:, None, :]] * signs[:, r][:, None, :]
             ref = np.einsum("g,gab->ab", phase, rows) * np.multiply.outer(weight, weight)
             assert np.abs(sector.block - ref).max(initial=0.0) <= 1e-13
+
+
+@pytest.mark.parametrize("dims", [(5,), (6,), (3, 3)])
+def test_translation_check_sees_a_fault_at_every_translation(dims):
+    # the check compares only the translations up to one of each pair (g, -g); a
+    # fault at h[T_g r, r'] for any g, on either side of its pair, still shows
+    shape = LatticeShape(dims, 1)
+    cs = random_model(shape, reach=1, pairing=True, seed=4)
+    targets, signs = oracle._translations(shape.n_modes, dims)
+    states = oracle._charge_groups(shape.n_modes, number=False)[1]
+    reps = states[targets[:, states].min(axis=0) == states]
+    rows = oracle._group_rows(states, 1 << shape.n_modes)
+    cols = oracle._fock_columns(cs, reps, rows)
+    oracle._momentum_sectors(cols, reps, states, rows, targets, signs, dims)
+    r = np.nonzero((targets[:, reps] == reps).sum(axis=0) == 1)[0][0]  # an orbit of n_sites states
+    for g in range(shape.n_sites):
+        broken = cols.copy()
+        broken[rows[targets[g, reps[r]]], 1 if r == 0 else 0] += 1e-9
+        with pytest.raises(np.linalg.LinAlgError, match="not Hermitian and translation invariant"):
+            oracle._momentum_sectors(broken, reps, states, rows, targets, signs, dims)
 
 
 @st.composite
@@ -600,14 +624,26 @@ def test_particle_number_sectors_match_the_dense_parity_sectors(cs):
         assert np.abs(ex.bb - ref.bb).max() <= 1e-12
 
 
-@pytest.mark.parametrize("dims, spin, pairing", [((6,), 1, True), ((3, 3), 1, True), ((4,), 2, False)])
+@pytest.mark.parametrize("dims, spin, pairing", [
+    ((6,), 1, True), ((3, 3), 1, True), ((4,), 2, False), ((3, 3), 1, False),
+])
 def test_fock_columns_are_the_dense_hamiltonian_columns(dims, spin, pairing):
+    # each charge group's slab, at its representatives and at arbitrary source
+    # states of the group, is h on the group's rows; without rows, h's full columns
     cs = random_model(LatticeShape(dims, spin), reach=1, pairing=pairing, seed=11)
     h = build_fock_hamiltonian(cs)
+    targets, _ = oracle._translations(cs.shape.n_modes, dims)
     rng = np.random.default_rng(11)
-    for states in (np.arange(len(h)), np.sort(rng.choice(len(h), 17, replace=False)),
-                   rng.permutation(len(h))[:9]):
-        assert np.array_equal(oracle._fock_columns(cs, states), h[:, states])
+    for group in oracle._charge_groups(cs.shape.n_modes, number=not pairing):
+        rows = oracle._group_rows(group, len(h))
+        reps = group[targets[:, group].min(axis=0) == group]
+        for states in (reps, group, np.sort(rng.choice(group, min(17, len(group)), replace=False)),
+                       rng.permutation(group)[:9]):
+            slab = oracle._fock_columns(cs, states, rows)
+            assert slab.shape == (len(group), len(states))
+            assert np.array_equal(slab, h[np.ix_(group, states)])
+    states = rng.permutation(len(h))[:9]
+    assert np.array_equal(oracle._fock_columns(cs, states), h[:, states])
 
 
 @pytest.mark.parametrize("dims, spin", [((5,), 2), ((3, 3), 1), ((8,), 1)])
