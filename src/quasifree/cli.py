@@ -107,8 +107,8 @@ def _cells(column: np.ndarray) -> np.ndarray:
     array padded with spaces.  Integers read as ``%d``: their magnitudes, uint64
     so that ``-2**63`` has one, are split into base-10^4 limbs whose texts are
     gathered from ``_WORDS``, after a sign word if the block has a negative value.
-    The rest read as ``FLOAT_FMT``, each distinct value formatted once; floats are
-    told apart by their bits, so ``-0.0`` and ``0.0`` keep their own text."""
+    The rest read as ``FLOAT_FMT``, each distinct value formatted once and cut to the
+    longest; floats are told apart by bits, so ``-0.0`` and ``0.0`` keep their text."""
     if column.dtype.kind in "iu":
         neg = column < 0
         q = column.astype(np.uint64)
@@ -128,26 +128,28 @@ def _cells(column: np.ndarray) -> np.ndarray:
     keys, rows = np.unique(column.astype(np.float64).view(np.int64), return_inverse=True)
     values = keys.view(np.float64).tolist()
     text = ((f"%-{FLOAT_WIDTH}{FLOAT_FMT[1:]}" * len(values)) % tuple(values)).encode("ascii")
-    return np.frombuffer(text, dtype=np.uint8).reshape(len(values), FLOAT_WIDTH)[rows]
+    table = np.frombuffer(text, dtype=np.uint8).reshape(len(values), FLOAT_WIDTH)
+    width = np.count_nonzero((table != ord(" ")).any(axis=0))  # the longest text: each is left-aligned
+    return table[:, :width][rows]
 
 
 def _write_csv(out, name, header, columns) -> None:
     """Write equal-length columns to ``out/name``: integer columns as ``%d``, the
     rest as ``FLOAT_FMT``.  ``CSV_CHUNK`` rows at a time, each column's cells
-    (``_cells``) are laid side by side with the ``,`` and newline columns, and
-    the padding is dropped; since no value contains a space, that leaves the
+    (``_cells``) are laid into one block between the ``,`` and newline columns,
+    and the padding is dropped; since no value contains a space, that leaves the
     bytes of one ``%`` call per row."""
     columns = [np.asarray(c) for c in columns]
     os.makedirs(out, exist_ok=True)
     with open(os.path.join(out, name), "wb") as fh:
         fh.write((",".join(header) + "\n").encode("ascii"))
         for lo in range(0, len(columns[0]), CSV_CHUNK):
-            parts = []
-            for c in columns:
-                cells = _cells(c[lo:lo + CSV_CHUNK])
-                parts += [cells, np.full((len(cells), 1), ord(","), dtype=np.uint8)]
-            parts[-1][:] = ord("\n")
-            block = np.hstack(parts)
+            cells = [_cells(c[lo:lo + CSV_CHUNK]) for c in columns]
+            ends = np.cumsum([part.shape[1] + 1 for part in cells])  # one past each separator
+            block = np.full((len(cells[0]), ends[-1]), ord(","), dtype=np.uint8)
+            for part, end in zip(cells, ends):
+                block[:, end - 1 - part.shape[1]:end - 1] = part
+            block[:, -1] = ord("\n")
             fh.write(block[block != ord(" ")])
 
 
@@ -225,8 +227,8 @@ def _reach(args: argparse.Namespace, dims: tuple[int, ...]) -> int:
     return min(2, (min(dims) - 1) // 2)
 
 
-def _offset_columns(d: int) -> list[str]:
-    return [f"n_{i + 1}" for i in range(d)]
+def _columns(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}_{i + 1}" for i in range(n)]
 
 
 def _reduced_offsets(text: str | None, shape: LatticeShape) -> np.ndarray:
@@ -255,11 +257,7 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
     spec = spectrum(cs, zero_mode_tol=args.zero_mode_tol)
     shape = cs.shape
-    header = (
-        [f"k_{i + 1}" for i in range(shape.d)]
-        + [f"lam_{a + 1}" for a in range(2 * shape.spin)]
-        + [f"branch_{j + 1}" for j in range(shape.spin)]
-    )
+    header = _columns("k", shape.d) + _columns("lam", 2 * shape.spin) + _columns("branch", shape.spin)
     columns = [*shape.momenta().T, *spec.energies.T, *spec.branch.T]
     _write_csv(args.out, "spectrum.csv", header, columns)
     return [
@@ -276,10 +274,10 @@ def cmd_invariants(args: argparse.Namespace) -> tuple[list[str], int]:
     )
     shape = cs.shape
     wanted = _reduced_offsets(args.offsets, shape)
-    _write_csv(args.out, "invariants.csv", _offset_columns(shape.d) + ["invariant"],
+    _write_csv(args.out, "invariants.csv", _columns("n", shape.d) + ["invariant"],
                [*wanted.T, report.invariant[tuple(wanted.T)]])
     momenta, band, m, p = report.asymmetry
-    _write_csv(args.out, "asymmetry.csv", [f"k_{i + 1}" for i in range(shape.d)] + ["band", "M", "P"],
+    _write_csv(args.out, "asymmetry.csv", _columns("k", shape.d) + ["band", "M", "P"],
                [*momenta.T, band, m, p])
     return [
         f"model dims={shape.dims} spin={shape.spin}",
@@ -384,7 +382,7 @@ def cmd_quench(args: argparse.Namespace) -> tuple[list[str], int]:
     # series[t, o]: invariant at time t and offset o
     series = np.array([invariant_map(cov)[tuple(offsets.T)]
                        for cov in evolve_quench(cov0, quench, times)])
-    _write_csv(args.out, "quench.csv", ["t"] + _offset_columns(shape.d) + ["invariant"],
+    _write_csv(args.out, "quench.csv", ["t"] + _columns("n", shape.d) + ["invariant"],
                [np.repeat(times, len(offsets)), *np.tile(offsets, (len(times), 1)).T, series.ravel()])
     spread = float((series.max(axis=0) - series.min(axis=0)).max()) if series.size else 0.0
     ok = spread < QUENCH_SPREAD_TOL

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 import numpy as np
@@ -92,8 +92,8 @@ class LatticeShape:
     @cached_property
     def negation_table(self) -> np.ndarray:
         """``negation_table[i]`` is the flat index of ``-k`` for flat momentum ``i``."""
-        neg = (-self._momenta) % np.asarray(self.dims)
-        return np.ravel_multi_index(tuple(neg.T), self.dims)
+        axes = [(-np.arange(n) % n) * math.prod(self.dims[a + 1:]) for a, n in enumerate(self.dims)]
+        return reduce(np.add.outer, axes).ravel()
 
     @cached_property
     def half_zone(self) -> np.ndarray:

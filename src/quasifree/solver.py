@@ -34,9 +34,10 @@ those rows only, with the energies on the full grid; ``U_{-k} = sx conj(U_k) sx`
 is derived on demand, and ``ground_covariance`` reads the stored rows alone.
 What follows from the energies alone lives on ``Spectrum``, of which a solution
 is one; ``spectrum`` forms no BdG block for a pairing-free model, whose designated
-branch is the spectrum of the hopping kernel ``A_k``: in closed form for s = 2
-(``_eigvalsh``), by LAPACK's ``eigvalsh`` otherwise.  An eigensolver result that is not
-finite, as from a kernel that overflows, is refused with the momentum named.
+branch is the spectrum of the hopping kernel ``A_k``: at s <= 2 from the transforms of
+the entries it reads, the diagonal's real ones by ``irfftn`` (``_hopping_bands``), at
+s >= 3 by LAPACK's ``eigvalsh``.  An eigensolver result that is not finite, as from a
+kernel that overflows, is refused with the momentum named.
 
 A second route assembles the same kernels from the Bogoliubov coefficients and
 branch signs (``covariance_from_coefficients``).  It reads the same eigenbasis
@@ -58,7 +59,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .lattice import LatticeShape, fourier_circulant, inverse_fourier
-from .model import CouplingSet, bdg_blocks
+from .model import CouplingSet, _aligned, _closure_image, bdg_blocks
 
 __all__ = [
     "Spectrum",
@@ -192,23 +193,37 @@ class BogoliubovSolution(Spectrum):
         return np.conj(np.transpose(self.u[:, s:, :s], (0, 2, 1)))
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of Hermitian blocks.  A 2x2 block is
-    ``mean +- hypot((p - q)/2, |b|)`` over its real diagonal ``p, q`` and upper entry
-    ``b``, formed from halved diagonals so that no finite entry overflows; other
-    sizes go to ``eigvalsh``."""
-    if a.shape[-1] != 2:
-        return np.linalg.eigvalsh(a)
-    out = np.empty(a.shape[:-1])
-    lo, hi = out[..., 0], out[..., 1]
-    np.multiply(a[..., 0, 0].real, 0.5, out=lo)
-    np.multiply(a[..., 1, 1].real, 0.5, out=hi)
+def _closed_form(p: np.ndarray, q: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues, shape (M, 2), of the Hermitian 2x2 blocks with real
+    diagonals ``p, q`` and off-diagonal modulus ``b``: ``mean +- hypot((p - q)/2, b)``,
+    formed from halved diagonals so that no finite entry overflows."""
+    out = np.empty((len(p), 2))
+    lo, hi = np.multiply(p, 0.5, out=out[:, 0]), np.multiply(q, 0.5, out=out[:, 1])
     mean = lo + hi
-    lo -= hi
-    np.hypot(lo, np.abs(a[..., 0, 1]), out=hi)
+    np.hypot(np.subtract(lo, hi, out=lo), b, out=hi)
     np.subtract(mean, hi, out=lo)
     hi += mean
     return out
+
+
+def _hopping_bands(c: CouplingSet) -> np.ndarray:
+    """Ascending eigenvalues of the hopping kernels ``A_k`` at s <= 2, shape (M, s), from
+    the transforms of the entries they read: each diagonal entry's Hermitian part
+    ``(x_n + conj x_{-n})/2``, whose transform is real, by an unscaled ``irfftn`` of the
+    conjugated half grid, and at s = 2 the ``(1, 0)`` entry, LAPACK's lower triangle."""
+    shape, s = c.shape, c.shape.spin
+    union, (mats, image) = _aligned(c.hop, _closure_image(c.hop, shape, "hop"))
+    # x - (x - image)/2 is x, bit for bit, where the table is closed exactly, and cannot overflow
+    diag = np.diagonal(mats - (mats - image) / 2, axis1=1, axis2=2)
+    kept = union[:, -1] <= shape.dims[-1] // 2  # irfftn reads the last axis up to its Nyquist index
+    half = np.zeros((s,) + shape.dims[:-1] + (shape.dims[-1] // 2 + 1,), dtype=complex)
+    half[(slice(None),) + tuple(union[kept].T)] = diag[kept].T.conj()
+    p = np.fft.irfftn(half, s=shape.dims, axes=tuple(range(1, shape.d + 1)), norm="forward").reshape(s, -1)
+    if s == 1:
+        return p.T
+    off = np.zeros(shape.dims, dtype=complex)
+    off[tuple(c.hop.offsets.T)] = c.hop.mats[:, 1, 0]
+    return _closed_form(p[0], p[1], np.abs(np.fft.fftn(off)).ravel())
 
 
 def _momentum(shape: LatticeShape, i: int) -> tuple[int, ...]:
@@ -216,8 +231,8 @@ def _momentum(shape: LatticeShape, i: int) -> tuple[int, ...]:
 
 
 def _solve(solver, blocks: np.ndarray, shape: LatticeShape, flat: Sequence[int]):
-    """``solver(blocks)`` for the blocks at the flat momenta ``flat``; a ``LinAlgError``
-    names the first momentum whose block fails alone, or whose result is not finite."""
+    """``solver(blocks)`` for the blocks at the flat momenta ``flat``, checked by
+    ``_finite``; a ``LinAlgError`` names the first momentum whose block fails alone."""
     try:
         out = solver(blocks)
     except np.linalg.LinAlgError:
@@ -227,6 +242,11 @@ def _solve(solver, blocks: np.ndarray, shape: LatticeShape, flat: Sequence[int])
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(f"eigensolver failed at momentum {_momentum(shape, i)}") from exc
         raise
+    return _finite(out, shape, flat)
+
+
+def _finite(out, shape: LatticeShape, flat: Sequence[int]):
+    """``out`` (arrays over ``flat``), or a ``LinAlgError`` naming its first non-finite momentum."""
     for part in out if isinstance(out, tuple) else (out,):
         finite = np.isfinite(part).reshape(len(part), -1).all(axis=1)
         if not finite.all():
@@ -324,13 +344,15 @@ def spectrum(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Spectrum:
     if c.pair:
         return diagonalize(c, zero_mode_tol=zero_mode_tol)
     shape, s = c.shape, c.shape.spin
-    # per momentum: the hopping kernel's offset grid and two FFT stages (48 s^2), then
-    # the energies, branch, count weights, signs and asymmetry markers (at most 64 s:
+    # per momentum: the hopping kernel's offset grid and two FFT stages (48 s^2), or at s <= 2
+    # ``_hopping_bands``'s half grids, transforms and closed form (40 s: 32 and 80 bytes measured),
+    # then the energies, branch, count weights, signs and asymmetry markers (at most 64 s:
     # 113 bytes measured at s = 1 with every entry marked) and the index tables (48)
     _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
-                  shape.n_sites * (48 * s * s + 64 * s + 48))
+                  shape.n_sites * ((48 * s * s if s > 2 else 40 * s) + 64 * s + 48))
     with np.errstate(over="ignore", invalid="ignore"):  # as in diagonalize
-        branch = _solve(_eigvalsh, fourier_circulant(c.hop, shape), shape, range(shape.n_sites))
+        branch = (_finite(_hopping_bands(c), shape, range(shape.n_sites)) if s <= 2 else
+                  _solve(np.linalg.eigvalsh, fourier_circulant(c.hop, shape), shape, range(shape.n_sites)))
     return Spectrum(shape, np.concatenate([branch, -branch[shape.negation_table]], axis=1), zero_mode_tol)
 
 

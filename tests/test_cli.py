@@ -639,9 +639,12 @@ def csv_tables(draw):
 @settings(max_examples=100, deadline=None)
 @given(columns=csv_tables())
 @example(columns=[[-0.0, 0.0, -0.0]])
+@example(columns=[np.array([0.0, -0.0, 1e-300, 0.30000000000000004, -1.2345678901234567e-300, 0.0] * 700)])
+@example(columns=[np.array([], dtype=float), np.array([], dtype=np.int64)])
 @example(columns=[np.array([-(10 ** (i % 19)) for i in range(CSV_CHUNK)] + [-2**63])])
 def test_write_csv_matches_the_per_row_format(tmp_path_factory, columns):
-    # formatting each distinct value once must leave every byte of the CSV as it was
+    # formatting each distinct value once, into a table as wide as its longest text,
+    # must leave every byte of the CSV as it was
     out = tmp_path_factory.mktemp("csv")
     header = [f"c_{i}" for i in range(len(columns))]
     old_write_csv(out, "old.csv", header, columns)

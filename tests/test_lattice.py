@@ -70,6 +70,16 @@ def test_self_conjugate_momenta():
     assert selfconj == [(0, 0), (2, 0)]
 
 
+@pytest.mark.parametrize("dims", [(2,), (7,), (2, 2), (3, 2), (5, 4), (2, 3, 2), (3, 5, 7), (4, 2, 9)])
+def test_negation_table_matches_the_momentum_expression(dims):
+    # the per-axis outer sum against -k reduced and raveled from the momentum tuples;
+    # every axis has at least 2 sites, so the smallest sizes here are 2
+    shape = LatticeShape(dims)
+    want = np.ravel_multi_index(tuple(((-shape.momenta()) % np.asarray(dims)).T), dims)
+    got = shape.negation_table
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+
+
 def test_half_zone_holds_one_momentum_per_pair():
     for dims in [(4, 5), (6,), (7,), (2, 3, 4)]:
         shape = LatticeShape(dims)

@@ -314,6 +314,24 @@ def test_asymmetry_matches_two_pass_reference(dims, spin, pairing, seed, factor,
             assert got.tobytes() == want.tobytes()
 
 
+def longdouble_energies(cs):
+    """Sorted energies of a pairing-free model at s <= 2 in long double, sharing no
+    code with ``spectrum``: ``A_k`` as a plane-wave sum over the table, then ``A_k``
+    itself at s = 1 and ``mean +- hypot((p - q)/2, |b|)`` at s = 2.  Where long
+    double is the x87 80-bit type, its rounding is about 2000 times below double's."""
+    shape, ld = cs.shape, np.longdouble
+    turns = (shape.momenta()[:, None] * cs.hop.offsets % shape.dims / np.asarray(shape.dims, ld)).sum(axis=2)
+    angle = 2 * np.arccos(ld(-1)) * turns  # (M, K)
+    a = np.einsum("mk,kij->mij", np.cos(angle) - 1j * np.sin(angle), cs.hop.mats.astype(np.clongdouble))
+    if shape.spin == 1:
+        branch = a[:, 0, :1].real
+    else:
+        mean, half = (a[:, 0, 0].real + a[:, 1, 1].real) / 2, (a[:, 0, 0].real - a[:, 1, 1].real) / 2
+        radius = np.hypot(half, np.abs(a[:, 1, 0]))
+        branch = np.stack([mean - radius, mean + radius], axis=1)
+    return np.sort(np.concatenate([branch, -branch[shape.negation_table]], axis=1), axis=1)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     dims=st.lists(st.integers(2, 6), min_size=1, max_size=3).map(tuple),
@@ -325,8 +343,10 @@ def test_asymmetry_matches_two_pass_reference(dims, spin, pairing, seed, factor,
 )
 @example(dims=(64,), spin=1, pairing=False, seed=0, factor=1.0, zero_at=16)
 def test_eigenvalue_route_matches_diagonalize(dims, spin, pairing, seed, factor, zero_at):
-    # spectrum() of a pairing-free model reads the spectra of the hopping kernel,
-    # the reference diagonalizes the BdG blocks; a pairing model's is its solution
+    # spectrum() of a pairing-free model reads the spectra of the hopping kernel; the
+    # reference is the long-double closed form at s <= 2, where the BdG eigh's own
+    # rounding can reach the bound, and the BdG blocks' eigh at s = 3; a pairing
+    # model's spectrum is its solution
     if zero_at is None:
         cs = drawn_model(dims, spin, pairing, seed, factor)
     else:
@@ -338,7 +358,8 @@ def test_eigenvalue_route_matches_diagonalize(dims, spin, pairing, seed, factor,
         assert isinstance(spec, BogoliubovSolution)
         assert np.array_equal(spec.u_energies, sol.u_energies) and np.array_equal(spec.u_rows, sol.u_rows)
     else:
-        assert np.abs(spec.energies - sol.energies).max() <= 1e-15 * np.abs(sol.u_energies).max()
+        want = longdouble_energies(cs) if spin <= 2 else sol.energies
+        assert np.abs(spec.energies - want).max() <= 1e-15 * np.abs(sol.u_energies).max()
     assert spec.zero_modes() == sol.zero_modes()
     assert rep.verdict == expected_verdict(sol.gap, invariant_map(sol), GAP_TOL, INV_TOL)
     assert abs(rep.gap - sol.gap) <= GAP_RTOL * np.abs(sol.u_energies).max()

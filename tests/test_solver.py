@@ -20,8 +20,8 @@ from quasifree import (
 )
 from quasifree import solver
 from quasifree.lattice import CouplingTable, fourier_circulant, inverse_fourier
-from quasifree.model import bdg_blocks, symmetrize
-from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, _eigvalsh, constraint_residuals
+from quasifree.model import CLOSURE_TOL, bdg_blocks, scaled, symmetrize, validate
+from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, _closed_form, constraint_residuals
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted, spinless_closed_form
 
@@ -187,9 +187,10 @@ def test_eigenvalue_route_refuses_a_lattice_beyond_physical_memory(monkeypatch):
     random_model(LatticeShape((128, 128), 2), reach=1, pairing=False, seed=0),
 ], ids=["p-model-chain", "hopping-128x128"])
 def test_eigenvalue_route_memory_per_momentum(cs):
-    # a pairing-free model forms no BdG blocks and no eigenvectors: the hopping
-    # kernel's FFT stages peak near 192 bytes per momentum at s = 2, where the
-    # eigh route through diagonalize peaks near 312
+    # a pairing-free model forms no BdG blocks, no eigenvectors and, at s = 2, no
+    # hopping kernel: the entry transforms and the count stages peak near 102 bytes
+    # per momentum (192 through the s x s kernel), where the eigh route through
+    # diagonalize peaks near 312
     verify_criticality(cs)  # warm-up: the shape's cached index tables
     tracemalloc.start()
     try:
@@ -202,33 +203,89 @@ def test_eigenvalue_route_memory_per_momentum(cs):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    n=st.integers(1, 3),
     count=st.integers(1, 16),
     kind=st.sampled_from(["hermitian", "diagonal", "identity", "zero"]),
     exponent=st.floats(-150, 150),
     seed=st.integers(0, 10_000),
 )
-@example(n=2, count=4, kind="zero", exponent=0.0, seed=0)
-def test_closed_form_eigenvalues_match_lapack(n, count, kind, exponent, seed):
-    # 2x2 stacks take the closed form, 1x1 and 3x3 LAPACK: ascending, a 1x1 block
-    # bit-equal to LAPACK, the others within 2e-15 of each block's largest |eigenvalue|
-    z = np.random.default_rng(seed).uniform(-1, 1, (2, count, n, n))
+@example(count=4, kind="zero", exponent=0.0, seed=0)
+def test_closed_form_eigenvalues_match_lapack(count, kind, exponent, seed):
+    # the 2x2 closed form over the diagonals and the lower entry's modulus: ascending,
+    # within 2e-15 of each block's largest |eigenvalue| from LAPACK
+    z = np.random.default_rng(seed).uniform(-1, 1, (2, count, 2, 2))
     a = z[0] + 1j * z[1]
     a = (a + np.conj(np.transpose(a, (0, 2, 1)))) / 2
     if kind == "diagonal":
-        a = a * np.eye(n)
+        a = a * np.eye(2)
     elif kind == "identity":
-        a = a[:, :1, :1].real * np.eye(n)
+        a = a[:, :1, :1].real * np.eye(2)
     elif kind == "zero":
         a = np.zeros_like(a)
     a = a * 10.0 ** exponent
-    got, want = _eigvalsh(a), np.linalg.eigvalsh(a)
+    got = _closed_form(a[:, 0, 0].real, a[:, 1, 1].real, np.abs(a[:, 1, 0]))
+    want = np.linalg.eigvalsh(a)
     assert got.shape == want.shape
     assert (np.diff(got, axis=1) >= 0).all()
-    if n == 1:
-        assert np.array_equal(got, want)
+    assert (np.abs(got - want) <= 2e-15 * np.abs(want).max(axis=1, keepdims=True)).all()
+
+
+def kernel_route(cs):
+    """The pairing-free spectrum from the full hopping kernel: ``eigvalsh`` of every
+    ``A_k``, and the partners ``-branch[-k]``."""
+    branch = np.linalg.eigvalsh(fourier_circulant(cs.hop, cs.shape))
+    return solver.Spectrum(cs.shape, np.concatenate([branch, -branch[cs.shape.negation_table]], axis=1),
+                           ZERO_MODE_TOL)
+
+
+def check_entry_route(cs):
+    """``spectrum`` at s <= 2 against the kernel route: energies within 2e-15 of the
+    largest |energy|, the counts and the zero modes identical.  The zero-mode band
+    is absolute, so where an energy lies within that bound of its edge, as a
+    constructed zero mode does at a large scale, rounding decides its side on
+    either route and the counts are not compared."""
+    got, want = solver.spectrum(cs), kernel_route(cs)
+    assert got.u_energies.shape == want.u_energies.shape
+    assert (np.diff(got.branch, axis=1) >= 0).all()
+    bound = 2e-15 * np.abs(want.u_energies).max()
+    assert np.abs(got.u_energies - want.u_energies).max() <= bound
+    if (np.abs(np.abs(want.u_energies) - ZERO_MODE_TOL) <= bound).any():
+        return
+    assert np.array_equal(got.imbalance, want.imbalance)
+    assert got.zero_modes() == want.zero_modes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.sampled_from([2, 3, 4, 5, 7]), min_size=1, max_size=3).map(tuple),
+    spin=st.integers(1, 2),
+    seed=st.integers(0, 10_000),
+    exponent=st.floats(-100, 100),
+    zero_at=st.one_of(st.none(), st.integers(0, 10_000)),
+)
+@example(dims=(64,), spin=2, seed=0, exponent=0.0, zero_at=None)
+@example(dims=(5, 2, 3), spin=1, seed=1, exponent=0.0, zero_at=7)
+def test_entry_transforms_match_the_kernel_route(dims, spin, seed, exponent, zero_at):
+    # the diagonal entries by irfftn and the (1, 0) entry by fftn give the spectra of
+    # the full kernel, on odd and even axes and over many decades of scale
+    if zero_at is None:
+        cs = random_model(LatticeShape(dims, spin), 1 if min(dims) > 2 else 0, False, seed)
     else:
-        assert (np.abs(got - want) <= 2e-15 * np.abs(want).max(axis=1, keepdims=True)).all()
+        cs = zero_mode_model(dims, spin, seed, False, zero_at)
+    check_entry_route(scaled(cs, 10.0 ** exponent))
+
+
+def test_entry_transforms_read_the_hermitian_part_of_a_nearly_closed_table():
+    # a table closed only within CLOSURE_TOL: an on-site diagonal with an imaginary
+    # part, and hop(-n) off hop(n)^dag, both below the tolerance; the diagonal's
+    # transform is the real part of the entry's, as LAPACK reads it from the kernel
+    shape = LatticeShape((5, 4), 2)
+    defect = 0.4 * CLOSURE_TOL  # an imaginary on-site entry misses its image by twice this
+    hop1 = np.array([[0.3 + 0.2j, -0.4], [0.1j, 0.25]])
+    hop = {(0, 0): np.diag([0.7 + defect * 1j, -0.2 - defect * 1j]), (1, 0): hop1,
+           (-1, 0): hop1.conj().T + defect, (0, 1): 0.5 * np.eye(2), (0, -1): 0.5 * np.eye(2) - defect * 1j}
+    cs = CouplingSet(shape, hop, {})
+    assert not validate(cs) and np.abs(symmetrize(shape, hop).hop.mats - cs.hop.mats).max() > 0
+    check_entry_route(cs)
 
 
 def test_quench_refuses_a_lattice_that_diagonalize_accepts(monkeypatch):
