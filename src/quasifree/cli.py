@@ -5,7 +5,7 @@ for ``--model --param --dims --spin``.
 
     spectrum    one-particle spectrum per momentum -> spectrum.csv
                 model, --zero-mode-tol
-    invariants  invariant map, gap, asymmetry, verdict -> invariants.csv, asymmetry.csv
+    invariants  invariant map, gap, unbalanced momenta, verdict -> invariants.csv, asymmetry.csv
                 model, --gap-tol --inv-tol --zero-mode-tol --offsets
     verify      randomized gapped-model sweep of the invariant criterion
                 --dims --spin --seed --gap-tol --inv-tol --zero-mode-tol --count --range
@@ -263,7 +263,7 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[list[str], int]:
     return [
         f"model dims={shape.dims} spin={shape.spin}",
         f"spectral gap: {_fmt(spec.gap)}",
-        f"zero modes (|energy| < {args.zero_mode_tol:g}): {len(spec.zero_modes())}",
+        f"zero modes (|energy| < {args.zero_mode_tol:g}): {spec.zero_modes}",
     ], 0
 
 
@@ -276,16 +276,15 @@ def cmd_invariants(args: argparse.Namespace) -> tuple[list[str], int]:
     wanted = _reduced_offsets(args.offsets, shape)
     _write_csv(args.out, "invariants.csv", _columns("n", shape.d) + ["invariant"],
                [*wanted.T, report.invariant[tuple(wanted.T)]])
-    momenta, band, m, p = report.asymmetry
-    _write_csv(args.out, "asymmetry.csv", _columns("k", shape.d) + ["band", "M", "P"],
-               [*momenta.T, band, m, p])
+    momenta, n_minus, imbalance = report.asymmetry
+    _write_csv(args.out, "asymmetry.csv", _columns("k", shape.d) + ["n_minus", "imbalance"],
+               [*momenta.T, n_minus, imbalance])
     return [
         f"model dims={shape.dims} spin={shape.spin}",
         f"spectral gap: {_fmt(report.gap)}",
         f"max |invariant|: {_fmt(report.max_abs_invariant)}",
-        f"asymmetric (momentum, band) entries: {len(band)}",
-        f"indeterminate entries: {len(report.indeterminate[1])}",
-        f"zero modes: {len(report.zero_modes)}",
+        f"asymmetric momenta: {len(n_minus)}",
+        f"zero modes: {report.zero_modes}",
         f"verdict: {report.verdict}",
     ], 0
 

@@ -6,16 +6,16 @@ The central quantity is the offset map
 
 the density of the conserved charge ``C_n = (i/2) sum_{m,j} (b+_{n+m} b_m - b+_m b_{m+n})``.
 It is the sine transform of the spin-traced occupation ``tr g_k``, whose odd part
-is a count: ``tr g_k - tr g_{-k} = n_-(k) + n_0(k)/2 - s``, with ``n_-`` the BdG
-energies below the zero-mode band and ``n_0`` the zero modes at ``k``
-(``Spectrum.imbalance``).  So the criticality checks read a ``solver.Spectrum``
-alone (for a pairing-free model the spectra of the s x s hopping kernel).  The
-invariant is unchanged by every translation-invariant Bogoliubov map and
-quench, and is nonzero only when the spectrum is sign-asymmetric under
-momentum negation, which forces a band through zero in the large-lattice
-limit.  A truly gapped model therefore
-carries an identically vanishing invariant even at finite size, and a nonzero
-invariant is a proof of a continuum zero crossing, whatever the gap on the grid.
+is a count: ``tr g_k - tr g_{-k} = n(k) - n(-k)``, with ``n`` the designated-branch
+energies below the zero-mode band plus half its zero modes (``Spectrum.imbalance``;
+``asymmetry_diagnostics`` lists the momenta where it is nonzero).  So the criticality
+checks read a ``solver.Spectrum`` alone (for a pairing-free model the spectra of the
+s x s hopping kernel).  The invariant is unchanged by every translation-invariant
+Bogoliubov map and quench, and is nonzero only when the spectrum is sign-asymmetric
+under momentum negation, which forces a band through zero in the large-lattice
+limit.  A truly gapped model therefore carries an identically vanishing invariant
+even at finite size, and a nonzero invariant is a proof of a continuum zero
+crossing, whatever the gap on the grid.
 
 Block entropies of a chain come from the correlation spectrum of the block.
 ``lattice.site_matrix`` gathers ``C_xy = <b+_x b_y>`` and ``F_xy = <b_x b_y>``
@@ -60,28 +60,14 @@ def invariant_map(state: Spectrum | CovarianceKernel) -> np.ndarray:
     return np.fft.ifftn(state.trace_kernel().reshape(state.shape.dims)).imag
 
 
-def asymmetry_diagnostics(
-    spec: Spectrum,
-) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Sign-asymmetry markers of the designated branch.
-
-    Returns ``((momenta, band, M, P), (momenta, band))``.  The first group lists
-    the (momentum, band) entries with ``|M| = 1``, ``M = (sgn L_k - sgn L_{-k})/2``
-    (``M`` takes only the values 0, +-1/2 and +-1); the second those whose
-    branch energy is too close to zero for a sign (a zero mode at ``k`` or ``-k``
-    makes every band at both so).  Momenta are ``(n, d)`` rows and the other arrays
-    have length ``n``; both groups run over momenta in flat order, bands ascending
-    within a momentum.
-    """
-    s = spec.shape.spin
-    sign = np.sign(spec.branch)
-    partner = np.take(sign, spec.shape.negation_table, axis=0)
-    # |M| = 1 exactly where the two signs are opposite; (flat index) // s is the momentum
-    i, j = np.divmod(np.flatnonzero((sign * partner < 0) & spec.coef_ok[:, None]), s)
-    sign, partner = sign[i, j], partner[i, j]
-    k, b = np.divmod(np.flatnonzero(np.repeat(~spec.coef_ok, s)), s)
-    grid = spec.shape.momenta()
-    return (grid[i], j, (sign - partner) / 2.0, (sign + partner) / 2.0), (grid[k], b)
+def asymmetry_diagnostics(spec: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The momenta whose counts are unbalanced, as ``(momenta, n_minus, imbalance)``:
+    momenta as ``(n, d)`` rows in flat order, ``n_minus`` the number of branch energies
+    at each below the zero-mode band, and ``imbalance`` its ``Spectrum.imbalance``."""
+    imbalance = spec.imbalance
+    k = np.flatnonzero(imbalance)
+    n_minus = np.count_nonzero(spec.branch[k] <= -spec.zero_mode_tol, axis=1)
+    return spec.shape.momenta()[k], n_minus, imbalance[k]
 
 
 @dataclass(frozen=True)
@@ -90,9 +76,8 @@ class InvariantReport:
 
     invariant: np.ndarray  # dims-shaped, indexed by reduced offset
     gap: float
-    asymmetry: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]  # momenta (n, d), band, M, P
-    indeterminate: tuple[np.ndarray, np.ndarray]  # momenta (n, d), band
-    zero_modes: tuple
+    asymmetry: tuple[np.ndarray, np.ndarray, np.ndarray]  # momenta (n, d), n_minus, imbalance
+    zero_modes: int
     verdict: str  # consistent-gapped | gapless-by-invariant | gapless-by-spectrum
 
     @property
@@ -122,9 +107,8 @@ def verify_criticality(
         verdict = "gapless-by-invariant"
     else:
         verdict = "consistent-gapped"
-    asym, indet = asymmetry_diagnostics(spec)
-    return InvariantReport(invariant=inv, gap=gap, asymmetry=asym, indeterminate=indet,
-                           zero_modes=tuple(spec.zero_modes()), verdict=verdict)
+    return InvariantReport(invariant=inv, gap=gap, asymmetry=asymmetry_diagnostics(spec),
+                           zero_modes=spec.zero_modes, verdict=verdict)
 
 
 @dataclass(frozen=True)

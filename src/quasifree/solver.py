@@ -7,9 +7,10 @@ data is organized in the particle-hole consistent layout
 
 whose first s columns are the designated-branch eigenvectors at ``k`` (energies
 ``branch[k]``) and whose last s columns are the particle-hole images
-``sx conj(.)`` of the designated eigenvectors at ``-k``.  The designated branch
-maximizes the particle weight ``|upper components|^2``, which keeps a
-number-conserving model's particle bands designated.
+``sx conj(.)`` of the designated eigenvectors at ``-k``, so their energies are
+``-branch[-k]``.  The designated branch maximizes the particle weight
+``|upper components|^2``, which keeps a number-conserving model's particle bands
+designated, at a zero mode too.
 
 The ground state is the Gaussian state with Nambu correlation block
 
@@ -30,10 +31,11 @@ Particle-hole symmetry ``sx H_k sx = -conj(H_{-k})`` makes the eigendata at
 ``-k`` the image of that at ``k``, so only the half-zone rows
 (``LatticeShape.half_zone``: the lead momenta, flat index below that of ``-k``,
 and the self-conjugate ones) are diagonalized.  A solution stores ``U_k`` on
-those rows only, with the energies on the full grid; ``U_{-k} = sx conj(U_k) sx``
-is derived on demand, and ``ground_covariance`` reads the stored rows alone.
-What follows from the energies alone lives on ``Spectrum``, of which a solution
-is one; ``spectrum`` forms no BdG block for a pairing-free model, whose designated
+those rows only, with the designated branch on the full grid; ``U_{-k} = sx
+conj(U_k) sx`` is derived on demand, and ``ground_covariance`` reads the stored
+rows alone.  What follows from the branch alone (the partner energies, the gap,
+the zero modes and the counts) lives on ``Spectrum``, of which a solution is one;
+``spectrum`` forms no BdG block for a pairing-free model, whose designated
 branch is the spectrum of the hopping kernel ``A_k``: at s <= 2 from the transforms of
 the entries it reads, the diagonal's real ones by ``irfftn`` (``_hopping_bands``), at
 s >= 3 by LAPACK's ``eigvalsh``.  An eigensolver result that is not finite, as from a
@@ -113,54 +115,57 @@ def _resolve_clusters(lam: np.ndarray, vecs: np.ndarray, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Full-grid energies of one Hamiltonian in the column layout of the module
-    docstring (designated branch, then partners), and all that follows from them:
-    ``energies``, ``branch``, ``coef_ok`` (momenta free of zero modes, where the
-    designation is canonical), ``gap``, ``imbalance`` and ``zero_modes()``."""
+    """The designated branch of one Hamiltonian, ``branch`` (M, s) ascending per momentum,
+    and all that follows from it: the column layout ``u_energies`` (the branch, then the
+    partners ``-branch[-k]``), ``energies``, ``coef_ok`` (no zero mode at ``k`` or ``-k``:
+    the designation is canonical), ``gap``, ``imbalance`` and ``zero_modes``."""
 
     shape: LatticeShape
-    u_energies: np.ndarray  # (M, 2s)
+    branch: np.ndarray  # (M, s)
     zero_mode_tol: float
+
+    def _paired(self, rows) -> np.ndarray:
+        """Energies in the column layout at ``rows``: the branch, then the partners ``-branch[-k]``."""
+        return np.concatenate([self.branch[rows], -self.branch[self.shape.negation_table[rows]]], axis=1)
+
+    @property
+    def u_energies(self) -> np.ndarray:
+        """Energies in the column layout of the module docstring, shape (M, 2s)."""
+        return self._paired(slice(None))
 
     @property
     def energies(self) -> np.ndarray:
         """One-particle energies per momentum in ascending order, shape (M, 2s)."""
         return np.sort(self.u_energies, axis=1)
 
-    @property
-    def branch(self) -> np.ndarray:
-        """Designated one-particle energies ``u_energies[:, :s]``, shape (M, s)."""
-        return self.u_energies[:, :self.shape.spin]
-
     @cached_property
     def _zero(self) -> np.ndarray:
-        """(M, 2s) bool: ``_is_zero`` of ``u_energies``."""
-        return _is_zero(self.u_energies, self.zero_mode_tol)
+        """(M, s) bool: ``_is_zero`` of ``branch``."""
+        return _is_zero(self.branch, self.zero_mode_tol)
 
     @cached_property
     def coef_ok(self) -> np.ndarray:
-        """(M,) bool: the block at this momentum has no zero mode."""
-        ok = np.ones(len(self.u_energies), dtype=bool)
-        ok[np.flatnonzero(self._zero) // self._zero.shape[1]] = False  # any(axis=1) pays per row
-        return ok
+        """(M,) bool: no zero mode in the branch at ``k`` or at ``-k``, so none in the block."""
+        zero = np.zeros(len(self.branch), dtype=bool)
+        zero[np.flatnonzero(self._zero) // self.shape.spin] = True  # any(axis=1) pays per row
+        return ~(zero | zero[self.shape.negation_table])
 
     @property
     def gap(self) -> float:
-        return float(np.abs(self.u_energies).min())
+        return float(np.abs(self.branch).min())
 
     @property
     def imbalance(self) -> np.ndarray:
-        """(M,) ``n_-(k) + n_0(k)/2 - s`` over the energies below the zero-mode band and
-        the zero modes: ``tr g_k - tr g_{-k}`` of the ground state."""
-        return np.sum(np.where(self._zero, 0.5, self.u_energies < 0), axis=1) - self.shape.spin
+        """(M,) ``n(k) - n(-k)``, ``n`` the branch energies below the zero-mode band plus half
+        its zero modes: ``tr g_k - tr g_{-k}`` of the ground state."""
+        n = np.sum(np.where(self._zero, 0.5, self.branch < 0), axis=1)
+        n -= n[self.shape.negation_table]  # in place: the right side is a copy
+        return n
 
-    def zero_modes(self) -> list[tuple[tuple[int, ...], int]]:
-        """(momentum tuple, slot in ``energies``) for every zero mode; only the rows
-        with a zero mode are sorted."""
-        rows = np.flatnonzero(~self.coef_ok)
-        order = np.argsort(self.u_energies[rows], axis=1)
-        hits = np.argwhere(np.take_along_axis(self._zero[rows], order, axis=1))
-        return [(tuple(int(c) for c in self.shape.momenta()[rows[i]]), int(a)) for i, a in hits]
+    @property
+    def zero_modes(self) -> int:
+        """The number of zero modes on the grid, partners included: twice the branch's."""
+        return 2 * int(np.count_nonzero(self._zero))
 
 
 @dataclass(frozen=True)
@@ -266,13 +271,10 @@ def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
     return np.concatenate([by(lam, top[:, :s]), by(-lam, np.sort(top[:, s:], axis=1))], axis=1)
 
 
-def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, zero_mode_tol: float, i: int):
-    """Layout ``(U_k, energies)`` of a self-conjugate momentum, whose partner columns
-    live in its own block; ``i`` is its flat index, for the error message."""
+def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, i: int):
+    """Layout ``(U_k, branch)`` of a self-conjugate momentum free of zero modes, whose
+    partner columns live in its own block; ``i`` is its flat index, for the error message."""
     vecs = _resolve_clusters(lam, vecs, s)
-    if _is_zero(lam, zero_mode_tol).any():
-        zero_cols = np.r_[s:2 * s, s - 1:-1:-1]
-        return vecs[:, zero_cols], lam[zero_cols]
     pos = np.nonzero(lam > 0)[0]
     if len(pos) != s:
         raise np.linalg.LinAlgError(
@@ -286,28 +288,28 @@ def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, zero_mode_tol: fl
     # factor of [d, image] is unitary and keeps the image structure
     x, _, yh = np.linalg.svd(np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1))
     d = (x @ yh)[:, :s]
-    return np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1), np.concatenate([e[order], -e[order]])
+    return np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1), e[order]
 
 
 def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> BogoliubovSolution:
     """Hermitian eigendecomposition of the half-zone BdG blocks plus branch designation.
 
     Each pair ``(k, -k)`` is diagonalized and designated at its lower flat index,
-    whose eigenbasis is the only one stored; the partner's energies are the
-    particle-hole image.  The self-conjugate momenta (at most ``2^d``) go one by one.
-    Raises ``ValueError`` before any per-momentum allocation when the pipeline
-    would not fit in physical memory.
+    whose eigenbasis is the only one stored; the partner's branch is the negated
+    rest of the row.  A self-conjugate momentum (at most ``2^d``) free of zero modes
+    goes alone, so that its rest is the exact image of its branch; one with a zero
+    mode is designated with the batch.  Raises ``ValueError`` before any
+    per-momentum allocation when the pipeline would not fit in physical memory.
     """
     shape = c.shape
     s = shape.spin
     # the peak comes in ground_covariance, per momentum: the stored basis (half the
     # momenta, (2s)^2 complex: 32 s^2 bytes) and the kernels g and f (32 s^2), the
-    # full-grid energies and their sorted copy (32 s), the half-zone energies,
-    # weights and masks (33 s), and the negation, half-zone and momentum tables
-    # (at most 48 bytes); diagonalize peaks lower, at blocks plus eigenvectors
-    # (64 s^2)
+    # branch (8 s), the half-zone energies, weights, masks and temporaries (40 s), and
+    # the index tables (at most 48): 110 and 344 bytes beside the tables at s = 1 and 2;
+    # diagonalize peaks lower, at blocks plus eigenvectors (64 s^2) and energies
     _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
-                  shape.n_sites * (64 * s * s + 65 * s + 48))
+                  shape.n_sites * (64 * s * s + 48 * s + 48))
     rows = shape.half_zone
     neg = shape.negation_table[rows]
     # a block that overflows gives a non-finite energy, which _solve refuses by momentum
@@ -317,8 +319,8 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     del blocks
 
     # the self-conjugate rows read the raw eigenpairs, which the batch below overwrites
-    special = [(r, _self_conjugate(energies[r], vectors[r], s, zero_mode_tol, rows[r]))
-               for r in np.flatnonzero(rows == neg)]
+    special = [(r, _self_conjugate(energies[r], vectors[r], s, rows[r]))
+               for r in np.flatnonzero((rows == neg) & ~_is_zero(energies, zero_mode_tol).any(axis=1))]
     scale = np.maximum(1.0, np.abs(energies).max(axis=1))
     for r in np.nonzero((~(np.diff(energies, axis=1) > CLUSTER_RTOL * scale[:, None])).any(axis=1))[0]:
         _resolve_clusters(energies[r], vectors[r], s)
@@ -326,34 +328,33 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     vectors[:] = np.take_along_axis(vectors, cols[:, None, :], axis=2)
     energies = np.take_along_axis(energies, cols, axis=1)
 
-    u_energies = np.empty((shape.n_sites, 2 * s))
-    u_energies[neg] = -np.roll(energies, s, axis=1)  # partner energies: halves swapped
-    u_energies[rows] = energies
+    branch = np.empty((shape.n_sites, s))
+    branch[neg] = -energies[:, s:]  # the partner's branch: the rest, whose images it designates
+    branch[rows] = energies[:, :s]
     for r, (u, e) in special:
-        vectors[r], u_energies[rows[r]] = u, e
-    return BogoliubovSolution(shape=shape, u_rows=vectors, u_energies=u_energies, zero_mode_tol=zero_mode_tol)
+        vectors[r], branch[rows[r]] = u, e
+    return BogoliubovSolution(shape=shape, branch=branch, zero_mode_tol=zero_mode_tol, u_rows=vectors)
 
 
 def spectrum(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Spectrum:
     """The energies of ``c``, without the eigenbasis where it can be skipped.  A
     pairing model's is its ``diagonalize`` solution.  Without pairing
-    ``H_k = A_k + (-A_{-k}^T)``: the branch is the spectrum of ``A_k`` (ascending)
-    and the partner half ``-branch[-k]`` (descending).  Raises ``ValueError``
-    before any per-momentum allocation when it would not fit.
+    ``H_k = A_k + (-A_{-k}^T)``: the branch is the spectrum of ``A_k`` (ascending).
+    Raises ``ValueError`` before any per-momentum allocation when it would not fit.
     """
     if c.pair:
         return diagonalize(c, zero_mode_tol=zero_mode_tol)
     shape, s = c.shape, c.shape.spin
     # per momentum: the hopping kernel's offset grid and two FFT stages (48 s^2), or at s <= 2
     # ``_hopping_bands``'s half grids, transforms and closed form (40 s: 32 and 80 bytes measured),
-    # then the energies, branch, count weights, signs and asymmetry markers (at most 64 s:
-    # 113 bytes measured at s = 1 with every entry marked) and the index tables (48)
+    # then beside the branch (8 s) the counts, the invariant's transform and the asymmetry table
+    # (48: 41 to 44 bytes measured at s = 1 to 4) and the index tables (48)
     _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
-                  shape.n_sites * ((48 * s * s if s > 2 else 40 * s) + 64 * s + 48))
+                  shape.n_sites * ((48 * s * s if s > 2 else 40 * s) + 8 * s + 96))
     with np.errstate(over="ignore", invalid="ignore"):  # as in diagonalize
         branch = (_finite(_hopping_bands(c), shape, range(shape.n_sites)) if s <= 2 else
                   _solve(np.linalg.eigvalsh, fourier_circulant(c.hop, shape), shape, range(shape.n_sites)))
-    return Spectrum(shape, np.concatenate([branch, -branch[shape.negation_table]], axis=1), zero_mode_tol)
+    return Spectrum(shape, branch, zero_mode_tol)
 
 
 def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:
@@ -388,12 +389,12 @@ def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:
 @dataclass(frozen=True)
 class CovarianceKernel:
     """Gaussian state of the lattice: occupation kernel ``g``, pairing kernel ``f``,
-    and the zero modes (momentum, eigenvalue slot) filled with weight 1/2."""
+    and the number of zero modes, filled with weight 1/2."""
 
     shape: LatticeShape
     g: np.ndarray  # (M, s, s)
     f: np.ndarray  # (M, s, s)
-    zero_modes: tuple[tuple[tuple[int, ...], int], ...] = ()
+    zero_modes: int = 0
 
     def gamma(self) -> np.ndarray:
         """Nambu blocks ``[[1 - g_k^T, f_k], [f_k^dag, g_{-k}]]`` (a projector when pure)."""
@@ -414,7 +415,7 @@ class CovarianceKernel:
 def ground_covariance(sol: BogoliubovSolution) -> CovarianceKernel:
     """Exact ground-state kernels from the positive-energy spectral projector.
 
-    Zero modes are occupied with weight 1/2 and listed in ``zero_modes``;
+    Zero modes are occupied with weight 1/2 and counted in ``zero_modes``;
     everything else is filled by energy sign.  Only the stored half-zone basis is
     read: at a row ``k`` the projector ``U_k W U_k^dag`` gives ``g_{-k}`` and
     ``f_k``, and the partner's projector, the conjugate of the same product over
@@ -425,7 +426,7 @@ def ground_covariance(sol: BogoliubovSolution) -> CovarianceKernel:
     shape, s = sol.shape, sol.shape.spin
     rows = shape.half_zone
     neg = shape.negation_table[rows]
-    lam = sol.u_energies[rows]
+    lam = sol._paired(rows)
     zero = _is_zero(lam, sol.zero_mode_tol)
     weight = np.where(zero, 0.5, lam > 0)
     partner = np.roll(np.where(zero, 0.5, lam < 0), s, axis=1)
@@ -442,7 +443,7 @@ def ground_covariance(sol: BogoliubovSolution) -> CovarianceKernel:
         # a self-conjugate row is its own partner: its direct projector overwrites it
         gamma = projector(sol.u_rows[part], weight[part])
         g[neg[part]], f[rows[part]] = gamma[:, s:, s:], gamma[:, :s, s:]
-    return CovarianceKernel(shape=shape, g=g, f=f, zero_modes=tuple(sol.zero_modes()))
+    return CovarianceKernel(shape=shape, g=g, f=f, zero_modes=sol.zero_modes)
 
 
 def covariance_from_coefficients(sol: BogoliubovSolution) -> CovarianceKernel:
@@ -475,7 +476,7 @@ def covariance_from_coefficients(sol: BogoliubovSolution) -> CovarianceKernel:
     bb = (w_m * (s1 + s2) + w_p * (s1 - s2)).sum(axis=1)
     bdag_b = (w_m * np.conj(z1 + z2) - w_p * np.conj(z1 - z2)).sum(axis=1)
 
-    return CovarianceKernel(shape=sol.shape, g=0.5 * bdag_b[neg], f=0.5 * bb, zero_modes=())
+    return CovarianceKernel(shape=sol.shape, g=0.5 * bdag_b[neg], f=0.5 * bb)
 
 
 @dataclass(frozen=True)
@@ -504,7 +505,7 @@ def _conjugate(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKernel:
     s = cov.shape.spin
     gamma = w @ cov.gamma() @ np.conj(np.transpose(w, (0, 2, 1)))
     return CovarianceKernel(shape=cov.shape, g=gamma[cov.shape.negation_table, s:, s:],
-                            f=gamma[:, :s, s:].copy(), zero_modes=tuple(cov.zero_modes))
+                            f=gamma[:, :s, s:].copy(), zero_modes=cov.zero_modes)
 
 
 def _propagator(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:

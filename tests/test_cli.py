@@ -192,7 +192,7 @@ def test_invariants_p_model(tmp_path, capsys):
     assert float(rows[0][1]) == 0.0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == "verdict: consistent-gapped"
-    assert (tmp_path / "asymmetry.csv").read_text().strip() == "k_1,band,M,P"
+    assert (tmp_path / "asymmetry.csv").read_text() == "k_1,n_minus,imbalance\n"
 
 
 def test_invariants_twisted_chain(tmp_path, capsys):
@@ -206,8 +206,13 @@ def test_invariants_twisted_chain(tmp_path, capsys):
     assert abs(float(rows[1][1])) > 0.1
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == "verdict: gapless-by-spectrum"
-    _, asym = read_csv(tmp_path / "asymmetry.csv")
-    assert len(asym) == 62  # every non-self-conjugate momentum carries |M| = 1
+    header, asym = read_csv(tmp_path / "asymmetry.csv")
+    assert header == ["k_1", "n_minus", "imbalance"]
+    # band sin(k): every momentum but the self-conjugate ones is unbalanced, by -1 on
+    # the first half of the zone, whose branch lies above zero, and by +1 on the second
+    assert [int(r[0]) for r in asym] == [k for k in range(1, 64) if k != 32]
+    assert [(r[1], r[2]) for r in asym] == [("0", "-1")] * 31 + [("1", "1")] * 31
+    assert "asymmetric momenta: 62" in out
 
 
 def test_invariants_offsets_on_two_dimensional_lattice(tmp_path):

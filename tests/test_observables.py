@@ -21,7 +21,7 @@ from quasifree import (
     verify_criticality,
 )
 from quasifree.lattice import CouplingTable
-from quasifree.model import scaled, slope_bound
+from quasifree.model import bdg_blocks, scaled, slope_bound
 from quasifree.observables import (
     GAP_TOL,
     INV_TOL,
@@ -32,7 +32,7 @@ from quasifree.observables import (
     asymmetry_diagnostics,
     gapped_model_survey,
 )
-from quasifree.solver import BogoliubovSolution, CovarianceKernel
+from quasifree.solver import ZERO_MODE_TOL, BogoliubovSolution, CovarianceKernel
 
 from conftest import make_p_model, make_twisted
 from test_solver import zero_mode_model
@@ -91,27 +91,27 @@ def test_spectral_gap_examples(p_model_64, twisted_critical_64):
 
 
 def test_asymmetry_empty_for_symmetric_gapped_model(p_model_64):
-    (momenta, band, m, p), (indet, indet_band) = asymmetry_diagnostics(diagonalize(p_model_64))
-    assert momenta.shape == (0, 1) and indet.shape == (0, 1)
-    assert band.size == m.size == p.size == indet_band.size == 0
+    momenta, n_minus, imbalance = asymmetry_diagnostics(diagonalize(p_model_64))
+    assert momenta.shape == (0, 1) and n_minus.size == imbalance.size == 0
 
 
 def test_asymmetry_sign_pattern_of_quarter_twist():
     n = 16
     sol = diagonalize(make_twisted(n, np.pi / 2))
-    (momenta, band, m, _), (indet, _) = asymmetry_diagnostics(sol)
+    momenta, n_minus, imbalance = asymmetry_diagnostics(sol)
     k = np.array([k for k in range(1, n) if k != n // 2])
-    assert np.array_equal(momenta[:, 0], k) and not band.any()
-    assert np.array_equal(m, np.where(k < n // 2, 1.0, -1.0))  # sign of sin(2 pi k / n)
-    # band zeros sit at the self-conjugate momenta and are flagged indeterminate
-    assert np.array_equal(np.unique(indet[:, 0]), [0, n // 2])
+    assert np.array_equal(momenta[:, 0], k)
+    assert np.array_equal(imbalance, np.where(k < n // 2, -1.0, 1.0))  # -sign of sin(2 pi k / n)
+    assert np.array_equal(n_minus, (k > n // 2).astype(int))
+    # band zeros sit at the self-conjugate momenta: balanced, and flagged by coef_ok
+    assert np.array_equal(np.flatnonzero(~sol.coef_ok), [0, n // 2])
 
 
 def test_asymmetry_zero_at_self_conjugate_momenta():
     for seed in range(6):
         cs = random_model(LatticeShape((12,), 2), reach=2, pairing=True, seed=seed)
         sol = diagonalize(cs)
-        (momenta, *_), _ = asymmetry_diagnostics(sol)
+        momenta, *_ = asymmetry_diagnostics(sol)
         flat = np.ravel_multi_index(tuple(momenta.T), cs.shape.dims)
         assert not (cs.shape.negation_table == np.arange(cs.shape.n_sites))[flat].any()
 
@@ -120,11 +120,11 @@ def test_asymmetry_zero_at_self_conjugate_momenta():
 def test_asymmetry_indeterminate_follows_zero_mode_rule(onsite):
     # |E| equal to the default zero-mode tolerance is not a zero mode, so its sign counts
     sol = diagonalize(CouplingSet(LatticeShape((8,)), {(0,): [[onsite]]}, {}))
-    _, (indet, _) = asymmetry_diagnostics(sol)
+    momenta, *_ = asymmetry_diagnostics(sol)
     zero = onsite < sol.zero_mode_tol
-    assert len(sol.zero_modes()) == (16 if zero else 0)
-    assert sol.coef_ok.all() != zero
-    assert len(indet) == (8 if zero else 0)
+    assert sol.zero_modes == (16 if zero else 0)
+    assert np.array_equal(sol.coef_ok, np.full(8, not zero))
+    assert len(momenta) == 0 and not sol.imbalance.any()
 
 
 def test_verify_consistent_gapped(p_model_64):
@@ -140,7 +140,7 @@ def test_verify_twisted_chain_fires_both_sides(twisted_critical_64):
     rep = verify_criticality(twisted_critical_64)
     assert rep.verdict == "gapless-by-spectrum"
     assert rep.max_abs_invariant > 0.1
-    assert len(rep.zero_modes) == 4
+    assert rep.zero_modes == 4
 
 
 def sign_asymmetric_bait(n):
@@ -261,31 +261,26 @@ def test_solution_invariant_matches_covariance_invariant(dims, spin, pairing, se
     assert np.abs(invariant_map(sol) - invariant_map(ground_covariance(sol))).max() < 1e-14
 
 
-def full_sort_zero_modes(sol):
-    """Zero modes as (momentum, slot) from the whole sorted energy grid."""
-    hits = np.argwhere(np.abs(np.sort(sol.u_energies, axis=1)) < sol.zero_mode_tol)
-    return [(tuple(int(c) for c in sol.shape.momenta()[i]), int(a)) for i, a in hits]
-
-
 @pytest.mark.parametrize("cs, zero_modes", [
     (make_twisted(64, np.pi / 2), 4),
     # every slot of this pairing chain falls in the zero-mode band
     (scaled(random_model(LatticeShape((64,), 2), 2, True, 3), 1e-10), 256),
-    # a zero mode stored ahead of negative energies: its slot is not its column
+    # a zero mode of a pairing model, designated beside negative energies
     (zero_mode_model((6, 5), 2, seed=3, pairing=True, flat=7), 2),
 ], ids=["quarter-twist", "scaled-into-band", "pairing-6x5"])
 def test_solution_invariant_with_zero_modes(cs, zero_modes):
     sol = diagonalize(cs)
-    assert len(sol.zero_modes()) == zero_modes
-    assert sol.zero_modes() == full_sort_zero_modes(sol)
-    assert verify_criticality(cs).zero_modes == tuple(full_sort_zero_modes(sol))
+    zero = np.abs(np.linalg.eigvalsh(bdg_blocks(cs))) < sol.zero_mode_tol
+    assert sol.zero_modes == zero_modes == np.count_nonzero(zero)
+    assert verify_criticality(cs).zero_modes == zero_modes
+    assert np.array_equal(~sol.coef_ok, zero.any(axis=1))
     assert np.abs(invariant_map(sol) - invariant_map(ground_covariance(sol))).max() < 1e-14
 
 
 def old_asymmetry_diagnostics(spec):
-    """``asymmetry_diagnostics`` as written with M and P over the whole grid and the
-    indeterminate rows from a second mask; ``test_asymmetry_matches_two_pass_reference``
-    pins to it."""
+    """The per-band markers that ``asymmetry_diagnostics`` once returned, with M and P
+    over the whole grid and the indeterminate rows from a second mask;
+    ``test_asymmetry_matches_two_pass_reference`` rebuilds them from the table."""
     branch, neg = spec.branch, spec.shape.negation_table
     m = (np.sign(branch) - np.sign(branch[neg])) / 2.0
     p = (np.sign(branch) + np.sign(branch[neg])) / 2.0
@@ -301,17 +296,55 @@ def old_asymmetry_diagnostics(spec):
 @example(dims=(64,), spin=1, pairing=False, seed=0, factor=1.0, zero_at=16)
 @example(dims=(6, 5), spin=2, pairing=True, seed=3, factor=1.0, zero_at=7)
 def test_asymmetry_matches_two_pass_reference(dims, spin, pairing, seed, factor, zero_at):
-    # the markers read from one sign pass are the old arrays, bit for bit and dtype
-    # for dtype, the indeterminate rows at zero-mode momenta included
+    # the table (k, n_minus, imbalance) loses nothing: on the momenta free of zero modes
+    # the old markers are M = -sign(imbalance) and P = 0 on the bands between n_minus(-k)
+    # and n_minus(k), and the old indeterminate rows are every band where coef_ok fails;
+    # rebuilt so, they are the old arrays bit for bit and dtype for dtype
     if zero_at is None:
         cs = drawn_model(dims, spin, pairing, seed, factor)
     else:
         cs = scaled(zero_mode_model(dims, spin, seed, pairing, zero_at), factor)
     for spec in (spectrum(cs), diagonalize(cs)):
-        (asym, indet), (old_asym, old_indet) = asymmetry_diagnostics(spec), old_asymmetry_diagnostics(spec)
-        for got, want in zip(asym + indet, old_asym + old_indet):
+        shape, s = spec.shape, spec.shape.spin
+        momenta, n_minus, imbalance = asymmetry_diagnostics(spec)
+        flat = np.ravel_multi_index(tuple(momenta.T), shape.dims)
+        assert (np.diff(flat) > 0).all() and imbalance.all()
+        counted = dict(zip(flat.tolist(), n_minus.tolist()))
+        rows = [(k, j, -np.sign(imb)) for k, imb in zip(flat.tolist(), imbalance)
+                if spec.coef_ok[k] for j in range(*sorted((counted[k], counted[shape.negation_table[k]])))]
+        k, j, m = (np.array([r[i] for r in rows], dtype=d) for i, d in enumerate((np.intp, np.intp, float)))
+        grid = shape.momenta()
+        indet = np.flatnonzero(np.repeat(~spec.coef_ok, s))
+        rebuilt = (grid[k], j, m, np.zeros(len(rows))), (grid[indet // s], indet % s)
+        old_asym, old_indet = old_asymmetry_diagnostics(spec)
+        for got, want in zip(rebuilt[0] + rebuilt[1], old_asym + old_indet):
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(**model_draws, zero_at=st.one_of(st.none(), st.integers(0, 10_000)))
+@example(dims=(64,), spin=1, pairing=False, seed=0, factor=1.0, zero_at=16)
+@example(dims=(6, 5), spin=2, pairing=True, seed=3, factor=1.0, zero_at=7)
+@example(dims=(4,), spin=3, pairing=False, seed=1, factor=1.0, zero_at=2)
+def test_counts_match_a_designation_free_reference(dims, spin, pairing, seed, factor, zero_at):
+    # the imbalance, the zero-mode count and the gap read off the branch are those of a
+    # direct count over every BdG eigenvalue, each |E| < tol a zero mode worth 1/2; a
+    # draw with an energy within rounding of the band edge, where rounding decides its
+    # side, has its counts skipped, as in check_entry_route
+    if zero_at is None:
+        cs = drawn_model(dims, spin, pairing, seed, factor)
+    else:
+        cs = scaled(zero_mode_model(dims, spin, seed, pairing, zero_at), factor)
+    lam = np.linalg.eigvalsh(bdg_blocks(cs))
+    scale = np.abs(lam).max()
+    zero = np.abs(lam) < ZERO_MODE_TOL
+    for spec in (spectrum(cs), diagonalize(cs)):
+        assert abs(spec.gap - np.abs(lam).min()) <= GAP_RTOL * scale
+        if (np.abs(np.abs(lam) - ZERO_MODE_TOL) <= 2e-15 * scale).any():
+            continue
+        assert np.array_equal(spec.imbalance, np.sum(np.where(zero, 0.5, lam < 0), axis=1) - spin)
+        assert spec.zero_modes == np.count_nonzero(zero)
 
 
 def longdouble_energies(cs):
@@ -356,18 +389,17 @@ def test_eigenvalue_route_matches_diagonalize(dims, spin, pairing, seed, factor,
     spec = spectrum(cs)
     if cs.pair:
         assert isinstance(spec, BogoliubovSolution)
-        assert np.array_equal(spec.u_energies, sol.u_energies) and np.array_equal(spec.u_rows, sol.u_rows)
+        assert np.array_equal(spec.branch, sol.branch) and np.array_equal(spec.u_rows, sol.u_rows)
     else:
         want = longdouble_energies(cs) if spin <= 2 else sol.energies
         assert np.abs(spec.energies - want).max() <= 1e-15 * np.abs(sol.u_energies).max()
-    assert spec.zero_modes() == sol.zero_modes()
+    assert spec.zero_modes == sol.zero_modes
     assert rep.verdict == expected_verdict(sol.gap, invariant_map(sol), GAP_TOL, INV_TOL)
     assert abs(rep.gap - sol.gap) <= GAP_RTOL * np.abs(sol.u_energies).max()
     assert np.array_equal(rep.invariant, invariant_map(sol))
-    (momenta, band, m, p), indet = asymmetry_diagnostics(sol)
-    for got, want in zip(rep.asymmetry + rep.indeterminate, (momenta, band, m, p) + indet):
+    for got, want in zip(rep.asymmetry, asymmetry_diagnostics(sol)):
         assert np.array_equal(got, want)
-    assert rep.zero_modes == tuple(sol.zero_modes())
+    assert rep.zero_modes == sol.zero_modes
 
 
 @settings(max_examples=60, deadline=None)

@@ -63,15 +63,16 @@ def check_layout(sol, blocks):
     eye = np.eye(2 * s)
     assert np.abs(sol.u @ np.conj(np.transpose(sol.u, (0, 2, 1))) - eye).max() < 1e-12
     # U_{-k} is the particle-hole image of U_k: halves swapped and conjugated.  Only
-    # a self-conjugate momentum with a zero mode is exempt (its layout is by slot).
+    # a self-conjugate momentum with a zero mode is exempt (its rest columns are its
+    # own eigenvectors).
     ph = sol.coef_ok | (sol.shape.negation_table != np.arange(sol.shape.n_sites))
     swap = np.r_[s:2 * s, 0:s]
     image = sol.u[neg][:, swap][:, :, swap].conj()
     assert np.array_equal(sol.u[ph], image[ph])
     assert np.array_equal(sol.u_energies[ph], -sol.u_energies[neg][:, swap][ph])
-    # the designated columns carry the s largest particle weights
+    # the designated columns carry the s largest particle weights, at every momentum
     weight = np.sum(np.abs(sol.u[:, :s, :]) ** 2, axis=1)
-    assert (weight[ph, :s].min(axis=1) >= weight[ph, s:].max(axis=1) - 1e-12).all()
+    assert (weight[:, :s].min(axis=1) >= weight[:, s:].max(axis=1) - 1e-12).all()
     assert (np.diff(sol.branch, axis=1) >= 0).all()
 
 
@@ -154,9 +155,9 @@ def test_diagonalize_layout_zero_modes(twisted_critical_64):
     assert not sol.coef_ok[self_conjugate].any()
     assert (np.diff(sol.energies, axis=1) < 1e-12).all()
     check_layout(sol, bdg_blocks(twisted_critical_64))
-    # number conserving: the designated columns are the particle states
-    ph = sol.coef_ok | ~self_conjugate
-    assert np.abs(np.abs(sol.u[ph, 0, 0]) - 1).max() < 1e-12
+    # number conserving: the designated columns are the particle states, at the zero
+    # modes too
+    assert np.abs(np.abs(sol.u[:, 0, 0]) - 1).max() < 1e-12
 
 
 def test_diagonalize_refuses_a_lattice_beyond_physical_memory(monkeypatch):
@@ -188,9 +189,9 @@ def test_eigenvalue_route_refuses_a_lattice_beyond_physical_memory(monkeypatch):
 ], ids=["p-model-chain", "hopping-128x128"])
 def test_eigenvalue_route_memory_per_momentum(cs):
     # a pairing-free model forms no BdG blocks, no eigenvectors and, at s = 2, no
-    # hopping kernel: the entry transforms and the count stages peak near 102 bytes
-    # per momentum (192 through the s x s kernel), where the eigh route through
-    # diagonalize peaks near 312
+    # hopping kernel: the entry transforms and the count stages peak near 80 bytes
+    # per momentum (128 and 192 through the s x s kernel), where the eigh route
+    # through diagonalize peaks near 312
     verify_criticality(cs)  # warm-up: the shape's cached index tables
     tracemalloc.start()
     try:
@@ -230,28 +231,26 @@ def test_closed_form_eigenvalues_match_lapack(count, kind, exponent, seed):
 
 
 def kernel_route(cs):
-    """The pairing-free spectrum from the full hopping kernel: ``eigvalsh`` of every
-    ``A_k``, and the partners ``-branch[-k]``."""
-    branch = np.linalg.eigvalsh(fourier_circulant(cs.hop, cs.shape))
-    return solver.Spectrum(cs.shape, np.concatenate([branch, -branch[cs.shape.negation_table]], axis=1),
-                           ZERO_MODE_TOL)
+    """The pairing-free spectrum from the full hopping kernel: ``eigvalsh`` of every ``A_k``."""
+    return solver.Spectrum(cs.shape, np.linalg.eigvalsh(fourier_circulant(cs.hop, cs.shape)), ZERO_MODE_TOL)
 
 
 def check_entry_route(cs):
     """``spectrum`` at s <= 2 against the kernel route: energies within 2e-15 of the
-    largest |energy|, the counts and the zero modes identical.  The zero-mode band
+    largest |energy|, the counts, the zero modes and their momenta identical.  The zero-mode band
     is absolute, so where an energy lies within that bound of its edge, as a
     constructed zero mode does at a large scale, rounding decides its side on
     either route and the counts are not compared."""
     got, want = solver.spectrum(cs), kernel_route(cs)
-    assert got.u_energies.shape == want.u_energies.shape
+    assert got.branch.shape == want.branch.shape
     assert (np.diff(got.branch, axis=1) >= 0).all()
-    bound = 2e-15 * np.abs(want.u_energies).max()
-    assert np.abs(got.u_energies - want.u_energies).max() <= bound
-    if (np.abs(np.abs(want.u_energies) - ZERO_MODE_TOL) <= bound).any():
+    bound = 2e-15 * np.abs(want.branch).max()
+    assert np.abs(got.branch - want.branch).max() <= bound
+    if (np.abs(np.abs(want.branch) - ZERO_MODE_TOL) <= bound).any():
         return
     assert np.array_equal(got.imbalance, want.imbalance)
-    assert got.zero_modes() == want.zero_modes()
+    assert got.zero_modes == want.zero_modes
+    assert np.array_equal(got.coef_ok, want.coef_ok)
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,10 +332,11 @@ def test_anticommutation_and_completeness_constraints():
 
 
 def test_zero_mode_blocks_are_flagged(twisted_critical_64):
+    # both slots of (0,) and of (32,) are zero modes, and no other
     sol = diagonalize(twisted_critical_64)
-    zeros = sol.zero_modes()
-    assert ((0,), 0) in zeros and ((0,), 1) in zeros
-    assert not sol.coef_ok[0]
+    assert sol.zero_modes == 4
+    assert np.abs(sol.u_energies[0]).max() < sol.zero_mode_tol
+    assert np.array_equal(np.flatnonzero(~sol.coef_ok), [0, 32])
 
 
 def test_spinless_closed_form_pure_hopping():
@@ -396,7 +396,7 @@ def test_ground_covariance_p_model(p_model_64):
     occ = np.linalg.eigvalsh(cov.g)
     assert np.abs(occ - np.array([0.0, 1.0])).max() < 1e-12
     assert np.abs(cov.f).max() < 1e-13
-    assert cov.zero_modes == ()
+    assert cov.zero_modes == 0
 
 
 def test_covariance_invariants_on_random_models():
@@ -420,7 +420,7 @@ def test_covariance_invariants_on_random_models():
 def test_zero_modes_get_half_occupation(twisted_critical_64):
     cov = ground_covariance(diagonalize(twisted_critical_64))
     assert cov.g[0, 0, 0] == pytest.approx(0.5, abs=1e-12)
-    assert len(cov.zero_modes) == 4
+    assert cov.zero_modes == 4
 
 
 def full_zone_projector(cs, tol=ZERO_MODE_TOL):
@@ -467,16 +467,39 @@ def test_ground_covariance_matches_full_zone_projector(dims, spin, pairing, seed
         cs = zero_mode_model(dims, spin, seed, pairing, zero_at)
     sol = diagonalize(cs)
     if zero_at is not None:
-        assert sol.zero_modes()
+        assert sol.zero_modes
     gamma = ground_covariance(sol).gamma()
     assert np.abs(gamma - full_zone_projector(cs)).max() < 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 9)),
+        st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+    ),
+    spin=st.integers(2, 3),
+    seed=st.integers(0, 10_000),
+    zero_at=st.integers(0, 10_000),
+)
+@example(dims=(4,), spin=2, seed=0, zero_at=0)
+@example(dims=(6,), spin=3, seed=1, zero_at=3)
+def test_zero_mode_designates_the_particle_bands(dims, spin, seed, zero_at):
+    # without pairing the particle bands are the spectrum of A_k at every momentum, a
+    # self-conjugate one with a zero mode included, where the particle and hole
+    # eigenvalues of a cluster at zero are resolved by weight
+    cs = zero_mode_model(dims, spin, seed, False, zero_at)
+    want = np.linalg.eigvalsh(fourier_circulant(cs.hop, cs.shape))
+    got = diagonalize(cs).branch
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_ground_covariance_chunks_match_one_pass(monkeypatch):
     # 16 half-zone rows in chunks of 5, the last one ragged, with zero modes
     cs = zero_mode_model((6, 5), 2, seed=3, pairing=True, flat=7)
     sol = diagonalize(cs)
-    assert sol.zero_modes()
+    assert sol.zero_modes
     whole = ground_covariance(sol)
     monkeypatch.setattr("quasifree.solver._COVARIANCE_CHUNK", 5)
     chunked = ground_covariance(sol)
