@@ -66,8 +66,7 @@ def asymmetry_diagnostics(spec: Spectrum) -> tuple[np.ndarray, np.ndarray, np.nd
     at each below the zero-mode band, and ``imbalance`` its ``Spectrum.imbalance``."""
     imbalance = spec.imbalance
     k = np.flatnonzero(imbalance)
-    n_minus = np.count_nonzero(spec.branch[k] <= -spec.zero_mode_tol, axis=1)
-    return spec.shape.momenta()[k], n_minus, imbalance[k]
+    return spec.shape.momenta()[k], spec.n_minus(k), imbalance[k]
 
 
 @dataclass(frozen=True)

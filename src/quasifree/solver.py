@@ -162,6 +162,10 @@ class Spectrum:
         n -= n[self.shape.negation_table]  # in place: the right side is a copy
         return n
 
+    def n_minus(self, rows) -> np.ndarray:
+        """The number of branch energies below the zero-mode band at each of ``rows``."""
+        return np.count_nonzero((self.branch[rows] < 0) & ~self._zero[rows], axis=1)
+
     @property
     def zero_modes(self) -> int:
         """The number of zero modes on the grid, partners included: twice the branch's."""
@@ -277,9 +281,7 @@ def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, i: int):
     vecs = _resolve_clusters(lam, vecs, s)
     pos = np.nonzero(lam > 0)[0]
     if len(pos) != s:
-        raise np.linalg.LinAlgError(
-            f"self-conjugate block lost its +- eigenvalue pairing at flat index {i}"
-        )
+        raise np.linalg.LinAlgError(f"self-conjugate block lost its +- eigenvalue pairing at flat index {i}")
     flip = np.sum(np.abs(vecs[:s, pos]) ** 2, axis=0) < 0.5
     e = np.where(flip, -lam[pos], lam[pos])
     order = np.argsort(e, kind="stable")
@@ -319,8 +321,9 @@ def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Bogoliu
     del blocks
 
     # the self-conjugate rows read the raw eigenpairs, which the batch below overwrites
+    sc = np.flatnonzero(rows == neg)
     special = [(r, _self_conjugate(energies[r], vectors[r], s, rows[r]))
-               for r in np.flatnonzero((rows == neg) & ~_is_zero(energies, zero_mode_tol).any(axis=1))]
+               for r in sc[~_is_zero(energies[sc], zero_mode_tol).any(axis=1)]]
     scale = np.maximum(1.0, np.abs(energies).max(axis=1))
     for r in np.nonzero((~(np.diff(energies, axis=1) > CLUSTER_RTOL * scale[:, None])).any(axis=1))[0]:
         _resolve_clusters(energies[r], vectors[r], s)
@@ -372,8 +375,7 @@ def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:
     at = np.transpose(a, (0, 2, 1))
     bt = np.transpose(b, (0, 2, 1))
     ah = at.conj()
-    ant = np.transpose(an, (0, 2, 1))
-    bnt = np.transpose(bn, (0, 2, 1))
+    ant, bnt = np.transpose(an, (0, 2, 1)), np.transpose(bn, (0, 2, 1))
     return {
         "anticommutation": float(np.abs(a @ bnt + b @ ant).max()),
         "normalization": float(np.abs(a @ np.conj(at) + b @ np.conj(bt) - eye).max()),

@@ -274,6 +274,7 @@ def test_solution_invariant_with_zero_modes(cs, zero_modes):
     assert sol.zero_modes == zero_modes == np.count_nonzero(zero)
     assert verify_criticality(cs).zero_modes == zero_modes
     assert np.array_equal(~sol.coef_ok, zero.any(axis=1))
+    assert np.array_equal(spectrum(cs).coef_ok, sol.coef_ok)
     assert np.abs(invariant_map(sol) - invariant_map(ground_covariance(sol))).max() < 1e-14
 
 
@@ -393,7 +394,7 @@ def test_eigenvalue_route_matches_diagonalize(dims, spin, pairing, seed, factor,
     else:
         want = longdouble_energies(cs) if spin <= 2 else sol.energies
         assert np.abs(spec.energies - want).max() <= 1e-15 * np.abs(sol.u_energies).max()
-    assert spec.zero_modes == sol.zero_modes
+    assert spec.zero_modes == sol.zero_modes and np.array_equal(spec.coef_ok, sol.coef_ok)
     assert rep.verdict == expected_verdict(sol.gap, invariant_map(sol), GAP_TOL, INV_TOL)
     assert abs(rep.gap - sol.gap) <= GAP_RTOL * np.abs(sol.u_energies).max()
     assert np.array_equal(rep.invariant, invariant_map(sol))
