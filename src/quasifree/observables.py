@@ -5,16 +5,17 @@ The central quantity is the offset map
     invariant(n) = Im sum_j <b^{j dag}_m b^j_{m+n}>,
 
 the density of the conserved charge ``C_n = (i/2) sum_{m,j} (b+_{n+m} b_m - b+_m b_{m+n})``.
-It is the sine transform of the spin-traced occupation ``tr g_k``, whose odd part
-is a count: ``tr g_k - tr g_{-k} = n(k) - n(-k)``, with ``n`` the designated-branch
-energies below the zero-mode band plus half its zero modes (``Spectrum.imbalance``;
-``asymmetry_diagnostics`` lists the momenta where it is nonzero).  So the criticality
-checks read a ``solver.Spectrum`` alone (for a pairing-free model the spectra of the
-s x s hopping kernel).  The invariant is unchanged by every translation-invariant
-Bogoliubov map and quench, and is nonzero only when the spectrum is sign-asymmetric
-under momentum negation, which forces a band through zero in the large-lattice
-limit.  A truly gapped model therefore carries an identically vanishing invariant
-even at finite size, and a nonzero invariant is a proof of a continuum zero
+It is the sine transform of the spin-traced occupation ``tr g_k``, so only the odd
+part enters, a real array taken by one real-output ``irfftn``.  That part is a count:
+``tr g_k - tr g_{-k} = n(k) - n(-k)``, with ``n`` the designated-branch energies below
+the zero-mode band plus half its zero modes (``Spectrum.imbalance``, computed once per
+spectrum; ``asymmetry_diagnostics`` lists the momenta where it is nonzero).  So the
+criticality checks read a ``solver.Spectrum`` alone (for a pairing-free model the
+spectra of the s x s hopping kernel).  The invariant is unchanged by every
+translation-invariant Bogoliubov map and quench, and is nonzero only when the spectrum
+is sign-asymmetric under momentum negation, which forces a band through zero in the
+large-lattice limit.  A truly gapped model therefore carries an identically vanishing
+invariant even at finite size, and a nonzero invariant is a proof of a continuum zero
 crossing, whatever the gap on the grid.
 
 Block entropies of a chain come from the correlation spectrum of the block.
@@ -52,12 +53,17 @@ SURVEY_GAP_TOL = 0.1  # above sum_i pi/N_i for N >= 32 in 1-D at unit band slope
 
 
 def invariant_map(state: Spectrum | CovarianceKernel) -> np.ndarray:
-    """The invariant at every offset (a ``dims``-shaped array indexed by the reduced
-    offset): the sine transform of a spectrum's ``(tr g_k - tr g_{-k})/2``, read off
-    its counts, or of a kernel's ``tr g_k``."""
+    """The invariant at every offset, a real ``dims``-shaped array indexed by the reduced offset:
+    the sine transform of the odd part ``(tr g_k - tr g_{-k})/2``, read off a spectrum's counts or
+    a kernel's trace, as one ``irfftn`` of ``-i`` times its half grid, its own Hermitian extension."""
+    shape = state.shape
     if isinstance(state, Spectrum):
-        return np.fft.ifftn(0.5 * state.imbalance.reshape(state.shape.dims)).imag
-    return np.fft.ifftn(state.trace_kernel().reshape(state.shape.dims)).imag
+        odd = 0.5 * state.imbalance
+    else:
+        t = state.trace_kernel()
+        odd = (t - t[shape.negation_table]) / 2
+    half = odd.reshape(shape.dims)[..., :shape.dims[-1] // 2 + 1]
+    return np.fft.irfftn(-1j * half, s=shape.dims, axes=tuple(range(shape.d)))
 
 
 def asymmetry_diagnostics(spec: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -154,11 +154,11 @@ class Spectrum:
     def gap(self) -> float:
         return float(np.abs(self.branch).min())
 
-    @property
+    @cached_property
     def imbalance(self) -> np.ndarray:
         """(M,) ``n(k) - n(-k)``, ``n`` the branch energies below the zero-mode band plus half
         its zero modes: ``tr g_k - tr g_{-k}`` of the ground state."""
-        n = np.sum(np.where(self._zero, 0.5, self.branch < 0), axis=1)
+        n = np.where(self._zero, 0.5, self.branch < 0).dot(np.ones(self.shape.spin))  # halves: exact
         n -= n[self.shape.negation_table]  # in place: the right side is a copy
         return n
 
@@ -257,8 +257,8 @@ def _solve(solver, blocks: np.ndarray, shape: LatticeShape, flat: Sequence[int])
 def _finite(out, shape: LatticeShape, flat: Sequence[int]):
     """``out`` (arrays over ``flat``), or a ``LinAlgError`` naming its first non-finite momentum."""
     for part in out if isinstance(out, tuple) else (out,):
-        finite = np.isfinite(part).reshape(len(part), -1).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(part).all():  # the per-row scan only names the momentum
+            finite = np.isfinite(part).reshape(len(part), -1).all(axis=1)
             k = _momentum(shape, flat[int(np.argmin(finite))])
             raise np.linalg.LinAlgError(f"eigensolver gave a non-finite result at momentum {k}: "
                                         "its block overflows, or the solver failed")
@@ -351,7 +351,7 @@ def spectrum(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> Spectrum:
     # per momentum: the hopping kernel's offset grid and two FFT stages (48 s^2), or at s <= 2
     # ``_hopping_bands``'s half grids, transforms and closed form (40 s: 32 and 80 bytes measured),
     # then beside the branch (8 s) the counts, the invariant's transform and the asymmetry table
-    # (48: 41 to 44 bytes measured at s = 1 to 4) and the index tables (48)
+    # (48: 34 to 44 bytes measured at s = 1 to 4) and the index tables (48)
     _check_memory(f"a lattice of {shape.n_sites} momenta at spin {s}",
                   shape.n_sites * ((48 * s * s if s > 2 else 40 * s) + 8 * s + 96))
     with np.errstate(over="ignore", invalid="ignore"):  # as in diagonalize

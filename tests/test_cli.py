@@ -20,6 +20,7 @@ from quasifree import (
     save_model,
 )
 from quasifree.cli import CSV_CHUNK, FLOAT_FMT, _build_parser, _write_csv, main
+from quasifree.model import symmetrize
 from quasifree.oracle import build_fock_hamiltonian, exact_ground_correlators
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_p_model, make_twisted
@@ -193,6 +194,28 @@ def test_invariants_p_model(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == "verdict: consistent-gapped"
     assert (tmp_path / "asymmetry.csv").read_text() == "k_1,n_minus,imbalance\n"
+
+
+@pytest.mark.parametrize("model", ["p-model", "pairing-8x6"])
+def test_balanced_counts_write_unsigned_zeros(tmp_path, capsys, model):
+    # balanced counts transform to exactly 0 at every offset, written "0", never "-0";
+    # the 8x6 model's hopping is even and its pairing odd, so n(k) = n(-k) while the
+    # branch takes both signs
+    if model == "p-model":
+        args = ["--model", "p-model", "--param", "p=2", "--dims", "64"]
+    else:
+        shape = LatticeShape((8, 6), 1)
+        cs = symmetrize(shape, {(0, 0): [[1.0]], (1, 0): [[-1.0]], (0, 1): [[-1.0]]},
+                        {(1, 0): [[0.5]], (0, 1): [[0.5j]]})
+        sol = diagonalize(cs)
+        assert sol.gap > 0.1 and (sol.branch < 0).any()
+        save_model(cs, tmp_path / "m.json")
+        args = ["--model", str(tmp_path / "m.json")]
+    assert run(["invariants", *args, "--out", str(tmp_path / "out")]) == 0
+    header, rows = read_csv(tmp_path / "out" / "invariants.csv")
+    assert len(rows) == (64 if model == "p-model" else 48)
+    assert [r[-1] for r in rows] == ["0"] * len(rows)
+    assert "max |invariant|: 0" in capsys.readouterr().out.splitlines()
 
 
 def test_invariants_twisted_chain(tmp_path, capsys):

@@ -278,6 +278,35 @@ def test_solution_invariant_with_zero_modes(cs, zero_modes):
     assert np.abs(invariant_map(sol) - invariant_map(ground_covariance(sol))).max() < 1e-14
 
 
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(2, 7), min_size=1, max_size=3).map(tuple), spin=st.integers(1, 2),
+       pairing=st.booleans(), seed=st.integers(0, 10_000),
+       zero_at=st.one_of(st.none(), st.integers(0, 10_000)))
+@example(dims=(64,), spin=1, pairing=False, seed=0, zero_at=16)
+@example(dims=(5, 4, 3), spin=2, pairing=True, seed=1, zero_at=None)
+def test_invariant_map_matches_plane_wave_sum(dims, spin, pairing, seed, zero_at):
+    # (1/N) sum_k sin(k.n) x_k over the spectrum's x = imbalance/2 and the kernel's
+    # x = tr g_k, one offset per row; the counts are cached, and sum the halves as a
+    # sum along the axis does, bit for bit
+    if zero_at is None:
+        cs = drawn_model(dims, spin, pairing, seed, 1.0)
+    else:
+        cs = zero_mode_model(dims, spin, seed, pairing, zero_at)
+    shape, sol = cs.shape, diagonalize(cs)
+    grid = shape.momenta()
+    turns = (grid[:, None, :] * grid[None, :, :] % shape.dims / np.asarray(shape.dims)).sum(axis=2)
+    sine = np.sin(2 * np.pi * turns) / shape.n_sites  # [offset, momentum]
+    for spec in (spectrum(cs), sol):
+        n = np.sum(np.where(spec._zero, 0.5, spec.branch < 0), axis=1)
+        assert spec.imbalance is spec.imbalance
+        assert spec.imbalance.tobytes() == (n - n[shape.negation_table]).tobytes()
+        got = invariant_map(spec)
+        assert got.dtype == float and got.shape == shape.dims
+        assert np.abs(got.ravel() - sine @ (0.5 * spec.imbalance)).max() <= 1e-14
+    cov = ground_covariance(sol)
+    assert np.abs(invariant_map(cov).ravel() - sine @ cov.trace_kernel()).max() <= 1e-14
+
+
 def old_asymmetry_diagnostics(spec):
     """The per-band markers that ``asymmetry_diagnostics`` once returned, with M and P
     over the whole grid and the indeterminate rows from a second mask;
