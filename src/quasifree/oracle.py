@@ -30,17 +30,17 @@ assembly fault.  ``exact_ground_correlators`` solves a dense ``h`` by its two
 parity sectors alone.  Every block's spectrum comes from ``eigvalsh``, and
 ``eigh`` runs only on the blocks that hold ground levels; their lowest columns,
 normalized, are lifted back to the occupation basis by a phased scatter over
-each orbit.  The energy is the Rayleigh quotient ``v^dag h v`` of the first
-ground vector, with ``h v`` formed from the translated representative columns.
+each orbit.  The energy of the first ground vector is the couplings contracted
+with its correlators, or ``v^dag h v`` where ``h`` is given.
 
 Fock spaces are capped at 14 modes, and each step checks physical memory
 before it allocates, each estimate plus the 64 MiB of ``solver._check_memory``:
 ``build_fock_hamiltonian`` counts ``h``, 16 bytes per entry; the sectors 16
-bytes per entry of every charge group's column slab, the group's rows by its
-orbit representatives, and 48 per entry of each group's gathered blocks, to
-which ``exact_ground_correlators`` adds ``h``.  A degenerate ground space has
-no canonical single-vector correlators, so ``compare_with_quasifree`` refuses
-it.
+bytes per entry of every group's blocks and, for one group at a time, of its
+column slab (the group's rows by its orbit representatives) and twice its
+blocks, to which ``exact_ground_correlators`` adds ``h``.  A degenerate ground
+space has no canonical single-vector correlators, so ``compare_with_quasifree``
+refuses it.
 """
 
 from __future__ import annotations
@@ -212,10 +212,16 @@ def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) ->
     invariant.
     """
     _check_cap(c.shape.n_modes)
-    terms = _terms(c.hop, c.shape), _terms(c.pair, c.shape)
+    terms = (i, j, hop), (p, q, pair) = _terms(c.hop, c.shape), _terms(c.pair, c.shape)
+
+    def energy(v, bdag_b, bb):
+        # <h> is each term's coefficient times its correlator; a pairing term and its
+        # conjugate add up to the real part of pair <b+_p b+_q> = pair conj(<b_q b_p>)
+        return float((hop @ bdag_b[i, j] + pair @ bb[q, p].conj()).real)
+
     return _ground_state(lambda reps, rows: _fock_columns(c, reps, rows, terms),
                          *_translations(c.shape.n_modes, c.shape.dims), c.shape.dims, degeneracy_tol,
-                         number=not len(c.pair))
+                         number=not len(c.pair), energy=energy)
 
 
 def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
@@ -226,8 +232,8 @@ def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_T
     one, so degeneracy is judged relative to the full spectral width and a
     ground space may span several sectors.  Each sector that holds ground levels
     gives its lowest columns of ``eigh``, normalized.  The energy is the
-    Rayleigh quotient of the first ground vector.  For a degenerate ground
-    space the correlators of a single arbitrary vector are not canonical.
+    Rayleigh quotient ``v^dag h v`` of the first ground vector.  For a degenerate
+    ground space the correlators of a single arbitrary vector are not canonical.
 
     Raises ``ValueError`` when ``h`` couples the parity sectors or when the
     sectors cannot fit in physical memory, and ``LinAlgError`` when the
@@ -240,36 +246,39 @@ def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_T
         return h[np.ix_(np.nonzero(rows >= 0)[0], reps)]
 
     return _ground_state(columns, *_translations(n_modes, ()), (), degeneracy_tol, number=False,
-                         held=h.nbytes)
+                         energy=lambda v, bdag_b, bb: float(np.vdot(v, h @ v).real), held=h.nbytes)
 
 
 def _ground_state(
-    columns: Callable[[np.ndarray], np.ndarray],
+    columns: Callable[[np.ndarray, np.ndarray], np.ndarray],
     targets: np.ndarray,
     signs: np.ndarray,
     group: tuple[int, ...],
     degeneracy_tol: float,
     number: bool,
+    energy: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
     held: int = 0,
 ) -> ExactGroundState:
     """The ground state from the sectors of the translation ``group`` within each
     charge group (particle number if ``number``, else fermion parity), given
     ``columns(reps, rows)``, the slab ``h[states, reps]`` of a group's ``states``
     whose index table (``_group_rows``) is ``rows``; ``columns`` raises when ``h``
-    couples the group to another, and ``held`` bytes are already allocated."""
+    couples the group to another, ``energy(v, bdag_b, bb)`` is ``<v|h|v>`` of the first
+    ground vector and its correlators, and ``held`` bytes are already allocated."""
     dim = targets.shape[1]
     n_modes = dim.bit_length() - 1
     groups = _charge_groups(n_modes, number)
     reps = [states[targets[:, states].min(axis=0) == states] for states in groups]
-    # every group's column slab, kept for the energy, and per group the gathered
-    # blocks, the FFT's output and the kept-state copies
+    # every group's sector blocks, and beside them one group at a time its column
+    # slab, freed with the group, and its gathered blocks and the FFT's output
+    blocks = [16 * len(targets) * len(r) ** 2 for r in reps]
     _check_memory(f"the sectors of a {dim}-state Fock space",
-                  held + sum(16 * len(states) * len(r) + 48 * len(targets) * len(r) ** 2
-                             for states, r in zip(groups, reps)))
+                  held + sum(blocks) + max(16 * len(states) * len(r) + 2 * b
+                                           for states, r, b in zip(groups, reps, blocks)))
     sectors = []
     for states, r in zip(groups, reps):
         rows = _group_rows(states, dim)
-        sectors += _momentum_sectors(columns(r, rows), r, states, rows, targets, signs, group)
+        sectors += _momentum_sectors(columns(r, rows), r, rows, targets, signs, group)
     spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
     merged = np.concatenate(spectra)
     order = np.argsort(merged, kind="stable")
@@ -292,11 +301,10 @@ def _ground_state(
         lifted = np.zeros((dim, y.shape[1]), dtype=complex)
         np.add.at(lifted, targets[:, sector.reps].ravel(), (sector.coef[..., None] * y).reshape(-1, y.shape[1]))
         vectors[:, cols] = lifted
-        if i == owner[0]:
-            hv = _apply_hamiltonian(sector, y[:, 0], targets, signs)
-    bdag_b, bb = correlators_from_vector(np.ascontiguousarray(vectors[:, 0]), n_modes)
+    v = np.ascontiguousarray(vectors[:, 0])
+    bdag_b, bb = correlators_from_vector(v, n_modes)
     return ExactGroundState(
-        energy=float(np.vdot(vectors[:, 0], hv).real),
+        energy=energy(v, bdag_b, bb),
         gap_above=gap_above,
         degenerate=deg_dim > 1,
         degeneracy_dim=deg_dim,
@@ -359,19 +367,14 @@ def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.
 
 class _Sector(NamedTuple):
     """One (charge, momentum) sector: the block of ``h`` over the orthonormal states
-    ``|r, K> = sum_g coef[g, r] |T_g r>``, one per kept representative ``r``, and
-    the charge group's column slab ``cols`` on the group's ``states``, whose
-    columns ``keep`` are at ``reps``."""
+    ``|r, K> = sum_g coef[g, r] |T_g r>``, one per kept representative ``r``."""
 
     block: np.ndarray
     reps: np.ndarray    # (n,)
     coef: np.ndarray    # (group order, n)
-    cols: np.ndarray    # (states, representatives of the charge group)
-    keep: np.ndarray    # (n,)
-    states: np.ndarray  # (states,)
 
 
-def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, states: np.ndarray, rows: np.ndarray,
+def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, rows: np.ndarray,
                       targets, signs, group) -> list[_Sector]:
     """The nonempty crystal-momentum sectors of one charge group, from the columns
     ``cols = h[states, reps]`` at its orbit representatives on the group's
@@ -403,6 +406,7 @@ def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, states: np.ndarray, ro
     # every entry of cols is gathered below, each state of the group being T_g r
     scale = float(np.abs(cols).max(initial=0.0))
     gathered = cols[rows[t]]  # gathered[g, r, r'] = h[T_g r, r']
+    del cols  # every entry is gathered: the slab can go before the FFT
     worst = _translation_residual(gathered, s, minus)
     if worst >= 1e-12 * max(1.0, scale):
         raise np.linalg.LinAlgError(f"assembled Fock Hamiltonian is not Hermitian and translation "
@@ -419,7 +423,7 @@ def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, states: np.ndarray, ro
         keep = np.nonzero(keep)[0]
         if len(keep):
             coef = phase[:, None] * (s * weight)[:, keep] / np.sqrt(n_g)
-            sectors.append(_Sector(block[keep[:, None], keep], reps[keep], coef, cols, keep, states))
+            sectors.append(_Sector(block[keep[:, None], keep], reps[keep], coef))
     return sectors
 
 
@@ -437,22 +441,6 @@ def _translation_residual(gathered: np.ndarray, s: np.ndarray, minus: np.ndarray
     np.conjugate(partner, out=partner)
     partner -= gathered[:half]
     return float(np.abs(partner).max(initial=0.0))
-
-
-def _apply_hamiltonian(sector: _Sector, y: np.ndarray, targets, signs) -> np.ndarray:
-    """``h v`` for the lifted sector vector ``v = sum_r y_r |r, K>``, over every
-    basis state.
-
-    ``h |T_g r> = sign_g(r) T_g h |r>``, so ``h v`` is ``sum_g T_g (cols @ a_g)`` with
-    ``a_g[r] = coef[g, r] sign_g(r) y_r``, from the columns at the representatives,
-    whose rows are the charge group's states.
-    """
-    amp = np.zeros((sector.cols.shape[1], len(targets)), dtype=complex)
-    amp[sector.keep] = (sector.coef * signs[:, sector.reps] * y).T
-    hv = np.zeros(targets.shape[1], dtype=complex)
-    for t, s, col in zip(targets[:, sector.states], signs[:, sector.states], (sector.cols @ amp).T):
-        hv[t] += s * col
-    return hv
 
 
 class ComparisonResult(NamedTuple):

@@ -544,13 +544,12 @@ def evolve_quench(
 
 
 def ground_energy(c: CouplingSet) -> float:
-    """Ground energy of the normal-ordered Hamiltonian.
+    """Ground energy of the normal-ordered Hamiltonian, from the designated branch.
 
-    The half-sum of negative BdG eigenvalues is the ground energy of the
-    symmetrized (Nambu) form, which sits ``-(1/2) sum_k tr A_k`` below the
-    normal-ordered one; the constant is restored here so the value is directly
-    comparable with brute-force Fock diagonalization.
-    """
-    lam = np.linalg.eigvalsh(bdg_blocks(c))
-    trace_a = np.trace(fourier_circulant(c.hop, c.shape), axis1=1, axis2=2).real.sum()
-    return float(lam[lam < 0].sum() / 2.0 + trace_a / 2.0)
+    Each BdG block's spectrum is ``branch[k]`` and ``-branch[-k]``, so the negative
+    energies over the grid sum to ``-sum |branch|``, and half of that is the ground
+    energy of the symmetrized (Nambu) form, ``(1/2) sum_k tr A_k = (N/2) tr hop(0)``
+    below the normal-ordered one, which is restored for comparison with Fock
+    diagonalization.  Raises as ``spectrum``."""
+    onsite = np.trace(c.hop.mats[0]).real if len(c.hop) and not c.hop.offsets[0].any() else 0.0
+    return float((c.shape.n_sites * onsite - np.abs(spectrum(c).branch).sum()) / 2)

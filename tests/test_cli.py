@@ -439,13 +439,14 @@ def test_oracle_command_rejects_build_beyond_physical_memory(tmp_path, monkeypat
 
 def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatch, capsys):
     # 10 modes, 4^10 entries of h, each estimate plus 64 MiB: the command never
-    # forms h and counts its column slabs, 16 bytes per entry of each particle
-    # number's C(10, N) rows by its orbit representatives, 208 in all, and its
-    # blocks, 48 bytes per entry of 5 x 52^2 at the largest, 5 particles, about
-    # 2.4 MB in all; the dense build is counted 16 bytes per entry of h and the
-    # parity-sector ground state of h 48 (h, each parity's quarter of h, blocks);
-    # this machine fits the command and the build, but not the dense ground state
-    monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(100 << 20))
+    # forms h and counts its blocks, 16 bytes per entry of 5 x 52^2 at the largest,
+    # 5 particles, and beside them one particle number's column slab, 16 bytes per
+    # entry of its C(10, N) rows by its orbit representatives, and twice its blocks,
+    # about 1.2 MB in all; the dense build is counted 16 bytes per entry of h and the
+    # parity-sector ground state of h 36 MiB (h, each parity's quarter-of-h block,
+    # one parity's quarter-of-h slab and twice its block); this machine fits the
+    # command and the build, but not the dense ground state
+    monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(96 << 20))
     code = run(["oracle", "--model", "p-model", "--param", "p=2", "--dims", "5", "--out", str(tmp_path)])
     assert code == 0
     assert "agreement: PASS" in capsys.readouterr().out
@@ -455,20 +456,22 @@ def test_oracle_command_fits_where_time_evolution_would_not(tmp_path, monkeypatc
 
 
 def test_oracle_memory_estimate_counts_group_rows(tmp_path, monkeypatch, capsys):
-    # the 12-mode p-model's sectors, plus 64 MiB: per particle number N, 16 bytes
-    # per entry of its C(12, N) rows by its orbit representatives and 48 per entry
-    # of the gathered blocks of the 6 translations, about 30 MB; full-height slabs
-    # of 2^12 rows would ask about 39 MB more, and a machine just above the
-    # estimate runs the command
+    # the 12-mode p-model's sectors, plus 64 MiB: 16 bytes per entry of the blocks
+    # of the 6 translations of every particle number N, and beside them, for one N
+    # at a time, 16 per entry of its C(12, N) rows by its orbit representatives and
+    # twice its blocks, about 15 MB; a full-height slab of 2^12 rows would ask about
+    # 8 MB more, and a machine just above the estimate runs the command
     import quasifree.oracle as oracle
 
     targets, _ = oracle._translations(12, (6,))
     particles = np.array([bin(x).count("1") for x in range(1 << 12)])
-    need = 64 << 20
+    blocks, current = [], []
     for n in range(13):
         group = np.nonzero(particles == n)[0]
         reps = np.count_nonzero(targets[:, group].min(axis=0) == group)
-        need += 16 * len(group) * reps + 48 * 6 * reps**2
+        blocks.append(16 * 6 * reps**2)
+        current.append(16 * len(group) * reps + 2 * blocks[-1])
+    need = (64 << 20) + sum(blocks) + max(current)
     args = ["oracle", "--model", "p-model", "--param", "p=2", "--dims", "6", "--out"]
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(need - 1))
     assert run(args + [str(tmp_path / "short")]) == 2

@@ -34,6 +34,15 @@ def all_offsets(shape):
     return [tuple(int(v) for v in n) for n in np.ndindex(*shape.dims)]
 
 
+def every_offset_model(shape, pairing, seed):
+    """Random couplings at every lattice offset, so 2-site axes get bonds too: real
+    and imaginary parts uniform on [-1, 1], hopping drawn first, closure-projected."""
+    rng = np.random.default_rng(seed)
+    s = shape.spin
+    draw = lambda: {n: rng.uniform(-1, 1, (s, s)) + 1j * rng.uniform(-1, 1, (s, s)) for n in all_offsets(shape)}
+    return symmetrize(shape, draw(), draw() if pairing else {})
+
+
 def invariant_from_correlators(bdag_b, shape):
     """Site-averaged ``Im sum_j <b+_m b_{m+n}>`` from Fock correlators, a ``dims``-shaped
     array indexed by the reduced offset ``n``: an independent reference for the
@@ -427,10 +436,7 @@ def test_parity_sectors_match_full_diagonalization(data, spin, pairing, seed):
     dims = data.draw(st.one_of(st.tuples(st.integers(2, 8 // spin)),
                                st.tuples(st.integers(2, 4 // spin), st.just(2))))
     shape = LatticeShape(dims, spin)
-    rng = np.random.default_rng(seed)
-    draw = lambda: {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
-                    for n in all_offsets(shape)}
-    cs = symmetrize(shape, draw(), draw() if pairing else {})
+    cs = every_offset_model(shape, pairing, seed)
     h = build_fock_hamiltonian(cs)
     # reference: one full-matrix eigh, with the oracle's degeneracy rule
     evals, evecs = np.linalg.eigh(h)
@@ -539,10 +545,7 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
     first = data.draw(st.integers(2, 12 // spin))
     second = data.draw(st.sampled_from([()] + [(n,) for n in (2, 3) if n * first * spin <= 12]))
     shape = LatticeShape((first,) + second, spin)
-    rng = np.random.default_rng(seed)
-    draw = lambda: {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
-                    for n in all_offsets(shape)}
-    cs = symmetrize(shape, draw(), draw() if pairing else {})
+    cs = every_offset_model(shape, pairing, seed)
     h = build_fock_hamiltonian(cs)
     targets, signs = oracle._translations(shape.n_modes, shape.dims)
     momenta = shape.momenta()
@@ -554,7 +557,7 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
         rows = oracle._group_rows(states, len(h))
         cols = oracle._fock_columns(cs, reps, rows)
         assert not np.delete(h[:, reps], states, axis=0).any()
-        sectors = oracle._momentum_sectors(cols, reps, states, rows, targets, signs, shape.dims)
+        sectors = oracle._momentum_sectors(cols, reps, rows, targets, signs, shape.dims)
         # r is in sector K when sum_{g in S_r} exp(-i K.g) sign_g(r) is |S_r|, not 0;
         # the sectors that keep no representative are left out
         kept = (phases @ (signs[:, reps] * (targets[:, reps] == reps))).real > 0.5
@@ -583,13 +586,13 @@ def test_translation_check_sees_a_fault_at_every_translation(dims):
     reps = states[targets[:, states].min(axis=0) == states]
     rows = oracle._group_rows(states, 1 << shape.n_modes)
     cols = oracle._fock_columns(cs, reps, rows)
-    oracle._momentum_sectors(cols, reps, states, rows, targets, signs, dims)
+    oracle._momentum_sectors(cols, reps, rows, targets, signs, dims)
     r = np.nonzero((targets[:, reps] == reps).sum(axis=0) == 1)[0][0]  # an orbit of n_sites states
     for g in range(shape.n_sites):
         broken = cols.copy()
         broken[rows[targets[g, reps[r]]], 1 if r == 0 else 0] += 1e-9
         with pytest.raises(np.linalg.LinAlgError, match="not Hermitian and translation invariant"):
-            oracle._momentum_sectors(broken, reps, states, rows, targets, signs, dims)
+            oracle._momentum_sectors(broken, reps, rows, targets, signs, dims)
 
 
 @st.composite
@@ -600,10 +603,7 @@ def pairing_free_models(draw):
     spin = draw(st.integers(1, 2))
     first = draw(st.integers(2, 10 // spin))
     second = draw(st.sampled_from([()] + [(n,) for n in (2, 3) if n * first * spin <= 10]))
-    shape = LatticeShape((first,) + second, spin)
-    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
-    return symmetrize(shape, {n: rng.uniform(-1, 1, (spin, spin)) + 1j * rng.uniform(-1, 1, (spin, spin))
-                              for n in all_offsets(shape)}, {})
+    return every_offset_model(LatticeShape((first,) + second, spin), False, draw(st.integers(0, 10_000)))
 
 
 @settings(max_examples=20, deadline=None)
@@ -647,9 +647,15 @@ def test_fock_columns_are_the_dense_hamiltonian_columns(dims, spin, pairing):
     assert np.array_equal(oracle._fock_columns(cs, states), h[:, states])
 
 
-@pytest.mark.parametrize("dims, spin", [((5,), 2), ((3, 3), 1), ((8,), 1)])
-def test_lifted_energy_is_the_rayleigh_quotient(dims, spin):
-    cs = random_model(LatticeShape(dims, spin), reach=1, pairing=True, seed=2)
+@pytest.mark.parametrize("dims, spin, pairing", [
+    ((5,), 2, True), ((3, 3), 1, True), ((8,), 1, True), ((2, 2), 2, True), ((5,), 2, False),
+], ids=["dims0-2", "dims1-1", "dims2-1", "dims3-2", "dims4-2-number"])
+def test_lifted_energy_is_the_rayleigh_quotient(dims, spin, pairing):
+    # the Fock energy, the couplings contracted with the ground correlators, on the
+    # parity sectors and, without pairing, the particle-number sectors
+    shape = LatticeShape(dims, spin)
+    cs = (random_model(shape, reach=1, pairing=pairing, seed=2) if min(dims) > 2
+          else every_offset_model(shape, pairing, seed=2))
     h = build_fock_hamiltonian(cs)
     ex = fock_ground_state(cs)
     v = ex.vectors[:, 0]

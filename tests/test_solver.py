@@ -21,7 +21,7 @@ from quasifree import (
 from quasifree import solver
 from quasifree.lattice import CouplingTable, fourier_circulant, inverse_fourier
 from quasifree.model import CLOSURE_TOL, bdg_blocks, scaled, symmetrize, validate
-from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, _closed_form, constraint_residuals
+from quasifree.solver import CLUSTER_RTOL, ZERO_MODE_TOL, _closed_form, constraint_residuals, ground_energy
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_twisted, spinless_closed_form
 
@@ -493,6 +493,46 @@ def test_zero_mode_designates_the_particle_bands(dims, spin, seed, zero_at):
     want = np.linalg.eigvalsh(fourier_circulant(cs.hop, cs.shape))
     got = diagonalize(cs).branch
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def full_grid_ground_energy(c):
+    """The reference ground energy: half the negative eigenvalues of every BdG block on
+    the full grid plus half the trace of every hopping kernel."""
+    lam = np.linalg.eigvalsh(bdg_blocks(c))
+    trace_a = np.trace(fourier_circulant(c.hop, c.shape), axis1=1, axis2=2).real.sum()
+    return float(lam[lam < 0].sum() / 2.0 + trace_a / 2.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 9)),
+        st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+    ),
+    spin=st.integers(1, 3),
+    pairing=st.booleans(),
+    kind=st.sampled_from(["random", "zero-mode", "no-onsite", "pairing-only"]),
+    seed=st.integers(0, 10_000),
+)
+@example(dims=(8,), spin=2, pairing=True, kind="zero-mode", seed=5)
+@example(dims=(4, 3), spin=3, pairing=False, kind="no-onsite", seed=1)
+@example(dims=(3, 3), spin=2, pairing=False, kind="pairing-only", seed=2)
+def test_ground_energy_matches_the_full_grid_blocks(dims, spin, pairing, kind, seed):
+    # the designated branch against every BdG block's eigenvalues, with zero modes, a
+    # table without an on-site term, and a pairing-only set (an empty hopping table)
+    shape = LatticeShape(dims, spin)
+    if kind == "zero-mode":
+        cs = zero_mode_model(dims, spin, seed, pairing, seed)
+    else:
+        cs = random_model(shape, 1 if min(dims) > 2 else 0, pairing or kind == "pairing-only", seed)
+        if kind == "no-onsite":
+            bonds = cs.hop.offsets.any(axis=1)
+            cs = CouplingSet(shape, CouplingTable(shape, cs.hop.offsets[bonds], cs.hop.mats[bonds]), cs.pair)
+        elif kind == "pairing-only":
+            cs = CouplingSet(shape, {}, cs.pair)
+    scale = max(1.0, float(np.abs(solver.spectrum(cs).branch).sum()))
+    assert abs(ground_energy(cs) - full_grid_ground_energy(cs)) <= 1e-14 * scale
 
 
 def test_ground_covariance_chunks_match_one_pass(monkeypatch):
