@@ -376,11 +376,11 @@ def cmd_quench(args: argparse.Namespace) -> tuple[list[str], int]:
     times = args.times if args.times is not None else [float(t) for t in range(11)]
     reach = _reach(args, shape.dims)
     quench = random_model(shape, reach=reach, pairing=True, seed=args.seed)
-    cov0 = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
+    sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
     offsets = _reduced_offsets(args.offsets, shape)
     # series[t, o]: invariant at time t and offset o
-    series = np.array([invariant_map(cov)[tuple(offsets.T)]
-                       for cov in evolve_quench(cov0, quench, times)])
+    series = np.array([invariant_map(ground_covariance(state))[tuple(offsets.T)]
+                       for state in evolve_quench(sol, quench, times)])
     _write_csv(args.out, "quench.csv", ["t"] + _columns("n", shape.d) + ["invariant"],
                [np.repeat(times, len(offsets)), *np.tile(offsets, (len(times), 1)).T, series.ravel()])
     spread = float((series.max(axis=0) - series.min(axis=0)).max()) if series.size else 0.0

@@ -47,14 +47,14 @@ but uses different algebra; the two must agree, and the test suite checks both
 against references that share no code with them (the dense Fock oracle and a
 full-zone ``eigh`` projector).
 
-A sudden quench (``evolve_quench``) conjugates every Nambu block by the
-Bogoliubov map ``exp(-i t H'_k)`` of the quench Hamiltonian ``H'``.
+A sudden quench (``evolve_quench``) by ``H'`` rotates the stored rows to ``W_k U_k``,
+``W_k = exp(-i t H'_k)``: the eigenbasis of ``W H W^dag``, whose energies are ``H``'s.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -176,7 +176,8 @@ class Spectrum:
 class BogoliubovSolution(Spectrum):
     """A ``Spectrum`` plus the eigenbasis ``U_k`` at the rows of ``shape.half_zone``
     (``u_rows``).  Derived: the full-grid ``u``, whose partner rows are the images
-    ``U_{-k} = sx conj(U_k) sx``, ``alpha`` and ``beta``."""
+    ``U_{-k} = sx conj(U_k) sx``, ``alpha`` and ``beta``.  A solution from
+    ``evolve_quench`` keeps this layout, but not the particle-weight designation."""
 
     u_rows: np.ndarray  # (len(shape.half_zone), 2s, 2s)
 
@@ -502,14 +503,6 @@ def real_space(cov: CovarianceKernel, offsets: Iterable[Iterable[int]]) -> RealS
                                 bb={n: f[shape.negate(n)] for n in keys})
 
 
-def _conjugate(cov: CovarianceKernel, w: np.ndarray) -> CovarianceKernel:
-    """The kernels of ``cov`` with every Nambu block conjugated by ``w_k``."""
-    s = cov.shape.spin
-    gamma = w @ cov.gamma() @ np.conj(np.transpose(w, (0, 2, 1)))
-    return CovarianceKernel(shape=cov.shape, g=gamma[cov.shape.negation_table, s:, s:],
-                            f=gamma[:, :s, s:].copy(), zero_modes=cov.zero_modes)
-
-
 def _propagator(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
     """``exp(-i t H_k)`` for every block, shape ``(M, 2s, 2s)``, from the blocks'
     eigenvalues ``lam`` and eigenvectors ``vecs``."""
@@ -518,29 +511,30 @@ def _propagator(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
 
 
 def evolve_quench(
-    cov: CovarianceKernel, h: CouplingSet, times: Iterable[float]
-) -> Iterator[CovarianceKernel]:
-    """Sudden-quench evolution: the kernels at each of ``times``, each Nambu block
-    conjugated by ``exp(-i t H'_k)``.
+    sol: BogoliubovSolution, h: CouplingSet, times: Iterable[float]
+) -> Iterator[BogoliubovSolution]:
+    """Sudden-quench evolution: ``sol`` at each of ``times``, the ground state of ``W H
+    W^dag``, ``W_k = exp(-i t H'_k)`` over the BdG blocks of ``h``: the same energies,
+    the stored rows rotated to ``W_k U_k``, which keep the image layout (``W_{-k} = sx
+    conj(W_k) sx``).  ``ground_covariance`` of a state gives its kernels.
 
-    The BdG blocks of ``h`` are diagonalized once, in this call; the kernels follow
-    lazily, one per time, so a caller need hold only one at a time.  Raises
+    The half-zone blocks of ``h`` are diagonalized once, in this call; the states
+    follow lazily, one per time, so a caller need hold only one at a time.  Raises
     ``ValueError`` before the eigendecomposition when it would not fit in
     physical memory.
     """
-    if h.shape != cov.shape:
-        raise ValueError(f"quench shape {h.shape} does not match state shape {cov.shape}")
-    s = cov.shape.spin
-    # the peak comes while a propagator conjugates the Nambu blocks, per momentum:
-    # the eigenvectors, held for every time, the propagator, its product with the
-    # Nambu blocks, its conjugate transpose and their product (five (2s)^2 complex
-    # stacks: 320 s^2 bytes), the energies and phases (48 s), the state's kernels g
-    # and f and the kernels of the previous time that a caller still holds (64 s^2)
-    # and the negation table (at most 48 bytes with the others)
-    _check_memory(f"a quench of {cov.shape.n_sites} momenta at spin {s}",
-                  cov.shape.n_sites * (384 * s * s + 48 * s + 48))
-    lam, vecs = np.linalg.eigh(bdg_blocks(h))
-    return (_conjugate(cov, _propagator(lam, vecs, t)) for t in times)
+    shape, s = sol.shape, sol.shape.spin
+    if h.shape != shape:
+        raise ValueError(f"quench shape {h.shape} does not match state shape {shape}")
+    # the peak comes while a propagator is formed, per momentum: six half-zone stacks of
+    # (2s)^2 complex (32 s^2 bytes each): the eigenvectors, held for every time, the
+    # state's rows and the previous time's that a caller still holds, the propagator, its
+    # phased factor and conjugate transpose; the kernels g and f that a caller may hold
+    # (32 s^2); the branch, energies and phases (32 s) and the index tables (at most 48)
+    _check_memory(f"a quench of {shape.n_sites} momenta at spin {s}",
+                  shape.n_sites * (224 * s * s + 32 * s + 48))
+    lam, vecs = np.linalg.eigh(bdg_blocks(h, shape.half_zone))
+    return (replace(sol, u_rows=_propagator(lam, vecs, t) @ sol.u_rows) for t in times)
 
 
 def ground_energy(c: CouplingSet) -> float:

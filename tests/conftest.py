@@ -23,9 +23,9 @@ def make_p_model(n_sites: int, p: float):
     return catalog(ModelParams("p-model", {"p": p}, LatticeShape((n_sites,), 2)))
 
 
-# 4096 momenta at s = 2: diagonalize's memory check asks 64 MiB + 434 B per
-# momentum, evolve_quench's 64 MiB + 1680 B; this machine passes only the first
-QUENCH_SHORT_MEMORY = (64 << 20) + 4096 * 800
+# 4096 momenta at s = 2: diagonalize's memory check asks 64 MiB + 400 B per
+# momentum, evolve_quench's 64 MiB + 1008 B; this machine, midway, passes only the first
+QUENCH_SHORT_MEMORY = (64 << 20) + 4096 * 704
 
 
 def fake_sysconf(physical_bytes: int):

@@ -64,19 +64,19 @@ def test_criterion_2_invariance_under_maps_and_quenches():
         spin = 1 + i % 2
         shape = LatticeShape((20,), spin)
         cs = random_model(shape, reach=2, pairing=i % 3 != 0, seed=BASE_SEED + i)
-        cov = ground_covariance(diagonalize(cs))
-        inv0 = invariant_map(cov)
+        sol = diagonalize(cs)
+        inv0 = invariant_map(ground_covariance(sol))
 
         # a Bogoliubov map: the propagator exp(-i H_k) of a random pairing model
         generator = random_model(shape, reach=2, pairing=True, seed=BASE_SEED + 1000 + i)
-        mapped = next(evolve_quench(cov, generator, [1.0]))
-        inv_m = invariant_map(mapped)
+        mapped = next(evolve_quench(sol, generator, [1.0]))
+        inv_m = invariant_map(ground_covariance(mapped))
         worst = max(worst, np.abs(inv0 - inv_m).max())
 
         h = random_model(shape, reach=1, pairing=True, seed=BASE_SEED + 2000 + i)
         t = float(rng.uniform(0.0, 10.0))
-        [quenched] = evolve_quench(cov, h, [t])
-        inv_q = invariant_map(quenched)
+        [quenched] = evolve_quench(sol, h, [t])
+        inv_q = invariant_map(ground_covariance(quenched))
         worst = max(worst, np.abs(inv0 - inv_q).max())
     assert worst < 1e-9
     report("criterion 2", f"50 maps + 50 quenches, max invariant deviation {worst:.2e}")

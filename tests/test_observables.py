@@ -498,16 +498,16 @@ def test_verdict_follows_gap_and_invariant(dims, spin, pairing, seed, factor, ga
 def test_invariant_preserved_by_maps_and_quenches():
     shape = LatticeShape((16,), 2)
     cs = random_model(shape, reach=2, pairing=True, seed=33)
-    cov = ground_covariance(diagonalize(cs))
-    inv0 = invariant_map(cov)
+    sol = diagonalize(cs)
+    inv0 = invariant_map(ground_covariance(sol))
     for seed in range(5):
         # a Bogoliubov map: the propagator exp(-i H_k) of a random pairing model
-        mapped = next(evolve_quench(cov, random_model(shape, reach=2, pairing=True, seed=seed), [1.0]))
-        inv_m = invariant_map(mapped)
+        mapped = next(evolve_quench(sol, random_model(shape, reach=2, pairing=True, seed=seed), [1.0]))
+        inv_m = invariant_map(ground_covariance(mapped))
         assert np.abs(inv0 - inv_m).max() < 1e-9
         h = random_model(shape, reach=1, pairing=True, seed=50 + seed)
-        [quenched] = evolve_quench(cov, h, [0.9 + seed])
-        inv_q = invariant_map(quenched)
+        [quenched] = evolve_quench(sol, h, [0.9 + seed])
+        inv_q = invariant_map(ground_covariance(quenched))
         assert np.abs(inv0 - inv_q).max() < 1e-9
 
 

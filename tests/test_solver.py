@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,9 +291,9 @@ def test_entry_transforms_read_the_hermitian_part_of_a_nearly_closed_table():
 def test_quench_refuses_a_lattice_that_diagonalize_accepts(monkeypatch):
     shape = LatticeShape((4096,), 2)
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(QUENCH_SHORT_MEMORY))
-    cov = ground_covariance(diagonalize(random_model(shape, reach=1, pairing=True, seed=0)))
+    sol = diagonalize(random_model(shape, reach=1, pairing=True, seed=0))
     with pytest.raises(ValueError, match="physical memory"):
-        evolve_quench(cov, random_model(shape, reach=1, pairing=True, seed=1), [1.0])
+        evolve_quench(sol, random_model(shape, reach=1, pairing=True, seed=1), [1.0])
 
 
 @pytest.mark.parametrize("cs", [
@@ -604,9 +605,9 @@ def test_gauge_covariance_of_commensurate_twist():
 
 def test_apply_identity_map_is_noop():
     cs = random_model(LatticeShape((10,), 2), reach=1, pairing=True, seed=2)
-    cov = ground_covariance(diagonalize(cs))
-    eye = np.broadcast_to(np.eye(4), (10, 4, 4)).copy()
-    out = solver._conjugate(cov, eye)
+    sol = diagonalize(cs)
+    cov = ground_covariance(sol)
+    out = ground_covariance(replace(sol, u_rows=np.eye(4) @ sol.u_rows))
     assert np.abs(out.g - cov.g).max() < 1e-14
     assert np.abs(out.f - cov.f).max() < 1e-14
 
@@ -614,10 +615,11 @@ def test_apply_identity_map_is_noop():
 def test_particle_hole_swap_flips_occupation():
     # the Nambu swap exchanges b_k with b^dag_{-k}, so g'_k = 1 - g_{-k}^T
     cs = make_twisted(8, 0.3)
-    cov = ground_covariance(diagonalize(cs))
+    sol = diagonalize(cs)
+    cov = ground_covariance(sol)
+    # sx is its own particle-hole image, so it keeps the layout of the stored rows
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    swap = np.broadcast_to(sx, (8, 2, 2)).copy()
-    out = solver._conjugate(cov, swap)
+    out = ground_covariance(replace(sol, u_rows=sx @ sol.u_rows))
     neg = cs.shape.negation_table
     expected = np.eye(1) - np.transpose(cov.g[neg], (0, 2, 1))
     assert np.abs(out.g - expected).max() < 1e-12
@@ -640,8 +642,9 @@ def test_quench_propagator_is_a_bogoliubov_map():
 
 def test_quench_time_zero_and_stationarity():
     cs = random_model(LatticeShape((10,), 2), reach=2, pairing=True, seed=8)
-    cov = ground_covariance(diagonalize(cs))
-    out0, out = evolve_quench(cov, cs, [0.0, 2.7])
+    sol = diagonalize(cs)
+    cov = ground_covariance(sol)
+    out0, out = map(ground_covariance, evolve_quench(sol, cs, [0.0, 2.7]))
     assert np.abs(out0.g - cov.g).max() < 1e-13
     # the parent Hamiltonian leaves its own ground state invariant
     assert np.abs(out.g - cov.g).max() < 1e-10
@@ -652,34 +655,81 @@ def test_quench_composition():
     shape = LatticeShape((10,), 1)
     cs = random_model(shape, reach=2, pairing=True, seed=4)
     h = random_model(shape, reach=1, pairing=True, seed=14)
-    cov = ground_covariance(diagonalize(cs))
-    once, direct = evolve_quench(cov, h, [1.6, 3.7])
+    once, direct = evolve_quench(diagonalize(cs), h, [1.6, 3.7])
     [twice] = evolve_quench(once, h, [2.1])
+    twice, direct = ground_covariance(twice), ground_covariance(direct)
     assert np.abs(twice.g - direct.g).max() < 1e-10
     assert np.abs(twice.f - direct.f).max() < 1e-10
 
 
 def test_quench_diagonalizes_once_for_all_times(monkeypatch):
     shape = LatticeShape((12,), 2)
-    cov = ground_covariance(diagonalize(random_model(shape, reach=2, pairing=True, seed=3)))
+    sol = diagonalize(random_model(shape, reach=2, pairing=True, seed=3))
     h = random_model(shape, reach=1, pairing=True, seed=13)
     times = [0.0, 0.4, 2.5, 7.0]
     calls = []
     blocks = solver.bdg_blocks
-    monkeypatch.setattr(solver, "bdg_blocks", lambda c: calls.append(c) or blocks(c))
-    kernels = list(evolve_quench(cov, h, times))
-    assert len(calls) == 1
-    # each time's kernels are bit for bit those of a quench to that time alone
-    for t, out in zip(times, kernels):
-        [alone] = evolve_quench(cov, h, [t])
-        assert out.g.tobytes() == alone.g.tobytes() and out.f.tobytes() == alone.f.tobytes()
+    monkeypatch.setattr(solver, "bdg_blocks", lambda c, rows=slice(None): calls.append(rows) or blocks(c, rows))
+    states = list(evolve_quench(sol, h, times))
+    # one eigendecomposition, of the half-zone blocks alone
+    assert len(calls) == 1 and np.array_equal(calls[0], shape.half_zone)
+    # each time's rows are bit for bit those of a quench to that time alone
+    for t, out in zip(times, states):
+        [alone] = evolve_quench(sol, h, [t])
+        assert out.u_rows.tobytes() == alone.u_rows.tobytes()
+
+
+# a quenched solution's rows are unitary and its kernels dimensionless, so rounding is
+# a few hundred eps, plus at a self-conjugate momentum the phase error t eps max|E'| of
+# the quench energies E', which the particle-hole image does not cancel there (worst
+# seen: 221 eps (1 + t max|E'|), over 3000 draws with E' scaled by 1e-3 to 1e3)
+QUENCH_RTOL = 1000 * np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 9)),
+        st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+    ),
+    spin=st.integers(1, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 10_000),
+    zero_at=st.one_of(st.none(), st.integers(0, 10_000)),
+    factor=st.floats(1e-3, 1e3),
+    times=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=3),
+)
+@example(dims=(8,), spin=2, pairing=True, seed=5, zero_at=0, factor=1.0, times=[0.0, 9.5])
+@example(dims=(3, 4), spin=3, pairing=False, seed=2, zero_at=None, factor=1e3, times=[2.5])
+def test_quench_is_a_bogoliubov_map_on_the_solution(dims, spin, pairing, seed, zero_at, factor, times):
+    shape = LatticeShape(dims, spin)
+    reach = 1 if min(dims) > 2 else 0
+    cs = random_model(shape, reach, pairing, seed) if zero_at is None else \
+        zero_mode_model(dims, spin, seed, pairing, zero_at)
+    h = scaled(random_model(shape, reach, True, seed + 1), factor)
+    sol = diagonalize(cs)
+    scale = np.abs(solver.spectrum(h).branch).max()
+    for t, state in zip(times, evolve_quench(sol, h, times)):
+        tol = QUENCH_RTOL * (1 + t * scale)
+        assert max(constraint_residuals(state).values()) < tol
+        cov = ground_covariance(state)
+        # the coefficient route refuses any zero mode, but reads the branch signs at k
+        # and -k alone: a nonzero stand-in there leaves the rows where coef_ok exact
+        alt = covariance_from_coefficients(replace(state, branch=np.where(state._zero, 1.0, state.branch)))
+        ok = state.coef_ok
+        assert np.abs(alt.g - cov.g)[ok].max(initial=0.0) < tol
+        assert np.abs(alt.f - cov.f)[ok].max(initial=0.0) < tol
+        # the quench keeps the counts: tr g_k - tr g_{-k} on the kernel route
+        tr = cov.trace_kernel()
+        assert np.abs(tr - tr[shape.negation_table] - sol.imbalance).max() < tol
 
 
 def test_quench_shape_mismatch():
-    cov = ground_covariance(diagonalize(make_twisted(8, 0.0)))
+    sol = diagonalize(make_twisted(8, 0.0))
     other = random_model(LatticeShape((10,), 1), reach=1, pairing=False, seed=0)
     with pytest.raises(ValueError, match="shape"):
-        evolve_quench(cov, other, [1.0])
+        evolve_quench(sol, other, [1.0])
 
 
 def test_beta_weight_symmetric_in_momentum():
