@@ -26,7 +26,10 @@ charge group or whose sector entries are not Hermitian and translation
 invariant: ``oracle`` builds only the columns of the Fock matrix at the orbit
 representatives of each particle number, or each fermion parity for a pairing
 model, checks that they have no entry in another group's rows, and checks each
-entry its sector blocks use against its partner).  All commands
+entry its sector blocks use against its partner).  ``oracle`` solves the momentum
+route once: a pairing model's ``spectrum`` is its ``diagonalize`` solution, which
+gives the covariance and the energy's branch, and a pairing-free model's energy
+reads the hopping bands beside its solution.  All commands
 are deterministic for a fixed seed; floats are written with 17 significant
 digits so downstream plots reproduce exactly; CSV integers are gathered from a
 digit table, and a float column's distinct values are formatted once per block.
@@ -73,10 +76,11 @@ from .oracle import (
 )
 from .solver import (
     ZERO_MODE_TOL,
+    BogoliubovSolution,
+    _ground_energy,
     diagonalize,
     evolve_quench,
     ground_covariance,
-    ground_energy,
     real_space,
     spectrum,
 )
@@ -351,12 +355,16 @@ def cmd_entropy(args: argparse.Namespace) -> tuple[list[str], int]:
 def cmd_oracle(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
     _check_cap(cs.shape.n_modes)  # refused before the momentum route allocates for the lattice
-    cov = ground_covariance(diagonalize(cs, zero_mode_tol=args.zero_mode_tol))
+    # one solve: a pairing model's spectrum is its diagonalize solution, which gives both
+    # the covariance and the energy's branch; a pairing-free one's is the hopping bands
+    spec = spectrum(cs, zero_mode_tol=args.zero_mode_tol)
+    sol = spec if isinstance(spec, BogoliubovSolution) else diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
+    cov = ground_covariance(sol)
     if cov.zero_modes:
         raise ValueError("model has one-particle zero modes; oracle comparison undefined")
     exact = fock_ground_state(cs, degeneracy_tol=args.degeneracy_tol)
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
-    energy = ground_energy(cs)
+    energy = _ground_energy(cs, spec)
     result = compare_with_quasifree(exact, rc, energy=energy)
     ok = result.max_correlator_dev < ORACLE_DEV_TOL and result.energy_rel_dev < ORACLE_DEV_TOL
     return [

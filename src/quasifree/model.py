@@ -180,6 +180,8 @@ def _p_model(shape: LatticeShape, p: float) -> CouplingSet:
     # of its ground state are the canonical non-real-but-gapped example
     if shape.d != 1 or shape.spin != 2:
         raise ValueError("p-model is a spin-1/2 chain: need d=1 and spin=2")
+    if shape.dims[0] < 3:  # on 2 sites the hops to +1 and -1 fall on one offset
+        raise ValueError(f"p-model needs at least 3 sites, got dims {shape.dims}")
     if not 0 < p < np.inf:
         raise ValueError(f"p-model needs a finite p > 0, got {p}")
     q = (p + 1) / 4
@@ -193,6 +195,8 @@ def _twisted_chain(shape: LatticeShape, alpha: float) -> CouplingSet:
     # band is cos(2 pi k/N - alpha) and <c+_l c_{l+1}> picks up e^{i alpha}
     if shape.d != 1 or shape.spin != 1:
         raise ValueError("twisted-chain is spinless and one-dimensional")
+    if shape.dims[0] < 3:  # as for the p-model
+        raise ValueError(f"twisted-chain needs at least 3 sites, got dims {shape.dims}")
     if not np.isfinite(alpha):
         raise ValueError(f"twisted-chain alpha={alpha} would give the hop a non-finite entry")
     t = np.exp(1j * alpha) / 2

@@ -27,11 +27,15 @@ those columns, on the group's own rows, from the couplings, and never forms
 ``h``.  A group's index table holds each basis state's row in the group's slab,
 -1 outside the group, and a term that takes a source state to a -1 row is an
 assembly fault.  ``exact_ground_correlators`` solves a dense ``h`` by its two
-parity sectors alone.  Every block's spectrum comes from ``eigvalsh``, and
-``eigh`` runs only on the blocks that hold ground levels; their lowest columns,
-normalized, are lifted back to the occupation basis by a phased scatter over
-each orbit.  The energy of the first ground vector is the couplings contracted
-with its correlators, or ``v^dag h v`` where ``h`` is given.
+parity sectors alone.  The translation tables (``_translations``) are the powers
+of each axis's one-site translation, one gather of its target and sign tables per
+step; with the ``-g`` index and the phases ``exp(-i K.g)`` they are built once per
+solve (``_translation_group``) and shared by every charge group.  Every block's
+spectrum comes from ``eigvalsh``, and ``eigh`` runs only on the blocks that hold
+ground levels; their lowest columns, normalized, are lifted back to the
+occupation basis by a phased scatter over each orbit, whose coefficients only
+those sectors form.  The energy of the first ground vector is the couplings
+contracted with its correlators, or ``v^dag h v`` where ``h`` is given.
 
 Fock spaces are capped at 14 modes, and each step checks physical memory
 before it allocates, each estimate plus the 64 MiB of ``solver._check_memory``:
@@ -220,7 +224,7 @@ def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) ->
         return float((hop @ bdag_b[i, j] + pair @ bb[q, p].conj()).real)
 
     return _ground_state(lambda reps, rows: _fock_columns(c, reps, rows, terms),
-                         *_translations(c.shape.n_modes, c.shape.dims), c.shape.dims, degeneracy_tol,
+                         _translation_group(c.shape.n_modes, c.shape.dims), degeneracy_tol,
                          number=not len(c.pair), energy=energy)
 
 
@@ -245,15 +249,13 @@ def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_T
         _check_charge(h, np.nonzero(rows < 0)[0], reps)
         return h[np.ix_(np.nonzero(rows >= 0)[0], reps)]
 
-    return _ground_state(columns, *_translations(n_modes, ()), (), degeneracy_tol, number=False,
+    return _ground_state(columns, _translation_group(n_modes, ()), degeneracy_tol, number=False,
                          energy=lambda v, bdag_b, bb: float(np.vdot(v, h @ v).real), held=h.nbytes)
 
 
 def _ground_state(
     columns: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    targets: np.ndarray,
-    signs: np.ndarray,
-    group: tuple[int, ...],
+    group: _TranslationGroup,
     degeneracy_tol: float,
     number: bool,
     energy: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
@@ -265,6 +267,7 @@ def _ground_state(
     whose index table (``_group_rows``) is ``rows``; ``columns`` raises when ``h``
     couples the group to another, ``energy(v, bdag_b, bb)`` is ``<v|h|v>`` of the first
     ground vector and its correlators, and ``held`` bytes are already allocated."""
+    targets = group.targets
     dim = targets.shape[1]
     n_modes = dim.bit_length() - 1
     groups = _charge_groups(n_modes, number)
@@ -278,7 +281,7 @@ def _ground_state(
     sectors = []
     for states, r in zip(groups, reps):
         rows = _group_rows(states, dim)
-        sectors += _momentum_sectors(columns(r, rows), r, rows, targets, signs, group)
+        sectors += _momentum_sectors(columns(r, rows), r, rows, group)
     spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
     merged = np.concatenate(spectra)
     order = np.argsort(merged, kind="stable")
@@ -299,7 +302,7 @@ def _ground_state(
         y /= np.linalg.norm(y, axis=0)  # eigh's columns are unit only to about 1e-15
         # |r, K> = sum_g coef[g, r] |T_g r>: a phased scatter over each orbit
         lifted = np.zeros((dim, y.shape[1]), dtype=complex)
-        np.add.at(lifted, targets[:, sector.reps].ravel(), (sector.coef[..., None] * y).reshape(-1, y.shape[1]))
+        np.add.at(lifted, targets[:, sector.reps].ravel(), (sector.coef()[..., None] * y).reshape(-1, y.shape[1]))
         vectors[:, cols] = lifted
     v = np.ascontiguousarray(vectors[:, 0])
     bdag_b, bb = correlators_from_vector(v, n_modes)
@@ -353,29 +356,71 @@ def _translations(n_modes: int, group: tuple[int, ...]) -> tuple[np.ndarray, np.
     ``g`` runs over the translations of a lattice of ``group`` sites per axis, in
     row-major order; ``group = ()`` is the identity alone.  ``T_g`` moves the
     particle in mode ``(m, a)`` to mode ``(m + g, a)``, and its sign is the parity
-    of the inversions that mode map makes among the occupied modes.
+    of the inversions that mode map makes among the occupied modes.  The tables are
+    powers of each axis's one-site translation ``T_e``, whose own tables come from
+    its mode map: ``T_{g+e} |x> = signs[g, x] T_e |targets[g, x]>``, one gather of
+    ``T_e``'s tables per step.
     """
+    dim = 1 << n_modes
+    states = np.arange(dim, dtype=np.int64)
+    bits = (states[:, None] >> np.arange(n_modes)) & 1
     modes = np.arange(n_modes).reshape(group + (-1,))
-    axes = tuple(range(len(group)))
-    # maps[g, m]: the mode at site(m) + g
-    maps = np.stack([np.roll(modes, [-c for c in g], axis=axes).ravel() for g in np.ndindex(*group)])
-    bits = _bit_tables(np.arange(1 << n_modes), n_modes)[0].astype(np.int64)
-    inversions = np.triu(maps[:, :, None] > maps[:, None, :], k=1).astype(np.int64)
-    signs = 1 - 2 * (np.einsum("gxj,xj->gx", bits @ inversions, bits) & 1)
-    return (bits @ (1 << maps).T).T, signs
+    targets, signs = states[None], np.ones((1, dim), dtype=np.int64)
+    for axis, n in enumerate(group):
+        step = np.roll(modes, -1, axis=axis).ravel()  # step[m]: the mode at site(m) + e_axis
+        inversions = np.triu(step[:, None] > step[None, :], k=1).astype(np.int64)
+        one_target = bits @ (1 << step)
+        one_sign = 1 - 2 * (np.einsum("xj,xj->x", bits @ inversions, bits) & 1)
+        # the new axis runs fastest, so the stacked tables stay in row-major order
+        t = np.empty((len(targets), n, dim), dtype=np.int64)
+        sg = np.empty_like(t)
+        t[:, 0], sg[:, 0] = targets, signs
+        for k in range(1, n):
+            sg[:, k] = sg[:, k - 1] * one_sign[t[:, k - 1]]
+            t[:, k] = one_target[t[:, k - 1]]
+        targets, signs = t.reshape(-1, dim), sg.reshape(-1, dim)
+    return targets, signs
+
+
+class _TranslationGroup(NamedTuple):
+    """The translations of a lattice of ``dims`` sites per axis on the Fock basis,
+    ``g`` and the momenta ``K`` in row-major order: the tables of ``_translations``,
+    ``minus[g]``, the index of ``-g``, and ``phases[K, g] = exp(-i K.g)``."""
+
+    dims: tuple[int, ...]
+    targets: np.ndarray  # (N, dim)
+    signs: np.ndarray    # (N, dim)
+    minus: np.ndarray    # (N,)
+    phases: np.ndarray   # (N, N)
+
+
+def _translation_group(n_modes: int, dims: tuple[int, ...]) -> _TranslationGroup:
+    """The translation group of ``dims`` on ``n_modes`` modes, built once per solve."""
+    targets, signs = _translations(n_modes, dims)
+    index = np.array(list(np.ndindex(*dims)), dtype=int).reshape(len(targets), len(dims))
+    strides = np.array([math.prod(dims[axis + 1:]) for axis in range(len(dims))], dtype=int)
+    minus = (-index % np.array(dims, dtype=int)) @ strides
+    phases = np.exp(-2j * np.pi * (index / dims) @ index.T)
+    return _TranslationGroup(dims, targets, signs, minus, phases)
 
 
 class _Sector(NamedTuple):
     """One (charge, momentum) sector: the block of ``h`` over the orthonormal states
-    ``|r, K> = sum_g coef[g, r] |T_g r>``, one per kept representative ``r``."""
+    ``|r, K> = sum_g coef[g, r] |T_g r>``, one per kept representative ``r``, where
+    ``coef[g, r] = exp(-i K.g) sign_g(r) / sqrt(N |S_r|)``, formed only for a sector
+    that is lifted."""
 
     block: np.ndarray
     reps: np.ndarray    # (n,)
-    coef: np.ndarray    # (group order, n)
+    phase: np.ndarray   # (group order,): exp(-i K.g)
+    scale: np.ndarray   # (group order, n): sign_g(r) / sqrt(|S_r|)
+
+    def coef(self) -> np.ndarray:
+        return self.phase[:, None] * self.scale / np.sqrt(len(self.phase))
 
 
 def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, rows: np.ndarray,
-                      targets, signs, group) -> list[_Sector]:
+                      group: _TranslationGroup) -> list[_Sector]:
     """The nonempty crystal-momentum sectors of one charge group, from the columns
     ``cols = h[states, reps]`` at its orbit representatives on the group's
     ``states``, whose index table (``_group_rows``) is ``rows``, momenta ``K`` in
@@ -395,35 +440,31 @@ def _momentum_sectors(cols: np.ndarray, reps: np.ndarray, rows: np.ndarray,
     translation-invariant ``h``.  With the trivial group the single sector's block
     is ``h`` restricted to the charge group, exactly.
     """
-    t, s = targets[:, reps], signs[:, reps]
-    n, n_g = len(reps), len(targets)
-    axes = tuple(range(len(group)))
+    t, s = group.targets[:, reps], group.signs[:, reps]
+    n, n_g = len(reps), len(t)
+    axes = tuple(range(len(group.dims)))
     fixed = t == reps
     weight = 1 / np.sqrt(fixed.sum(axis=0))
-    index = np.array(list(np.ndindex(*group)), dtype=int).reshape(n_g, len(group))
-    strides = np.array([math.prod(group[axis + 1:]) for axis in axes], dtype=int)
-    minus = (-index % np.array(group, dtype=int)) @ strides  # minus[g]: the row-major index of -g
     # every entry of cols is gathered below, each state of the group being T_g r
     scale = float(np.abs(cols).max(initial=0.0))
     gathered = cols[rows[t]]  # gathered[g, r, r'] = h[T_g r, r']
     del cols  # every entry is gathered: the slab can go before the FFT
-    worst = _translation_residual(gathered, s, minus)
+    worst = _translation_residual(gathered, s, group.minus)
     if worst >= 1e-12 * max(1.0, scale):
         raise np.linalg.LinAlgError(f"assembled Fock Hamiltonian is not Hermitian and translation "
-                                    f"invariant on {group} (residual {worst:.2e})")
+                                    f"invariant on {group.dims} (residual {worst:.2e})")
     blocks = np.conjugate(gathered, out=gathered).transpose(0, 2, 1)  # blocks[g, r', r] = h[r', T_g r]
     del gathered  # blocks alone holds the buffer, freed once the FFT returns
-    blocks *= (s * weight)[:, None, :]
+    signed = s * weight  # signed[g, r] = sign_g(r) / sqrt(|S_r|)
+    blocks *= signed[:, None, :]
     blocks *= weight[:, None]
-    blocks = np.fft.fftn(blocks.reshape(group + (n, n)), axes=axes).reshape(n_g, n, n)
-    kept = np.fft.fftn((s * fixed).reshape(group + (n,)), axes=axes).reshape(n_g, n).real > 0.5
-    phases = np.exp(-2j * np.pi * (index / group) @ index.T)  # phases[K, g] = exp(-i K.g)
+    blocks = np.fft.fftn(blocks.reshape(group.dims + (n, n)), axes=axes).reshape(n_g, n, n)
+    kept = np.fft.fftn((s * fixed).reshape(group.dims + (n,)), axes=axes).reshape(n_g, n).real > 0.5
     sectors = []
-    for block, keep, phase in zip(blocks, kept, phases):
+    for block, keep, phase in zip(blocks, kept, group.phases):
         keep = np.nonzero(keep)[0]
         if len(keep):
-            coef = phase[:, None] * (s * weight)[:, keep] / np.sqrt(n_g)
-            sectors.append(_Sector(block[keep[:, None], keep], reps[keep], coef))
+            sectors.append(_Sector(block[keep[:, None], keep], reps[keep], phase, signed[:, keep]))
     return sectors
 
 

@@ -287,11 +287,17 @@ def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, i: int):
     e = np.where(flip, -lam[pos], lam[pos])
     order = np.argsort(e, kind="stable")
     d = np.where(flip, np.roll(vecs[:, pos], s, axis=0).conj(), vecs[:, pos])[:, order]
-    # d is orthogonal to its image only to about eps ||H_k|| / gap; the polar
-    # factor of [d, image] is unitary and keeps the image structure
+    return _with_images(d, s), e[order]
+
+
+def _with_images(d: np.ndarray, s: int) -> np.ndarray:
+    """The unitary ``[d, sx conj(d)]`` of the s columns ``d``, eigenvectors of a
+    self-conjugate block: ``d`` is orthogonal to its image only to about
+    eps ||H_k|| / gap, and the polar factor of ``[d, image]`` is unitary and keeps
+    the image structure, which its first s columns then give exactly."""
     x, _, yh = np.linalg.svd(np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1))
     d = (x @ yh)[:, :s]
-    return np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1), e[order]
+    return np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1)
 
 
 def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> BogoliubovSolution:
@@ -533,7 +539,15 @@ def evolve_quench(
     # (32 s^2); the branch, energies and phases (32 s) and the index tables (at most 48)
     _check_memory(f"a quench of {shape.n_sites} momenta at spin {s}",
                   shape.n_sites * (224 * s * s + 32 * s + 48))
-    lam, vecs = np.linalg.eigh(bdg_blocks(h, shape.half_zone))
+    rows = shape.half_zone
+    lam, vecs = np.linalg.eigh(bdg_blocks(h, rows))
+    # a self-conjugate block's eigenpairs come in +- pairs that eigh computes apart;
+    # paired with their images, W_k = sx conj(W_k) sx holds to rounding at every t,
+    # not to t eps max|E'|.  A block with a zero mode keeps eigh's pairs.
+    sc = np.flatnonzero(rows == shape.negation_table[rows])
+    for r in sc[~_is_zero(lam[sc], sol.zero_mode_tol).any(axis=1) & ((lam[sc] > 0).sum(axis=1) == s)]:
+        vecs[r] = _with_images(vecs[r, :, s:], s)  # eigh's energies ascend: the last s are positive
+        lam[r] = np.concatenate([lam[r, s:], -lam[r, s:]])
     return (replace(sol, u_rows=_propagator(lam, vecs, t) @ sol.u_rows) for t in times)
 
 
@@ -545,5 +559,11 @@ def ground_energy(c: CouplingSet) -> float:
     energy of the symmetrized (Nambu) form, ``(1/2) sum_k tr A_k = (N/2) tr hop(0)``
     below the normal-ordered one, which is restored for comparison with Fock
     diagonalization.  Raises as ``spectrum``."""
+    return _ground_energy(c, spectrum(c))
+
+
+def _ground_energy(c: CouplingSet, spec: Spectrum) -> float:
+    """``ground_energy`` of ``c`` from its spectrum ``spec``, which a caller that
+    already holds it, as a pairing model's solution, need not solve again."""
     onsite = np.trace(c.hop.mats[0]).real if len(c.hop) and not c.hop.offsets[0].any() else 0.0
-    return float((c.shape.n_sites * onsite - np.abs(spectrum(c).branch).sum()) / 2)
+    return float((c.shape.n_sites * onsite - np.abs(spec.branch).sum()) / 2)

@@ -166,6 +166,13 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, doc, field):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model", ["p-model", "twisted-chain"])
+def test_two_site_catalog_chain_exits_2(tmp_path, capsys, model):
+    assert run(["spectrum", "--model", model, "--dims", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {model} needs at least 3 sites, got dims (2,)\n"
+    assert not (tmp_path / "report.txt").exists()
+
+
 def test_unknown_catalog_name_exits_2(tmp_path):
     assert run(["spectrum", "--model", "nope", "--dims", "8", "--out", str(tmp_path)]) == 2
 
@@ -564,6 +571,24 @@ def test_oracle_command_never_forms_the_dense_hamiltonian(tmp_path, monkeypatch,
     # one representative; each slab has exactly its particle number's C(8, N) rows
     assert len(built) == 9 and sum(n for _, n in built) < 2**8 / 3
     assert [rows for rows, _ in built] == [math.comb(8, n) for n in range(9)]
+
+
+@pytest.mark.parametrize("pairing", [True, False], ids=["pairing", "pairing-free"])
+def test_oracle_command_solves_the_momentum_route_once(tmp_path, monkeypatch, capsys, pairing):
+    # one eigendecomposition, of the half-zone blocks: a pairing model's spectrum is its
+    # diagonalize solution, which gives both the covariance and the energy's branch; a
+    # pairing-free model's energy reads the hopping bands, which form no BdG block
+    import quasifree.solver as solver
+
+    cs = random_model(LatticeShape((5,), 2), reach=1, pairing=pairing, seed=3)
+    save_model(cs, tmp_path / "model.json")
+    calls = []
+    blocks = solver.bdg_blocks
+    monkeypatch.setattr(solver, "bdg_blocks", lambda c, rows=slice(None): calls.append(rows) or blocks(c, rows))
+    code = run(["oracle", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "agreement: PASS" in capsys.readouterr().out
+    assert len(calls) == 1 and np.array_equal(calls[0], cs.shape.half_zone)
 
 
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):

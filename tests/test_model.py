@@ -247,6 +247,15 @@ def test_catalog_p_model_requires_valid_parameters():
         catalog(ModelParams("no-such-model", {}, chain(8)))
 
 
+@pytest.mark.parametrize("name, spin", [("p-model", 2), ("twisted-chain", 1)])
+def test_catalog_chains_need_three_sites(name, spin):
+    # on 2 sites the hops to +1 and -1 reduce to one offset, which the coupling table
+    # refuses; the model names its minimum instead, and 3 sites build
+    with pytest.raises(ValueError, match=f"^{name} needs at least 3 sites, got dims \\(2,\\)$"):
+        catalog(ModelParams(name, {}, LatticeShape((2,), spin)))
+    assert catalog(ModelParams(name, {}, LatticeShape((3,), spin))).shape.dims == (3,)
+
+
 def test_catalog_twisted_chain_band():
     n = 8
     for alpha in (0.0, np.pi / 2, 1.3):

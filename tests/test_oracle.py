@@ -526,6 +526,39 @@ def test_translation_operator_generates_the_sector_translations():
         assert np.abs(got - want).max() == 0
 
 
+def reference_translations(n_modes, group):
+    """The translation tables of every basis state, ``T_g |x> = signs[g, x] |targets[g, x]>``,
+    each translation's mode map applied to the occupation table and its sign an einsum
+    over that map's full inversion table: a reference that shares no step with the
+    oracle's composition of the one-site generators."""
+    modes = np.arange(n_modes).reshape(group + (-1,))
+    axes = tuple(range(len(group)))
+    # maps[g, m]: the mode at site(m) + g
+    maps = np.stack([np.roll(modes, [-c for c in g], axis=axes).ravel() for g in np.ndindex(*group)])
+    bits = oracle._bit_tables(np.arange(1 << n_modes), n_modes)[0].astype(np.int64)
+    inversions = np.triu(maps[:, :, None] > maps[:, None, :], k=1).astype(np.int64)
+    signs = 1 - 2 * (np.einsum("gxj,xj->gx", bits @ inversions, bits) & 1)
+    return (bits @ (1 << maps).T).T, signs
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(0, 3), spin=st.integers(1, 2))
+def test_translation_tables_match_the_einsum_reference(data, d, spin):
+    # at most 12 modes, on d = 1 to 3 axes of any length, or the trivial group ()
+    dims = ()
+    for _ in range(d):
+        dims += (data.draw(st.integers(1, 12 // (spin * math.prod(dims)))),)
+    n_modes = math.prod(dims) * spin if dims else data.draw(st.integers(1, 12))
+    for got, want in zip(oracle._translations(n_modes, dims), reference_translations(n_modes, dims)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_modes, dims", [(12, (6,)), (12, (2, 3, 2)), (14, (7,)), (14, (7, 1)), (14, ())])
+def test_translation_tables_match_the_einsum_reference_at_the_cap(n_modes, dims):
+    for got, want in zip(oracle._translations(n_modes, dims), reference_translations(n_modes, dims)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_evolve_state_matches_full_matrix_evolution():
     shape = LatticeShape((4,), 1)
     h = build_fock_hamiltonian(random_model(shape, reach=1, pairing=True, seed=5))
@@ -547,7 +580,8 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
     shape = LatticeShape((first,) + second, spin)
     cs = every_offset_model(shape, pairing, seed)
     h = build_fock_hamiltonian(cs)
-    targets, signs = oracle._translations(shape.n_modes, shape.dims)
+    group = oracle._translation_group(shape.n_modes, shape.dims)
+    targets, signs = group.targets, group.signs
     momenta = shape.momenta()
     # phases[K, g] = exp(-i K.g), momenta and translations in row-major order
     phases = np.exp(-2j * np.pi * (momenta / shape.dims) @ momenta.T)
@@ -557,7 +591,7 @@ def test_coupling_built_sectors_match_the_dense_hamiltonian(data, spin, pairing,
         rows = oracle._group_rows(states, len(h))
         cols = oracle._fock_columns(cs, reps, rows)
         assert not np.delete(h[:, reps], states, axis=0).any()
-        sectors = oracle._momentum_sectors(cols, reps, rows, targets, signs, shape.dims)
+        sectors = oracle._momentum_sectors(cols, reps, rows, group)
         # r is in sector K when sum_{g in S_r} exp(-i K.g) sign_g(r) is |S_r|, not 0;
         # the sectors that keep no representative are left out
         kept = (phases @ (signs[:, reps] * (targets[:, reps] == reps))).real > 0.5
@@ -581,18 +615,19 @@ def test_translation_check_sees_a_fault_at_every_translation(dims):
     # fault at h[T_g r, r'] for any g, on either side of its pair, still shows
     shape = LatticeShape(dims, 1)
     cs = random_model(shape, reach=1, pairing=True, seed=4)
-    targets, signs = oracle._translations(shape.n_modes, dims)
+    group = oracle._translation_group(shape.n_modes, dims)
+    targets = group.targets
     states = oracle._charge_groups(shape.n_modes, number=False)[1]
     reps = states[targets[:, states].min(axis=0) == states]
     rows = oracle._group_rows(states, 1 << shape.n_modes)
     cols = oracle._fock_columns(cs, reps, rows)
-    oracle._momentum_sectors(cols, reps, rows, targets, signs, dims)
+    oracle._momentum_sectors(cols, reps, rows, group)
     r = np.nonzero((targets[:, reps] == reps).sum(axis=0) == 1)[0][0]  # an orbit of n_sites states
     for g in range(shape.n_sites):
         broken = cols.copy()
         broken[rows[targets[g, reps[r]]], 1 if r == 0 else 0] += 1e-9
         with pytest.raises(np.linalg.LinAlgError, match="not Hermitian and translation invariant"):
-            oracle._momentum_sectors(broken, reps, rows, targets, signs, dims)
+            oracle._momentum_sectors(broken, reps, rows, group)
 
 
 @st.composite

@@ -680,9 +680,10 @@ def test_quench_diagonalizes_once_for_all_times(monkeypatch):
 
 
 # a quenched solution's rows are unitary and its kernels dimensionless, so rounding is
-# a few hundred eps, plus at a self-conjugate momentum the phase error t eps max|E'| of
-# the quench energies E', which the particle-hole image does not cancel there (worst
-# seen: 221 eps (1 + t max|E'|), over 3000 draws with E' scaled by 1e-3 to 1e3)
+# a few hundred eps; the bound below also allows t eps max|E'|, the phase error of the
+# quench energies E' at a self-conjugate momentum whose eigenpairs were not paired
+# with their images (worst seen then: 221 eps (1 + t max|E'|), over 3000 draws with E'
+# scaled by 1e-3 to 1e3), and the next property holds the constraints to 1000 eps alone
 QUENCH_RTOL = 1000 * np.finfo(float).eps
 
 
@@ -723,6 +724,32 @@ def test_quench_is_a_bogoliubov_map_on_the_solution(dims, spin, pairing, seed, z
         # the quench keeps the counts: tr g_k - tr g_{-k} on the kernel route
         tr = cov.trace_kernel()
         assert np.abs(tr - tr[shape.negation_table] - sol.imbalance).max() < tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.one_of(
+        st.tuples(st.integers(2, 9)),
+        st.tuples(st.integers(2, 5), st.integers(2, 5)),
+        st.tuples(st.integers(2, 3), st.integers(2, 3), st.integers(2, 3)),
+    ),
+    spin=st.integers(1, 3),
+    pairing=st.booleans(),
+    seed=st.integers(0, 10_000),
+    factor=st.floats(1e-3, 1e3),
+    times=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=3),
+)
+@example(dims=(3, 4), spin=3, pairing=True, seed=2, factor=1e3, times=[0.5, 10.0])
+def test_quench_constraints_hold_to_rounding_at_every_time(dims, spin, pairing, seed, factor, times):
+    # a self-conjugate block's eigenvectors are paired with their images, so there
+    # W_k = sx conj(W_k) sx to rounding and the residuals do not grow with t max|E'|
+    # (unpaired, the example reads 1.1e-12 at t = 0.5 and 2.0e-11 at t = 10)
+    shape = LatticeShape(dims, spin)
+    reach = 1 if min(dims) > 2 else 0
+    sol = diagonalize(random_model(shape, reach, pairing, seed))
+    h = scaled(random_model(shape, reach, True, seed + 5), factor)
+    for state in evolve_quench(sol, h, times):
+        assert max(constraint_residuals(state).values()) < QUENCH_RTOL
 
 
 def test_quench_shape_mismatch():
