@@ -1,7 +1,8 @@
 """Command-line driver: load a model, run the analysis pipeline, emit CSV + report.
 
 Commands, and the flags each reads besides ``--out <dir>``.  "model" stands
-for ``--model --param --dims --spin``.
+for ``--model --param --dims``: a catalog model has the one spin it accepts (2 for
+``p-model``, 1 for the others), a model file the one it states.
 
     spectrum    one-particle spectrum per momentum -> spectrum.csv
                 model, --zero-mode-tol
@@ -27,12 +28,11 @@ invariant: ``oracle`` builds only the columns of the Fock matrix at the orbit
 representatives of each particle number, or each fermion parity for a pairing
 model, checks that they have no entry in another group's rows, and checks each
 entry its sector blocks use against its partner).  ``oracle`` solves the momentum
-route once: a pairing model's ``spectrum`` is its ``diagonalize`` solution, which
-gives the covariance and the energy's branch, and a pairing-free model's energy
-reads the hopping bands beside its solution.  All commands
-are deterministic for a fixed seed; floats are written with 17 significant
-digits so downstream plots reproduce exactly; CSV integers are gathered from a
-digit table, and a float column's distinct values are formatted once per block.
+route once: its one ``diagonalize`` solution gives both the covariance and the
+energy's branch.  All commands are deterministic for a fixed seed; floats are
+written with 17 significant digits so downstream plots reproduce exactly; CSV
+integers are gathered from a digit table, and a float column's distinct values
+are formatted once per block.
 
 Commands return their report lines; ``main`` writes ``<out>/report.txt`` and
 repeats it on stdout.  A model file's closure projection note, if any, goes to
@@ -76,11 +76,10 @@ from .oracle import (
 )
 from .solver import (
     ZERO_MODE_TOL,
-    BogoliubovSolution,
-    _ground_energy,
     diagonalize,
     evolve_quench,
     ground_covariance,
+    ground_energy,
     real_space,
     spectrum,
 )
@@ -214,7 +213,7 @@ def _resolve_model(args: argparse.Namespace) -> CouplingSet:
         raise ValueError(f"model {args.model!r} is neither a file nor a catalog name {CATALOG_NAMES}")
     if args.dims is None:
         raise ValueError("catalog models need --dims")
-    spin = args.spin if args.spin is not None else (2 if args.model == "p-model" else 1)
+    spin = 2 if args.model == "p-model" else 1
     params: dict[str, float] = {}
     for key, value in args.param:  # dict(args.param) would keep only the last of a repeated key
         if key in params:
@@ -355,16 +354,13 @@ def cmd_entropy(args: argparse.Namespace) -> tuple[list[str], int]:
 def cmd_oracle(args: argparse.Namespace) -> tuple[list[str], int]:
     cs = _resolve_model(args)
     _check_cap(cs.shape.n_modes)  # refused before the momentum route allocates for the lattice
-    # one solve: a pairing model's spectrum is its diagonalize solution, which gives both
-    # the covariance and the energy's branch; a pairing-free one's is the hopping bands
-    spec = spectrum(cs, zero_mode_tol=args.zero_mode_tol)
-    sol = spec if isinstance(spec, BogoliubovSolution) else diagonalize(cs, zero_mode_tol=args.zero_mode_tol)
+    sol = diagonalize(cs, zero_mode_tol=args.zero_mode_tol)  # one solve: covariance and energy
     cov = ground_covariance(sol)
     if cov.zero_modes:
         raise ValueError("model has one-particle zero modes; oracle comparison undefined")
     exact = fock_ground_state(cs, degeneracy_tol=args.degeneracy_tol)
     rc = real_space(cov, list(np.ndindex(*cs.shape.dims)))
-    energy = _ground_energy(cs, spec)
+    energy = ground_energy(cs, sol)
     result = compare_with_quasifree(exact, rc, energy=energy)
     ok = result.max_correlator_dev < ORACLE_DEV_TOL and result.energy_rel_dev < ORACLE_DEV_TOL
     return [
@@ -427,7 +423,7 @@ _FLAGS = {
                     "bound); default 2, or less where the lattice is too small"),
 }
 
-_MODEL_FLAGS = ("--model", "--param", "--dims", "--spin")
+_MODEL_FLAGS = ("--model", "--param", "--dims")
 
 # each command takes exactly the flags it reads: these and --out
 _COMMANDS = {

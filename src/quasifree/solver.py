@@ -49,6 +49,9 @@ full-zone ``eigh`` projector).
 
 A sudden quench (``evolve_quench``) by ``H'`` rotates the stored rows to ``W_k U_k``,
 ``W_k = exp(-i t H'_k)``: the eigenbasis of ``W H W^dag``, whose energies are ``H``'s.
+``W_k`` is formed from ``diagonalize(H')``, the one half-zone eigensolver, whose
+self-conjugate blocks are paired with their images, so ``W`` keeps the image layout
+to rounding at every time.
 """
 
 from __future__ import annotations
@@ -176,8 +179,10 @@ class Spectrum:
 class BogoliubovSolution(Spectrum):
     """A ``Spectrum`` plus the eigenbasis ``U_k`` at the rows of ``shape.half_zone``
     (``u_rows``).  Derived: the full-grid ``u``, whose partner rows are the images
-    ``U_{-k} = sx conj(U_k) sx``, ``alpha`` and ``beta``.  A solution from
-    ``evolve_quench`` keeps this layout, but not the particle-weight designation."""
+    ``U_{-k} = sx conj(U_k) sx``, ``alpha`` and ``beta``.  The columns of ``u_rows``
+    are eigenvectors at the energies ``_paired(shape.half_zone)``, from which
+    ``evolve_quench`` forms its propagators.  A solution from ``evolve_quench`` keeps
+    this layout, but not the particle-weight designation."""
 
     u_rows: np.ndarray  # (len(shape.half_zone), 2s, 2s)
 
@@ -278,7 +283,8 @@ def _designate(lam: np.ndarray, pw: np.ndarray, s: int) -> np.ndarray:
 
 def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, i: int):
     """Layout ``(U_k, branch)`` of a self-conjugate momentum free of zero modes, whose
-    partner columns live in its own block; ``i`` is its flat index, for the error message."""
+    partner columns, the images ``sx conj(.)`` of its branch's, live in its own block;
+    ``i`` is its flat index, for the error message."""
     vecs = _resolve_clusters(lam, vecs, s)
     pos = np.nonzero(lam > 0)[0]
     if len(pos) != s:
@@ -287,17 +293,11 @@ def _self_conjugate(lam: np.ndarray, vecs: np.ndarray, s: int, i: int):
     e = np.where(flip, -lam[pos], lam[pos])
     order = np.argsort(e, kind="stable")
     d = np.where(flip, np.roll(vecs[:, pos], s, axis=0).conj(), vecs[:, pos])[:, order]
-    return _with_images(d, s), e[order]
-
-
-def _with_images(d: np.ndarray, s: int) -> np.ndarray:
-    """The unitary ``[d, sx conj(d)]`` of the s columns ``d``, eigenvectors of a
-    self-conjugate block: ``d`` is orthogonal to its image only to about
-    eps ||H_k|| / gap, and the polar factor of ``[d, image]`` is unitary and keeps
-    the image structure, which its first s columns then give exactly."""
+    # d is orthogonal to its image sx conj(d) only to about eps ||H_k|| / gap; the polar
+    # factor of [d, image] is unitary and keeps the image structure, exact in its first s
     x, _, yh = np.linalg.svd(np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1))
     d = (x @ yh)[:, :s]
-    return np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1)
+    return np.concatenate([d, np.roll(d, s, axis=0).conj()], axis=1), e[order]
 
 
 def diagonalize(c: CouplingSet, zero_mode_tol: float = ZERO_MODE_TOL) -> BogoliubovSolution:
@@ -524,10 +524,11 @@ def evolve_quench(
     the stored rows rotated to ``W_k U_k``, which keep the image layout (``W_{-k} = sx
     conj(W_k) sx``).  ``ground_covariance`` of a state gives its kernels.
 
-    The half-zone blocks of ``h`` are diagonalized once, in this call; the states
-    follow lazily, one per time, so a caller need hold only one at a time.  Raises
-    ``ValueError`` before the eigendecomposition when it would not fit in
-    physical memory.
+    ``h`` is diagonalized once, in this call, by ``diagonalize``; the states follow
+    lazily, one per time, so a caller need hold only one at a time.  Raises
+    ``ValueError`` before the eigendecomposition when it would not fit in physical
+    memory, and as ``diagonalize`` does, so a block of ``h`` that overflows is a
+    ``LinAlgError`` naming its momentum.
     """
     shape, s = sol.shape, sol.shape.spin
     if h.shape != shape:
@@ -539,31 +540,21 @@ def evolve_quench(
     # (32 s^2); the branch, energies and phases (32 s) and the index tables (at most 48)
     _check_memory(f"a quench of {shape.n_sites} momenta at spin {s}",
                   shape.n_sites * (224 * s * s + 32 * s + 48))
-    rows = shape.half_zone
-    lam, vecs = np.linalg.eigh(bdg_blocks(h, rows))
-    # a self-conjugate block's eigenpairs come in +- pairs that eigh computes apart;
-    # paired with their images, W_k = sx conj(W_k) sx holds to rounding at every t,
-    # not to t eps max|E'|.  A block with a zero mode keeps eigh's pairs.
-    sc = np.flatnonzero(rows == shape.negation_table[rows])
-    for r in sc[~_is_zero(lam[sc], sol.zero_mode_tol).any(axis=1) & ((lam[sc] > 0).sum(axis=1) == s)]:
-        vecs[r] = _with_images(vecs[r, :, s:], s)  # eigh's energies ascend: the last s are positive
-        lam[r] = np.concatenate([lam[r, s:], -lam[r, s:]])
+    gen = diagonalize(h, zero_mode_tol=sol.zero_mode_tol)
+    lam, vecs = gen._paired(shape.half_zone), gen.u_rows
     return (replace(sol, u_rows=_propagator(lam, vecs, t) @ sol.u_rows) for t in times)
 
 
-def ground_energy(c: CouplingSet) -> float:
-    """Ground energy of the normal-ordered Hamiltonian, from the designated branch.
+def ground_energy(c: CouplingSet, spec: Spectrum | None = None) -> float:
+    """Ground energy of the normal-ordered Hamiltonian, from the designated branch of
+    ``spec``, the spectrum of ``c``: by default ``spectrum(c)``, which raises as it does;
+    a caller that holds one, as a ``diagonalize`` solution, need not solve again.
 
     Each BdG block's spectrum is ``branch[k]`` and ``-branch[-k]``, so the negative
     energies over the grid sum to ``-sum |branch|``, and half of that is the ground
     energy of the symmetrized (Nambu) form, ``(1/2) sum_k tr A_k = (N/2) tr hop(0)``
     below the normal-ordered one, which is restored for comparison with Fock
-    diagonalization.  Raises as ``spectrum``."""
-    return _ground_energy(c, spectrum(c))
-
-
-def _ground_energy(c: CouplingSet, spec: Spectrum) -> float:
-    """``ground_energy`` of ``c`` from its spectrum ``spec``, which a caller that
-    already holds it, as a pairing model's solution, need not solve again."""
+    diagonalization."""
+    spec = spectrum(c) if spec is None else spec
     onsite = np.trace(c.hop.mats[0]).real if len(c.hop) and not c.hop.offsets[0].any() else 0.0
     return float((c.shape.n_sites * onsite - np.abs(spec.branch).sum()) / 2)

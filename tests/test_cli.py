@@ -575,20 +575,23 @@ def test_oracle_command_never_forms_the_dense_hamiltonian(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("pairing", [True, False], ids=["pairing", "pairing-free"])
 def test_oracle_command_solves_the_momentum_route_once(tmp_path, monkeypatch, capsys, pairing):
-    # one eigendecomposition, of the half-zone blocks: a pairing model's spectrum is its
-    # diagonalize solution, which gives both the covariance and the energy's branch; a
-    # pairing-free model's energy reads the hopping bands, which form no BdG block
+    # one eigendecomposition, of the half-zone blocks, and no spectrum: the command's
+    # diagonalize solution gives both the covariance and the energy's branch
+    import quasifree.cli as cli
     import quasifree.solver as solver
 
     cs = random_model(LatticeShape((5,), 2), reach=1, pairing=pairing, seed=3)
     save_model(cs, tmp_path / "model.json")
-    calls = []
-    blocks = solver.bdg_blocks
+    calls, spectra = [], []
+    blocks, spectrum = solver.bdg_blocks, solver.spectrum
     monkeypatch.setattr(solver, "bdg_blocks", lambda c, rows=slice(None): calls.append(rows) or blocks(c, rows))
+    for module in (solver, cli):
+        monkeypatch.setattr(module, "spectrum", lambda c, **kw: spectra.append(c) or spectrum(c, **kw))
     code = run(["oracle", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "out")])
     assert code == 0
     assert "agreement: PASS" in capsys.readouterr().out
     assert len(calls) == 1 and np.array_equal(calls[0], cs.shape.half_zone)
+    assert spectra == []
 
 
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):
@@ -883,16 +886,15 @@ def test_corrupted_entropy_covariance_exits_3(tmp_path, monkeypatch, capsys, mod
 
 # the flags each command reads; it must reject every other one
 READS = {
-    "spectrum": {"--model", "--param", "--dims", "--spin", "--zero-mode-tol", "--out"},
-    "invariants": {"--model", "--param", "--dims", "--spin", "--gap-tol", "--inv-tol",
-                   "--zero-mode-tol", "--out", "--offsets"},
+    "spectrum": {"--model", "--param", "--dims", "--zero-mode-tol", "--out"},
+    "invariants": {"--model", "--param", "--dims", "--gap-tol", "--inv-tol", "--zero-mode-tol",
+                   "--out", "--offsets"},
     "verify": {"--dims", "--spin", "--seed", "--gap-tol", "--inv-tol", "--zero-mode-tol", "--out",
                "--count", "--range"},
-    "entropy": {"--model", "--param", "--dims", "--spin", "--zero-mode-tol", "--out", "--lengths"},
-    "oracle": {"--model", "--param", "--dims", "--spin", "--zero-mode-tol", "--degeneracy-tol",
-               "--out"},
-    "quench": {"--model", "--param", "--dims", "--spin", "--seed", "--zero-mode-tol", "--out",
-               "--offsets", "--times", "--range"},
+    "entropy": {"--model", "--param", "--dims", "--zero-mode-tol", "--out", "--lengths"},
+    "oracle": {"--model", "--param", "--dims", "--zero-mode-tol", "--degeneracy-tol", "--out"},
+    "quench": {"--model", "--param", "--dims", "--seed", "--zero-mode-tol", "--out", "--offsets",
+               "--times", "--range"},
 }
 
 

@@ -532,8 +532,11 @@ def test_ground_energy_matches_the_full_grid_blocks(dims, spin, pairing, kind, s
             cs = CouplingSet(shape, CouplingTable(shape, cs.hop.offsets[bonds], cs.hop.mats[bonds]), cs.pair)
         elif kind == "pairing-only":
             cs = CouplingSet(shape, {}, cs.pair)
+    # ground_energy solves the spectrum itself, or reads a solution the caller holds
     scale = max(1.0, float(np.abs(solver.spectrum(cs).branch).sum()))
-    assert abs(ground_energy(cs) - full_grid_ground_energy(cs)) <= 1e-14 * scale
+    want = full_grid_ground_energy(cs)
+    for energy in (ground_energy(cs), ground_energy(cs, diagonalize(cs))):
+        assert abs(energy - want) <= 1e-14 * scale
 
 
 def test_ground_covariance_chunks_match_one_pass(monkeypatch):
@@ -677,6 +680,17 @@ def test_quench_diagonalizes_once_for_all_times(monkeypatch):
     for t, out in zip(times, states):
         [alone] = evolve_quench(sol, h, [t])
         assert out.u_rows.tobytes() == alone.u_rows.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quench_refuses_a_generator_that_overflows():
+    # finite entries whose hopping kernel overflows, A_k = 8e307 (1 + 2 cos k) I: the
+    # generator's one diagonalize names the momentum, before any state is formed
+    shape = LatticeShape((8,), 2)
+    sol = diagonalize(random_model(shape, reach=1, pairing=True, seed=0))
+    big = CouplingSet(shape, {(n,): 8e307 * np.eye(2) for n in (0, 1, -1)}, {})
+    with pytest.raises(np.linalg.LinAlgError, match=r"at momentum \(0,\)"):
+        evolve_quench(sol, big, [0.0, 1.0])
 
 
 # a quenched solution's rows are unitary and its kernels dimensionless, so rounding is
