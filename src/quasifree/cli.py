@@ -207,6 +207,9 @@ def _resolve_model(args: argparse.Namespace) -> CouplingSet:
             print(f"model file closure projection distance: {loaded.projection_distance:.3e}",
                   file=sys.stderr)
         if args.dims is not None and args.dims != cs.shape.dims:
+            if len(args.dims) != cs.shape.d:
+                raise ValueError(f"--dims {args.dims} is a {len(args.dims)}-axis lattice, but the "
+                                 f"model file's {cs.shape.dims} is {cs.shape.d}-axis")
             cs = cs.resized(args.dims)
         return cs
     if args.model not in CATALOG_NAMES:

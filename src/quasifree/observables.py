@@ -54,15 +54,10 @@ SURVEY_GAP_TOL = 0.1  # above sum_i pi/N_i for N >= 32 in 1-D at unit band slope
 
 def invariant_map(state: Spectrum | CovarianceKernel) -> np.ndarray:
     """The invariant at every offset, a real ``dims``-shaped array indexed by the reduced offset:
-    the sine transform of the odd part ``(tr g_k - tr g_{-k})/2``, read off a spectrum's counts or
-    a kernel's trace, as one ``irfftn`` of ``-i`` times its half grid, its own Hermitian extension."""
+    the sine transform of the odd part ``(tr g_k - tr g_{-k})/2``, half a spectrum's or a kernel's
+    ``imbalance``, as one ``irfftn`` of ``-i`` times its half grid, its own Hermitian extension."""
     shape = state.shape
-    if isinstance(state, Spectrum):
-        odd = 0.5 * state.imbalance
-    else:
-        t = state.trace_kernel()
-        odd = (t - t[shape.negation_table]) / 2
-    half = odd.reshape(shape.dims)[..., :shape.dims[-1] // 2 + 1]
+    half = (0.5 * state.imbalance).reshape(shape.dims)[..., :shape.dims[-1] // 2 + 1]
     return np.fft.irfftn(-1j * half, s=shape.dims, axes=tuple(range(shape.d)))
 
 

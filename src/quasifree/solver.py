@@ -49,9 +49,9 @@ full-zone ``eigh`` projector).
 
 A sudden quench (``evolve_quench``) by ``H'`` rotates the stored rows to ``W_k U_k``,
 ``W_k = exp(-i t H'_k)``: the eigenbasis of ``W H W^dag``, whose energies are ``H``'s.
-``W_k`` is formed from ``diagonalize(H')``, the one half-zone eigensolver, whose
-self-conjugate blocks are paired with their images, so ``W`` keeps the image layout
-to rounding at every time.
+From ``H'_k = V_k E'_k V_k^dag``, by ``diagonalize``, they are ``V_k exp(-i t E'_k) V_k^dag
+U_k`` with ``V_k^dag U_k`` formed once, so no ``W_k`` is; ``V``'s self-conjugate blocks
+are paired with their images, so the image layout holds to rounding at every time.
 """
 
 from __future__ import annotations
@@ -180,9 +180,9 @@ class BogoliubovSolution(Spectrum):
     """A ``Spectrum`` plus the eigenbasis ``U_k`` at the rows of ``shape.half_zone``
     (``u_rows``).  Derived: the full-grid ``u``, whose partner rows are the images
     ``U_{-k} = sx conj(U_k) sx``, ``alpha`` and ``beta``.  The columns of ``u_rows``
-    are eigenvectors at the energies ``_paired(shape.half_zone)``, from which
-    ``evolve_quench`` forms its propagators.  A solution from ``evolve_quench`` keeps
-    this layout, but not the particle-weight designation."""
+    are eigenvectors at the energies ``_paired(shape.half_zone)``: a quench generator's
+    are the basis and phases of ``evolve_quench``.  A solution from ``evolve_quench``
+    keeps this layout, but not the particle-weight designation."""
 
     u_rows: np.ndarray  # (len(shape.half_zone), 2s, 2s)
 
@@ -398,7 +398,8 @@ def constraint_residuals(sol: BogoliubovSolution) -> dict[str, float]:
 @dataclass(frozen=True)
 class CovarianceKernel:
     """Gaussian state of the lattice: occupation kernel ``g``, pairing kernel ``f``,
-    and the number of zero modes, filled with weight 1/2."""
+    and the number of zero modes, filled with weight 1/2.  Its ``imbalance`` is that
+    of a ``Spectrum``, read off the trace of ``g``, so ``invariant_map`` takes either."""
 
     shape: LatticeShape
     g: np.ndarray  # (M, s, s)
@@ -416,9 +417,11 @@ class CovarianceKernel:
         out[:, s:, s:] = self.g[neg]
         return out
 
-    def trace_kernel(self) -> np.ndarray:
-        """Spin-traced occupation per momentum (real)."""
-        return np.trace(self.g, axis1=1, axis2=2).real
+    @property
+    def imbalance(self) -> np.ndarray:
+        """(M,) ``tr g_k - tr g_{-k}``: of a ground state, its spectrum's ``Spectrum.imbalance``."""
+        t = np.trace(self.g, axis1=1, axis2=2).real
+        return t - t[self.shape.negation_table]
 
 
 def ground_covariance(sol: BogoliubovSolution) -> CovarianceKernel:
@@ -509,13 +512,6 @@ def real_space(cov: CovarianceKernel, offsets: Iterable[Iterable[int]]) -> RealS
                                 bb={n: f[shape.negate(n)] for n in keys})
 
 
-def _propagator(lam: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
-    """``exp(-i t H_k)`` for every block, shape ``(M, 2s, 2s)``, from the blocks'
-    eigenvalues ``lam`` and eigenvectors ``vecs``."""
-    phases = np.exp(-1j * t * lam)
-    return (vecs * phases[:, None, :]) @ np.conj(np.transpose(vecs, (0, 2, 1)))
-
-
 def evolve_quench(
     sol: BogoliubovSolution, h: CouplingSet, times: Iterable[float]
 ) -> Iterator[BogoliubovSolution]:
@@ -524,7 +520,9 @@ def evolve_quench(
     the stored rows rotated to ``W_k U_k``, which keep the image layout (``W_{-k} = sx
     conj(W_k) sx``).  ``ground_covariance`` of a state gives its kernels.
 
-    ``h`` is diagonalized once, in this call, by ``diagonalize``; the states follow
+    ``h`` is diagonalized once, in this call, by ``diagonalize``, as ``H'_k = V_k E'_k
+    V_k^dag``; the rows are taken once into that basis, ``V_k^dag U_k``, and each time
+    phases them by ``exp(-i t E'_k)`` and rotates them back by ``V_k``.  The states follow
     lazily, one per time, so a caller need hold only one at a time.  Raises
     ``ValueError`` before the eigendecomposition when it would not fit in physical
     memory, and as ``diagonalize`` does, so a block of ``h`` that overflows is a
@@ -533,16 +531,17 @@ def evolve_quench(
     shape, s = sol.shape, sol.shape.spin
     if h.shape != shape:
         raise ValueError(f"quench shape {h.shape} does not match state shape {shape}")
-    # the peak comes while a propagator is formed, per momentum: six half-zone stacks of
-    # (2s)^2 complex (32 s^2 bytes each): the eigenvectors, held for every time, the
-    # state's rows and the previous time's that a caller still holds, the propagator, its
-    # phased factor and conjugate transpose; the kernels g and f that a caller may hold
-    # (32 s^2); the branch, energies and phases (32 s) and the index tables (at most 48)
+    # the peak comes while a state is formed, per momentum: six half-zone stacks of
+    # (2s)^2 complex (32 s^2 bytes each): the eigenvectors and the state in their basis,
+    # held for every time, the state's rows and the previous time's that a caller still
+    # holds, the phased rows and their product; the kernels g and f that a caller may
+    # hold (32 s^2); the branch, energies and phases (32 s) and the index tables (at most 48)
     _check_memory(f"a quench of {shape.n_sites} momenta at spin {s}",
                   shape.n_sites * (224 * s * s + 32 * s + 48))
     gen = diagonalize(h, zero_mode_tol=sol.zero_mode_tol)
     lam, vecs = gen._paired(shape.half_zone), gen.u_rows
-    return (replace(sol, u_rows=_propagator(lam, vecs, t) @ sol.u_rows) for t in times)
+    rows = np.conj(np.transpose(vecs, (0, 2, 1))) @ sol.u_rows  # the state in the eigenbasis of h
+    return (replace(sol, u_rows=vecs @ (np.exp(-1j * t * lam)[:, :, None] * rows)) for t in times)
 
 
 def ground_energy(c: CouplingSet, spec: Spectrum | None = None) -> float:

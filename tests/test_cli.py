@@ -64,7 +64,7 @@ def test_spectrum_refuses_a_lattice_beyond_physical_memory(tmp_path, monkeypatch
 
 
 def test_quench_refuses_a_lattice_beyond_physical_memory(tmp_path, monkeypatch, capsys):
-    # the ground state fits; the quench's propagator would not
+    # the ground state fits; the quench would not
     monkeypatch.setattr("quasifree.solver.os.sysconf", fake_sysconf(QUENCH_SHORT_MEMORY))
     code = run(["quench", "--model", "p-model", "--param", "p=2", "--dims", "4096", "--times", "0,1",
                 "--out", str(tmp_path)])
@@ -264,6 +264,20 @@ def test_invariants_offsets_on_two_dimensional_lattice(tmp_path):
     _, rows = read_csv(tmp_path / "all" / "invariants.csv")
     assert [(int(r[0]), int(r[1])) for r in rows] == list(np.ndindex(4, 3))
     assert [float(r[2]) for r in rows] == inv.ravel().tolist()
+
+
+@pytest.mark.parametrize("command, dims, file_dims, message", [
+    ("spectrum", "5", (3, 3), "--dims (5,) is a 1-axis lattice, but the model file's (3, 3) is 2-axis"),
+    ("quench", "4,4", (6,), "--dims (4, 4) is a 2-axis lattice, but the model file's (6,) is 1-axis"),
+], ids=["2-D file", "1-D file"])
+def test_dims_with_another_axis_count_than_the_model_file_exits_2(tmp_path, capsys, command, dims,
+                                                                  file_dims, message):
+    path = tmp_path / "m.json"
+    save_model(random_model(LatticeShape(file_dims, 1), reach=1, pairing=True, seed=0), path)
+    capsys.readouterr()
+    assert run([command, "--model", str(path), "--dims", dims, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_clean_run_and_determinism(tmp_path):

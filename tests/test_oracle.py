@@ -17,6 +17,7 @@ from quasifree import (
     catalog,
     compare_with_quasifree,
     diagonalize,
+    evolve_quench,
     exact_ground_correlators,
     fock_ground_state,
     ground_covariance,
@@ -24,6 +25,7 @@ from quasifree import (
     real_space,
     symmetrize,
 )
+from quasifree.cli import ORACLE_DEV_TOL
 from quasifree.oracle import correlators_from_vector
 from quasifree.solver import ground_energy
 
@@ -427,6 +429,27 @@ def test_fock_quench_conserves_invariant():
         bdag_b, _ = correlators_from_vector(psi_t, shape.n_modes)
         inv_t = invariant_from_correlators(bdag_b, shape)
         assert np.abs(inv_t - inv0).max() < 1e-9
+
+
+@pytest.mark.parametrize("dims, spin, pairing", [
+    ((6,), 1, True), ((5,), 2, False), ((4,), 2, True),
+    ((3, 3), 1, True), ((3, 3), 1, False), ((2, 2), 2, False),
+])
+def test_quenched_state_matches_fock_evolution(dims, spin, pairing):
+    # each evolve_quench state's correlators against exp(-i t H') |psi0> in Fock space,
+    # H' a pairing generator at every offset, within the oracle command's bound
+    shape = LatticeShape(dims, spin)
+    cs = every_offset_model(shape, pairing, seed=0)
+    ex = exact_ground_correlators(build_fock_hamiltonian(cs))
+    assert not ex.degenerate
+    quench = every_offset_model(shape, True, seed=1)
+    hq = build_fock_hamiltonian(quench)
+    times = [0.0, 0.7, 3.1]
+    for t, state in zip(times, evolve_quench(diagonalize(cs), quench, times)):
+        bdag_b, bb = correlators_from_vector(evolve_state(hq, t, ex.vectors[:, 0]), shape.n_modes)
+        rc = real_space(ground_covariance(state), all_offsets(shape))
+        res = compare_with_quasifree(replace(ex, bdag_b=bdag_b, bb=bb), rc)
+        assert res.max_correlator_dev < ORACLE_DEV_TOL
 
 
 @settings(max_examples=60, deadline=None)
