@@ -210,6 +210,15 @@ def _resolve_model(args: argparse.Namespace) -> CouplingSet:
             if len(args.dims) != cs.shape.d:
                 raise ValueError(f"--dims {args.dims} is a {len(args.dims)}-axis lattice, but the "
                                  f"model file's {cs.shape.dims} is {cs.shape.d}-axis")
+            # a coupling that reaches r sites along an axis folds onto its partner at
+            # -r, or onto a shorter one, on 2r sites or fewer
+            offsets = np.concatenate([cs.hop.offsets, cs.pair.offsets])
+            reach = np.abs(cs.shape.signed(offsets)).max(axis=0, initial=0)
+            for axis, (n, r) in enumerate(zip(args.dims, reach.tolist())):
+                if n <= 2 * r:
+                    raise ValueError(f"--dims {args.dims} would fold the model file's couplings: they "
+                                     f"reach {r} sites along axis {axis + 1}, which needs at least "
+                                     f"{2 * r + 1} sites")
             cs = cs.resized(args.dims)
         return cs
     if args.model not in CATALOG_NAMES:

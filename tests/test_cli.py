@@ -21,7 +21,7 @@ from quasifree import (
 )
 from quasifree.cli import CSV_CHUNK, FLOAT_FMT, _build_parser, _write_csv, main
 from quasifree.model import symmetrize
-from quasifree.oracle import build_fock_hamiltonian, exact_ground_correlators
+from quasifree.oracle import build_fock_hamiltonian, exact_ground_correlators, fock_ground_state
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_p_model, make_twisted
 
@@ -278,6 +278,22 @@ def test_dims_with_another_axis_count_than_the_model_file_exits_2(tmp_path, caps
     assert run([command, "--model", str(path), "--dims", dims, "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("file_dims, dims, axis, fits", [
+    ((8,), "4", 1, "5"), ((8,), "3", 1, "5"), ((6, 6), "4,6", 1, "5,6"), ((6, 6), "6,3", 2, "6,5"),
+], ids=["8 to 4", "8 to 3", "6x6 to 4x6", "6x6 to 6x3"])
+def test_dims_that_fold_a_model_files_couplings_exit_2(tmp_path, capsys, file_dims, dims, axis, fits):
+    # a reach-2 file on 4 sites or fewer along an axis: its offsets 2 and -2 would meet
+    path = tmp_path / "m.json"
+    save_model(random_model(LatticeShape(file_dims, 1), reach=2, pairing=True, seed=3), path)
+    capsys.readouterr()
+    assert run(["spectrum", "--model", str(path), "--dims", dims, "--out", str(tmp_path / "out")]) == 2
+    wanted = tuple(int(n) for n in dims.split(","))
+    assert capsys.readouterr().err == (f"error: --dims {wanted} would fold the model file's couplings: they "
+                                       f"reach 2 sites along axis {axis}, which needs at least 5 sites\n")
+    assert not (tmp_path / "out").exists()
+    assert run(["spectrum", "--model", str(path), "--dims", fits, "--out", str(tmp_path / "fits")]) == 0
 
 
 def test_verify_clean_run_and_determinism(tmp_path):
@@ -606,6 +622,33 @@ def test_oracle_command_solves_the_momentum_route_once(tmp_path, monkeypatch, ca
     assert "agreement: PASS" in capsys.readouterr().out
     assert len(calls) == 1 and np.array_equal(calls[0], cs.shape.half_zone)
     assert spectra == []
+
+
+@pytest.mark.parametrize("pairing", [True, False], ids=["pairing", "pairing-free"])
+def test_oracle_command_runs_no_eigh_on_a_fock_sector(tmp_path, monkeypatch, capsys, pairing):
+    # the ground sector's eigvalsh spectrum gives its ground vector by shifted solves:
+    # eigh runs on diagonalize's momentum blocks and the 1 x 1 Rayleigh-Ritz matrix only
+    import quasifree.oracle as oracle
+
+    cs = random_model(LatticeShape((5,), 2), reach=1, pairing=pairing, seed=3)
+    save_model(cs, tmp_path / "model.json")
+    sectors, seen = [], []
+    momentum_sectors, eigh = oracle._momentum_sectors, np.linalg.eigh
+
+    def record(*args):
+        group = momentum_sectors(*args)
+        sectors.extend(group)
+        return group
+
+    monkeypatch.setattr(oracle, "_momentum_sectors", record)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **kw: seen.append(np.array(a)) or eigh(a, *r, **kw))
+    code = run(["oracle", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "agreement: PASS" in capsys.readouterr().out
+    assert sectors and seen
+    assert not any(a.shape == s.block.shape and np.array_equal(a, s.block) for a in seen for s in sectors)
+    assert all(a.ndim == 3 and a.shape[1:] == (4, 4) or a.shape == (1, 1) for a in seen)
+    assert fock_ground_state(cs).vectors.tobytes() == fock_ground_state(cs).vectors.tobytes()
 
 
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):

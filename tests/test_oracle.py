@@ -322,6 +322,55 @@ def test_averaged_degenerate_ground_space_matches_full_eigh(n_sites):
         assert np.abs(mixed.bb - sum(p[1] for p in pieces) / deg).max() < 1e-12
 
 
+def layered_block(levels, rotate, rng):
+    """``U diag(levels) U^dag`` for a random unitary ``U``, or ``diag(levels)``."""
+    if not rotate:
+        return np.diag(levels).astype(complex)
+    n = len(levels)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return (u * levels) @ u.conj().T
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), spread=st.floats(-16, -2), gap=st.floats(-9, 0),
+       scale=st.floats(-3, 3), rotate=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_lowest_vectors_are_the_lowest_eigenvectors(data, k, spread, gap, scale, rotate, seed):
+    # a cluster of k levels 10^spread wide, the next level 10^gap above its top, the
+    # rest within one unit above that, everything times 10^scale: spreads and gaps on
+    # both sides of the full-eigh fallback, and k = n, which always takes it
+    n = data.draw(st.integers(k, 40))
+    rng = np.random.default_rng(seed)
+    scale = 10.0**scale
+    cluster = rng.uniform(-1, 1) + 10.0**spread * np.sort(rng.uniform(0, 1, k))
+    levels = scale * np.concatenate([cluster, cluster[-1] + 10.0**gap + np.sort(rng.uniform(0, 1, n - k))])
+    block = layered_block(levels, rotate, rng)
+    y = oracle._lowest_vectors(block, np.linalg.eigvalsh(block), k)
+    assert y.shape == (n, k)
+    assert np.abs(y.conj().T @ y - np.eye(k)).max() < 1e-12
+    by = block @ y
+    assert np.abs(by - y * np.einsum("ic,ic->c", y.conj(), by)).max() < 1e-12 * scale
+    # the two projectors differ by about eps scale / gap: eigh's own is 2.2e-12 off the
+    # exact one at a gap of 1.7e-6 scale, so the comparison starts at 1e-3 scale
+    if k < n and 10.0**gap >= 1e-3:
+        ref = np.linalg.eigh(block)[1][:, :k]
+        assert np.abs(y @ y.conj().T - ref @ ref.conj().T).max() < 1e-12
+
+
+def test_lowest_vectors_fall_back_to_eigh_on_a_slowly_separating_cluster(monkeypatch):
+    # the layout of test_averaged_degenerate_ground_space_matches_full_eigh[4]: a
+    # cluster 1e-8 wide just below a level at 1.5e-8, where each shifted solve would
+    # shrink the level above only by rho = 2/3
+    levels = np.concatenate([[0.0, 0.5e-8, 1e-8, 1.5e-8], np.linspace(1, 2, 16)])
+    block = layered_block(levels, True, np.random.default_rng(4))
+    full = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: full.append(a.shape) or eigh(a))
+    y = oracle._lowest_vectors(block, np.linalg.eigvalsh(block), 3)
+    assert full == [(20, 20)]
+    ref = eigh(block)[1][:, :3]
+    assert np.abs(y @ y.conj().T - ref @ ref.conj().T).max() < 1e-12
+
+
 def test_oracle_agreement_on_random_models():
     shapes = [((4,), 1, 1), ((6,), 1, 2), ((3,), 2, 1), ((4,), 2, 1)]
     done = 0
