@@ -247,8 +247,10 @@ def entropy_scan(cov: CovarianceKernel, lengths: Sequence[int]) -> EntropyScan:
     ent = [_gaussian_entropy(nu) for nu in _block_spectra(cov, lengths)]
     cut = (min(lengths) + max(lengths)) / 2.0
     window = [(L, S) for L, S in zip(lengths, ent) if L >= cut]
-    if len(window) < 4:
-        raise ValueError(f"need at least 4 lengths in the fit window, got {len(window)}")
+    # repeated lengths add no rank to the design: a fit needs 4 distinct ones
+    distinct = len({L for L, _ in window})
+    if distinct < 4:
+        raise ValueError(f"need at least 4 distinct lengths in the fit window, got {distinct}")
     x = np.log([L for L, _ in window])
     y = np.array([S for _, S in window])
     design = np.stack([x, np.ones_like(x)], axis=1)

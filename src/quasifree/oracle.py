@@ -30,14 +30,18 @@ assembly fault.  ``exact_ground_correlators`` solves a dense ``h`` by its two
 parity sectors alone.  The translation tables (``_translations``) are the powers
 of each axis's one-site translation, one gather of its target and sign tables per
 step; with the ``-g`` index and the phases ``exp(-i K.g)`` they are built once per
-solve (``_translation_group``) and shared by every charge group.  Every block's
-spectrum comes from ``eigvalsh``; a block that holds ground levels gives its
-ground vectors by shifted inverse iteration at those known levels
-(``_lowest_vectors``), a few LU solves in place of a second, full ``eigh``, and
-they are lifted back to the occupation basis by a phased scatter over each
-orbit, whose coefficients only those sectors form.  The energy of the first
-ground vector is the couplings contracted with its correlators, or ``v^dag h v``
-where ``h`` is given.
+solve (``_translation_group``) and shared by every charge group.  Given an
+estimate of the first level above the ground cluster, a block whose shifted
+Cholesky factorization proves every level higher gets no spectrum
+(``_sector_spectra``); every other block's spectrum comes from ``eigvalsh``, and
+where the solved spectra do not settle the ground cluster and the level above it,
+the skipped blocks are solved too, so the estimate never changes the result.  A
+block that holds ground levels gives its ground vectors by shifted inverse
+iteration at those known levels (``_lowest_vectors``), a few LU solves in place of
+a second, full ``eigh``, and they are lifted back to the occupation basis by a
+phased scatter over each orbit, whose coefficients only those sectors form.  The
+energy of the first ground vector is the couplings contracted with its
+correlators, or ``v^dag h v`` where ``h`` is given.
 
 Fock spaces are capped at 14 modes, and each step checks physical memory
 before it allocates, each estimate plus the 64 MiB of ``solver._check_memory``:
@@ -209,12 +213,19 @@ class ExactGroundState:
     bb: np.ndarray       # (Ns, Ns)
 
 
-def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
+def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL,
+                      hint: float | None = None) -> ExactGroundState:
     """Exact ground state of the couplings ``c`` by (charge, crystal-momentum)
     sectors, built from the columns of ``h`` at the orbit representatives only;
     ``h`` itself is never formed.  The charge is the particle number when ``c``
     has no pairing terms, and the fermion parity otherwise.  Otherwise as
     ``exact_ground_correlators``.
+
+    ``hint``, an estimate of the first level above the ground cluster (the momentum
+    route's ground energy plus its gap), spares ``eigvalsh`` on the sectors that a
+    shifted Cholesky factorization proves to lie above it (``_sector_spectra``).  It
+    only decides which sectors get a full spectrum: the result equals the unhinted
+    one field by field, whatever the hint.
 
     Raises ``ValueError`` beyond ``MODE_CAP`` modes or when the sectors cannot fit
     in physical memory, and ``LinAlgError`` when a term takes a state out of its
@@ -231,16 +242,16 @@ def fock_ground_state(c: CouplingSet, degeneracy_tol: float = DEGENERACY_TOL) ->
 
     return _ground_state(lambda reps, rows: _fock_columns(c, reps, rows, terms),
                          _translation_group(c.shape.n_modes, c.shape.dims), degeneracy_tol,
-                         number=not len(c.pair), energy=energy)
+                         number=not len(c.pair), energy=energy, hint=hint)
 
 
 def exact_ground_correlators(h: np.ndarray, degeneracy_tol: float = DEGENERACY_TOL) -> ExactGroundState:
     """Exact ground space of the dense Fock matrix ``h``, by its fermion-parity
     sectors, and the correlators of its first ground vector.
 
-    Each sector's spectrum comes from ``eigvalsh``, and all are merged into
-    one, so degeneracy is judged relative to the full spectral width and a
-    ground space may span several sectors.  Each sector that holds ground levels
+    Each sector's spectrum comes from ``eigvalsh``, with no hint to spare any,
+    and all are merged into one, so degeneracy is judged relative to the full
+    spectral width and a ground space may span several sectors.  Each sector that holds ground levels
     gives that many orthonormal eigenvectors at its lowest levels, by shifted
     inverse iteration from its spectrum (``_lowest_vectors``).  The energy is the
     Rayleigh quotient ``v^dag h v`` of the first ground vector.  For a degenerate
@@ -267,13 +278,15 @@ def _ground_state(
     number: bool,
     energy: Callable[[np.ndarray, np.ndarray, np.ndarray], float],
     held: int = 0,
+    hint: float | None = None,
 ) -> ExactGroundState:
     """The ground state from the sectors of the translation ``group`` within each
     charge group (particle number if ``number``, else fermion parity), given
     ``columns(reps, rows)``, the slab ``h[states, reps]`` of a group's ``states``
     whose index table (``_group_rows``) is ``rows``; ``columns`` raises when ``h``
     couples the group to another, ``energy(v, bdag_b, bb)`` is ``<v|h|v>`` of the first
-    ground vector and its correlators, and ``held`` bytes are already allocated."""
+    ground vector and its correlators, ``held`` bytes are already allocated, and
+    ``hint`` estimates the first level above the ground cluster (``_sector_spectra``)."""
     targets = group.targets
     dim = targets.shape[1]
     n_modes = dim.bit_length() - 1
@@ -281,8 +294,10 @@ def _ground_state(
     reps = [states[targets[:, states].min(axis=0) == states] for states in groups]
     # every group's sector blocks, and beside them one group at a time its column
     # slab, freed with the group, and its gathered blocks and the FFT's output; that
-    # allowance, 16 |group| |reps| + 2 blocks bytes, also covers the later ground
-    # vectors' shifted copy and LU copy of one sector block, 32 n^2 bytes for n <= |reps|
+    # allowance, 16 |group| |reps| + 2 blocks bytes, at least 48 |reps|^2 as |group| >=
+    # |reps|, also covers the later work on one sector block of n <= |reps| at a time:
+    # the certificate's shifted copy, Cholesky's work copy and its factor, 48 n^2
+    # bytes, and the ground vectors' shifted copy and LU copy, 32 n^2 bytes
     blocks = [16 * len(targets) * len(r) ** 2 for r in reps]
     _check_memory(f"the sectors of a {dim}-state Fock space",
                   held + sum(blocks) + max(16 * len(states) * len(r) + 2 * b
@@ -291,7 +306,7 @@ def _ground_state(
     for states, r in zip(groups, reps):
         rows = _group_rows(states, dim)
         sectors += _momentum_sectors(columns(r, rows), r, rows, group)
-    spectra = [np.linalg.eigvalsh(sector.block) for sector in sectors]
+    spectra = _sector_spectra([sector.block for sector in sectors], hint, degeneracy_tol)
     merged = np.concatenate(spectra)
     order = np.argsort(merged, kind="stable")
     evals = merged[order]
@@ -323,6 +338,86 @@ def _ground_state(
         bdag_b=bdag_b,
         bb=bb,
     )
+
+
+def _sector_spectra(blocks: list[np.ndarray], hint: float | None, degeneracy_tol: float) -> list[np.ndarray]:
+    """The ascending ``eigvalsh`` spectrum of each Hermitian block, or an empty one
+    for a block proven to lie above the ground cluster and the first level over it,
+    so that the merged spectra give the ground cluster, the level above it and the
+    blocks that hold them exactly as every block's spectrum would.
+
+    ``hint`` estimates that first level, and the shift ``sigma`` sits
+    ``1e-8 max(1, |hint|)`` above it.  By Sylvester's law of inertia every level of
+    a block lies above ``sigma`` exactly when ``block - sigma`` has a Cholesky
+    factor (spectrum slicing, Parlett, *The Symmetric Eigenvalue Problem*, ch. 3);
+    ``_certified`` turns a computed factor into a proven floor.  Every block that
+    it does not certify is solved, and the skips stand only when
+    ``_skips_stand`` finds the solved spectra decide the result; otherwise the
+    skipped blocks are solved too.  Without a finite ``sigma`` no block is skipped.
+    """
+    sigma = math.nan if hint is None else float(hint) + 1e-8 * max(1.0, abs(float(hint)))
+    bounds = [_certified(block, sigma) if math.isfinite(sigma) else None for block in blocks]
+    spectra = [np.linalg.eigvalsh(block) if bound is None else np.empty(0)
+               for block, bound in zip(blocks, bounds)]
+    skipped = [i for i, bound in enumerate(bounds) if bound is not None]
+    if skipped and not _skips_stand(spectra, [bounds[i] for i in skipped], degeneracy_tol):
+        for i in skipped:
+            spectra[i] = np.linalg.eigvalsh(blocks[i])
+    return spectra
+
+
+def _certified(block: np.ndarray, sigma: float) -> tuple[float, float] | None:
+    """``(floor, top)``, bounds on the ``eigvalsh`` levels of the Hermitian ``block``
+    when a Cholesky factorization of ``block - sigma`` proves them above ``floor``,
+    else ``None``; ``top`` is its Gershgorin upper bound.
+
+    A diagonal entry at or below ``sigma`` already rules a factor out.  A computed
+    factor ``R`` of the ``n x n`` matrix ``A = block - sigma`` is exact for ``A + dA``,
+    ``|dA| <= gamma_{n+1} |R^dag| |R|`` (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., Thm 10.3), whose right side has 2-norm at most
+    ``tr(A + dA) <= tr A / (1 - gamma_{n+1})``; with the rounding of the shifted
+    diagonal, ``2 gamma_{n+1} tr A`` bounds how far the levels can lie below
+    ``sigma``.  Both bounds are widened by ``n eps`` times the largest absolute row
+    sum, for the backward error of the ``eigvalsh`` whose levels they stand for.
+    """
+    n = len(block)
+    diag = block.diagonal().real
+    if (diag <= sigma).any():
+        return None
+    shifted = block.copy()
+    shifted.flat[::n + 1] -= sigma
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+    del shifted
+    eps = np.finfo(float).eps
+    gamma = (n + 1) * eps / 2 / (1 - (n + 1) * eps / 2)
+    rows = np.abs(block).sum(axis=1)
+    guard = n * eps * float(rows.max())
+    with np.errstate(over="ignore"):  # a sigma near -realmax: an infinite trace certifies nothing
+        trace = float((diag - sigma).sum())
+    return sigma - 2 * gamma * trace - guard, float((diag + rows - np.abs(block.diagonal())).max()) + guard
+
+
+def _skips_stand(spectra: list[np.ndarray], bounds: list[tuple[float, float]], degeneracy_tol: float) -> bool:
+    """Whether the solved (nonempty) ``spectra`` fix the ground cluster and the first
+    level above it whatever the skipped blocks' levels, given their ``(floor, top)``
+    ``bounds``: the width lies between the solved levels' and the one that takes in
+    the tops, so no solved level may fall between the two cluster cuts, and a solved
+    level above them must exist and lie at or below every floor, which puts every
+    skipped level above the wider cut too.
+    """
+    solved = [spectrum for spectrum in spectra if len(spectrum)]
+    if not solved:
+        return False
+    levels = np.concatenate(solved)
+    e0 = levels.min()
+    top = max(levels.max(), max(bound[1] for bound in bounds))
+    lo = degeneracy_tol * max(1.0, float(levels.max() - e0))
+    hi = degeneracy_tol * max(1.0, float(top - e0))
+    above = levels[levels - e0 > lo]
+    return bool(len(above) and (above - e0).min() > hi and above.min() <= min(bound[0] for bound in bounds))
 
 
 def _lowest_vectors(block: np.ndarray, levels: np.ndarray, k: int) -> np.ndarray:

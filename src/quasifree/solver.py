@@ -56,6 +56,7 @@ are paired with their images, so the image layout holds to rounding at every tim
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -525,7 +526,8 @@ def evolve_quench(
     phases them by ``exp(-i t E'_k)`` and rotates them back by ``V_k``.  The states follow
     lazily, one per time, so a caller need hold only one at a time.  Raises
     ``ValueError`` before the eigendecomposition when it would not fit in physical
-    memory, and as ``diagonalize`` does, so a block of ``h`` that overflows is a
+    memory, before the first state when a time's phase ``t max|E'|`` is not finite,
+    and as ``diagonalize`` does, so a block of ``h`` that overflows is a
     ``LinAlgError`` naming its momentum.
     """
     shape, s = sol.shape, sol.shape.spin
@@ -540,6 +542,11 @@ def evolve_quench(
                   shape.n_sites * (224 * s * s + 32 * s + 48))
     gen = diagonalize(h, zero_mode_tol=sol.zero_mode_tol)
     lam, vecs = gen._paired(shape.half_zone), gen.u_rows
+    times = [float(t) for t in times]
+    top = float(np.abs(lam).max(initial=0.0))
+    for t in times:
+        if not math.isfinite(t * top):
+            raise ValueError(f"quench time {t:g} times the largest quench energy {top:g} is not finite")
     rows = np.conj(np.transpose(vecs, (0, 2, 1))) @ sol.u_rows  # the state in the eigenbasis of h
     return (replace(sol, u_rows=vecs @ (np.exp(-1j * t * lam)[:, :, None] * rows)) for t in times)
 

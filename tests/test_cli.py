@@ -22,6 +22,7 @@ from quasifree import (
 from quasifree.cli import CSV_CHUNK, FLOAT_FMT, _build_parser, _write_csv, main
 from quasifree.model import symmetrize
 from quasifree.oracle import build_fock_hamiltonian, exact_ground_correlators, fock_ground_state
+from quasifree.solver import ground_energy
 
 from conftest import QUENCH_SHORT_MEMORY, fake_sysconf, make_p_model, make_twisted
 
@@ -380,6 +381,19 @@ def test_entropy_critical_classification(tmp_path, capsys):
     assert "classification: log-violation" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("lengths", ["8,8,8,8,8,8,8,8", "4,5,6,20,20,20,20"])
+def test_entropy_rejects_a_fit_window_of_repeated_lengths(tmp_path, capsys, lengths):
+    # one distinct length in the window: a rank-1 design, whose minimum-norm fit
+    # would read as a slope with zero residual
+    code = run([
+        "entropy", "--model", "twisted-chain", "--param", "alpha=1", "--dims", "64",
+        "--lengths", lengths, "--out", str(tmp_path),
+    ])
+    assert code == 2
+    assert "need at least 4 distinct lengths in the fit window, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "entropy.csv").exists()
+
+
 def test_entropy_rejects_two_point_fit(tmp_path):
     code = run([
         "entropy", "--model", "twisted-chain", "--dims", "32",
@@ -651,6 +665,45 @@ def test_oracle_command_runs_no_eigh_on_a_fock_sector(tmp_path, monkeypatch, cap
     assert fock_ground_state(cs).vectors.tobytes() == fock_ground_state(cs).vectors.tobytes()
 
 
+@pytest.mark.parametrize("pairing", [True, False], ids=["pairing", "pairing-free"])
+def test_oracle_command_runs_eigvalsh_only_on_sectors_below_the_shift(tmp_path, monkeypatch, capsys, pairing):
+    # the momentum route's E0 + gap sets the shift sigma: a sector with a level at or
+    # below it gets eigvalsh, every other one is certified by one Cholesky factorization
+    # of the sector block minus sigma and gets no spectrum
+    import quasifree.oracle as oracle
+
+    cs = random_model(LatticeShape((5,), 2), reach=1, pairing=pairing, seed=3)
+    save_model(cs, tmp_path / "model.json")
+    sol = diagonalize(cs)
+    hint = ground_energy(cs, sol) + sol.gap
+    sigma = hint + 1e-8 * max(1.0, abs(hint))
+    assert not fock_ground_state(cs).degenerate
+    sectors, solved, factored = [], [], []
+    momentum_sectors, eigvalsh, cholesky = oracle._momentum_sectors, np.linalg.eigvalsh, np.linalg.cholesky
+
+    def record(*args):
+        group = momentum_sectors(*args)
+        sectors.extend(group)
+        return group
+
+    monkeypatch.setattr(oracle, "_momentum_sectors", record)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: solved.append(np.array(a)) or eigvalsh(a))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: factored.append(np.array(a)) or cholesky(a))
+    code = run(["oracle", "--model", str(tmp_path / "model.json"), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "agreement: PASS" in capsys.readouterr().out
+
+    def passed(block, seen):
+        return any(a.shape == block.shape and np.array_equal(a, block) for a in seen)
+
+    low = [eigvalsh(s.block)[0] <= sigma for s in sectors]
+    assert 0 < sum(low) < len(sectors)
+    for s, below in zip(sectors, low):
+        assert passed(s.block, solved) == below
+        if not below:
+            assert passed(s.block - sigma * np.eye(len(s.block)), factored)
+
+
 def test_oracle_command_rejects_zero_modes(tmp_path, capsys):
     code = run([
         "oracle", "--model", "twisted-chain", "--param", "alpha=1.5707963267948966",
@@ -882,6 +935,22 @@ def test_quench_rejects_non_finite_times(tmp_path, capsys, times):
     assert exc.value.code == 2
     assert "quench times must be finite" in capsys.readouterr().err
     assert not (tmp_path / "quench.csv").exists()
+
+
+def test_quench_time_that_overflows_the_phase_exits_2(tmp_path, capsys):
+    # t max|E'| overflows at 1e308 but not at 1e300: refused before any phase is
+    # formed, where numpy would warn and the spread read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["quench", "--model", "p-model", "--dims", "8", "--times", "0,1e308",
+                    "--out", str(tmp_path / "big")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "quench time 1e+308 times the largest quench energy " in err and "is not finite" in err
+        assert not (tmp_path / "big" / "quench.csv").exists()
+        assert run(["quench", "--model", "p-model", "--dims", "8", "--times", "0,1e300",
+                    "--out", str(tmp_path / "ok")]) == 0
+    assert "conservation: PASS" in capsys.readouterr().out
 
 
 def drop_last_fock_term(monkeypatch):

@@ -551,6 +551,15 @@ def test_block_entropy_flags_corrupted_covariance(p_model_64):
         entropy_scan(bad, [8])
 
 
+@pytest.mark.parametrize("lengths", [[8] * 8, [4, 5, 6, 20, 20, 20, 20]], ids=["one-length", "repeated-top"])
+def test_entropy_scan_needs_four_distinct_lengths_in_the_fit_window(lengths):
+    # repeated lengths add rows but no rank: lstsq's minimum-norm answer to a rank-1
+    # design would pass for a slope with zero residual
+    cov = ground_covariance(diagonalize(make_twisted(64, 1.0)))
+    with pytest.raises(ValueError, match="need at least 4 distinct lengths in the fit window, got 1"):
+        entropy_scan(cov, lengths)
+
+
 def test_entropy_scan_classifications():
     shape = LatticeShape((96,), 2)
     gapped = catalog(ModelParams("p-model", {"p": 2.0}, shape))

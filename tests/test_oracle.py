@@ -371,6 +371,93 @@ def test_lowest_vectors_fall_back_to_eigh_on_a_slowly_separating_cluster(monkeyp
     assert np.abs(y @ y.conj().T - ref @ ref.conj().T).max() < 1e-12
 
 
+@st.composite
+def hinted_models(draw):
+    """Random couplings at every lattice offset on at most 10 modes, d in {1, 2},
+    s in {1, 2}, pairing on or off."""
+    spin = draw(st.integers(1, 2))
+    first = draw(st.integers(2, 10 // spin))
+    second = draw(st.sampled_from([()] + [(n,) for n in (2, 3) if n * first * spin <= 10]))
+    return every_offset_model(LatticeShape((first,) + second, spin), draw(st.booleans()),
+                              draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(cs=hinted_models())
+# a ground space of 16 states at levels 5e-9 apart, spread over three particle numbers
+@example(cs=catalog(ModelParams("spinless-general", {"a0": 5e-9}, LatticeShape((5,), 1))))
+def test_hinted_ground_state_equals_the_unhinted_one(cs):
+    # the hint only picks the sectors that get eigvalsh: near, far, wrong or not
+    # finite, the result is the unhinted one field by field, its vectors byte for byte
+    ref = fock_ground_state(cs)
+    sol = diagonalize(cs)
+    prediction = ground_energy(cs, sol) + sol.gap
+    scale = max(1.0, abs(ref.energy))
+    hints = [prediction] + [prediction + sign * step * scale for step in (1e-12, 1e-6, 1) for sign in (-1, 1)]
+    for hint in hints + [1e300, -1e300, 1e308, -1e308, math.inf, -math.inf, math.nan]:
+        ex = fock_ground_state(cs, hint=hint)
+        assert (ex.energy, ex.gap_above, ex.degenerate, ex.degeneracy_dim) == (
+            ref.energy, ref.gap_above, ref.degenerate, ref.degeneracy_dim), hint
+        for got, want in ((ex.vectors, ref.vectors), (ex.bdag_b, ref.bdag_b), (ex.bb, ref.bb)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), hint
+
+
+def certificate_margin(levels, sigma, block):
+    """``_certified``'s bound on how far below ``sigma`` a factored block's levels can lie."""
+    n, eps = len(levels), np.finfo(float).eps
+    gamma = (n + 1) * eps / 2 / (1 - (n + 1) * eps / 2)
+    return 2 * gamma * (levels - sigma).sum() + n * eps * np.abs(block).sum(axis=1).max()
+
+
+def spectra_with_calls(monkeypatch, blocks, hint):
+    """``_sector_spectra`` of ``blocks`` and the blocks it gave to eigvalsh, by index."""
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh",
+                      lambda a: solved.append(next(i for i, b in enumerate(blocks) if b is a)) or eigvalsh(a))
+        return oracle._sector_spectra(blocks, hint, oracle.DEGENERACY_TOL), solved
+
+
+def test_certificate_solves_a_level_just_below_the_shift_and_skips_the_blocks_above(monkeypatch):
+    # the ground block has its first excited level at the hint, 1; sigma sits 1e-8
+    # above it; a block with a level 2 delta below sigma, delta the factorization's
+    # error bound, cannot be certified, and blocks 1e-6 or more above sigma are skipped
+    rng = np.random.default_rng(7)
+    hint = 1.0
+    sigma = hint + 1e-8
+    ground = layered_block(np.array([0.0, 1.0, 2.0, 3.0]), True, rng)
+    upper = np.linspace(5, 6, 19)
+    at_sigma = np.concatenate([[sigma], upper])
+    delta = certificate_margin(at_sigma, sigma, layered_block(at_sigma, True, rng))
+    below = layered_block(np.concatenate([[sigma - 2 * delta], upper]), True, rng)
+    above = [layered_block(sigma + np.concatenate([[1e-6], np.linspace(1, 3, n - 1)]), True, rng)
+             for n in (20, 7)]
+    blocks = [ground, below, *above]
+    spectra, solved = spectra_with_calls(monkeypatch, blocks, hint)
+    assert np.linalg.eigvalsh(below)[0] < sigma
+    assert solved == [0, 1]
+    assert [len(spectrum) for spectrum in spectra] == [4, 20, 0, 0]
+    assert spectra[1].tobytes() == np.linalg.eigvalsh(below).tobytes()
+
+
+def test_solved_level_in_the_ambiguous_width_band_solves_every_block(monkeypatch):
+    # the solved levels span 2, a skipped block's Gershgorin top reaches 100: the
+    # cluster cut lies between 2e-8 and about 1e-6 above the ground level, and a
+    # solved level at 5e-8 joins the cluster only at the full width, so the skipped
+    # block is solved too
+    rng = np.random.default_rng(8)
+    ground = layered_block(np.array([0.0, 5e-8, 1.0, 2.0]), True, rng)
+    high = layered_block(np.linspace(5, 100, 12), True, rng)
+    spectra, solved = spectra_with_calls(monkeypatch, [ground, high], 1.0)
+    assert solved == [0, 1]
+    assert len(spectra[1]) == 12
+    # without the level in the band, the same skipped block stands
+    ground = layered_block(np.array([0.0, 1.0, 2.0, 3.0]), True, rng)
+    spectra, solved = spectra_with_calls(monkeypatch, [ground, high], 1.0)
+    assert solved == [0] and len(spectra[1]) == 0
+
+
 def test_oracle_agreement_on_random_models():
     shapes = [((4,), 1, 1), ((6,), 1, 2), ((3,), 2, 1), ((4,), 2, 1)]
     done = 0
